@@ -130,7 +130,7 @@ def build_instance(config: dict) -> Instance:
         return Instance("coxeter", quot.poset, quotient=quot, name=name)
     if kind == "twisted":
         n = spec.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError("twisted instance needs a positive integer n")
         tw = twisted.TwistedIdentities(n)
         return Instance("twisted", tw.poset, twisted_ids=tw,

@@ -257,7 +257,8 @@ class _Product:
 
 def _require(config: dict, field: str) -> int:
     value = config.get(field)
-    if not isinstance(value, int):
+    # bool is an int subclass, but true is neither a rank nor an order
+    if not isinstance(value, int) or isinstance(value, bool):
         raise CoxeterError(
             f"type {config.get('type')!r} needs an integer {field!r}")
     return value

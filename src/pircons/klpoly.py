@@ -14,13 +14,21 @@ materialized as a concrete polynomial: q for x = -1 and the constant -1 for
 x = q.
 
 The same module hosts the incidence-algebra side: a family is a P-kernel
-exactly when sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) vanishes for u < v
-(computed in HalfLaurent so the negative powers cancel exactly), and kernel
-inversion produces the unique unitary family P with deg P_{u,v} <
-rho(u,v)/2 and sum_z R_{u,z} P_{z,v} = q^(rho(u,v)) P_{u,v}(1/q).  The
-inversion asserts full consistency of the high part against the low part
-instead of trusting the truncation, which turns uniqueness into an
-executable error check.
+exactly when sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) vanishes for u < v,
+and kernel inversion produces the unique unitary family P with
+deg P_{u,v} < rho(u,v)/2 and
+sum_z R_{u,z} P_{z,v} = q^(rho(u,v)) P_{u,v}(1/q).  The inversion asserts
+full consistency of the high part against the low part instead of trusting
+the truncation, which turns uniqueness into an executable error check.
+
+Both interval sums run on packed values: every polynomial is evaluated at
+q = 2^B (Kronecker substitution), so a polynomial product is one int
+multiply and an interval sum is a sum of int products; balanced base-2^B
+digits recover the coefficients.  Packing is injective only on polynomials
+whose coefficients lie inside (-2^(B-1), 2^(B-1)).  The width B is therefore
+derived from the table (interval sizes, L1 norms and coefficient sizes),
+each sum asserts its coefficient bound against B before its value is used,
+and a bound that does not fit restarts the computation at a wider B.
 
 Tables store a polynomial for every comparable pair, zeros included;
 absence of a key means the pair is incomparable.
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .laurent import HalfLaurent, QPoly
@@ -327,54 +336,168 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
     return True, None
 
 
-def check_pkernel(table: PolyTable):
+# ---------------------------------------------------------------------------
+# Packed evaluation at q = 2^B (see the module docstring).
+# ---------------------------------------------------------------------------
+
+class _TooNarrow(Exception):
+    """A coefficient bound, the only argument, does not fit the width."""
+
+
+def _width_for(bound: int) -> int:
+    """The least B >= 2 with bound < 2^(B-1)."""
+    return max(bound, 1).bit_length() + 1
+
+
+def _with_widening(run: Callable[[int], object], width: int):
+    """run(width), restarted wider for as long as it raises _TooNarrow."""
+    while True:
+        try:
+            return run(width)
+        except _TooNarrow as exc:
+            width = max(_width_for(exc.args[0]), 2 * width)
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum_k coeffs[k] 2^(width k)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def _pack_tilde(coeffs: Sequence[int], n: int, width: int) -> int:
+    """q^n p(1/q) packed, for p with the given coefficients and deg p <= n."""
+    return _pack(coeffs[::-1], width) << width * (n + 1 - len(coeffs))
+
+
+def _norms(table: PolyTable) -> tuple[int, int, int]:
+    """Max L1 norm and max |coefficient| over the entries, and the most
+    terms an interval sum can have (the largest lower ideal)."""
+    l1 = top = 0
+    for poly in table.entries.values():
+        coeffs = [abs(c) for c in poly.coeffs()]
+        if coeffs:
+            l1 = max(l1, sum(coeffs))
+            top = max(top, max(coeffs))
+    poset = table.poset
+    terms = max((poset.down_set(v).bit_count() for v in range(poset.n)),
+                default=0)
+    return l1, top, terms
+
+
+def _packed_rows(table: PolyTable, width: int) -> list[dict[int, int]]:
+    """R_{u,z}(2^width) for every comparable pair, one dict per row u."""
+    poset, value = table.poset, table.value
+    return [{z: _pack(value(u, z).coeffs(), width)
+             for z in poset.elements_of(poset.up_set(u))}
+            for u in range(poset.n)]
+
+
+def check_pkernel(table: PolyTable, _width: int | None = None):
     """sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly.
 
-    The sum is computed in HalfLaurent to absorb the temporary negative
-    powers, then compared against 0 or 1.
+    Each R_{u,z} is packed once at q = 2^B, and so is each
+    R~_{z,v} = q^(rho(z,v) + s) R_{z,v}(1/q), where s >= 0 is the largest
+    excess of a degree over its rank gap (0 for a genuine R-table) so that
+    no power is negative.  The sum over [u, v] is then a sum of int
+    products, compared with the packed q^s or 0.  B is derived from the
+    table, and each pair asserts that its coefficients are at most
+    #terms * max L1(R) * max |coeff(R)| < 2^(B-1) before comparing.
+    ``_width`` overrides the starting width, for tests of the widening.
     """
     poset = table.poset
-    for v in range(poset.n):
-        for u in poset.ideal_elements(v):
-            acc = HalfLaurent.zero()
-            for z in poset.elements_of(poset.interval_mask(u, v)):
-                term = table.value(u, z).to_half_laurent() \
-                    * table.value(z, v).bar_half()
-                acc = acc + term.shift(2 * poset.rank_gap(z, v))
-            want = HalfLaurent.one() if u == v else HalfLaurent.zero()
-            if acc != want:
-                return False, ("kernel", (u, v))
-    return True, None
+    l1, top, terms = _norms(table)
+    shift = max([0] + [p.degree() - poset.rank_gap(u, w)
+                       for (u, w), p in table.entries.items() if p])
+
+    def run(width: int):
+        half = 1 << (width - 1)
+        one = 1 << (width * shift)
+        rows = _packed_rows(table, width)
+        for v in range(poset.n):
+            ideal = poset.ideal_elements(v)
+            col = {z: _pack_tilde(table.value(z, v).coeffs(),
+                                  poset.rank_gap(z, v) + shift, width)
+                   for z in ideal}
+            for u in ideal:
+                zs = poset.elements_of(poset.interval_mask(u, v))
+                bound = len(zs) * l1 * top
+                if bound >= half:
+                    raise _TooNarrow(bound)
+                total = sum(map(mul, map(rows[u].__getitem__, zs),
+                                map(col.__getitem__, zs)))
+                if total != (one if u == v else 0):
+                    return False, ("kernel", (u, v))
+        return True, None
+
+    return _with_widening(run, _width or _width_for(terms * l1 * top))
 
 
-def kls_polynomials(table: PolyTable) -> PolyTable:
+def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     """Kernel inversion: the unique unitary family below half degree.
 
     For each pair u < v set G = sum_{u < z <= v} R_{u,z} P_{z,v}; the low
     part of G (degrees below rho(u,v)/2) determines P_{u,v} = -low(G), and
     the whole of G must then equal tilde(P) - P.  A failure of that identity
     means the input was not a P-kernel and raises KernelError.
+
+    G is computed packed: each R_{u,z} is evaluated once at q = 2^B, each
+    column P_{.,v} as it is produced, and G(2^B) is a sum of int products.
+    Balanced base-2^B digits of G(2^B) give low(G), and the identity is
+    checked on packed values.  Both are exact while every coefficient of G
+    stays below 2^(B-1), so each pair first asserts
+    #terms * max L1(R) * (running max |coeff| of P_{.,v}) < 2^(B-1).  B
+    starts from the table's own bound with max |coeff(R)| in place of the
+    P factor; a pair whose bound does not fit restarts the inversion at a
+    wider B.  ``_width`` overrides the starting width, for tests.
     """
     poset = table.poset
-    out = PolyTable(poset, table.x, {})
-    for v in range(poset.n):
-        out.entries[(v, v)] = _ONE
-        below = sorted((u for u in poset.ideal_elements(v) if u != v),
-                       key=lambda u: -poset.rank[u])
-        for u in below:
-            gap = poset.rank_gap(u, v)
-            G = QPoly.zero()
-            for z in poset.elements_of(poset.interval_mask(u, v)):
-                if z == u:
-                    continue
-                G = G + table.value(u, z) * out.entries[(z, v)]
-            P = -G.truncate_below(gap)
-            if G != P.tilde(gap) - P:
-                raise KernelError(
-                    f"not a P-kernel at pair ({poset.labels[u]!r}, "
-                    f"{poset.labels[v]!r})")
-            out.entries[(u, v)] = P
-    return out
+    rank = poset.rank
+    l1, top, terms = _norms(table)
+
+    def run(width: int) -> PolyTable:
+        half = 1 << (width - 1)
+        digit = (1 << width) - 1
+        rows = _packed_rows(table, width)
+        out = PolyTable(poset, table.x, {})
+        for v in range(poset.n):
+            out.entries[(v, v)] = _ONE
+            col = {v: 1}
+            pmax = 1
+            below = sorted((u for u in poset.ideal_elements(v) if u != v),
+                           key=lambda u: -rank[u])
+            for u in below:
+                gap = rank[v] - rank[u]
+                zs = poset.elements_of(
+                    poset.interval_mask(u, v) & ~(1 << u))
+                bound = len(zs) * l1 * pmax
+                if bound >= half:
+                    raise _TooNarrow(bound)
+                G = sum(map(mul, map(rows[u].__getitem__, zs),
+                            map(col.__getitem__, zs)))
+                low = []
+                rest = G
+                for _ in range((gap + 1) // 2):
+                    d = rest & digit
+                    if d >= half:
+                        d -= digit + 1
+                    low.append(-d)
+                    rest = (rest - d) >> width
+                P = QPoly(low)
+                coeffs = P.coeffs()
+                packed = _pack(coeffs, width)
+                if G != _pack_tilde(coeffs, gap, width) - packed:
+                    raise KernelError(
+                        f"not a P-kernel at pair ({poset.labels[u]!r}, "
+                        f"{poset.labels[v]!r})")
+                col[u] = packed
+                if coeffs:
+                    pmax = max(pmax, max(map(abs, coeffs)))
+                out.entries[(u, v)] = P
+        return out
+
+    return _with_widening(run, _width or _width_for(terms * l1 * top))
 
 
 def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):

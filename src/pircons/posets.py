@@ -152,13 +152,12 @@ class GradedPoset:
         return self._down[y] & self._up[x]
 
     def elements_of(self, mask: int) -> list[int]:
+        """The elements of a bitmask in ascending order, O(popcount)."""
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def ideal_elements(self, w: int) -> list[int]:

@@ -1,9 +1,14 @@
 """Independent oracles used to freeze expected values.
 
-Everything here deliberately avoids the package's own polynomial types and
+The sympy oracles deliberately avoid the package's own polynomial types and
 inversion code: polynomials are sympy expressions in q, and kernel inversion
 is done by undetermined coefficients plus a linear solve, so a bug in the
 production truncation recursion cannot hide.
+
+The reference path at the end keeps the kernel check and kernel inversion
+as they were written on ``QPoly``/``HalfLaurent`` object arithmetic, before
+the library moved to packed evaluation.  Differential tests hold the packed
+code to the same results, witnesses and ``KernelError`` messages.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import sympy
+
+from pircons.klpoly import KernelError, PolyTable
+from pircons.laurent import HalfLaurent, QPoly
 
 q = sympy.Symbol("q")
 
@@ -92,3 +100,60 @@ def table_inversion(table):
     return kernel_inversion(
         elements, poset.leq, poset.rank_gap,
         lambda u, z: qpoly_expr(table.value(u, z)))
+
+
+# ---------------------------------------------------------------------------
+# Reference path: the object-arithmetic kernel check and inversion.
+# ---------------------------------------------------------------------------
+
+_ONE = QPoly((1,))
+
+
+def check_pkernel(table: PolyTable):
+    """sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly.
+
+    The sum is computed in HalfLaurent to absorb the temporary negative
+    powers, then compared against 0 or 1.
+    """
+    poset = table.poset
+    for v in range(poset.n):
+        for u in poset.ideal_elements(v):
+            acc = HalfLaurent.zero()
+            for z in poset.elements_of(poset.interval_mask(u, v)):
+                term = table.value(u, z).to_half_laurent() \
+                    * table.value(z, v).bar_half()
+                acc = acc + term.shift(2 * poset.rank_gap(z, v))
+            want = HalfLaurent.one() if u == v else HalfLaurent.zero()
+            if acc != want:
+                return False, ("kernel", (u, v))
+    return True, None
+
+
+def kls_polynomials(table: PolyTable) -> PolyTable:
+    """Kernel inversion: the unique unitary family below half degree.
+
+    For each pair u < v set G = sum_{u < z <= v} R_{u,z} P_{z,v}; the low
+    part of G (degrees below rho(u,v)/2) determines P_{u,v} = -low(G), and
+    the whole of G must then equal tilde(P) - P.  A failure of that identity
+    means the input was not a P-kernel and raises KernelError.
+    """
+    poset = table.poset
+    out = PolyTable(poset, table.x, {})
+    for v in range(poset.n):
+        out.entries[(v, v)] = _ONE
+        below = sorted((u for u in poset.ideal_elements(v) if u != v),
+                       key=lambda u: -poset.rank[u])
+        for u in below:
+            gap = poset.rank_gap(u, v)
+            G = QPoly.zero()
+            for z in poset.elements_of(poset.interval_mask(u, v)):
+                if z == u:
+                    continue
+                G = G + table.value(u, z) * out.entries[(z, v)]
+            P = -G.truncate_below(gap)
+            if G != P.tilde(gap) - P:
+                raise KernelError(
+                    f"not a P-kernel at pair ({poset.labels[u]!r}, "
+                    f"{poset.labels[v]!r})")
+            out.entries[(u, v)] = P
+    return out

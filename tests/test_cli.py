@@ -106,6 +106,24 @@ def test_unsupported_type_exit(capsys):
         cli.EXIT_UNSUPPORTED
 
 
+def test_boolean_rank_is_unsupported(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter",
+                     "matrix": {"type": "A", "rank": True}}}))
+    assert run(["compute", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_UNSUPPORTED
+    assert "integer 'rank'" in capsys.readouterr().err
+
+
+def test_boolean_twisted_n_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"instance": {"kind": "twisted", "n": True}}))
+    assert run(["compute", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "positive integer n" in capsys.readouterr().err
+
+
 def test_size_bound_exit(monkeypatch):
     monkeypatch.setenv("PIRCONS_MAX_GROUP_SIZE", "4")
     assert run(["compute", "--type", "A", "--rank", "3"]) == \

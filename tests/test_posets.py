@@ -152,3 +152,11 @@ def test_from_comparability_transitive_reduction():
 def test_empty_poset():
     P = GradedPoset((), ())
     assert P.n == 0 and P.bottom is None
+
+
+@pytest.mark.parametrize("mask", [0, 1, 0b1011, 1 << 200, (1 << 300) - 1,
+                                  (1 << 257) | (1 << 64) | 6])
+def test_elements_of_ascending(mask):
+    n = max(mask.bit_length(), 1)
+    want = [i for i in range(n) if mask >> i & 1]
+    assert chain(2).elements_of(mask) == want
