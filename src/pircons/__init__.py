@@ -11,12 +11,14 @@ with their Kazhdan-Lusztig bases.
 
 from .laurent import HalfLaurent, QPoly
 from .posets import GradedPoset, PosetError, from_comparability
-from .coxeter import CoxeterError, CoxeterSystem, ParabolicQuotient
+from .coxeter import (CoxeterError, CoxeterSystem, ParabolicQuotient,
+                      SizeBoundError)
 from .matchings import (MatchingError, OrbitClassificationError, OrbitReport,
                         PartialMatching, check_lifting, coherent,
                         enumerate_spms, is_dircon, lambda_partial,
-                        orbit_analysis, orbit_partition, strictly_coherent,
-                        verify_pircon, verify_qspm, verify_spm)
+                        lambda_system, orbit_analysis, orbit_partition,
+                        strictly_coherent, verify_pircon, verify_qspm,
+                        verify_spm)
 from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                      brenti_identity, check_pkernel, check_updown,

@@ -6,22 +6,24 @@ a twisted-identity index n, or an external poset file (with a refinement
 file where tables are needed).  All fields can come from a JSON config file
 (--config) and every field is overridable by a flag.
 
-Exit codes: 0 success, 2 malformed config, 3 unsupported group, 4 group
-size bound exceeded, 1 other errors; a failing verification exits with the
-code of the first failing class (see VERIFY_EXIT_CODES).  Output files are
-written atomically (temp file + rename).
+Exit codes: 0 success, 2 malformed config (a bad H, or a poset,
+refinement or matching file of the wrong JSON shape), 3 unsupported group,
+4 group size bound exceeded, 1 other errors; a failing verification exits
+with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
+files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 
 from . import hecke, klpoly, matchings, twisted
-from .coxeter import CoxeterError, CoxeterSystem
+from .coxeter import CoxeterError, CoxeterSystem, SizeBoundError
 from .klpoly import X_MINUS_ONE, X_PARAMS, X_Q
 from .posets import GradedPoset, PosetError
 
@@ -53,49 +55,48 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 class Instance:
-    """A resolved instance: its poset plus whatever structure it carries."""
+    """A resolved instance and its artifact set.
 
-    def __init__(self, kind: str, poset, quotient=None, twisted_ids=None,
-                 refinement=None, name: str = ""):
+    Each artifact is built on first use and then kept: the refinement, the
+    system matchings, the R^x table per x and the Hecke context.
+    ``build_instance`` picks the refinement and system-matching builders of
+    the instance's kind.
+    """
+
+    def __init__(self, kind: str, poset, name: str, build_refinement,
+                 build_matchings, quotient=None):
         self.kind = kind
         self.poset = poset
-        self.quotient = quotient
-        self.twisted = twisted_ids
-        self._refinement = refinement
         self.name = name
+        self.quotient = quotient
+        self._build_refinement = build_refinement
+        self._build_matchings = build_matchings
+        self._r: dict[str, klpoly.PolyTable] = {}
 
+    @functools.cached_property
     def refinement(self) -> klpoly.Refinement:
-        if self._refinement is None:
-            if self.kind == "coxeter":
-                self._refinement = klpoly.lambda_refinement(self.quotient)
-            elif self.kind == "twisted":
-                self._refinement = self.twisted.conjugation_refinement()
-            else:
-                raise ConfigError(
-                    "a poset instance needs --refinement-file for tables")
-        return self._refinement
+        return self._build_refinement()
 
+    @functools.cached_property
     def system_matchings(self) -> list[matchings.PartialMatching]:
-        if self.kind == "coxeter":
-            return list(dict.fromkeys(
-                matchings.lambda_partial(self.quotient, s)
-                for s in range(self.quotient.system.num_gens)))
-        if self.kind == "twisted":
-            out = []
-            for i in range(self.twisted.host.num_gens):
-                got = self.twisted.conjugation_qspm(i)
-                if got is not None:
-                    out.append(got)
-            return list(dict.fromkeys(out))
-        return [m for _, m in sorted(self.refinement().matchings.items())]
+        return self._build_matchings()
 
+    def r_table(self, x: str) -> klpoly.PolyTable:
+        if x not in self._r:
+            self._r[x] = klpoly.r_polynomials(self.poset, self.refinement, x)
+        return self._r[x]
+
+    @functools.cached_property
     def hecke_context(self) -> hecke.HeckeContext:
-        if self.kind == "coxeter":
-            return hecke.context_for_quotient(self.quotient)
-        if self.kind == "twisted":
-            return self.twisted.hecke_context()
-        raise ConfigError(
-            "duality/recursion/klbasis need a coxeter or twisted instance")
+        if self.kind == "poset":
+            raise ConfigError(
+                "duality/recursion/klbasis need a coxeter or twisted instance")
+        return hecke.HeckeContext(self.poset, self.system_matchings)
+
+
+def _is_index(value) -> bool:
+    # bool is an int subclass, but true is not an index
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_generators(value, num_gens: int) -> frozenset[int]:
@@ -103,13 +104,30 @@ def _parse_generators(value, num_gens: int) -> frozenset[int]:
     if value in (None, "", []):
         return frozenset()
     if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        value = [int(p) for p in parts]
-    H = frozenset(int(v) - 1 for v in value)
+        value = [int(p) if p.isdecimal() else p
+                 for p in value.replace(",", " ").split()]
+    if not isinstance(value, list) or not all(map(_is_index, value)):
+        raise ConfigError(
+            f"H must list 1-based generator indices, got {value!r}")
+    H = frozenset(v - 1 for v in value)
     for h in H:
         if not 0 <= h < num_gens:
             raise ConfigError(f"H contains invalid generator s{h + 1}")
     return H
+
+
+def _load_json(path: str, shape: str, valid) -> object:
+    """The JSON document in path; valid() must accept it as ``shape``."""
+    with open(path) as handle:
+        data = json.load(handle)
+    if not valid(data):
+        raise ConfigError(f"{path} must hold {shape}")
+    return data
+
+
+def _index_list(value) -> bool:
+    return isinstance(value, list) and \
+        all(v is None or _is_index(v) for v in value)
 
 
 def build_instance(config: dict) -> Instance:
@@ -127,28 +145,47 @@ def build_instance(config: dict) -> Instance:
         hh = ",".join(f"s{h + 1}" for h in sorted(H)) or "empty"
         name = f"{matrix.get('type')}{matrix.get('rank', matrix.get('m'))}" \
                f"/H={hh}"
-        return Instance("coxeter", quot.poset, quotient=quot, name=name)
+        return Instance("coxeter", quot.poset, name,
+                        functools.partial(klpoly.lambda_refinement, quot),
+                        functools.partial(matchings.lambda_system, quot),
+                        quotient=quot)
     if kind == "twisted":
         n = spec.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_index(n) or n < 1:
             raise ConfigError("twisted instance needs a positive integer n")
         tw = twisted.TwistedIdentities(n)
-        return Instance("twisted", tw.poset, twisted_ids=tw,
-                        name=f"twisted{n}")
+        return Instance("twisted", tw.poset, f"twisted{n}",
+                        tw.conjugation_refinement, tw.conjugation_qspms)
     if kind == "poset":
         path = spec.get("poset_file")
         if not path:
             raise ConfigError("poset instance needs 'poset_file'")
-        with open(path) as handle:
-            poset = GradedPoset.from_json(json.load(handle))
+        poset = GradedPoset.from_json(_load_json(
+            path, "an object with an 'elements' list and a 'covers' list "
+            "of [lower, upper] index pairs",
+            lambda d: isinstance(d, dict)
+            and isinstance(d.get("elements"), list)
+            and isinstance(d.get("covers"), list)
+            and all(isinstance(c, list) and len(c) == 2
+                    and all(map(_is_index, c)) for c in d["covers"])))
         refinement = None
         ref_path = spec.get("refinement_file")
         if ref_path:
-            with open(ref_path) as handle:
-                refinement = klpoly.Refinement.from_json(
-                    poset, json.load(handle))
-        return Instance("poset", poset, refinement=refinement,
-                        name=os.path.basename(path))
+            refinement = klpoly.Refinement.from_json(poset, _load_json(
+                ref_path, "an object mapping labels to image lists",
+                lambda d: isinstance(d, dict)
+                and all(map(_index_list, d.values()))))
+
+        def given_refinement() -> klpoly.Refinement:
+            if refinement is None:
+                raise ConfigError(
+                    "a poset instance needs --refinement-file for tables")
+            return refinement
+
+        return Instance("poset", poset, os.path.basename(path),
+                        given_refinement,
+                        lambda: [m for _, m in
+                                 sorted(given_refinement().matchings.items())])
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
@@ -168,11 +205,6 @@ def _x_tag(x: str) -> str:
 # Verification drivers.  Each returns a list of report records.
 # ---------------------------------------------------------------------------
 
-def _tables(inst: Instance, xs) -> dict[str, klpoly.PolyTable]:
-    ref = inst.refinement()
-    return {x: klpoly.r_polynomials(inst.poset, ref, x) for x in xs}
-
-
 def run_verification(inst: Instance, kinds, xs) -> list[dict]:
     reports = []
 
@@ -185,79 +217,71 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
             rec["witness"] = repr(witness)
         reports.append(rec)
 
-    tables = None
     for kind in kinds:
-        if kind not in VERIFY_KINDS:
-            raise ConfigError(f"unknown verification {kind!r}")
-        if kind in ("updown", "pkernel", "properties", "brenti") \
-                and tables is None:
-            tables = _tables(inst, X_PARAMS)
         if kind == "updown":
-            S = inst.system_matchings()
             for x in xs:
-                ok, witness = klpoly.check_updown(S, tables[x])
+                ok, witness = klpoly.check_updown(inst.system_matchings,
+                                                  inst.r_table(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "pkernel":
             for x in xs:
-                ok, witness = klpoly.check_pkernel(tables[x])
+                ok, witness = klpoly.check_pkernel(inst.r_table(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "properties":
             ok, witness = klpoly.verify_r_properties(
-                tables[X_MINUS_ONE], tables[X_Q])
+                inst.r_table(X_MINUS_ONE), inst.r_table(X_Q))
             record(kind, ok, witness)
         elif kind == "brenti":
             if inst.kind != "coxeter":
                 raise ConfigError("brenti needs a coxeter instance")
             for x in xs:
-                ok, witness = klpoly.brenti_identity(inst.quotient, tables[x])
+                ok, witness = klpoly.brenti_identity(inst.quotient,
+                                                     inst.r_table(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "system":
             ok, witness = klpoly.verify_pircon_system(
-                inst.poset, inst.system_matchings())
+                inst.poset, inst.system_matchings)
             record(kind, ok, witness)
         elif kind == "dircon":
             ok = matchings.is_dircon(inst.poset)
             record(kind, ok)
         elif kind == "lifting":
             ok, witness = True, None
-            for m in inst.system_matchings():
+            for m in inst.system_matchings:
                 ok, witness = matchings.check_lifting(m)
                 if not ok:
                     break
             record(kind, ok, witness)
         elif kind == "duality":
-            ctx = inst.hecke_context()
+            ctx = inst.hecke_context
             for x in xs:
                 ok, witness = hecke.verify_hecke_relations(ctx, x)
                 record(kind, ok, witness, detail=f"hecke relations x={x}")
             ok, witness = hecke.verify_duality(ctx)
             record(kind, ok, witness)
         elif kind == "recursion":
-            ctx = inst.hecke_context()
-            ok, witness = True, None
-            for x in xs:
-                z = klpoly.other_x(x)
-                for w in range(inst.poset.n):
-                    if w == inst.poset.bottom:
-                        continue
-                    want = hecke.kl_element_cprime(ctx, w, x)
-                    for M in ctx.system.down_matchings(w):
-                        if hecke.cprime_recursion(ctx, w, M, x) != want:
-                            ok, witness = False, ("cprime", (x, w))
-                            break
-                        for v in inst.poset.ideal_elements(w):
-                            if hecke.p_recursion(ctx, v, w, M, x) != \
-                                    ctx.p_table(z).value(v, w):
-                                ok, witness = False, ("p", (x, v, w))
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            record(kind, ok, witness)
+            witness = _recursion_witness(inst.hecke_context, xs)
+            record(kind, witness is None, witness)
     return reports
+
+
+def _recursion_witness(ctx: hecke.HeckeContext, xs):
+    """Where the C' or the P recursion first disagrees with the directly
+    built KL basis, or None when both hold for every w and M."""
+    poset = ctx.poset
+    for x in xs:
+        pz = ctx.p_table(klpoly.other_x(x))
+        for w in range(poset.n):
+            if w == poset.bottom:
+                continue
+            want = hecke.kl_element_cprime(ctx, w, x)
+            for M in ctx.system.down_matchings(w):
+                if hecke.cprime_recursion(ctx, w, M, x) != want:
+                    return ("cprime", (x, w))
+                for v in poset.ideal_elements(w):
+                    if hecke.p_recursion(ctx, v, w, M, x) != pz.value(v, w):
+                        return ("p", (x, v, w))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +309,20 @@ def cmd_compute(config: dict) -> int:
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("compute supports formats json and csv")
-    want_p = "p" in outputs or "klbasis" in outputs
-    r_tabs = _tables(inst, X_PARAMS if want_p else xs)
     for x in xs:
         tag = _x_tag(x)
         if "r" in outputs:
-            doc = r_tabs[x].to_csv() if fmt == "csv" else \
-                json.dumps(r_tabs[x].to_json(), indent=1) + "\n"
+            r = inst.r_table(x)
+            doc = r.to_csv() if fmt == "csv" else \
+                json.dumps(r.to_json(), indent=1) + "\n"
             _emit(config, f"r_{tag}.{fmt}", doc)
         if "p" in outputs:
-            p = klpoly.kls_polynomials(r_tabs[x])
+            p = klpoly.kls_polynomials(inst.r_table(x))
             doc = p.to_csv() if fmt == "csv" else \
                 json.dumps(p.to_json(), indent=1) + "\n"
             _emit(config, f"p_{tag}.{fmt}", doc)
         if "klbasis" in outputs:
-            ctx = inst.hecke_context()
+            ctx = inst.hecke_context
             doc = {"x": x, "C": {}, "Cprime": {}}
             for w in range(inst.poset.n):
                 lab = inst.poset.labels[w]
@@ -356,9 +379,10 @@ def cmd_export_dot(config: dict) -> int:
     matching = None
     path = config.get("matching_file")
     if path:
-        with open(path) as handle:
-            matching = matchings.PartialMatching.from_json(
-                json.load(handle), inst.poset)
+        matching = matchings.PartialMatching.from_json(_load_json(
+            path, "an object with a 'map' list of indices or nulls",
+            lambda d: isinstance(d, dict) and _index_list(d.get("map"))),
+            inst.poset)
     _emit(config, "poset.dot", inst.poset.to_dot(matching))
     return 0
 
@@ -460,9 +484,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CoxeterError as exc:
-        text = str(exc)
-        print(f"coxeter error: {text}", file=sys.stderr)
-        return EXIT_SIZE_BOUND if "size bound" in text else EXIT_UNSUPPORTED
+        print(f"coxeter error: {exc}", file=sys.stderr)
+        return EXIT_SIZE_BOUND if isinstance(exc, SizeBoundError) \
+            else EXIT_UNSUPPORTED
     except (PosetError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

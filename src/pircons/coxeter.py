@@ -36,7 +36,11 @@ SIZE_BOUND_ENV = "PIRCONS_MAX_GROUP_SIZE"
 
 
 class CoxeterError(ValueError):
-    """Rejected Coxeter-matrix input or exceeded size bound."""
+    """Rejected Coxeter-matrix input."""
+
+
+class SizeBoundError(CoxeterError):
+    """The group has more elements than the size bound allows."""
 
 
 def size_bound() -> int:
@@ -320,7 +324,7 @@ class CoxeterSystem:
                 length.append(length[i] + 1)
                 word.append(word[i] + (k,))
                 if len(elements) > bound:
-                    raise CoxeterError(
+                    raise SizeBoundError(
                         f"group exceeds size bound {bound}")
             frontier = [index[img] for img in sorted(nxt)]
         n = len(elements)
@@ -487,15 +491,6 @@ class ParabolicQuotient:
     @property
     def n(self) -> int:
         return len(self.reps)
-
-    def group_element(self, i: int) -> int:
-        return self.reps[i]
-
-    def poset_index(self, w: int) -> int:
-        return self.rep_index[w]
-
-    def in_quotient(self, w: int) -> bool:
-        return w in self.rep_index
 
     def lower_interval(self, i: int) -> GradedPoset:
         """The induced poset on {z in W^H : z <= reps[i]}."""

@@ -32,7 +32,7 @@ from .laurent import HalfLaurent, QPoly
 from .klpoly import (PirconSystem, PolyTable, Refinement, X_PARAMS, X_Q,
                      check_pkernel, check_updown, check_x, kls_polynomials,
                      other_x, r_polynomials, x_scalar)
-from .matchings import PartialMatching
+from .matchings import PartialMatching, lambda_system
 from .posets import GradedPoset
 
 _Q = HalfLaurent.q_power(1)
@@ -135,8 +135,9 @@ def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
 
 
 class HeckeContext:
-    """Everything an instance needs: the system, both R- and P-tables, the
-    permutation orders of matching pairs, and cached iota basis images.
+    """The Hecke-module data of one pircon system: the system, both R- and
+    P-tables, the permutation orders of matching pairs, and cached iota
+    basis images.
 
     Construction verifies the system axioms and the two table invariants
     (up-down symmetry and the kernel identity) for both parameters.
@@ -144,7 +145,6 @@ class HeckeContext:
 
     def __init__(self, poset: GradedPoset,
                  matchings: Sequence[PartialMatching]):
-        matchings = tuple(dict.fromkeys(matchings))
         whole = (1 << poset.n) - 1
         for M in matchings:
             if M.domain_mask() != whole:
@@ -152,16 +152,13 @@ class HeckeContext:
                     "context matchings must be defined on the whole poset")
         self.poset = poset
         self.system = PirconSystem(poset, matchings)
+        matchings = self.system.matchings
 
-        def choose(w):
-            for M in matchings:
-                if poset.covers(M(w), w):
-                    return M.restrict_to_ideal(w)
-            raise ValueError(f"no matching takes {w} down")
-
-        refinement = Refinement(
-            poset, {w: choose(w) for w in range(poset.n)
-                    if w != poset.bottom})
+        # The first matching that takes w down drives the recursion at w;
+        # the system check above guarantees there is one.
+        refinement = Refinement(poset, {
+            w: self.system.down_matchings(w)[0].restrict_to_ideal(w)
+            for w in range(poset.n) if w != poset.bottom})
         self._r: dict[str, PolyTable] = {}
         self._p: dict[str, PolyTable] = {}
         for x in X_PARAMS:
@@ -498,6 +495,4 @@ def characterize(ctx: HeckeContext, D: ModuleVector, w: int, x: str) -> bool:
 
 def context_for_quotient(quot) -> HeckeContext:
     """HeckeContext of W^H with the left multiplication partial matchings."""
-    from .matchings import lambda_partial
-    matchings = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
-    return HeckeContext(quot.poset, matchings)
+    return HeckeContext(quot.poset, lambda_system(quot))

@@ -128,13 +128,6 @@ class Refinement:
         return cls(poset, matchings)
 
 
-def refinement_from_choice(
-        poset: GradedPoset,
-        choose: Callable[[int], PartialMatching]) -> Refinement:
-    return Refinement(poset, {w: choose(w) for w in range(poset.n)
-                              if w != poset.bottom})
-
-
 def lambda_refinement(quot, pick=min) -> Refinement:
     """Refinement of a parabolic quotient by left multiplication matchings.
 
@@ -155,7 +148,8 @@ def lambda_refinement(quot, pick=min) -> Refinement:
             raise ValueError(f"no descent inside the quotient at {w}")
         return lambda_partial(quot, pick(cands), w)
 
-    return refinement_from_choice(poset, choose)
+    return Refinement(poset, {w: choose(w) for w in range(poset.n)
+                              if w != poset.bottom})
 
 
 def all_refinements(poset: GradedPoset) -> Iterable[Refinement]:
@@ -275,8 +269,8 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
 def is_calculating(M: PartialMatching, table: PolyTable, w: int):
     """Does the recursion hold at w when driven by M instead of M_w?
 
-    Requires M(w) covered by... below w; checks every u <= w and returns
-    (ok, witness u) style results.
+    Requires M(w) covered by w.  Checks every u < w and returns
+    (True, None) or (False, ("not-calculating", (u, w))).
     """
     poset = table.poset
     if not poset.covers(M(w), w):
@@ -556,13 +550,12 @@ class PirconSystem:
     """A pircon with a compatible family of quasi SPMs of order ideals."""
 
     def __init__(self, poset: GradedPoset,
-                 matchings: Sequence[PartialMatching], verified: bool = False):
+                 matchings: Sequence[PartialMatching]):
         self.poset = poset
         self.matchings = tuple(dict.fromkeys(matchings))
-        if not verified:
-            ok, witness = verify_pircon_system(poset, self.matchings)
-            if not ok:
-                raise ValueError(f"not a pircon system: {witness}")
+        ok, witness = verify_pircon_system(poset, self.matchings)
+        if not ok:
+            raise ValueError(f"not a pircon system: {witness}")
 
     def down_matchings(self, w: int) -> list[PartialMatching]:
         return [M for M in self.matchings

@@ -24,7 +24,7 @@ coherence conditions consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .posets import GradedPoset
 
@@ -58,11 +58,6 @@ class PartialMatching:
                  domain: Iterable[int] | None = None) -> "PartialMatching":
         dom = range(poset.n) if domain is None else domain
         return cls(poset, {x: x for x in dom})
-
-    @classmethod
-    def from_function(cls, poset: GradedPoset, domain: Iterable[int],
-                      func: Callable[[int], int]) -> "PartialMatching":
-        return cls(poset, {x: func(x) for x in domain})
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -344,6 +339,13 @@ def lambda_partial(quot, s: int, w: int | None = None) -> PartialMatching:
     return out
 
 
+def lambda_system(quot) -> list[PartialMatching]:
+    """The distinct whole-poset matchings lambda_partial(quot, s), in order
+    of s: the pircon system of a parabolic quotient."""
+    return list(dict.fromkeys(lambda_partial(quot, s)
+                              for s in range(quot.system.num_gens)))
+
+
 # ---------------------------------------------------------------------------
 # Orbits of a pair of matchings, their classification, and coherence.
 # ---------------------------------------------------------------------------
@@ -441,6 +443,23 @@ def strictly_coherent(M: PartialMatching, N: PartialMatching, w: int) -> bool:
     return True
 
 
+def _coherence_component(pool: Sequence[PartialMatching], w: int,
+                         start: int, stop: int | None = None) -> set[int]:
+    """Indices reachable from pool[start] in the strict-coherence graph on
+    P_{<=w}.  The search returns as soon as it reaches ``stop``."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        if i == stop:
+            break
+        for j in range(len(pool)):
+            if j not in seen and strictly_coherent(pool[i], pool[j], w):
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def coherent(M: PartialMatching, N: PartialMatching, w: int,
              pool: Sequence[PartialMatching]) -> bool:
     """Connectivity of M and N in the strict-coherence graph on the pool."""
@@ -451,18 +470,7 @@ def coherent(M: PartialMatching, N: PartialMatching, w: int,
         i1 = pool.index(N)
     except ValueError as exc:
         raise MatchingError("coherent() needs M and N in the pool") from exc
-    n = len(pool)
-    seen = {i0}
-    stack = [i0]
-    while stack:
-        i = stack.pop()
-        if i == i1:
-            return True
-        for j in range(n):
-            if j not in seen and strictly_coherent(pool[i], pool[j], w):
-                seen.add(j)
-                stack.append(j)
-    return i1 in seen
+    return i1 in _coherence_component(pool, w, i0, i1)
 
 
 def is_dircon(poset: GradedPoset) -> bool:
@@ -471,17 +479,7 @@ def is_dircon(poset: GradedPoset) -> bool:
         if w == poset.bottom:
             continue
         pool = enumerate_spms(poset, w)
-        if not pool:
-            return False
         # All pairs coherent == the strict-coherence graph is connected.
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(len(pool)):
-                if j not in seen and strictly_coherent(pool[i], pool[j], w):
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(pool):
+        if not pool or len(_coherence_component(pool, w, 0)) != len(pool):
             return False
     return True

@@ -110,11 +110,6 @@ class GradedPoset:
         tops = [i for i in range(n) if not up[i]]
         self.top = tops[0] if len(tops) == 1 else None
 
-    @classmethod
-    def from_covers(cls, labels: Sequence[str],
-                    cover_pairs: Iterable[tuple[int, int]]) -> "GradedPoset":
-        return cls(labels, cover_pairs)
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -197,14 +192,6 @@ class GradedPoset:
         return self.subposet(self.elements_of(self.interval_mask(x, y)))
 
     # -- shape tests -------------------------------------------------------
-
-    def is_chain_mask(self, mask: int) -> bool:
-        elems = self.elements_of(mask)
-        for i, a in enumerate(elems):
-            for b in elems[i + 1:]:
-                if not (self.leq(a, b) or self.leq(b, a)):
-                    return False
-        return True
 
     def is_dihedral_interval(self, x: int, y: int) -> bool:
         """Rank profile 1,2,2,...,2,1 with full covers between mid ranks.

@@ -90,11 +90,8 @@ class TwistedIdentities:
         """
         host = self.host
         ti = self._theta_gen[i]
-        out = {}
-        for idx, g in enumerate(self.elements):
-            img = host.left[host.right[g][i]][ti]
-            out[idx] = self.element_index[img]
-        return out
+        return {idx: self.element_index[host.left[host.right[g][i]][ti]]
+                for idx, g in enumerate(self.elements)}
 
     def conjugation_qspm(self, i: int) -> PartialMatching | None:
         """The conjugation map as a quasi SPM of the whole poset, or None
@@ -103,10 +100,19 @@ class TwistedIdentities:
         ok, _ = verify_qspm(m)
         return m if ok else None
 
+    def conjugation_qspms(self) -> list[PartialMatching]:
+        """The distinct conjugation quasi SPMs of the whole poset, in order
+        of the generator: the pircon system of the twisted identities."""
+        found = (self.conjugation_qspm(i) for i in range(self.host.num_gens))
+        return list(dict.fromkeys(m for m in found if m is not None))
+
     def conjugation_matching(self, i: int, w: int) -> PartialMatching | None:
         """The conjugation map restricted to the lower interval of w, or
         None when it is not an SPM there (callers then pick another i)."""
-        images = self.conjugation_images(i)
+        return self._ideal_matching(self.conjugation_images(i), w)
+
+    def _ideal_matching(self, images: dict[int, int],
+                        w: int) -> PartialMatching | None:
         ideal = self.poset.down_set(w)
         mapping = {u: images[u] for u in self.poset.ideal_elements(w)}
         if any(not ideal >> v & 1 for v in mapping.values()):
@@ -117,13 +123,15 @@ class TwistedIdentities:
 
     def conjugation_refinement(self, pick=min) -> Refinement:
         """One valid conjugation matching per non-minimal element."""
+        images = [self.conjugation_images(i)
+                  for i in range(self.host.num_gens)]
         matchings = {}
         for w in range(self.poset.n):
             if w == self.poset.bottom:
                 continue
             cands = {}
-            for i in range(self.host.num_gens):
-                got = self.conjugation_matching(i, w)
+            for i, image in enumerate(images):
+                got = self._ideal_matching(image, w)
                 if got is not None:
                     cands[i] = got
             if not cands:
@@ -141,12 +149,7 @@ class TwistedIdentities:
 
     def hecke_context(self) -> HeckeContext:
         """Hecke module over the conjugation quasi SPMs of the whole poset."""
-        matchings = []
-        for i in range(self.host.num_gens):
-            got = self.conjugation_qspm(i)
-            if got is not None:
-                matchings.append(got)
-        return HeckeContext(self.poset, matchings)
+        return HeckeContext(self.poset, self.conjugation_qspms())
 
     def __repr__(self) -> str:
         return f"TwistedIdentities(n={self.n}, {self.poset.n} elements)"

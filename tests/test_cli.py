@@ -1,6 +1,9 @@
 import json
 
-from pircons import cli
+import pytest
+
+from pircons import cli, hecke, klpoly
+from pircons.coxeter import CoxeterSystem, SizeBoundError
 from pircons.klpoly import (X_MINUS_ONE, X_Q, PolyTable, kls_polynomials,
                             lambda_refinement, r_polynomials)
 
@@ -130,6 +133,61 @@ def test_size_bound_exit(monkeypatch):
         cli.EXIT_SIZE_BOUND
 
 
+def test_size_bound_exit_follows_the_error_type(monkeypatch):
+    with pytest.raises(SizeBoundError):
+        CoxeterSystem({"type": "A", "rank": 3}, bound=4)
+    # an unsupported type whose message happens to say "size bound"
+    assert run(["compute", "--type", "size bound", "--rank", "3"]) == \
+        cli.EXIT_UNSUPPORTED
+
+
+MALFORMED_POSETS = {
+    "elements-not-a-list": {"elements": 5, "covers": []},
+    "cover-index-not-an-int": {"elements": ["a", "b"], "covers": [[[0], 1]]},
+    "not-an-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POSETS))
+def test_malformed_poset_file_is_config_error(tmp_path, capsys, case):
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(json.dumps(MALFORMED_POSETS[case]))
+    assert run(["export-dot", "--poset-file", str(poset_file),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_malformed_refinement_and_matching_files(tmp_path, capsys, groups):
+    poset = groups["A2"].quotient({1}).poset
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(json.dumps(poset.to_json()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"map": [[0], 1, None]}))
+    assert run(["compute", "--poset-file", str(poset_file),
+                "--refinement-file", str(bad),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert run(["export-dot", "--poset-file", str(poset_file),
+                "--matching-file", str(bad),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error:") for e in err)
+
+
+@pytest.mark.parametrize("H", [[True], "x", [1.0], {"1": 1}],
+                         ids=["bool", "string", "float", "object"])
+def test_malformed_H_is_config_error(tmp_path, capsys, H):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter",
+                     "matrix": {"type": "A", "rank": 2}, "H": H}}))
+    assert run(["compute", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: H must list") and \
+        err.count("\n") == 1
+
+
 def test_missing_instance_is_config_error():
     assert run(["compute"]) == cli.EXIT_CONFIG
 
@@ -194,3 +252,65 @@ def test_klbasis_output(tmp_path):
     doc = json.loads((out / "klbasis_q.json").read_text())
     assert set(doc) == {"x", "C", "Cprime"}
     assert doc["Cprime"]["e"] == {"coeffs": [["e", [[0, 1]]]]}
+
+
+def spy_calls(monkeypatch, names):
+    """Count calls of klpoly functions, in every namespace that binds them,
+    and constructions of HeckeContext."""
+    counts = dict.fromkeys(names, 0)
+    counts["HeckeContext"] = 0
+    for name in names:
+        original = getattr(klpoly, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (klpoly, hecke):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    init = hecke.HeckeContext.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["HeckeContext"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hecke.HeckeContext, "__init__", counted_init)
+    return counts
+
+
+SPIED = ("r_polynomials", "check_pkernel", "kls_polynomials",
+         "verify_pircon_system")
+
+
+def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["verify", "--type", "A", "--rank", "3",
+                "--out", str(tmp_path)]) == 0
+    # one context shared by duality and recursion; the CLI's own tables
+    # and the context's tables are each checked once per x
+    assert counts == {"r_polynomials": 4, "check_pkernel": 4,
+                      "kls_polynomials": 2, "verify_pircon_system": 2,
+                      "HeckeContext": 1}
+
+
+def test_compute_tables_build_no_context(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
+                "--outputs", "r,p", "--out", str(tmp_path)]) == 0
+    assert counts["HeckeContext"] == 0 and counts["check_pkernel"] == 0
+    assert counts["r_polynomials"] == 2 and counts["kls_polynomials"] == 2
+
+
+def test_compute_p_for_one_x_builds_one_r_table(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "q",
+                "--outputs", "p", "--out", str(tmp_path)]) == 0
+    assert counts["r_polynomials"] == 1
+
+
+def test_klbasis_for_both_x_shares_one_context(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["compute", "--type", "A", "--rank", "2", "--x", "both",
+                "--outputs", "klbasis", "--out", str(tmp_path)]) == 0
+    assert counts["HeckeContext"] == 1
