@@ -431,8 +431,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     elif args.poset_file:
         config["instance"] = {"kind": "poset", "poset_file": args.poset_file,
                               "refinement_file": args.refinement_file}
-    elif args.H is not None and config.get("instance", {}).get("kind") \
-            == "coxeter":
+    elif args.H is not None and isinstance(config.get("instance"), dict) \
+            and config["instance"].get("kind") == "coxeter":
         config["instance"]["H"] = args.H
 
     for key in ("x", "out", "format"):
@@ -445,7 +445,27 @@ def _merge_config(args: argparse.Namespace) -> dict:
             config[key] = val
     if "instance" not in config:
         raise ConfigError("no instance given (flags or config file)")
+    _check_field_types(config)
     return config
+
+
+def _check_field_types(config: dict) -> None:
+    """The list and path fields of a merged config hold what the commands
+    read from them: lists of strings, and strings."""
+    for key in ("outputs", "verify"):
+        val = config.get(key)
+        if val is not None and not (isinstance(val, list) and
+                                    all(isinstance(v, str) for v in val)):
+            raise ConfigError(f"{key} must be a list of strings, got {val!r}")
+    instance = config["instance"]
+    fields = [(config, ("out", "element", "matching_file"))]
+    if isinstance(instance, dict):
+        fields.append((instance, ("poset_file", "refinement_file")))
+    for owner, keys in fields:
+        for key in keys:
+            val = owner.get(key)
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(f"{key} must be a string, got {val!r}")
 
 
 def main(argv=None) -> int:

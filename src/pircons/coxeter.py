@@ -296,11 +296,15 @@ class CoxeterSystem:
     def __init__(self, config: dict, bound: int | None = None):
         self.config = dict(config)
         real = _realization(config)
+        bound = size_bound() if bound is None else bound
+        # A group of rank r has at least 2^r elements; refuse a huge rank
+        # before the rank-by-rank matrix is built.
+        if real.rank >= bound.bit_length():
+            raise SizeBoundError(f"group exceeds size bound {bound}")
         self.num_gens = real.rank
         self.matrix = tuple(tuple(real.m_entry(i, j)
                                   for j in range(real.rank))
                             for i in range(real.rank))
-        bound = size_bound() if bound is None else bound
 
         ident = real.identity()
         elements = [ident]

@@ -22,6 +22,15 @@ directly constructed basis validates the convention executably.
 
 Hecke-algebra elements are never materialized; only compositions of the
 generator actions T_M, T_M^(-1) and C'_M act on module vectors.
+
+Module vectors and the generator actions stay on HalfLaurent objects, but
+iota runs on packed integers with the toolkit of ``klpoly``: the basis
+images iota^x(m_v) are kept per context as ints (every coefficient
+evaluated at q^(1/2) = 2^B), a call sums int products into one dict and
+decodes balanced base-2^B digits, and each call asserts its coefficient
+bound before any product, repacking at a wider B when it does not fit.
+The mu-corrections of the C' and P recursions are computed once per
+(M, M(w), x) and kept on the context.
 """
 
 from __future__ import annotations
@@ -30,16 +39,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .laurent import HalfLaurent, QPoly
 from .klpoly import (PirconSystem, PolyTable, Refinement, X_PARAMS, X_Q,
-                     check_pkernel, check_updown, check_x, kls_polynomials,
-                     other_x, r_polynomials, x_scalar)
+                     _TooNarrow, _digits, _norms, _pack, _width_for,
+                     _with_widening, check_pkernel, check_updown, check_x,
+                     kls_polynomials, other_x, r_polynomials)
 from .matchings import PartialMatching, lambda_system
 from .posets import GradedPoset
 
-_Q = HalfLaurent.q_power(1)
-_QBAR = HalfLaurent.q_power(-1)
 _ONE = HalfLaurent.one()
-_QM1 = _Q - _ONE          # q - 1
-_QBARM1 = _QBAR - _ONE    # q^(-1) - 1
 
 
 class ModuleVector:
@@ -76,13 +82,21 @@ class ModuleVector:
         return out
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(HalfLaurent.from_int(-1))
+        neg = ModuleVector.__new__(ModuleVector)
+        neg.coeffs = {u: -c for u, c in other.coeffs.items()}
+        return self + neg
 
     def scale(self, a: HalfLaurent) -> "ModuleVector":
         if not a:
             return ModuleVector()
         out = ModuleVector.__new__(ModuleVector)
         out.coeffs = {u: c * a for u, c in self.coeffs.items()}
+        return out
+
+    def shift(self, h: int) -> "ModuleVector":
+        """Multiply by q^(h/2)."""
+        out = ModuleVector.__new__(ModuleVector)
+        out.coeffs = {u: c.shift(h) for u, c in self.coeffs.items()}
         return out
 
     def coeff(self, u: int) -> HalfLaurent:
@@ -136,8 +150,9 @@ def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
 
 class HeckeContext:
     """The Hecke-module data of one pircon system: the system, both R- and
-    P-tables, the permutation orders of matching pairs, and cached iota
-    basis images.
+    P-tables, the permutation orders of matching pairs, and two caches
+    filled on use: the packed iota basis images and the mu-corrections of
+    the recursions.
 
     Construction verifies the system axioms and the two table invariants
     (up-down symmetry and the kernel identity) for both parameters.
@@ -177,7 +192,16 @@ class HeckeContext:
             for j in range(i + 1, len(matchings)):
                 self.m_orders[(i, j)] = _permutation_order(
                     M, matchings[j], poset.n)
-        self._iota_basis: dict[str, list[ModuleVector]] = {}
+
+        # Packed iota (see _iota_basis): images carry q^(K/2) with
+        # K = 2 max rank; r_l1 is the largest L1 norm of an R entry for
+        # either x, and the starting width fits the involution check
+        # iota(iota(m_u)), whose input L1 is at most n r_l1.
+        self.half_offset = 2 * max(poset.rank, default=0)
+        self.r_l1 = max(_norms(self._r[x])[0] for x in X_PARAMS)
+        self.iota_width = _width_for(poset.n * self.r_l1 ** 2)
+        self._iota_basis: dict[tuple[str, int], list[dict[int, int]]] = {}
+        self._corrections: dict[tuple, list[tuple[int, int]]] = {}
 
     @property
     def matchings(self) -> tuple[PartialMatching, ...]:
@@ -212,7 +236,7 @@ class HeckeContext:
 def t_action(ctx: HeckeContext, M: PartialMatching, v: ModuleVector,
              x: str) -> ModuleVector:
     """T_M acting in the x-structure, extended linearly."""
-    xs = x_scalar(x)
+    fixed_q = x == X_Q
     out: dict[int, HalfLaurent] = {}
 
     def bump(u, c):
@@ -227,23 +251,24 @@ def t_action(ctx: HeckeContext, M: PartialMatching, v: ModuleVector,
         if kind == "up":
             bump(M(u), c)
         elif kind == "down":
-            bump(M(u), c * _Q)
-            bump(u, c * _QM1)
+            qc = c.shift(2)
+            bump(M(u), qc)
+            bump(u, qc - c)
         else:
-            bump(u, c * xs)
+            bump(u, c.shift(2) if fixed_q else -c)
     return ModuleVector(out)
 
 
 def t_inverse_action(ctx: HeckeContext, M: PartialMatching, v: ModuleVector,
                      x: str) -> ModuleVector:
     """T_M^(-1) = q^(-1) T_M + (q^(-1) - 1); this is also iota(T_M)."""
-    return t_action(ctx, M, v, x).scale(_QBAR) + v.scale(_QBARM1)
+    return (t_action(ctx, M, v, x) + v).shift(-2) - v
 
 
 def cprime_generator_action(ctx: HeckeContext, M: PartialMatching,
                             v: ModuleVector, x: str) -> ModuleVector:
     """C'_M = q^(-1/2) (T_M + 1) acting in the x-structure."""
-    return (t_action(ctx, M, v, x) + v).scale(HalfLaurent.half_power(-1))
+    return (t_action(ctx, M, v, x) + v).shift(-1)
 
 
 def verify_hecke_relations(ctx: HeckeContext, x: str):
@@ -255,7 +280,7 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
             v = ModuleVector.basis(u)
             tv = t_action(ctx, M, v, x)
             lhs = t_action(ctx, M, tv, x)
-            rhs = tv.scale(_QM1) + v.scale(_Q)
+            rhs = tv.shift(2) - tv + v.shift(2)
             if lhs != rhs:
                 return False, ("quadratic", (mi, u))
     for (i, j), m in ctx.m_orders.items():
@@ -275,34 +300,65 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
 # The involutions iota^x and j_P.
 # ---------------------------------------------------------------------------
 
-def _iota_basis(ctx: HeckeContext, x: str) -> list[ModuleVector]:
-    cached = ctx._iota_basis.get(x)
+def _iota_basis(ctx: HeckeContext, x: str,
+                width: int) -> list[dict[int, int]]:
+    """iota^x(m_v) for every v, packed: the coefficient of m_u is
+    (-1)^rho(u,v) q^(-rho(v)) R^x_{u,v}, times q^(K/2) with
+    K = ctx.half_offset so that no exponent is negative, evaluated at
+    q^(1/2) = 2^width.  Kept on the context per (x, width)."""
+    key = (x, width)
+    cached = ctx._iota_basis.get(key)
     if cached is not None:
         return cached
     poset = ctx.poset
     table = ctx.r_table(x)
     images = []
     for v in range(poset.n):
+        shift = width * (ctx.half_offset - 2 * poset.rank[v])
         coeffs = {}
         for u in poset.ideal_elements(v):
-            gap = poset.rank_gap(u, v)
-            c = table.value(u, v).to_half_laurent() \
-                .scale((-1) ** gap).shift(-2 * poset.rank[v])
+            c = _pack(table.value(u, v).coeffs(), 2 * width) << shift
             if c:
-                coeffs[u] = c
-        images.append(ModuleVector(coeffs))
-    ctx._iota_basis[x] = images
+                coeffs[u] = -c if poset.rank_gap(u, v) % 2 else c
+        images.append(coeffs)
+    ctx._iota_basis[key] = images
     return images
 
 
 def iota(ctx: HeckeContext, v: ModuleVector, x: str) -> ModuleVector:
     """iota^x(m_v) = q^(-rho(v)) sum_u (-1)^(rho(u,v)) R^x_{u,v} m_u,
-    extended bar-semilinearly."""
-    images = _iota_basis(ctx, x)
-    out = ModuleVector.zero()
-    for u, c in v.coeffs.items():
-        out = out + images[u].scale(c.bar())
-    return out
+    extended bar-semilinearly.
+
+    Runs packed (see ``_iota_basis``): bar(c_u) of every input coefficient
+    is evaluated at q^(1/2) = 2^B, shifted by its largest half-exponent t
+    over the input, and its int product with each packed image coefficient
+    is added into one dict.  Balanced base-2^B digits of each sum give the
+    output coefficient, digit i at half-exponent i - K - t.  That is exact
+    while sum_u L1(c_u) * max L1(R) < 2^(B-1), which is asserted before
+    any product is formed; a bound that does not fit repacks the images at
+    a wider B.
+    """
+    if not v.coeffs:
+        return ModuleVector()
+    terms = [(u, c.terms()) for u, c in v.coeffs.items()]
+    top = max(h for _, cu in terms for h in cu)
+    bound = ctx.r_l1 * sum(abs(c) for _, cu in terms for c in cu.values())
+
+    def run(width: int) -> dict[int, int]:
+        if bound >= 1 << (width - 1):
+            raise _TooNarrow(bound)
+        images = _iota_basis(ctx, x, width)
+        out: dict[int, int] = {}
+        get = out.get
+        for u, cu in terms:
+            c = sum(a << width * (top - h) for h, a in cu.items())
+            for w, image in images[u].items():
+                out[w] = get(w, 0) + c * image
+        low = -ctx.half_offset - top
+        return {w: HalfLaurent(_digits(total, width, low))
+                for w, total in out.items() if total}
+
+    return ModuleVector(_with_widening(run, ctx.iota_width))
 
 
 def j_map(ctx: HeckeContext, v: ModuleVector) -> ModuleVector:
@@ -311,7 +367,7 @@ def j_map(ctx: HeckeContext, v: ModuleVector) -> ModuleVector:
     out = {}
     for w, c in v.coeffs.items():
         r = poset.rank[w]
-        out[w] = c.bar() * HalfLaurent({-2 * r: (-1) ** r})
+        out[w] = c.bar().shift(-2 * r).scale((-1) ** r)
     return ModuleVector(out)
 
 
@@ -408,6 +464,19 @@ def _correction_domain(ctx: HeckeContext, M: PartialMatching, mw: int,
             yield u
 
 
+def _corrections(ctx: HeckeContext, M: PartialMatching, mw: int,
+                 x: str) -> list[tuple[int, int]]:
+    """The correction terms [(u, mu(u, M(w)))] with mu nonzero, computed
+    once per (M, M(w), x) and kept on the context."""
+    key = (M, mw, x)
+    terms = ctx._corrections.get(key)
+    if terms is None:
+        terms = ctx._corrections[key] = [
+            (u, m) for u in _correction_domain(ctx, M, mw, x)
+            if (m := ctx.mu(u, mw, x))]
+    return terms
+
+
 def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
                      x: str) -> ModuleVector:
     """Right-hand side of
@@ -421,11 +490,9 @@ def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
         raise ValueError("cprime_recursion needs M(w) covered by w")
     out = cprime_generator_action(
         ctx, M, kl_element_cprime(ctx, mw, x), x)
-    for u in _correction_domain(ctx, M, mw, x):
-        m = ctx.mu(u, mw, x)
-        if m:
-            out = out - kl_element_cprime(ctx, u, x).scale(
-                HalfLaurent.from_int(m))
+    for u, m in _corrections(ctx, M, mw, x):
+        out = out - kl_element_cprime(ctx, u, x).scale(
+            HalfLaurent.from_int(m))
     return out
 
 
@@ -452,11 +519,10 @@ def p_recursion(ctx: HeckeContext, v: int, w: int, M: PartialMatching,
         v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
         xv = QPoly((0, 1))
     out = pz.value(v_lo, mw) + xv * pz.value(v_hi, mw)
-    for u in _correction_domain(ctx, M, mw, x):
-        m = ctx.mu(u, mw, x)
-        if m:
-            out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
-                * pz.value(v, u)
+    for u, m in _corrections(ctx, M, mw, x):
+        p = pz.value(v, u)
+        if p:
+            out = out - QPoly.monomial(poset.rank_gap(u, w) // 2, m) * p
     return out
 
 

@@ -74,13 +74,6 @@ def q_minus_one_minus_x(x: str) -> QPoly:
     return _Q if check_x(x) == X_MINUS_ONE else QPoly((-1,))
 
 
-def x_scalar(x: str) -> HalfLaurent:
-    """The parameter itself as a module scalar."""
-    if check_x(x) == X_Q:
-        return HalfLaurent.q_power(1)
-    return HalfLaurent.from_int(-1)
-
-
 # ---------------------------------------------------------------------------
 # Refinements.
 # ---------------------------------------------------------------------------
@@ -308,23 +301,34 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
       (c') M(w) fixed:    R_{u,w} = (q-1-x) R_{M(u),w}
     Clause (c') is the substance; (a') and (b') follow from the recursion
     for strongly calculating matchings but are cheap to verify outright.
+
+    Every entry is packed once at q = 2^B, so a product with q is a shift:
+    (q-1) R is (r << B) - r, and (q-1-x) R is r << B for x = -1 and -r for
+    x = q.  No coefficient on either side exceeds 3 max |coeff(R)|, and B is
+    the least width that keeps this below 2^(B-1), so equal packed values
+    are equal polynomials.  Pairs absent from the table read as 0.
     """
-    factor = q_minus_one_minus_x(table.x)
+    width = _width_for(3 * _norms(table)[1])
+    rows: list[dict[int, int]] = [{} for _ in range(table.poset.n)]
+    for (u, w), poly in table.entries.items():
+        rows[u][w] = _pack(poly.coeffs(), width)
+    minus_x = table.x == X_MINUS_ONE
     for mi, M in enumerate(matchings):
-        ups = [u for u in M.domain if M.kind(u) == "up"]
+        ups = [(u, rows[u], rows[M(u)]) for u in M.domain
+               if M.kind(u) == "up"]
         for w in M.domain:
             kw = M.kind(w)
             mw = M(w)
-            for u in ups:
-                lhs = table.value(u, w)
+            for u, row, mrow in ups:
                 if kw == "up":
-                    rhs = table.value(M(u), mw)
-                elif kw == "down":
-                    rhs = (_Q - _ONE) * table.value(M(u), w) \
-                        + _Q * table.value(M(u), mw)
+                    rhs = mrow.get(mw, 0)
                 else:
-                    rhs = factor * table.value(M(u), w)
-                if lhs != rhs:
+                    r = mrow.get(w, 0)
+                    if kw == "down":
+                        rhs = (r << width) - r + (mrow.get(mw, 0) << width)
+                    else:
+                        rhs = r << width if minus_x else -r
+                if row.get(w, 0) != rhs:
                     clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
                     return False, ("updown-" + clause, (mi, u, w))
     return True, None
@@ -363,6 +367,26 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 def _pack_tilde(coeffs: Sequence[int], n: int, width: int) -> int:
     """q^n p(1/q) packed, for p with the given coefficients and deg p <= n."""
     return _pack(coeffs[::-1], width) << width * (n + 1 - len(coeffs))
+
+
+def _digits(value: int, width: int, low: int = 0) -> dict[int, int]:
+    """The nonzero balanced base-2^width digits of value, keyed by position
+    counted from ``low``; exact when every digit of the packed polynomial
+    lies inside (-2^(width-1), 2^(width-1))."""
+    half = 1 << (width - 1)
+    base = 1 << width
+    digits = {}
+    while value:
+        skip = ((value & -value).bit_length() - 1) // width
+        value >>= skip * width
+        low += skip
+        d = value & (base - 1)
+        if d >= half:
+            d -= base
+        digits[low] = d
+        value = (value - d) >> width
+        low += 1
+    return digits
 
 
 def _norms(table: PolyTable) -> tuple[int, int, int]:

@@ -146,6 +146,10 @@ class HalfLaurent:
     def support(self) -> list[int]:
         return sorted(self._coeffs)
 
+    def terms(self) -> dict[int, int]:
+        """The nonzero coefficients keyed by half-exponent, as a new dict."""
+        return dict(self._coeffs)
+
     def items(self):
         return sorted(self._coeffs.items())
 

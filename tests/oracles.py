@@ -5,10 +5,11 @@ inversion code: polynomials are sympy expressions in q, and kernel inversion
 is done by undetermined coefficients plus a linear solve, so a bug in the
 production truncation recursion cannot hide.
 
-The reference path at the end keeps the kernel check and kernel inversion
-as they were written on ``QPoly``/``HalfLaurent`` object arithmetic, before
-the library moved to packed evaluation.  Differential tests hold the packed
-code to the same results, witnesses and ``KernelError`` messages.
+The reference path at the end keeps the kernel check, kernel inversion,
+up-down check, iota and the per-v P recursion as they were written on
+``QPoly``/``HalfLaurent`` object arithmetic, before the library moved to
+packed evaluation and hoisted mu-corrections.  Differential tests hold the
+library to the same results, witnesses and ``KernelError`` messages.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from functools import lru_cache
 
 import sympy
 
-from pircons.klpoly import KernelError, PolyTable
+from pircons.hecke import ModuleVector
+from pircons.klpoly import (X_Q, KernelError, PolyTable, other_x,
+                            q_minus_one_minus_x)
 from pircons.laurent import HalfLaurent, QPoly
 
 q = sympy.Symbol("q")
@@ -156,4 +159,87 @@ def kls_polynomials(table: PolyTable) -> PolyTable:
                     f"not a P-kernel at pair ({poset.labels[u]!r}, "
                     f"{poset.labels[v]!r})")
             out.entries[(u, v)] = P
+    return out
+
+
+_Q = QPoly((0, 1))
+
+
+def check_updown(matchings, table: PolyTable):
+    """The flipped recursion, clauses (a'), (b'), (c'), on every matching,
+    scanned in the library's order with QPoly arithmetic."""
+    factor = q_minus_one_minus_x(table.x)
+    for mi, M in enumerate(matchings):
+        ups = [u for u in M.domain if M.kind(u) == "up"]
+        for w in M.domain:
+            kw = M.kind(w)
+            mw = M(w)
+            for u in ups:
+                lhs = table.value(u, w)
+                if kw == "up":
+                    rhs = table.value(M(u), mw)
+                elif kw == "down":
+                    rhs = (_Q - _ONE) * table.value(M(u), w) \
+                        + _Q * table.value(M(u), mw)
+                else:
+                    rhs = factor * table.value(M(u), w)
+                if lhs != rhs:
+                    clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
+                    return False, ("updown-" + clause, (mi, u, w))
+    return True, None
+
+
+@lru_cache(maxsize=None)
+def _iota_basis(ctx, x: str) -> list:
+    poset = ctx.poset
+    table = ctx.r_table(x)
+    images = []
+    for v in range(poset.n):
+        coeffs = {}
+        for u in poset.ideal_elements(v):
+            gap = poset.rank_gap(u, v)
+            c = table.value(u, v).to_half_laurent() \
+                .scale((-1) ** gap).shift(-2 * poset.rank[v])
+            if c:
+                coeffs[u] = c
+        images.append(ModuleVector(coeffs))
+    return images
+
+
+def iota(ctx, v, x: str):
+    """iota^x(m_v) = q^(-rho(v)) sum_u (-1)^(rho(u,v)) R^x_{u,v} m_u,
+    extended bar-semilinearly, on ModuleVector objects."""
+    images = _iota_basis(ctx, x)
+    out = ModuleVector.zero()
+    for u, c in v.coeffs.items():
+        out = out + images[u].scale(c.bar())
+    return out
+
+
+def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
+    """Right-hand side of the P recursion at (v, w), with the correction
+    domain and the mu-coefficients recomputed on every call."""
+    poset = ctx.poset
+    mw = M(w)
+    if not poset.covers(mw, w):
+        raise ValueError("p_recursion needs M(w) covered by w")
+    if not poset.leq(v, w):
+        raise ValueError("p_recursion needs v <= w")
+    pz = ctx.p_table(other_x(x))
+    mv = M(v)
+    if mv == v:
+        v_lo = v_hi = v
+        xv = QPoly((0, 1)) if x == X_Q else QPoly((-1,))
+    else:
+        v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
+        xv = QPoly((0, 1))
+    out = pz.value(v_lo, mw) + xv * pz.value(v_hi, mw)
+    for u in poset.ideal_elements(mw):
+        kind = M.kind(u)
+        if not (kind == "down" or (kind == "fixed" and x == X_Q)):
+            continue
+        m = ctx.mu(u, mw, x)
+        if m:
+            out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
+                * pz.value(v, u)
     return out

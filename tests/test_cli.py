@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pircons import cli, hecke, klpoly
 from pircons.coxeter import CoxeterSystem, SizeBoundError
@@ -199,6 +203,14 @@ def test_mutually_exclusive_instances(tmp_path):
                 "--poset-file", str(poset_file)]) == cli.EXIT_CONFIG
 
 
+def test_H_flag_over_a_config_without_instance_object(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"instance": [1]}))
+    assert run(["compute", "--config", str(cfg), "--H", "2"]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({
@@ -314,3 +326,91 @@ def test_klbasis_for_both_x_shares_one_context(tmp_path, monkeypatch):
     assert run(["compute", "--type", "A", "--rank", "2", "--x", "both",
                 "--outputs", "klbasis", "--out", str(tmp_path)]) == 0
     assert counts["HeckeContext"] == 1
+
+
+BAD_FIELDS = [
+    ("compute", {"outputs": 5}),
+    ("compute", {"outputs": "r,p"}),
+    ("verify", {"verify": 5}),
+    ("compute", {"outputs": ["r", 5]}),
+    ("compute", {"out": 5}),
+    ("verify", {"out": 5}),
+    ("export-dot", {"out": 5}),
+    ("export-dot", {"matching_file": 1}),
+    ("enumerate-spm", {"element": ["e"]}),
+    ("export-dot", {"instance": {"kind": "poset", "poset_file": 1}}),
+    ("compute", {"instance": {"kind": "poset", "poset_file": "p.json",
+                              "refinement_file": 1}}),
+]
+
+
+@pytest.mark.parametrize("command,fields", BAD_FIELDS,
+                         ids=[f"{c}-{'-'.join(f)}" for c, f in BAD_FIELDS])
+def test_config_field_types_are_config_errors(tmp_path, capsys, command,
+                                              fields):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2}},
+        **fields}))
+    assert run([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "5").exists()
+
+
+# -- fuzzing the config boundary ---------------------------------------------
+
+FUZZ_BASES = [
+    {"instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 1},
+                  "H": []}},
+    {"instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2},
+                  "H": [1]}},
+    {"instance": {"kind": "twisted", "n": 1}},
+]
+# (path to the owning object, field); a missing owner is created
+FUZZ_FIELDS = [((), "x"), ((), "format"), ((), "outputs"), ((), "verify"),
+               ((), "out"), ((), "element"), ((), "matching_file"),
+               (("instance",), "kind"), (("instance",), "H"),
+               (("instance",), "n"), (("instance",), "poset_file"),
+               (("instance",), "refinement_file"),
+               (("instance", "matrix"), "type"),
+               (("instance", "matrix"), "rank"),
+               (("instance", "matrix"), "m")]
+# Field values stay small: relative names without separators, so outputs
+# land in the example's own directory, and instances of at most a few
+# elements (a huge rank or n must be refused by the size bound).
+NAMES = st.sampled_from(
+    ["", "q", "-1", "both", "r", "p", "klbasis", "json", "csv", "dot", "A",
+     "B", "I2", "product", "coxeter", "twisted", "poset", "e", "1", "out",
+     "job.json"] + list(cli.VERIFY_KINDS)) | \
+    st.text(alphabet="abq12-,", max_size=4)
+SCALARS = st.none() | st.booleans() | st.integers(-1, 2) | \
+    st.sampled_from([2 ** 40, -(2 ** 63)]) | NAMES
+VALUES = SCALARS | st.lists(SCALARS, max_size=3)
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4} | set(cli.VERIFY_EXIT_CODES.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES),
+       command=st.sampled_from(["compute", "verify", "enumerate-spm",
+                                "export-dot"]),
+       changes=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), VALUES),
+                        max_size=4))
+def test_fuzzed_config_ends_with_a_documented_exit(base, command, changes):
+    config = json.loads(json.dumps(base))
+    for (path, key), value in changes:
+        owner = config
+        for part in path:
+            if not isinstance(owner.get(part), dict):
+                owner[part] = {}
+            owner = owner[part]
+        owner[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        with open("job.json", "w") as handle:
+            json.dump(config, handle)
+        code = cli.main([command, "--config", "job.json"])
+    assert code in DOCUMENTED_EXITS
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from pircons.coxeter import CoxeterError, CoxeterSystem, SIZE_BOUND_ENV
+from pircons import coxeter
+from pircons.coxeter import (CoxeterError, CoxeterSystem, SIZE_BOUND_ENV,
+                             SizeBoundError)
 
 
 def test_group_sizes(groups):
@@ -41,6 +43,18 @@ def test_size_bound(monkeypatch):
     monkeypatch.setenv(SIZE_BOUND_ENV, "5")
     with pytest.raises(CoxeterError, match="size bound"):
         CoxeterSystem({"type": "A", "rank": 2})
+
+
+def test_huge_rank_is_refused_before_the_matrix(monkeypatch):
+    """A rank-r group has at least 2^r elements, so a rank past the bound's
+    bit length is refused before the rank-by-rank matrix is built."""
+    entries = []
+    monkeypatch.setattr(coxeter._TypeA, "m_entry",
+                        lambda self, i, j: entries.append((i, j)) or 2)
+    for rank in (16, 17):
+        with pytest.raises(SizeBoundError, match="size bound 50000"):
+            CoxeterSystem({"type": "A", "rank": rank}, bound=50000)
+    assert not entries
 
 
 def test_coxeter_matrix_matches_orders(groups):
