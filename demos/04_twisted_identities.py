@@ -7,16 +7,16 @@ Kazhdan-Lusztig-Vogan R-polynomials and its R^(-1)-family the KLV
 Q-polynomials of the symmetric pair (SL(2n), Sp(2n)).
 """
 
-from pircons import build_twisted, is_dircon
+from pircons import TwistedIdentities, is_dircon
 from pircons.twisted import KLV_Q, KLV_R
 
 for n in (2, 3):
-    T = build_twisted(n)
+    T = TwistedIdentities(n)
     P = T.poset
     print(f"n = {n}: {P.n} twisted identities, top rank {P.max_rank()}, "
           f"dircon: {is_dircon(P)}")
 
-T = build_twisted(3)
+T = TwistedIdentities(3)
 P = T.poset
 r = T.klv_polynomials(KLV_R)
 qtab = T.klv_polynomials(KLV_Q)

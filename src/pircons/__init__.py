@@ -22,17 +22,17 @@ from .matchings import (MatchingError, OrbitClassificationError, OrbitReport,
 from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                      brenti_identity, check_pkernel, check_updown,
-                     is_calculating, is_strongly_calculating,
+                     down_matchings, is_calculating, is_strongly_calculating,
                      kls_polynomials, lambda_refinement, other_x,
                      q_minus_one_minus_x, r_polynomials,
-                     refinement_independence, verify_pircon_system,
-                     verify_r_properties)
+                     refinement_independence, system_refinement,
+                     verify_pircon_system, verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, characterize,
                     context_for_quotient, cprime_generator_action,
                     cprime_recursion, iota, j_map, kl_element_c,
                     kl_element_cprime, p_recursion, t_action,
                     t_inverse_action, verify_duality, verify_hecke_relations)
-from .twisted import TwistedIdentities, build_twisted
+from .twisted import TwistedIdentities
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

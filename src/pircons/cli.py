@@ -31,6 +31,8 @@ VERIFY_KINDS = ("updown", "pkernel", "system", "dircon", "duality",
                 "recursion", "properties", "brenti", "lifting")
 VERIFY_EXIT_CODES = {kind: 10 + i for i, kind in enumerate(VERIFY_KINDS)}
 
+COMPUTE_OUTPUTS = ("r", "p", "klbasis")
+
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_SIZE_BOUND = 4
@@ -306,6 +308,9 @@ def cmd_compute(config: dict) -> int:
               file=sys.stderr)
     xs = _x_list(config.get("x"))
     outputs = config.get("outputs") or ["r"]
+    for name in outputs:
+        if name not in COMPUTE_OUTPUTS:
+            raise ConfigError(f"unknown output {name!r}")
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("compute supports formats json and csv")
@@ -365,7 +370,11 @@ def cmd_verify(config: dict) -> int:
 def cmd_enumerate_spm(config: dict) -> int:
     inst = build_instance(config)
     element = config.get("element")
-    w = inst.poset.index(element) if element else None
+    w = None
+    if element:
+        if element not in inst.poset.labels:
+            raise ConfigError(f"element {element!r} is not in the poset")
+        w = inst.poset.index(element)
     spms = matchings.enumerate_spms(inst.poset, w)
     doc = [m.to_json()["map"] for m in spms]
     _emit(config, "spms.json",

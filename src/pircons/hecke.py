@@ -38,10 +38,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .laurent import HalfLaurent, QPoly
-from .klpoly import (PirconSystem, PolyTable, Refinement, X_PARAMS, X_Q,
-                     _TooNarrow, _digits, _norms, _pack, _width_for,
-                     _with_widening, check_pkernel, check_updown, check_x,
-                     kls_polynomials, other_x, r_polynomials)
+from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _TooNarrow,
+                     _digits, _norms, _pack, _width_for, _with_widening,
+                     check_pkernel, check_updown, check_x, kls_polynomials,
+                     other_x, r_polynomials, system_refinement)
 from .matchings import PartialMatching, lambda_system
 from .posets import GradedPoset
 
@@ -169,11 +169,8 @@ class HeckeContext:
         self.system = PirconSystem(poset, matchings)
         matchings = self.system.matchings
 
-        # The first matching that takes w down drives the recursion at w;
-        # the system check above guarantees there is one.
-        refinement = Refinement(poset, {
-            w: self.system.down_matchings(w)[0].restrict_to_ideal(w)
-            for w in range(poset.n) if w != poset.bottom})
+        # The system check above guarantees a down-matching at every w.
+        refinement = system_refinement(poset, matchings)
         self._r: dict[str, PolyTable] = {}
         self._p: dict[str, PolyTable] = {}
         for x in X_PARAMS:
@@ -212,9 +209,6 @@ class HeckeContext:
 
     def p_table(self, x: str) -> PolyTable:
         return self._p[check_x(x)]
-
-    def m_order(self, i: int, j: int) -> int:
-        return self.m_orders[(min(i, j), max(i, j))]
 
     # -- mu-coefficients ---------------------------------------------------
 
@@ -416,23 +410,28 @@ def verify_duality(ctx: HeckeContext):
     * j_P(T_M .x m) = -q^(-1) T_M .z j_P(m)         (twisted equivariance);
     * iota^x o j_P = j_P o iota^z;
     * j_P(C^x_w) = (-1)^rho(w) C'^z_w, and both KL bases are iota-invariant.
+
+    iota^x(m_u) is computed once per (x, u) and T_M . m_u once per
+    (x, u, M).
     """
     n = ctx.poset.n
     for x in X_PARAMS:
         z = other_x(x)
         for u in range(n):
             v = ModuleVector.basis(u)
-            if iota(ctx, iota(ctx, v, x), x) != v:
+            iv = iota(ctx, v, x)
+            if iota(ctx, iv, x) != v:
                 return False, ("iota-involution", (x, u))
             jv = j_map(ctx, v)
             if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
                 return False, ("iota-j-conjugation", (x, u))
             for mi, M in enumerate(ctx.matchings):
-                lhs = iota(ctx, t_action(ctx, M, v, x), x)
-                rhs = t_inverse_action(ctx, M, iota(ctx, v, x), x)
+                tv = t_action(ctx, M, v, x)
+                lhs = iota(ctx, tv, x)
+                rhs = t_inverse_action(ctx, M, iv, x)
                 if lhs != rhs:
                     return False, ("equivariance", (x, mi, u))
-                lhs = j_map(ctx, t_action(ctx, M, v, x))
+                lhs = j_map(ctx, tv)
                 rhs = t_action(ctx, M, jv, z).scale(
                     HalfLaurent({-2: -1}))
                 if lhs != rhs:

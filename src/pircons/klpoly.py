@@ -13,6 +13,13 @@ with M = M_w.  The parameter x is a two-valued enum and q-1-x is
 materialized as a concrete polynomial: q for x = -1 and the constant -1 for
 x = q.
 
+Every built-in refinement is read off a pircon system by one rule,
+``system_refinement``: at each w take a matching of the system that takes w
+down (``down_matchings``) and restrict it to the ideal of w.  Parabolic
+quotients use their left multiplication matchings, twisted identities their
+conjugation matchings, and a Hecke context its own system; any choice of
+down-matching gives the same tables.
+
 The same module hosts the incidence-algebra side: a family is a P-kernel
 exactly when sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) vanishes for u < v,
 and kernel inversion produces the unique unitary family P with
@@ -43,7 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .laurent import HalfLaurent, QPoly
 from .matchings import (PartialMatching, coherent, enumerate_spms,
-                        lambda_partial, strictly_coherent, verify_qspm,
+                        lambda_system, strictly_coherent, verify_qspm,
                         verify_spm)
 from .posets import GradedPoset
 
@@ -121,28 +128,44 @@ class Refinement:
         return cls(poset, matchings)
 
 
-def lambda_refinement(quot, pick=min) -> Refinement:
-    """Refinement of a parabolic quotient by left multiplication matchings.
+def down_matchings(poset: GradedPoset, matchings: Sequence[PartialMatching],
+                   w: int) -> list[PartialMatching]:
+    """The matchings M with M(w) covered by w, in list order."""
+    return [M for M in matchings
+            if M.is_defined(w) and poset.covers(M(w), w)]
 
-    ``pick`` selects among the generators s whose matching takes w down;
-    the default takes the smallest, giving the canonical refinement.
+
+def system_refinement(poset: GradedPoset,
+                      matchings: Sequence[PartialMatching],
+                      pick=min) -> Refinement:
+    """The refinement read off a system of quasi SPMs: at every non-minimal
+    w, one matching that takes w down, restricted to the ideal of w.
+
+    ``pick`` selects among the list positions of the down-matchings; the
+    default takes the first.  Raises ValueError naming the label of an
+    element that no matching takes down.
     """
-    poset = quot.poset
-    system = quot.system
+    chosen = {}
+    for w in range(poset.n):
+        if w == poset.bottom:
+            continue
+        down = down_matchings(poset, matchings, w)
+        if not down:
+            raise ValueError(
+                f"no matching takes {poset.labels[w]!r} down")
+        chosen[w] = down[pick(range(len(down)))].restrict_to_ideal(w)
+    return Refinement(poset, chosen)
 
-    def choose(w: int) -> PartialMatching:
-        cands = []
-        for s in range(system.num_gens):
-            sw = system.left[quot.reps[w]][s]
-            if sw in quot.rep_index and \
-                    system.length[sw] < system.length[quot.reps[w]]:
-                cands.append(s)
-        if not cands:
-            raise ValueError(f"no descent inside the quotient at {w}")
-        return lambda_partial(quot, pick(cands), w)
 
-    return Refinement(poset, {w: choose(w) for w in range(poset.n)
-                              if w != poset.bottom})
+def lambda_refinement(quot, pick=min) -> Refinement:
+    """Refinement of a parabolic quotient by left multiplication matchings:
+    ``system_refinement`` on ``lambda_system(quot)``.
+
+    ``pick`` selects among the matchings that take w down, which are listed
+    in order of their generator; the default takes the smallest, giving the
+    canonical refinement.
+    """
+    return system_refinement(quot.poset, lambda_system(quot), pick)
 
 
 def all_refinements(poset: GradedPoset) -> Iterable[Refinement]:
@@ -582,13 +605,11 @@ class PirconSystem:
             raise ValueError(f"not a pircon system: {witness}")
 
     def down_matchings(self, w: int) -> list[PartialMatching]:
-        return [M for M in self.matchings
-                if M.is_defined(w) and self.poset.covers(M(w), w)]
+        return down_matchings(self.poset, self.matchings, w)
 
 
 def verify_pircon_system(poset: GradedPoset,
-                         matchings: Sequence[PartialMatching],
-                         pool_fn=None):
+                         matchings: Sequence[PartialMatching]):
     """The four conditions for (P, S) to be a pircon system:
     (1) P is a pircon, (2) S consists of quasi SPMs of order ideals,
     (3) every non-minimal w has some M in S with M(w) covered by w, and
@@ -597,7 +618,7 @@ def verify_pircon_system(poset: GradedPoset,
     Condition (1) follows from (3): the restriction of a down-matching is an
     SPM of the ideal, which is verified here pair by pair.  Coherence is
     checked strictly first; only when that fails is the full SPM pool of w
-    enumerated (or taken from ``pool_fn``) to search for a connecting chain.
+    enumerated to search for a connecting chain.
     """
     for mi, M in enumerate(matchings):
         ok, witness = verify_qspm(M)
@@ -607,8 +628,7 @@ def verify_pircon_system(poset: GradedPoset,
     for w in range(poset.n):
         if w == poset.bottom:
             continue
-        down = [M for M in matchings
-                if M.is_defined(w) and poset.covers(M(w), w)]
+        down = down_matchings(poset, matchings, w)
         if not down:
             return False, ("no-down-matching", w)
         restricted = [M.restrict_to_ideal(w) for M in down]
@@ -622,7 +642,7 @@ def verify_pircon_system(poset: GradedPoset,
                 if Mr == Nr or strictly_coherent(Mr, Nr, w):
                     continue
                 if pool is None:
-                    pool = pool_fn(w) if pool_fn else enumerate_spms(poset, w)
+                    pool = enumerate_spms(poset, w)
                 if not coherent(Mr, Nr, w, pool):
                     return False, ("incoherent", (w,))
     return True, None

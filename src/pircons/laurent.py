@@ -110,18 +110,6 @@ class HalfLaurent:
         out._coeffs = {h: n * c for h, c in self._coeffs.items()}
         return out
 
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise ValueError("negative powers are not defined in this ring")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shift(self, h: int) -> "HalfLaurent":
         """Multiply by q^(h/2)."""
         out = HalfLaurent.__new__(HalfLaurent)
@@ -136,9 +124,6 @@ class HalfLaurent:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def coeff(self, h: int) -> int:
         """Coefficient of q^(h/2)."""
         return self._coeffs.get(h, 0)
@@ -152,16 +137,6 @@ class HalfLaurent:
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    def min_half_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero has no exponents")
-        return min(self._coeffs)
-
-    def max_half_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero has no exponents")
-        return max(self._coeffs)
 
     def is_q_polynomial(self) -> bool:
         """True when all exponents are integral and nonnegative."""
@@ -247,10 +222,6 @@ class QPoly:
         return _QONE
 
     @classmethod
-    def q(cls) -> "QPoly":
-        return _QGEN
-
-    @classmethod
     def monomial(cls, k: int, c: int = 1) -> "QPoly":
         return cls([0] * k + [c])
 
@@ -268,14 +239,8 @@ class QPoly:
     def eval_at_zero(self) -> int:
         return self.coeff(0)
 
-    def eval_at_one(self) -> int:
-        return sum(self._coeffs)
-
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     # -- arithmetic -------------------------------------------------------
 
@@ -394,4 +359,3 @@ class QPoly:
 
 _QZERO = QPoly(())
 _QONE = QPoly((1,))
-_QGEN = QPoly((0, 1))

@@ -88,10 +88,10 @@ class PartialMatching:
         if not self.poset.leq(self.mapping[z], z):
             raise MatchingError(
                 f"cannot restrict to the ideal of {z}: M(z) is above z")
-        ideal = self.poset.down_set(z)
+        mapping = self.mapping
         return PartialMatching(
-            self.poset, {x: y for x, y in self.mapping.items()
-                         if ideal >> x & 1})
+            self.poset, {x: mapping[x] for x in self.poset.ideal_elements(z)
+                         if x in mapping})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialMatching):

@@ -161,12 +161,6 @@ class GradedPoset:
     def max_rank(self) -> int:
         return max(self.rank) if self.rank else 0
 
-    def by_rank(self) -> list[list[int]]:
-        out = [[] for _ in range(self.max_rank() + 1)]
-        for i, r in enumerate(self.rank):
-            out[r].append(i)
-        return out
-
     # -- subposets -----------------------------------------------------------
 
     def subposet(self, elements: Iterable[int]) -> "GradedPoset":

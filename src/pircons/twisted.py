@@ -23,9 +23,8 @@ from __future__ import annotations
 from .coxeter import CoxeterSystem
 from .hecke import HeckeContext
 from .klpoly import PolyTable, Refinement, X_MINUS_ONE, X_Q, check_x, \
-    r_polynomials
-from .matchings import (MatchingError, PartialMatching, verify_pircon,
-                        verify_qspm, verify_spm)
+    r_polynomials, system_refinement
+from .matchings import PartialMatching, verify_pircon, verify_qspm
 from .posets import from_comparability
 
 
@@ -40,7 +39,7 @@ def _double_factorial(k: int) -> int:
 class TwistedIdentities:
     """The twisted-identity pircon of S_(2n)."""
 
-    def __init__(self, n: int, check_pircon: bool = True):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need n >= 1")
         self.n = n
@@ -76,10 +75,9 @@ class TwistedIdentities:
                     mask |= 1 << j
             masks.append(mask)
         self.poset = from_comparability(labels, masks)
-        if check_pircon:
-            ok, witness = verify_pircon(self.poset)
-            if not ok:
-                raise AssertionError(f"twisted poset is not a pircon: {witness}")
+        ok, witness = verify_pircon(self.poset)
+        if not ok:
+            raise AssertionError(f"twisted poset is not a pircon: {witness}")
 
     # -- conjugation matchings ---------------------------------------------
 
@@ -106,39 +104,12 @@ class TwistedIdentities:
         found = (self.conjugation_qspm(i) for i in range(self.host.num_gens))
         return list(dict.fromkeys(m for m in found if m is not None))
 
-    def conjugation_matching(self, i: int, w: int) -> PartialMatching | None:
-        """The conjugation map restricted to the lower interval of w, or
-        None when it is not an SPM there (callers then pick another i)."""
-        return self._ideal_matching(self.conjugation_images(i), w)
-
-    def _ideal_matching(self, images: dict[int, int],
-                        w: int) -> PartialMatching | None:
-        ideal = self.poset.down_set(w)
-        mapping = {u: images[u] for u in self.poset.ideal_elements(w)}
-        if any(not ideal >> v & 1 for v in mapping.values()):
-            return None
-        m = PartialMatching(self.poset, mapping)
-        ok, _ = verify_spm(m)
-        return m if ok else None
-
     def conjugation_refinement(self, pick=min) -> Refinement:
-        """One valid conjugation matching per non-minimal element."""
-        images = [self.conjugation_images(i)
-                  for i in range(self.host.num_gens)]
-        matchings = {}
-        for w in range(self.poset.n):
-            if w == self.poset.bottom:
-                continue
-            cands = {}
-            for i, image in enumerate(images):
-                got = self._ideal_matching(image, w)
-                if got is not None:
-                    cands[i] = got
-            if not cands:
-                raise MatchingError(
-                    f"no conjugation matching at {self.poset.labels[w]}")
-            matchings[w] = cands[pick(cands)]
-        return Refinement(self.poset, matchings)
+        """``system_refinement`` on the conjugation quasi SPMs: one
+        conjugation matching per non-minimal element.  ``pick`` selects
+        among the matchings that take w down, listed in order of their
+        generator."""
+        return system_refinement(self.poset, self.conjugation_qspms(), pick)
 
     def klv_polynomials(self, x: str) -> PolyTable:
         """The R^q-table (KLV R-polynomials) or R^(-1)-table (KLV
@@ -153,10 +124,6 @@ class TwistedIdentities:
 
     def __repr__(self) -> str:
         return f"TwistedIdentities(n={self.n}, {self.poset.n} elements)"
-
-
-def build_twisted(n: int) -> TwistedIdentities:
-    return TwistedIdentities(n)
 
 
 KLV_R = X_Q

@@ -9,7 +9,11 @@ The reference path at the end keeps the kernel check, kernel inversion,
 up-down check, iota and the per-v P recursion as they were written on
 ``QPoly``/``HalfLaurent`` object arithmetic, before the library moved to
 packed evaluation and hoisted mu-corrections.  Differential tests hold the
-library to the same results, witnesses and ``KernelError`` messages.
+library to the same results, witnesses and ``KernelError`` messages.  It
+also keeps the two refinement searches that ``klpoly.system_refinement``
+replaced: the descent search over group generators for a parabolic
+quotient, and the per-generator candidate search over conjugation maps for
+twisted identities.
 """
 
 from __future__ import annotations
@@ -19,9 +23,11 @@ from functools import lru_cache
 import sympy
 
 from pircons.hecke import ModuleVector
-from pircons.klpoly import (X_Q, KernelError, PolyTable, other_x,
-                            q_minus_one_minus_x)
+from pircons.klpoly import (X_Q, KernelError, PolyTable, Refinement,
+                            other_x, q_minus_one_minus_x)
 from pircons.laurent import HalfLaurent, QPoly
+from pircons.matchings import (MatchingError, PartialMatching, lambda_partial,
+                               verify_spm)
 
 q = sympy.Symbol("q")
 
@@ -243,3 +249,59 @@ def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
             out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
                 * pz.value(v, u)
     return out
+
+
+def lambda_refinement(quot, pick=min) -> Refinement:
+    """Refinement of a parabolic quotient by left multiplication matchings.
+
+    ``pick`` selects among the generators s whose matching takes w down;
+    the default takes the smallest, giving the canonical refinement.
+    """
+    poset = quot.poset
+    system = quot.system
+
+    def choose(w: int) -> PartialMatching:
+        cands = []
+        for s in range(system.num_gens):
+            sw = system.left[quot.reps[w]][s]
+            if sw in quot.rep_index and \
+                    system.length[sw] < system.length[quot.reps[w]]:
+                cands.append(s)
+        if not cands:
+            raise ValueError(f"no descent inside the quotient at {w}")
+        return lambda_partial(quot, pick(cands), w)
+
+    return Refinement(poset, {w: choose(w) for w in range(poset.n)
+                              if w != poset.bottom})
+
+
+def _ideal_matching(tw, images: dict[int, int],
+                    w: int) -> PartialMatching | None:
+    ideal = tw.poset.down_set(w)
+    mapping = {u: images[u] for u in tw.poset.ideal_elements(w)}
+    if any(not ideal >> v & 1 for v in mapping.values()):
+        return None
+    m = PartialMatching(tw.poset, mapping)
+    ok, _ = verify_spm(m)
+    return m if ok else None
+
+
+def conjugation_refinement(tw, pick=min) -> Refinement:
+    """One valid conjugation matching per non-minimal element of the
+    twisted identities ``tw``."""
+    images = [tw.conjugation_images(i)
+              for i in range(tw.host.num_gens)]
+    matchings = {}
+    for w in range(tw.poset.n):
+        if w == tw.poset.bottom:
+            continue
+        cands = {}
+        for i, image in enumerate(images):
+            got = _ideal_matching(tw, image, w)
+            if got is not None:
+                cands[i] = got
+        if not cands:
+            raise MatchingError(
+                f"no conjugation matching at {tw.poset.labels[w]}")
+        matchings[w] = cands[pick(cands)]
+    return Refinement(tw.poset, matchings)

@@ -108,6 +108,32 @@ def test_unknown_check_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_unknown_output_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2}},
+        "outputs": ["zzz"]}))
+    out = tmp_path / "o2"
+    assert run(["compute", "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert run(["compute", "--type", "A", "--rank", "2",
+                "--outputs", "r,zzz", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("config error:") and
+                                 "'zzz'" in e for e in err)
+    assert not out.exists()
+
+
+def test_unknown_element_is_config_error(tmp_path, capsys):
+    out = tmp_path / "spm"
+    assert run(["enumerate-spm", "--type", "A", "--rank", "2",
+                "--element", "zz", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'zz'" in err and \
+        err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unsupported_type_exit(capsys):
     assert run(["compute", "--type", "H", "--rank", "3"]) == \
         cli.EXIT_UNSUPPORTED

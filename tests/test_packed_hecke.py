@@ -158,6 +158,29 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
     assert len(calls) > 3 * len(expected)
 
 
+def test_duality_reuses_images(groups, monkeypatch):
+    """verify_duality computes iota^x(m_u) once per (x, u) and T_M . m_u
+    once per (x, u, M).  On A3/H={} (24 elements, 3 matchings) each (x, u)
+    makes 4 + 3 iota calls (iota^x(m_u), its image, iota^x(j m_u),
+    iota^z(m_u) and one per M) and each w makes 2 per x: 432 in all.
+    Each (x, u, M) makes 3 t_action calls, one inside t_inverse_action."""
+    ctx = context_for_quotient(groups["A3"].quotient(set()))
+    n, k = ctx.poset.n, len(ctx.matchings)
+    assert (n, k) == (24, 3)
+    counts = {"iota": 0, "t_action": 0}
+    for name in counts:
+        real = getattr(hecke, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(hecke, name, counted)
+    assert hecke.verify_duality(ctx) == (True, None)
+    assert counts == {"iota": 2 * n * (4 + k) + 2 * n * 2,
+                      "t_action": 2 * n * k * 3}
+
+
 # -- the up-down check -------------------------------------------------------
 
 def updown_cases(contexts, twisted3):

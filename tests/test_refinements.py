@@ -1,0 +1,46 @@
+"""Refinements read off a pircon system by ``klpoly.system_refinement``,
+against the generator searches they replaced (``tests/oracles.py``)."""
+
+import re
+
+import pytest
+
+import oracles
+from pircons.klpoly import down_matchings, lambda_refinement, \
+    system_refinement
+from pircons.matchings import lambda_partial
+
+
+@pytest.mark.parametrize("pick", [min, max])
+def test_lambda_refinement_matches_descent_search(suite_quotients, pick):
+    for name, quot in suite_quotients.items():
+        assert lambda_refinement(quot, pick) == \
+            oracles.lambda_refinement(quot, pick), name
+
+
+@pytest.mark.parametrize("pick", [min, max])
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugation_refinement_matches_candidate_search(request, n, pick):
+    tw = request.getfixturevalue(f"twisted{n}")
+    assert tw.conjugation_refinement(pick) == \
+        oracles.conjugation_refinement(tw, pick)
+
+
+def test_down_matchings_in_list_order(groups):
+    quot = groups["A2"].quotient(set())
+    S = [lambda_partial(quot, s) for s in (1, 0)]
+    top = quot.poset.top
+    assert down_matchings(quot.poset, S, top) == S
+    assert down_matchings(quot.poset, S, quot.poset.bottom) == []
+
+
+def test_element_without_down_matching_is_named(groups):
+    quot = groups["A2"].quotient(set())
+    poset = quot.poset
+    S = [lambda_partial(quot, 0)]   # s1 alone cannot take s2 down
+    missing = [w for w in range(poset.n) if w != poset.bottom
+               and not down_matchings(poset, S, w)]
+    assert missing
+    with pytest.raises(ValueError,
+                       match=re.escape(repr(poset.labels[missing[0]]))):
+        system_refinement(poset, S)

@@ -54,16 +54,12 @@ def test_conjugation_fixed_points(twisted2):
 
 def test_conjugation_matchings_verify(twisted3):
     P = twisted3.poset
+    refinement = twisted3.conjugation_refinement()
     for w in range(P.n):
         if w == P.bottom:
             continue
-        found = False
-        for i in range(twisted3.host.num_gens):
-            m = twisted3.conjugation_matching(i, w)
-            if m is not None:
-                assert verify_spm(m)[0]
-                found = True
-        assert found
+        assert w in refinement.matchings
+        assert verify_spm(refinement[w]) == (True, None)
 
 
 def test_klv_diagonal_and_chain_values(twisted2):
