@@ -6,8 +6,8 @@ a twisted-identity index n, or an external poset file (with a refinement
 file where tables are needed).  All fields can come from a JSON config file
 (--config) and every field is overridable by a flag.
 
-Exit codes: 0 success, 2 malformed config (a bad H, or a poset,
-refinement or matching file of the wrong JSON shape), 3 unsupported group,
+Exit codes: 0 success, 2 malformed config (a bad H, or a malformed poset,
+refinement or matching file: see README), 3 unsupported group,
 4 group size bound exceeded, 1 other errors; a failing verification exits
 with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
 files are written atomically (temp file + rename).
@@ -57,43 +57,28 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 class Instance:
-    """A resolved instance and its artifact set.
+    """A resolved instance.  Its pircon system, from the builder of its
+    kind, and the Hecke context read off that system are built once, on
+    first use."""
 
-    Each artifact is built on first use and then kept: the refinement, the
-    system matchings, the R^x table per x and the Hecke context.
-    ``build_instance`` picks the refinement and system-matching builders of
-    the instance's kind.
-    """
-
-    def __init__(self, kind: str, poset, name: str, build_refinement,
-                 build_matchings, quotient=None):
+    def __init__(self, kind: str, poset, name: str, build_system,
+                 quotient=None):
         self.kind = kind
         self.poset = poset
         self.name = name
         self.quotient = quotient
-        self._build_refinement = build_refinement
-        self._build_matchings = build_matchings
-        self._r: dict[str, klpoly.PolyTable] = {}
+        self._build_system = build_system
 
     @functools.cached_property
-    def refinement(self) -> klpoly.Refinement:
-        return self._build_refinement()
-
-    @functools.cached_property
-    def system_matchings(self) -> list[matchings.PartialMatching]:
-        return self._build_matchings()
-
-    def r_table(self, x: str) -> klpoly.PolyTable:
-        if x not in self._r:
-            self._r[x] = klpoly.r_polynomials(self.poset, self.refinement, x)
-        return self._r[x]
+    def system(self) -> klpoly.PirconSystem:
+        return self._build_system()
 
     @functools.cached_property
     def hecke_context(self) -> hecke.HeckeContext:
         if self.kind == "poset":
             raise ConfigError(
                 "duality/recursion/klbasis need a coxeter or twisted instance")
-        return hecke.HeckeContext(self.poset, self.system_matchings)
+        return hecke.HeckeContext(self.poset, self.system)
 
 
 def _is_index(value) -> bool:
@@ -148,8 +133,9 @@ def build_instance(config: dict) -> Instance:
         name = f"{matrix.get('type')}{matrix.get('rank', matrix.get('m'))}" \
                f"/H={hh}"
         return Instance("coxeter", quot.poset, name,
-                        functools.partial(klpoly.lambda_refinement, quot),
-                        functools.partial(matchings.lambda_system, quot),
+                        lambda: klpoly.PirconSystem(
+                            quot.poset, matchings.lambda_system(quot),
+                            klpoly.lambda_refinement(quot)),
                         quotient=quot)
     if kind == "twisted":
         n = spec.get("n")
@@ -157,7 +143,9 @@ def build_instance(config: dict) -> Instance:
             raise ConfigError("twisted instance needs a positive integer n")
         tw = twisted.TwistedIdentities(n)
         return Instance("twisted", tw.poset, f"twisted{n}",
-                        tw.conjugation_refinement, tw.conjugation_qspms)
+                        lambda: klpoly.PirconSystem(
+                            tw.poset, tw.conjugation_qspms(),
+                            tw.conjugation_refinement()))
     if kind == "poset":
         path = spec.get("poset_file")
         if not path:
@@ -178,16 +166,15 @@ def build_instance(config: dict) -> Instance:
                 lambda d: isinstance(d, dict)
                 and all(map(_index_list, d.values()))))
 
-        def given_refinement() -> klpoly.Refinement:
+        def given_system() -> klpoly.PirconSystem:
             if refinement is None:
                 raise ConfigError(
                     "a poset instance needs --refinement-file for tables")
-            return refinement
+            return klpoly.PirconSystem(
+                poset, [m for _, m in sorted(refinement.matchings.items())],
+                refinement)
 
-        return Instance("poset", poset, os.path.basename(path),
-                        given_refinement,
-                        lambda: [m for _, m in
-                                 sorted(given_refinement().matchings.items())])
+        return Instance("poset", poset, os.path.basename(path), given_system)
     raise ConfigError(f"unknown instance kind {kind!r}")
 
 
@@ -220,36 +207,30 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
         reports.append(rec)
 
     for kind in kinds:
-        if kind == "updown":
+        if kind in ("updown", "pkernel"):
             for x in xs:
-                ok, witness = klpoly.check_updown(inst.system_matchings,
-                                                  inst.r_table(x))
-                record(kind, ok, witness, detail=f"x={x}")
-        elif kind == "pkernel":
-            for x in xs:
-                ok, witness = klpoly.check_pkernel(inst.r_table(x))
+                ok, witness = getattr(inst.system, kind)(x)
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "properties":
             ok, witness = klpoly.verify_r_properties(
-                inst.r_table(X_MINUS_ONE), inst.r_table(X_Q))
+                inst.system.r_table(X_MINUS_ONE), inst.system.r_table(X_Q))
             record(kind, ok, witness)
         elif kind == "brenti":
             if inst.kind != "coxeter":
                 raise ConfigError("brenti needs a coxeter instance")
             for x in xs:
-                ok, witness = klpoly.brenti_identity(inst.quotient,
-                                                     inst.r_table(x))
+                ok, witness = klpoly.brenti_identity(
+                    inst.quotient, inst.system.r_table(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "system":
-            ok, witness = klpoly.verify_pircon_system(
-                inst.poset, inst.system_matchings)
+            ok, witness = inst.system.verdict
             record(kind, ok, witness)
         elif kind == "dircon":
             ok = matchings.is_dircon(inst.poset)
             record(kind, ok)
         elif kind == "lifting":
             ok, witness = True, None
-            for m in inst.system_matchings:
+            for m in inst.system.matchings:
                 ok, witness = matchings.check_lifting(m)
                 if not ok:
                     break
@@ -300,6 +281,12 @@ def _emit(config: dict, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_table(config: dict, name: str, table: klpoly.PolyTable,
+                fmt: str) -> None:
+    _emit(config, f"{name}.{fmt}", table.to_csv() if fmt == "csv"
+          else json.dumps(table.to_json(), indent=1) + "\n")
+
+
 def cmd_compute(config: dict) -> int:
     inst = build_instance(config)
     if inst.kind == "poset":
@@ -317,15 +304,12 @@ def cmd_compute(config: dict) -> int:
     for x in xs:
         tag = _x_tag(x)
         if "r" in outputs:
-            r = inst.r_table(x)
-            doc = r.to_csv() if fmt == "csv" else \
-                json.dumps(r.to_json(), indent=1) + "\n"
-            _emit(config, f"r_{tag}.{fmt}", doc)
+            _emit_table(config, f"r_{tag}", inst.system.r_table(x), fmt)
         if "p" in outputs:
-            p = klpoly.kls_polynomials(inst.r_table(x))
-            doc = p.to_csv() if fmt == "csv" else \
-                json.dumps(p.to_json(), indent=1) + "\n"
-            _emit(config, f"p_{tag}.{fmt}", doc)
+            # the P-table lives only for its own emit, so the x = q one is
+            # built without the x = -1 one alive
+            _emit_table(config, f"p_{tag}",
+                        klpoly.kls_polynomials(inst.system.r_table(x)), fmt)
         if "klbasis" in outputs:
             ctx = inst.hecke_context
             doc = {"x": x, "C": {}, "Cprime": {}}
@@ -388,10 +372,15 @@ def cmd_export_dot(config: dict) -> int:
     matching = None
     path = config.get("matching_file")
     if path:
-        matching = matchings.PartialMatching.from_json(_load_json(
+        data = _load_json(
             path, "an object with a 'map' list of indices or nulls",
-            lambda d: isinstance(d, dict) and _index_list(d.get("map"))),
-            inst.poset)
+            lambda d: isinstance(d, dict) and _index_list(d.get("map")))
+        matching = matchings.PartialMatching.from_json(data, inst.poset)
+        n = inst.poset.n
+        bad = ("needs-one-entry-per-element", min(len(data["map"]), n)) \
+            if len(data["map"]) != n else matchings.involution_witness(matching)
+        if bad:
+            raise ConfigError(f"{path}: {bad[0]} at index {bad[1]}")
     _emit(config, "poset.dot", inst.poset.to_dot(matching))
     return 0
 

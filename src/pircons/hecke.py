@@ -35,13 +35,12 @@ The mu-corrections of the C' and P recursions are computed once per
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .laurent import HalfLaurent, QPoly
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _TooNarrow,
                      _digits, _norms, _pack, _width_for, _with_widening,
-                     check_pkernel, check_updown, check_x, kls_polynomials,
-                     other_x, r_polynomials, system_refinement)
+                     check_x, kls_polynomials, lambda_refinement, other_x)
 from .matchings import PartialMatching, lambda_system
 from .posets import GradedPoset
 
@@ -149,53 +148,49 @@ def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
 
 
 class HeckeContext:
-    """The Hecke-module data of one pircon system: the system, both R- and
-    P-tables, the permutation orders of matching pairs, and two caches
-    filled on use: the packed iota basis images and the mu-corrections of
-    the recursions.
+    """The Hecke-module data of one pircon system: the system, whose R-tables
+    it reads, both P-tables, the permutation orders of matching pairs, and
+    two caches filled on use: the packed iota basis images and the
+    mu-corrections of the recursions.
 
-    Construction verifies the system axioms and the two table invariants
-    (up-down symmetry and the kernel identity) for both parameters.
+    Construction requires matchings defined on the whole poset and raises
+    ValueError when the system's verdict, or its up-down or kernel verdict
+    for either parameter, fails.
     """
 
-    def __init__(self, poset: GradedPoset,
-                 matchings: Sequence[PartialMatching]):
+    def __init__(self, poset: GradedPoset, system: PirconSystem):
         whole = (1 << poset.n) - 1
-        for M in matchings:
+        for M in system.matchings:
             if M.domain_mask() != whole:
                 raise ValueError(
                     "context matchings must be defined on the whole poset")
         self.poset = poset
-        self.system = PirconSystem(poset, matchings)
-        matchings = self.system.matchings
+        self.system = system
+        ok, witness = system.verdict
+        if not ok:
+            raise ValueError(f"not a pircon system: {witness}")
 
-        # The system check above guarantees a down-matching at every w.
-        refinement = system_refinement(poset, matchings)
-        self._r: dict[str, PolyTable] = {}
         self._p: dict[str, PolyTable] = {}
         for x in X_PARAMS:
-            table = r_polynomials(poset, refinement, x)
-            ok, witness = check_updown(matchings, table)
-            if not ok:
-                raise ValueError(f"up-down symmetry fails for x={x}: {witness}")
-            ok, witness = check_pkernel(table)
-            if not ok:
-                raise ValueError(f"kernel identity fails for x={x}: {witness}")
-            self._r[x] = table
-            self._p[x] = kls_polynomials(table)
+            for verdict, what in ((system.updown, "up-down symmetry"),
+                                  (system.pkernel, "kernel identity")):
+                ok, witness = verdict(x)
+                if not ok:
+                    raise ValueError(f"{what} fails for x={x}: {witness}")
+            self._p[x] = kls_polynomials(system.r_table(x))
 
         self.m_orders = {}
-        for i, M in enumerate(matchings):
-            for j in range(i + 1, len(matchings)):
+        for i, M in enumerate(system.matchings):
+            for j in range(i + 1, len(system.matchings)):
                 self.m_orders[(i, j)] = _permutation_order(
-                    M, matchings[j], poset.n)
+                    M, system.matchings[j], poset.n)
 
         # Packed iota (see _iota_basis): images carry q^(K/2) with
         # K = 2 max rank; r_l1 is the largest L1 norm of an R entry for
         # either x, and the starting width fits the involution check
         # iota(iota(m_u)), whose input L1 is at most n r_l1.
         self.half_offset = 2 * max(poset.rank, default=0)
-        self.r_l1 = max(_norms(self._r[x])[0] for x in X_PARAMS)
+        self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.iota_width = _width_for(poset.n * self.r_l1 ** 2)
         self._iota_basis: dict[tuple[str, int], list[dict[int, int]]] = {}
         self._corrections: dict[tuple, list[tuple[int, int]]] = {}
@@ -205,7 +200,7 @@ class HeckeContext:
         return self.system.matchings
 
     def r_table(self, x: str) -> PolyTable:
-        return self._r[check_x(x)]
+        return self.system.r_table(x)
 
     def p_table(self, x: str) -> PolyTable:
         return self._p[check_x(x)]
@@ -560,4 +555,5 @@ def characterize(ctx: HeckeContext, D: ModuleVector, w: int, x: str) -> bool:
 
 def context_for_quotient(quot) -> HeckeContext:
     """HeckeContext of W^H with the left multiplication partial matchings."""
-    return HeckeContext(quot.poset, lambda_system(quot))
+    return HeckeContext(quot.poset, PirconSystem(
+        quot.poset, lambda_system(quot), lambda_refinement(quot)))

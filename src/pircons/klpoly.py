@@ -17,8 +17,8 @@ Every built-in refinement is read off a pircon system by one rule,
 ``system_refinement``: at each w take a matching of the system that takes w
 down (``down_matchings``) and restrict it to the ideal of w.  Parabolic
 quotients use their left multiplication matchings, twisted identities their
-conjugation matchings, and a Hecke context its own system; any choice of
-down-matching gives the same tables.
+conjugation matchings, and a ``PirconSystem`` carries the refinement of
+its system; any choice of down-matching gives the same tables.
 
 The same module hosts the incidence-algebra side: a family is a P-kernel
 exactly when sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) vanishes for u < v,
@@ -594,15 +594,41 @@ def brenti_identity(quot, table: PolyTable):
 # ---------------------------------------------------------------------------
 
 class PirconSystem:
-    """A pircon with a compatible family of quasi SPMs of order ideals."""
+    """A pircon, a family of quasi SPMs of order ideals and a refinement
+    read off it.  The constructor stores these, without duplicate matchings;
+    ``verdict``, ``r_table(x)`` and the (ok, witness) pairs ``updown(x)``
+    and ``pkernel(x)`` are computed on first use and kept.  P-tables are
+    not kept, so a caller holds one only while it needs it."""
 
     def __init__(self, poset: GradedPoset,
-                 matchings: Sequence[PartialMatching]):
+                 matchings: Sequence[PartialMatching],
+                 refinement: Refinement):
         self.poset = poset
         self.matchings = tuple(dict.fromkeys(matchings))
-        ok, witness = verify_pircon_system(poset, self.matchings)
-        if not ok:
-            raise ValueError(f"not a pircon system: {witness}")
+        self.refinement = refinement
+        self._kept: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build: Callable[[], object]):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    @property
+    def verdict(self):
+        return self._once(("system",), lambda: verify_pircon_system(
+            self.poset, self.matchings))
+
+    def r_table(self, x: str) -> PolyTable:
+        return self._once(("r", check_x(x)), lambda: r_polynomials(
+            self.poset, self.refinement, x))
+
+    def updown(self, x: str):
+        return self._once(("updown", x), lambda: check_updown(
+            self.matchings, self.r_table(x)))
+
+    def pkernel(self, x: str):
+        return self._once(("pkernel", x),
+                          lambda: check_pkernel(self.r_table(x)))
 
     def down_matchings(self, w: int) -> list[PartialMatching]:
         return down_matchings(self.poset, self.matchings, w)

@@ -132,7 +132,8 @@ class PartialMatching:
 # first axiom violation found, for diagnostics and tests.
 # ---------------------------------------------------------------------------
 
-def _involution_witness(m: PartialMatching):
+def involution_witness(m: PartialMatching):
+    """(reason, index) of the first image that does not map back, or None."""
     for x, y in m.mapping.items():
         if y not in m.mapping:
             return ("image-outside-domain", x)
@@ -172,7 +173,7 @@ def verify_qspm(m: PartialMatching):
 
     Returns (True, None) or (False, witness).
     """
-    for check in (_involution_witness, _ideal_witness,
+    for check in (involution_witness, _ideal_witness,
                   _proximity_witness, _compatibility_witness):
         w = check(m)
         if w is not None:

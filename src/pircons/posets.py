@@ -217,7 +217,8 @@ class GradedPoset:
         """DOT digraph, edges upward by rank.
 
         When a matching is supplied its matched pairs share a bold edge style
-        and its fixed points are drawn as doubled circles.
+        and its fixed points are drawn as doubled circles.  Labels are
+        quoted, with backslashes and double quotes escaped.
         """
         fixed = set()
         matched = set()
@@ -231,6 +232,7 @@ class GradedPoset:
         lines = ["digraph poset {", "  rankdir=BT;"]
         for i, lab in enumerate(self.labels):
             shape = " peripheries=2" if i in fixed else ""
+            lab = lab.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{i} [label="{lab}"{shape}];')
         for x in range(self.n):
             for y in self.up_covers[x]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from .coxeter import CoxeterSystem
 from .hecke import HeckeContext
-from .klpoly import PolyTable, Refinement, X_MINUS_ONE, X_Q, check_x, \
-    r_polynomials, system_refinement
+from .klpoly import PirconSystem, PolyTable, Refinement, X_MINUS_ONE, X_Q, \
+    check_x, r_polynomials, system_refinement
 from .matchings import PartialMatching, verify_pircon, verify_qspm
 from .posets import from_comparability
 
@@ -120,7 +120,9 @@ class TwistedIdentities:
 
     def hecke_context(self) -> HeckeContext:
         """Hecke module over the conjugation quasi SPMs of the whole poset."""
-        return HeckeContext(self.poset, self.conjugation_qspms())
+        return HeckeContext(self.poset, PirconSystem(
+            self.poset, self.conjugation_qspms(),
+            self.conjugation_refinement()))
 
     def __repr__(self) -> str:
         return f"TwistedIdentities(n={self.n}, {self.poset.n} elements)"

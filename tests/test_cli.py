@@ -283,6 +283,28 @@ def test_export_dot(tmp_path, groups):
     assert "style=bold" in text and "peripheries=2" in text
 
 
+BAD_MAPS = {
+    "image-out-of-range": ([1, 0, 99], "index 2"),
+    "negative-image": ([-3, None, None], "index 0"),
+    "not-an-involution": ([1, 1, None], "index 0"),
+    "wrong-length": ([1], "index 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MAPS))
+def test_export_dot_refuses_a_bad_matching_map(tmp_path, capsys, case):
+    images, where = BAD_MAPS[case]
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"map": images}))
+    assert run(["export-dot", "--type", "A", "--rank", "2", "--H", "2",
+                "--matching-file", str(mfile),
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert where in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_klbasis_output(tmp_path):
     out = tmp_path / "kb"
     assert run(["compute", "--type", "A", "--rank", "2", "--H", "2",
@@ -317,19 +339,26 @@ def spy_calls(monkeypatch, names):
     return counts
 
 
-SPIED = ("r_polynomials", "check_pkernel", "kls_polynomials",
-         "verify_pircon_system")
+SPIED = ("r_polynomials", "check_pkernel", "check_updown",
+         "kls_polynomials", "verify_pircon_system")
 
 
 def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
     counts = spy_calls(monkeypatch, SPIED)
     assert run(["verify", "--type", "A", "--rank", "3",
                 "--out", str(tmp_path)]) == 0
-    # one context shared by duality and recursion; the CLI's own tables
-    # and the context's tables are each checked once per x
-    assert counts == {"r_polynomials": 4, "check_pkernel": 4,
-                      "kls_polynomials": 2, "verify_pircon_system": 2,
-                      "HeckeContext": 1}
+    # one system per job: its tables and verdicts serve the CLI's checks
+    # and the one context shared by duality and recursion
+    assert counts == {"r_polynomials": 2, "check_pkernel": 2,
+                      "check_updown": 2, "kls_polynomials": 2,
+                      "verify_pircon_system": 1, "HeckeContext": 1}
+
+
+def test_compute_r_and_klbasis_share_the_r_tables(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
+                "--outputs", "r,klbasis", "--out", str(tmp_path)]) == 0
+    assert counts["r_polynomials"] == 2 and counts["HeckeContext"] == 1
 
 
 def test_compute_tables_build_no_context(tmp_path, monkeypatch):

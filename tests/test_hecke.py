@@ -5,7 +5,8 @@ from pircons.hecke import (HeckeContext, ModuleVector, characterize,
                            j_map, kl_element_cprime, p_recursion, t_action,
                            t_inverse_action, verify_duality,
                            verify_hecke_relations)
-from pircons.klpoly import X_MINUS_ONE, X_PARAMS, X_Q, other_x
+from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, PirconSystem,
+                            lambda_refinement, other_x)
 from pircons.laurent import HalfLaurent, QPoly
 from pircons.matchings import PartialMatching
 
@@ -279,8 +280,8 @@ def test_context_rejects_partial_domains(groups):
     quot = groups["A2"].quotient({1})
     P = quot.poset
     half = PartialMatching(P, {0: 0})
-    with pytest.raises(ValueError):
-        HeckeContext(P, [half])
+    with pytest.raises(ValueError, match="whole poset"):
+        HeckeContext(P, PirconSystem(P, [half], lambda_refinement(quot)))
 
 
 def test_module_vector_json(chain_ctx):

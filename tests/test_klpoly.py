@@ -2,6 +2,7 @@ import pytest
 import sympy
 
 from oracles import chain_r_value, classical_kl, qpoly_expr, table_inversion
+from pircons.hecke import HeckeContext
 from pircons.klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                             X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                             brenti_identity, check_pkernel, check_updown,
@@ -341,7 +342,11 @@ def test_lambda_systems_verify(groups):
         quot = groups[name].quotient(H)
         S = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
         assert verify_pircon_system(quot.poset, S) == (True, None)
-        PirconSystem(quot.poset, S)  # constructor re-verifies
+        system = PirconSystem(quot.poset, S, lambda_refinement(quot))
+        assert system.verdict == (True, None)
+        for x in X_PARAMS:
+            assert system.updown(x) == system.pkernel(x) == (True, None)
+        assert HeckeContext(quot.poset, system).system is system
 
 
 def test_system_missing_down_matching(groups):
@@ -349,8 +354,10 @@ def test_system_missing_down_matching(groups):
     S = [lambda_partial(quot, 0)]   # s1 alone cannot take s2 down
     ok, witness = verify_pircon_system(quot.poset, S)
     assert not ok and witness[0] == "no-down-matching"
-    with pytest.raises(ValueError):
-        PirconSystem(quot.poset, S)
+    system = PirconSystem(quot.poset, S, lambda_refinement(quot))
+    assert system.verdict == (ok, witness)
+    with pytest.raises(ValueError, match="not a pircon system"):
+        HeckeContext(quot.poset, system)
 
 
 def test_twisted_spm_pool_is_system(twisted2):

@@ -133,6 +133,13 @@ def test_to_dot():
     assert P.to_dot(fixed).count("peripheries=2") == 4
 
 
+def test_to_dot_escapes_labels():
+    P = GradedPoset(['a"b', "c\\d"], [(0, 1)])
+    dot = P.to_dot()
+    assert 'n0 [label="a\\"b"];' in dot
+    assert 'n1 [label="c\\\\d"];' in dot
+
+
 def test_json_roundtrip(diamond):
     data = diamond.to_json()
     again = GradedPoset.from_json(data)
