@@ -143,9 +143,7 @@ def build_instance(config: dict) -> Instance:
             raise ConfigError("twisted instance needs a positive integer n")
         tw = twisted.TwistedIdentities(n)
         return Instance("twisted", tw.poset, f"twisted{n}",
-                        lambda: klpoly.PirconSystem(
-                            tw.poset, tw.conjugation_qspms(),
-                            tw.conjugation_refinement()))
+                        lambda: tw.system)
     if kind == "poset":
         path = spec.get("poset_file")
         if not path:
@@ -161,10 +159,14 @@ def build_instance(config: dict) -> Instance:
         refinement = None
         ref_path = spec.get("refinement_file")
         if ref_path:
-            refinement = klpoly.Refinement.from_json(poset, _load_json(
+            data = _load_json(
                 ref_path, "an object mapping labels to image lists",
                 lambda d: isinstance(d, dict)
-                and all(map(_index_list, d.values()))))
+                and all(map(_index_list, d.values())))
+            try:
+                refinement = klpoly.Refinement.from_json(poset, data)
+            except ValueError as exc:
+                raise ConfigError(f"{ref_path}: {exc}") from None
 
         def given_system() -> klpoly.PirconSystem:
             if refinement is None:
@@ -306,10 +308,13 @@ def cmd_compute(config: dict) -> int:
         if "r" in outputs:
             _emit_table(config, f"r_{tag}", inst.system.r_table(x), fmt)
         if "p" in outputs:
-            # the P-table lives only for its own emit, so the x = q one is
-            # built without the x = -1 one alive
+            # a job with a context reads the context's P-tables; otherwise
+            # the P-table lives only for its own emit (bind it to no local),
+            # so the x = -1 one is built without the x = q one alive
             _emit_table(config, f"p_{tag}",
-                        klpoly.kls_polynomials(inst.system.r_table(x)), fmt)
+                        inst.hecke_context.p_table(x) if "klbasis" in outputs
+                        else klpoly.kls_polynomials(inst.system.r_table(x)),
+                        fmt)
         if "klbasis" in outputs:
             ctx = inst.hecke_context
             doc = {"x": x, "C": {}, "Cprime": {}}

@@ -3,10 +3,14 @@
 Supported realizations: type A_n as permutations of [n+1] in one-line
 notation, B_n as signed permutations, D_n as even-signed permutations,
 I2(m) as the dihedral group of order 2m, and direct products of these.
-The whole group is tabulated by breadth-first closure under right
-multiplication by generators, which gives O(1) length, descent and
+A realization supplies only its identity, right multiplication by a
+generator and its Coxeter matrix.  The whole group is tabulated by
+breadth-first closure under right multiplication; the inverse table comes
+from reading each element's word backwards, and left multiplication from
+s w = (w^-1 s)^-1.  The tables give O(1) length, descent, inverse and
 generator-multiplication queries; the trade-off is a configurable size
-bound (PIRCONS_MAX_GROUP_SIZE, default 50000).
+bound (PIRCONS_MAX_GROUP_SIZE, default 50000).  The orders of the products
+s_i s_j are checked against the Coxeter matrix.
 
 Generators are 0-indexed internally and rendered 1-based in labels, so the
 element with lexicographically least reduced word s2*s1 is labelled "2.1".
@@ -54,8 +58,8 @@ def size_bound() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Concrete realizations.  Each provides the identity element, the right and
-# left multiplication by a generator, and the Coxeter matrix.
+# Concrete realizations.  Each provides the identity element, the right
+# multiplication by a generator, and the Coxeter matrix.
 # ---------------------------------------------------------------------------
 
 class _TypeA:
@@ -72,10 +76,6 @@ class _TypeA:
         v = list(w)
         v[k], v[k + 1] = v[k + 1], v[k]
         return tuple(v)
-
-    def left(self, w, k):
-        a, b = k + 1, k + 2
-        return tuple(b if x == a else a if x == b else x for x in w)
 
     def m_entry(self, i, j):
         if i == j:
@@ -99,19 +99,6 @@ class _TypeB:
         else:
             v[k - 1], v[k] = v[k], v[k - 1]
         return tuple(v)
-
-    def left(self, w, k):
-        if k == 0:
-            return tuple(-x if abs(x) == 1 else x for x in w)
-        a, b = k, k + 1
-
-        def f(x):
-            if abs(x) == a:
-                return b if x > 0 else -b
-            if abs(x) == b:
-                return a if x > 0 else -a
-            return x
-        return tuple(f(x) for x in w)
 
     def m_entry(self, i, j):
         if i == j:
@@ -137,25 +124,6 @@ class _TypeD:
         else:
             v[k - 1], v[k] = v[k], v[k - 1]
         return tuple(v)
-
-    def left(self, w, k):
-        if k == 0:
-            def f(x):
-                if abs(x) == 1:
-                    return -2 if x > 0 else 2
-                if abs(x) == 2:
-                    return -1 if x > 0 else 1
-                return x
-            return tuple(f(x) for x in w)
-        a, b = k, k + 1
-
-        def f(x):
-            if abs(x) == a:
-                return b if x > 0 else -b
-            if abs(x) == b:
-                return a if x > 0 else -a
-            return x
-        return tuple(f(x) for x in w)
 
     def m_entry(self, i, j):
         if i == j:
@@ -203,17 +171,6 @@ class _Dihedral:
             return (length - 1, first) if length > 1 else (0, None)
         return (length + 1, first) if length + 1 < m else (m, None)
 
-    def left(self, w, k):
-        length, first = w
-        m = self.m
-        if length == 0:
-            return (1, k)
-        if length == m:
-            return (m - 1, 1 - k)
-        if first == k:
-            return (length - 1, 1 - k) if length > 1 else (0, None)
-        return (length + 1, k) if length + 1 < m else (m, None)
-
     def m_entry(self, i, j):
         return 1 if i == j else self.m
 
@@ -243,12 +200,6 @@ class _Product:
         idx, kk = self._locate(k)
         v = list(w)
         v[idx] = self.factors[idx].right(w[idx], kk)
-        return tuple(v)
-
-    def left(self, w, k):
-        idx, kk = self._locate(k)
-        v = list(w)
-        v[idx] = self.factors[idx].left(w[idx], kk)
         return tuple(v)
 
     def m_entry(self, i, j):
@@ -309,7 +260,6 @@ class CoxeterSystem:
         ident = real.identity()
         elements = [ident]
         index = {ident: 0}
-        right: list[list[int]] = []
         length = [0]
         word: list[tuple[int, ...]] = [()]
         frontier = [0]
@@ -337,12 +287,19 @@ class CoxeterSystem:
         self.length = tuple(length)
         self.word = tuple(word)
 
-        self.right = tuple(tuple(index[real.right(elements[i], k)]
-                                 for k in range(self.num_gens))
-                           for i in range(n))
-        self.left = tuple(tuple(index[real.left(elements[i], k)]
-                                for k in range(self.num_gens))
-                          for i in range(n))
+        self.right = right = tuple(tuple(index[real.right(elements[i], k)]
+                                         for k in range(self.num_gens))
+                                   for i in range(n))
+        # w^-1 is the word of w read backwards; s w = (w^-1 s)^-1.
+        inv = []
+        for w in range(n):
+            u = 0
+            for k in reversed(word[w]):
+                u = right[u][k]
+            inv.append(u)
+        self._inv = inv = tuple(inv)
+        self.left = tuple(tuple(inv[j] for j in right[inv[w]])
+                          for w in range(n))
         self.d_right = tuple(
             sum(1 << k for k in range(self.num_gens)
                 if self.length[self.right[i][k]] < self.length[i])
@@ -402,10 +359,7 @@ class CoxeterSystem:
         return u
 
     def inverse(self, w: int) -> int:
-        u = 0
-        for k in reversed(self.word[w]):
-            u = self.right[u][k]
-        return u
+        return self._inv[w]
 
     def lex_least_word(self, w: int) -> tuple[int, ...]:
         """Lexicographically least reduced word, built greedily from D_L."""

@@ -86,24 +86,30 @@ def q_minus_one_minus_x(x: str) -> QPoly:
 # ---------------------------------------------------------------------------
 
 class Refinement:
-    """One SPM of the lower ideal of every non-minimal element."""
+    """One SPM of the lower ideal of every non-minimal element, and none at
+    the minimal element.  Raises ValueError naming an element by label."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Mapping[int, PartialMatching]):
         self.poset = poset
         self.matchings = dict(matchings)
+        labels = poset.labels
+        if poset.bottom in self.matchings:
+            raise ValueError(f"refinement has an entry at the minimal "
+                             f"element {labels[poset.bottom]!r}")
         for w in range(poset.n):
             if w == poset.bottom:
                 continue
             m = self.matchings.get(w)
             if m is None:
-                raise ValueError(f"refinement misses element {w}")
+                raise ValueError(f"refinement misses element {labels[w]!r}")
             if m.domain_mask() != poset.down_set(w):
-                raise ValueError(
-                    f"matching at {w} is not defined on its lower ideal")
+                raise ValueError(f"matching at {labels[w]!r} is not defined "
+                                 f"on its lower ideal")
             ok, witness = verify_spm(m)
             if not ok:
-                raise ValueError(f"matching at {w} is not an SPM: {witness}")
+                raise ValueError(
+                    f"matching at {labels[w]!r} is not an SPM: {witness}")
 
     def __getitem__(self, w: int) -> PartialMatching:
         return self.matchings[w]
@@ -122,7 +128,11 @@ class Refinement:
     def from_json(cls, poset: GradedPoset, data: Mapping) -> "Refinement":
         matchings = {}
         for lab, images in data.items():
-            w = poset.index(lab)
+            try:
+                w = poset.index(lab)
+            except KeyError:
+                raise ValueError(f"{lab!r} is not a label of the poset") \
+                    from None
             matchings[w] = PartialMatching(
                 poset, {x: y for x, y in enumerate(images) if y is not None})
         return cls(poset, matchings)

@@ -20,10 +20,12 @@ Q-polynomials of the corresponding symmetric pair.
 
 from __future__ import annotations
 
+import functools
+
 from .coxeter import CoxeterSystem
 from .hecke import HeckeContext
 from .klpoly import PirconSystem, PolyTable, Refinement, X_MINUS_ONE, X_Q, \
-    check_x, r_polynomials, system_refinement
+    system_refinement
 from .matchings import PartialMatching, verify_pircon, verify_qspm
 from .posets import from_comparability
 
@@ -111,18 +113,22 @@ class TwistedIdentities:
         generator."""
         return system_refinement(self.poset, self.conjugation_qspms(), pick)
 
+    @functools.cached_property
+    def system(self) -> PirconSystem:
+        """The conjugation quasi SPMs with the canonical conjugation
+        refinement, built on first use and kept."""
+        return PirconSystem(self.poset, self.conjugation_qspms(),
+                            self.conjugation_refinement())
+
     def klv_polynomials(self, x: str) -> PolyTable:
         """The R^q-table (KLV R-polynomials) or R^(-1)-table (KLV
         Q-polynomials); any conjugation refinement gives the same family
         because the poset is a dircon."""
-        check_x(x)
-        return r_polynomials(self.poset, self.conjugation_refinement(), x)
+        return self.system.r_table(x)
 
     def hecke_context(self) -> HeckeContext:
         """Hecke module over the conjugation quasi SPMs of the whole poset."""
-        return HeckeContext(self.poset, PirconSystem(
-            self.poset, self.conjugation_qspms(),
-            self.conjugation_refinement()))
+        return HeckeContext(self.poset, self.system)
 
     def __repr__(self) -> str:
         return f"TwistedIdentities(n={self.n}, {self.poset.n} elements)"

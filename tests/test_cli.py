@@ -204,6 +204,35 @@ def test_malformed_refinement_and_matching_files(tmp_path, capsys, groups):
     assert len(err) == 2 and all(e.startswith("config error:") for e in err)
 
 
+CHAIN3 = {"elements": ["a", "b", "c"], "covers": [[0, 1], [1, 2]]}
+BAD_REFINEMENTS = {
+    # an entry at the minimal element, whose image is not even an element
+    "minimal": ({"a": [7, None, None], "b": [1, 0, None], "c": [0, 2, 1]},
+                "'a'"),
+    "unknown-label": ({"zz": [1, 0, None], "b": [1, 0, None],
+                       "c": [0, 2, 1]}, "'zz'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REFINEMENTS))
+@pytest.mark.parametrize("checks", [None, "lifting"])
+def test_bad_refinement_entry_is_config_error(tmp_path, capsys, case,
+                                              checks):
+    data, label = BAD_REFINEMENTS[case]
+    poset_file, ref_file = tmp_path / "p.json", tmp_path / "r.json"
+    poset_file.write_text(json.dumps(CHAIN3))
+    ref_file.write_text(json.dumps(data))
+    argv = ["verify", "--poset-file", str(poset_file),
+            "--refinement-file", str(ref_file), "--out", str(tmp_path / "o")]
+    if checks:
+        argv += ["--checks", checks]
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert label in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("H", [[True], "x", [1.0], {"1": 1}],
                          ids=["bool", "string", "float", "object"])
 def test_malformed_H_is_config_error(tmp_path, capsys, H):
@@ -381,6 +410,20 @@ def test_klbasis_for_both_x_shares_one_context(tmp_path, monkeypatch):
     assert run(["compute", "--type", "A", "--rank", "2", "--x", "both",
                 "--outputs", "klbasis", "--out", str(tmp_path)]) == 0
     assert counts["HeckeContext"] == 1
+
+
+def test_compute_p_and_klbasis_read_the_context_p_tables(tmp_path,
+                                                         monkeypatch):
+    alone, both = tmp_path / "p", tmp_path / "pk"
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
+                "--outputs", "p", "--out", str(alone)]) == 0
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
+                "--outputs", "p,klbasis", "--out", str(both)]) == 0
+    assert counts["kls_polynomials"] == 2 and counts["HeckeContext"] == 1
+    for tag in ("q", "minus1"):
+        name = f"p_{tag}.json"
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
 
 
 BAD_FIELDS = [

@@ -196,3 +196,45 @@ def test_lex_least_words(groups):
     w0 = W.longest_element()
     assert W.lex_least_word(w0) == (0, 1, 0)
     assert W.label(W.identity) == "e"
+
+
+# -- tables derived from the right table ------------------------------------
+
+DERIVED_EXTRA = {
+    "D4": {"type": "D", "rank": 4},
+    "A2xB2xI2(5)": {"type": "product", "factors": [
+        {"type": "A", "rank": 2}, {"type": "B", "rank": 2},
+        {"type": "I2", "m": 5}]},
+}
+
+
+@pytest.fixture(scope="module")
+def derived_groups(groups):
+    return {**groups, **{name: CoxeterSystem(cfg)
+                         for name, cfg in DERIVED_EXTRA.items()}}
+
+
+def test_left_table_is_left_multiplication(derived_groups):
+    for name, W in derived_groups.items():
+        gens = W.right[W.identity]
+        for w in range(W.size):
+            for k in range(W.num_gens):
+                assert W.left[w][k] == W.product(gens[k], w), (name, w, k)
+
+
+def test_inverse_table(derived_groups):
+    for name, W in derived_groups.items():
+        for w in range(W.size):
+            assert W.product(W.inverse(w), w) == W.identity, (name, w)
+
+
+def test_type_a_left_multiplication_swaps_values(groups):
+    """s_k w exchanges the values k+1 and k+2 in one-line notation."""
+    for name in ("A2", "A3"):
+        W = groups[name]
+        for w, perm in enumerate(W.elements):
+            for k in range(W.num_gens):
+                a, b = k + 1, k + 2
+                want = tuple(b if x == a else a if x == b else x
+                             for x in perm)
+                assert W.elements[W.left[w][k]] == want, (name, perm, k)

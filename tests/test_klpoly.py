@@ -156,6 +156,18 @@ def test_pkernel_diagonal_and_rank1():
     assert check_pkernel(table) == (True, None)
 
 
+def test_refinement_errors_name_labels():
+    from pircons.posets import GradedPoset
+    chain = GradedPoset("abc", [(0, 1), (1, 2)])
+    swap = PartialMatching(chain, {0: 1, 1: 0})
+    with pytest.raises(ValueError, match="minimal element 'a'"):
+        Refinement(chain, {0: PartialMatching(chain, {0: 0}), 1: swap})
+    with pytest.raises(ValueError, match="misses element 'c'"):
+        Refinement(chain, {1: swap})
+    with pytest.raises(ValueError, match="matching at 'c' is not defined"):
+        Refinement(chain, {1: swap, 2: swap})
+
+
 def test_pkernel_witness_on_corrupted_table(groups):
     quot = groups["A2"].quotient(set())
     P = quot.poset

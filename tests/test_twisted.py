@@ -140,3 +140,15 @@ def test_hecke_context_duality(twisted2_context):
     for x in X_PARAMS:
         assert verify_hecke_relations(twisted2_context, x) == (True, None)
     assert verify_duality(twisted2_context) == (True, None)
+
+
+def test_tables_and_context_share_one_refinement(monkeypatch):
+    calls = []
+    build = TwistedIdentities.conjugation_refinement
+    monkeypatch.setattr(TwistedIdentities, "conjugation_refinement",
+                        lambda self, *a: calls.append(1) or build(self, *a))
+    T = TwistedIdentities(2)
+    T.klv_polynomials(KLV_R)
+    T.klv_polynomials(KLV_Q)
+    T.hecke_context()
+    assert len(calls) == 1
