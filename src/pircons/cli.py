@@ -134,7 +134,7 @@ def build_instance(config: dict) -> Instance:
                f"/H={hh}"
         return Instance("coxeter", quot.poset, name,
                         lambda: klpoly.PirconSystem(
-                            quot.poset, matchings.lambda_system(quot),
+                            quot.poset, quot.lambda_matchings,
                             klpoly.lambda_refinement(quot)),
                         quotient=quot)
     if kind == "twisted":
@@ -286,7 +286,7 @@ def _emit(config: dict, name: str, text: str) -> None:
 def _emit_table(config: dict, name: str, table: klpoly.PolyTable,
                 fmt: str) -> None:
     _emit(config, f"{name}.{fmt}", table.to_csv() if fmt == "csv"
-          else json.dumps(table.to_json(), indent=1) + "\n")
+          else table.to_json_text() + "\n")
 
 
 def cmd_compute(config: dict) -> int:

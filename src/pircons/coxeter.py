@@ -30,9 +30,11 @@ memoization over element-index pairs.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Iterable, Sequence
 
+from . import matchings
 from .posets import GradedPoset, from_comparability
 
 DEFAULT_SIZE_BOUND = 50000
@@ -453,6 +455,12 @@ class ParabolicQuotient:
     def lower_interval(self, i: int) -> GradedPoset:
         """The induced poset on {z in W^H : z <= reps[i]}."""
         return self.poset.order_ideal(i)
+
+    @functools.cached_property
+    def lambda_matchings(self) -> tuple[matchings.PartialMatching, ...]:
+        """``matchings.lambda_system`` of the quotient, its pircon system,
+        built on first use and kept."""
+        return tuple(matchings.lambda_system(self))
 
     def __repr__(self) -> str:
         hh = "{" + ",".join(f"s{h + 1}" for h in sorted(self.H)) + "}"

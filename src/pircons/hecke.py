@@ -41,7 +41,7 @@ from .laurent import HalfLaurent, QPoly
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _TooNarrow,
                      _digits, _norms, _pack, _width_for, _with_widening,
                      check_x, kls_polynomials, lambda_refinement, other_x)
-from .matchings import PartialMatching, lambda_system
+from .matchings import PartialMatching
 from .posets import GradedPoset
 
 _ONE = HalfLaurent.one()
@@ -556,4 +556,4 @@ def characterize(ctx: HeckeContext, D: ModuleVector, w: int, x: str) -> bool:
 def context_for_quotient(quot) -> HeckeContext:
     """HeckeContext of W^H with the left multiplication partial matchings."""
     return HeckeContext(quot.poset, PirconSystem(
-        quot.poset, lambda_system(quot), lambda_refinement(quot)))
+        quot.poset, quot.lambda_matchings, lambda_refinement(quot)))

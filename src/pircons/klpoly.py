@@ -31,11 +31,14 @@ the truncation, which turns uniqueness into an executable error check.
 Both interval sums run on packed values: every polynomial is evaluated at
 q = 2^B (Kronecker substitution), so a polynomial product is one int
 multiply and an interval sum is a sum of int products; balanced base-2^B
-digits recover the coefficients.  Packing is injective only on polynomials
-whose coefficients lie inside (-2^(B-1), 2^(B-1)).  The width B is therefore
-derived from the table (interval sizes, L1 norms and coefficient sizes),
-each sum asserts its coefficient bound against B before its value is used,
-and a bound that does not fit restarts the computation at a wider B.
+digits recover the coefficients.  The sums are pushed, not pulled: a
+column v keeps one int accumulator per element of its ideal, and each z
+adds its products into the accumulators of the u below it, read from the
+transposed packed table.  Packing is injective only on polynomials whose
+coefficients lie inside (-2^(B-1), 2^(B-1)).  The width B is therefore
+derived from the table (ideal sizes, L1 norms and coefficient sizes), each
+sum asserts its coefficient bound against B before its value is used, and
+a bound that does not fit restarts the computation at a wider B.
 
 Tables store a polynomial for every comparable pair, zeros included;
 absence of a key means the pair is incomparable.
@@ -45,13 +48,14 @@ from __future__ import annotations
 
 import csv
 import io
-from operator import mul
+import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .laurent import HalfLaurent, QPoly
 from .matchings import (PartialMatching, coherent, enumerate_spms,
-                        lambda_system, strictly_coherent, verify_qspm,
-                        verify_spm)
+                        strictly_coherent, verify_qspm, verify_spm)
 from .posets import GradedPoset
 
 X_MINUS_ONE = "-1"
@@ -108,8 +112,10 @@ class Refinement:
                                  f"on its lower ideal")
             ok, witness = verify_spm(m)
             if not ok:
+                reason, where = witness
                 raise ValueError(
-                    f"matching at {labels[w]!r} is not an SPM: {witness}")
+                    f"matching at {labels[w]!r} is not an SPM: "
+                    f"{(reason, _by_label(labels, where))}")
 
     def __getitem__(self, w: int) -> PartialMatching:
         return self.matchings[w]
@@ -136,6 +142,14 @@ class Refinement:
             matchings[w] = PartialMatching(
                 poset, {x: y for x, y in enumerate(images) if y is not None})
         return cls(poset, matchings)
+
+
+def _by_label(labels: Sequence[str], where):
+    """A witness payload (an element, a tuple of elements or None) with
+    every element named by its label."""
+    if isinstance(where, tuple):
+        return tuple(labels[i] for i in where)
+    return None if where is None else labels[where]
 
 
 def down_matchings(poset: GradedPoset, matchings: Sequence[PartialMatching],
@@ -169,13 +183,13 @@ def system_refinement(poset: GradedPoset,
 
 def lambda_refinement(quot, pick=min) -> Refinement:
     """Refinement of a parabolic quotient by left multiplication matchings:
-    ``system_refinement`` on ``lambda_system(quot)``.
+    ``system_refinement`` on ``quot.lambda_matchings``.
 
     ``pick`` selects among the matchings that take w down, which are listed
     in order of their generator; the default takes the smallest, giving the
     canonical refinement.
     """
-    return system_refinement(quot.poset, lambda_system(quot), pick)
+    return system_refinement(quot.poset, quot.lambda_matchings, pick)
 
 
 def all_refinements(poset: GradedPoset) -> Iterable[Refinement]:
@@ -234,6 +248,31 @@ class PolyTable:
         return {"poset": self.poset.to_json(), "x": self.x,
                 "entries": [[labs[u], labs[w], self.entries[(u, w)].to_json()]
                             for u, w in self.pairs()]}
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=1)``, byte for byte.
+
+        With an indent, ``json.dumps`` runs the pure-Python encoder; here
+        only the small poset header goes through it, and the fixed-shape
+        entries are formatted directly: labels by the C string encoder,
+        coefficients by ``str``.
+        """
+        head = json.dumps({"poset": self.poset.to_json(), "x": self.x},
+                          indent=1)
+        labs = [encode_basestring_ascii(lab) for lab in self.poset.labels]
+        # tables repeat few distinct polynomials: format each once
+        texts = {(): "[]"}
+        items = []
+        for u, w in self.pairs():
+            coeffs = self.entries[(u, w)].coeffs()
+            poly = texts.get(coeffs)
+            if poly is None:
+                poly = texts[coeffs] = \
+                    "[\n    " + ",\n    ".join(map(str, coeffs)) + "\n   ]"
+            items.append(f"  [\n   {labs[u]},\n   {labs[w]},\n   {poly}\n  ]")
+        entries = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+        # head ends with the "\n}" that closes the object
+        return f'{head[:-2]},\n "entries": {entries}\n}}'
 
     @classmethod
     def from_json(cls, data: dict,
@@ -425,24 +464,40 @@ def _digits(value: int, width: int, low: int = 0) -> dict[int, int]:
 def _norms(table: PolyTable) -> tuple[int, int, int]:
     """Max L1 norm and max |coefficient| over the entries, and the most
     terms an interval sum can have (the largest lower ideal)."""
-    l1 = top = 0
-    for poly in table.entries.values():
-        coeffs = [abs(c) for c in poly.coeffs()]
-        if coeffs:
-            l1 = max(l1, sum(coeffs))
-            top = max(top, max(coeffs))
+    coeffs = [poly.coeffs() for poly in table.entries.values()]
+    l1 = max((sum(map(abs, c)) for c in coeffs), default=0)
+    top = max(map(abs, chain.from_iterable(coeffs)), default=0)
     poset = table.poset
     terms = max((poset.down_set(v).bit_count() for v in range(poset.n)),
                 default=0)
     return l1, top, terms
 
 
-def _packed_rows(table: PolyTable, width: int) -> list[dict[int, int]]:
-    """R_{u,z}(2^width) for every comparable pair, one dict per row u."""
+def _packed_rows(table: PolyTable,
+                 width: int) -> list[list[tuple[int, int]]]:
+    """The table packed at q = 2^width and transposed: for every z, the
+    pairs (u, R_{u,z}(2^width)) over the u <= z with R_{u,z} != 0, in
+    ascending u."""
     poset, value = table.poset, table.value
-    return [{z: _pack(value(u, z).coeffs(), width)
-             for z in poset.elements_of(poset.up_set(u))}
-            for u in range(poset.n)]
+    cols = []
+    for z in range(poset.n):
+        col = []
+        for u in poset.ideal_elements(z):
+            coeffs = value(u, z).coeffs()
+            if coeffs:
+                col.append((u, _pack(coeffs, width)))
+        cols.append(col)
+    return cols
+
+
+def _row_supports(table: PolyTable) -> list[int]:
+    """For every u, the bitmask of the z >= u with R_{u,z} != 0."""
+    poset = table.poset
+    rows = [0] * poset.n
+    for (u, z), poly in table.entries.items():
+        if poly and poset.leq(u, z):
+            rows[u] |= 1 << z
+    return rows
 
 
 def check_pkernel(table: PolyTable, _width: int | None = None):
@@ -451,34 +506,38 @@ def check_pkernel(table: PolyTable, _width: int | None = None):
     Each R_{u,z} is packed once at q = 2^B, and so is each
     R~_{z,v} = q^(rho(z,v) + s) R_{z,v}(1/q), where s >= 0 is the largest
     excess of a degree over its rank gap (0 for a genuine R-table) so that
-    no power is negative.  The sum over [u, v] is then a sum of int
-    products, compared with the packed q^s or 0.  B is derived from the
-    table, and each pair asserts that its coefficients are at most
-    #terms * max L1(R) * max |coeff(R)| < 2^(B-1) before comparing.
-    ``_width`` overrides the starting width, for tests of the widening.
+    no power is negative.  The sums of one column v are pushed: every z
+    with R~_{z,v} != 0 adds R_{u,z} R~_{z,v} to the int accumulator of
+    each u <= z.  Each u of the column is then compared, in ascending
+    order, with the packed q^s or 0, after asserting that its coefficients
+    are at most (pushes into u) * max L1(R) * max |coeff(R)| < 2^(B-1).
+    B is derived from the table; ``_width`` overrides the starting width,
+    for tests of the widening.
     """
     poset = table.poset
     l1, top, terms = _norms(table)
+    supports = _row_supports(table)
     shift = max([0] + [p.degree() - poset.rank_gap(u, w)
                        for (u, w), p in table.entries.items() if p])
 
     def run(width: int):
         half = 1 << (width - 1)
         one = 1 << (width * shift)
-        rows = _packed_rows(table, width)
+        cols = _packed_rows(table, width)
         for v in range(poset.n):
-            ideal = poset.ideal_elements(v)
-            col = {z: _pack_tilde(table.value(z, v).coeffs(),
-                                  poset.rank_gap(z, v) + shift, width)
-                   for z in ideal}
-            for u in ideal:
-                zs = poset.elements_of(poset.interval_mask(u, v))
-                bound = len(zs) * l1 * top
+            acc = [0] * poset.n
+            pushed = 0
+            for z, _ in cols[v]:
+                t = _pack_tilde(table.value(z, v).coeffs(),
+                                poset.rank_gap(z, v) + shift, width)
+                pushed |= 1 << z
+                for u, r in cols[z]:
+                    acc[u] += r * t
+            for u in poset.ideal_elements(v):
+                bound = (supports[u] & pushed).bit_count() * l1 * top
                 if bound >= half:
                     raise _TooNarrow(bound)
-                total = sum(map(mul, map(rows[u].__getitem__, zs),
-                                map(col.__getitem__, zs)))
-                if total != (one if u == v else 0):
+                if acc[u] != (one if u == v else 0):
                     return False, ("kernel", (u, v))
         return True, None
 
@@ -493,59 +552,74 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     the whole of G must then equal tilde(P) - P.  A failure of that identity
     means the input was not a P-kernel and raises KernelError.
 
-    G is computed packed: each R_{u,z} is evaluated once at q = 2^B, each
-    column P_{.,v} as it is produced, and G(2^B) is a sum of int products.
-    Balanced base-2^B digits of G(2^B) give low(G), and the identity is
-    checked on packed values.  Both are exact while every coefficient of G
-    stays below 2^(B-1), so each pair first asserts
-    #terms * max L1(R) * (running max |coeff| of P_{.,v}) < 2^(B-1).  B
-    starts from the table's own bound with max |coeff(R)| in place of the
-    P factor; a pair whose bound does not fit restarts the inversion at a
-    wider B.  ``_width`` overrides the starting width, for tests.
+    G is computed packed and pushed.  Each R_{u,z} is evaluated once at
+    q = 2^B, and a column v keeps one int accumulator G[u] per element of
+    its ideal.  The u run down the ideal by descending rank, so every z
+    above u is final before u is reached; once P_{u,v} is decoded and
+    checked, R_{w,u} P_{u,v}(2^B) is added to G[w] for every w < u, unless
+    P_{u,v} is 0.  Balanced base-2^B digits of G[u] give low(G), and the
+    identity is checked on packed values.  Both are exact while every
+    coefficient of G[u] stays below 2^(B-1), so before its digits are read
+    each u asserts
+    (pushes into G[u]) * max L1(R) * (running max |coeff| of P_{.,v})
+    < 2^(B-1).  B starts from the table's own bound with max |coeff(R)| in
+    place of the P factor; a pair whose bound does not fit restarts the
+    inversion at a wider B.  ``_width`` overrides the starting width, for
+    tests.
     """
     poset = table.poset
     rank = poset.rank
     l1, top, terms = _norms(table)
+    supports = _row_supports(table)
 
     def run(width: int) -> PolyTable:
         half = 1 << (width - 1)
         digit = (1 << width) - 1
-        rows = _packed_rows(table, width)
+        cols = _packed_rows(table, width)
         out = PolyTable(poset, table.x, {})
+        polys = {}   # P-tables repeat few polynomials: build each once
         for v in range(poset.n):
             out.entries[(v, v)] = _ONE
-            col = {v: 1}
+            G = [0] * poset.n
+            for u, r in cols[v]:
+                G[u] += r
+            pushed = 1 << v
             pmax = 1
             below = sorted((u for u in poset.ideal_elements(v) if u != v),
                            key=lambda u: -rank[u])
             for u in below:
-                gap = rank[v] - rank[u]
-                zs = poset.elements_of(
-                    poset.interval_mask(u, v) & ~(1 << u))
-                bound = len(zs) * l1 * pmax
+                bound = (supports[u] & pushed).bit_count() * l1 * pmax
                 if bound >= half:
                     raise _TooNarrow(bound)
-                G = sum(map(mul, map(rows[u].__getitem__, zs),
-                            map(col.__getitem__, zs)))
+                gap = rank[v] - rank[u]
+                half_gap = (gap + 1) // 2
+                # low digits d_k of G[u] give P = -sum d_k q^k; the rest
+                # is the high part of G, which must be tilde(P)
                 low = []
-                rest = G
-                for _ in range((gap + 1) // 2):
+                tilde = 0
+                rest = g = G[u]
+                for _ in range(half_gap):
                     d = rest & digit
                     if d >= half:
                         d -= digit + 1
                     low.append(-d)
+                    tilde = (tilde << width) - d
                     rest = (rest - d) >> width
-                P = QPoly(low)
-                coeffs = P.coeffs()
-                packed = _pack(coeffs, width)
-                if G != _pack_tilde(coeffs, gap, width) - packed:
+                if rest != tilde << width * (gap + 1 - 2 * half_gap):
                     raise KernelError(
                         f"not a P-kernel at pair ({poset.labels[u]!r}, "
                         f"{poset.labels[v]!r})")
-                col[u] = packed
-                if coeffs:
-                    pmax = max(pmax, max(map(abs, coeffs)))
-                out.entries[(u, v)] = P
+                key = tuple(low)
+                got = polys.get(key)
+                if got is None:
+                    got = polys[key] = (QPoly(low), max(map(abs, low)))
+                out.entries[(u, v)] = got[0]
+                packed = (rest << width * half_gap) - g
+                if packed:
+                    pmax = max(pmax, got[1])
+                    pushed |= 1 << u
+                    for w, r in cols[u]:
+                        G[w] += r * packed
         return out
 
     return _with_widening(run, _width or _width_for(terms * l1 * top))

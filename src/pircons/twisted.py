@@ -106,18 +106,23 @@ class TwistedIdentities:
         found = (self.conjugation_qspm(i) for i in range(self.host.num_gens))
         return list(dict.fromkeys(m for m in found if m is not None))
 
+    @functools.cached_property
+    def _qspms(self) -> tuple[PartialMatching, ...]:
+        return tuple(self.conjugation_qspms())
+
     def conjugation_refinement(self, pick=min) -> Refinement:
         """``system_refinement`` on the conjugation quasi SPMs: one
         conjugation matching per non-minimal element.  ``pick`` selects
         among the matchings that take w down, listed in order of their
         generator."""
-        return system_refinement(self.poset, self.conjugation_qspms(), pick)
+        return system_refinement(self.poset, self._qspms, pick)
 
     @functools.cached_property
     def system(self) -> PirconSystem:
         """The conjugation quasi SPMs with the canonical conjugation
-        refinement, built on first use and kept."""
-        return PirconSystem(self.poset, self.conjugation_qspms(),
+        refinement, built on first use and kept, as are the matchings
+        that both read."""
+        return PirconSystem(self.poset, self._qspms,
                             self.conjugation_refinement())
 
     def klv_polynomials(self, x: str) -> PolyTable:

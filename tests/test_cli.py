@@ -6,8 +6,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pircons import cli, hecke, klpoly
+from pircons import cli, hecke, klpoly, matchings
 from pircons.coxeter import CoxeterSystem, SizeBoundError
+from pircons.twisted import TwistedIdentities
 from pircons.klpoly import (X_MINUS_ONE, X_Q, PolyTable, kls_polynomials,
                             lambda_refinement, r_polynomials)
 
@@ -211,6 +212,10 @@ BAD_REFINEMENTS = {
                 "'a'"),
     "unknown-label": ({"zz": [1, 0, None], "b": [1, 0, None],
                        "c": [0, 2, 1]}, "'zz'"),
+    # the SPM witness names the element a, index 0, by its label
+    "not-an-spm": ({"b": [1, 0, None], "c": [-1, 2, 1]},
+                   "matching at 'c' is not an SPM: "
+                   "('image-outside-domain', 'a')"),
 }
 
 
@@ -345,9 +350,22 @@ def test_klbasis_output(tmp_path):
 
 def spy_calls(monkeypatch, names):
     """Count calls of klpoly functions, in every namespace that binds them,
-    and constructions of HeckeContext."""
+    constructions of HeckeContext and builds of the system matchings
+    (``lambda_system`` and ``TwistedIdentities.conjugation_qspms``)."""
     counts = dict.fromkeys(names, 0)
     counts["HeckeContext"] = 0
+    for owner, name in ((matchings, "lambda_system"),
+                        (TwistedIdentities, "conjugation_qspms")):
+        counts[name] = 0
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (owner, klpoly, hecke, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     for name in names:
         original = getattr(klpoly, name)
 
@@ -380,7 +398,18 @@ def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
     # and the one context shared by duality and recursion
     assert counts == {"r_polynomials": 2, "check_pkernel": 2,
                       "check_updown": 2, "kls_polynomials": 2,
-                      "verify_pircon_system": 1, "HeckeContext": 1}
+                      "verify_pircon_system": 1, "HeckeContext": 1,
+                      "lambda_system": 1, "conjugation_qspms": 0}
+
+
+def test_verify_twisted_builds_the_system_matchings_once(tmp_path,
+                                                         monkeypatch):
+    counts = spy_calls(monkeypatch, SPIED)
+    assert run(["verify", "--twisted-n", "3", "--out", str(tmp_path)]) == 0
+    assert counts == {"r_polynomials": 2, "check_pkernel": 2,
+                      "check_updown": 2, "kls_polynomials": 2,
+                      "verify_pircon_system": 1, "HeckeContext": 1,
+                      "lambda_system": 0, "conjugation_qspms": 1}
 
 
 def test_compute_r_and_klbasis_share_the_r_tables(tmp_path, monkeypatch):
