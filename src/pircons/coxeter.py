@@ -24,8 +24,13 @@ Conventions per type:
 * I2(m): two generators with m(s0, s1) = m; elements are kept as reduced
   normal forms (length, first letter).
 
-Bruhat order is computed by the standard descent-lift recursion with
-memoization over element-index pairs.
+Bruhat order on a parabolic quotient W^H is read off its generator maps,
+tabulated once as image lists: lambda_s sends u to s u when s u stays in W^H
+and fixes u otherwise.  When lambda_s takes w down, Deodhar's lemma and the
+Bruhat lifting property (Bjorner-Brenti, GTM 231, sections 2.2 and 2.5)
+split the lower interval inside W^H as [e,w] = [e,sw] + lambda_s([e,sw]),
+so each down-set is the union of one mask already built and its image
+(``posets.lifted_down_sets``).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import os
 from typing import Iterable, Sequence
 
 from . import matchings
-from .posets import GradedPoset, from_comparability
+from .posets import from_comparability, lifted_down_sets
 
 DEFAULT_SIZE_BOUND = 50000
 SIZE_BOUND_ENV = "PIRCONS_MAX_GROUP_SIZE"
@@ -235,6 +240,9 @@ def _realization(config: dict):
         factors = config.get("factors")
         if not isinstance(factors, list):
             raise CoxeterError("type 'product' needs a 'factors' list")
+        for f in factors:
+            if not isinstance(f, dict):
+                raise CoxeterError(f"product factor {f!r} is not an object")
         return _Product([_realization(f) for f in factors])
     raise CoxeterError(f"unsupported Coxeter matrix type {kind!r}")
 
@@ -310,7 +318,6 @@ class CoxeterSystem:
             sum(1 << k for k in range(self.num_gens)
                 if self.length[self.left[i][k]] < self.length[i])
             for i in range(n))
-        self._bruhat: dict[tuple[int, int], bool] = {}
         self._lexwords: list[tuple[int, ...] | None] = [None] * n
 
         for i in range(self.num_gens):
@@ -339,13 +346,6 @@ class CoxeterSystem:
     @property
     def identity(self) -> int:
         return 0
-
-    def mult_gen(self, w: int, s: int, side: str = "right") -> int:
-        if side == "right":
-            return self.right[w][s]
-        if side == "left":
-            return self.left[w][s]
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def right_descents(self, w: int) -> frozenset[int]:
         return frozenset(k for k in range(self.num_gens)
@@ -384,27 +384,6 @@ class CoxeterSystem:
         top = max(range(self.size), key=lambda i: self.length[i])
         return top
 
-    # -- Bruhat order -----------------------------------------------------
-
-    def bruhat_leq(self, u: int, w: int) -> bool:
-        """u <= w via the descent-lift recursion."""
-        if u == w or u == 0:
-            return True
-        if self.length[u] >= self.length[w]:
-            return False
-        key = (u, w)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = min(k for k in range(self.num_gens) if self.d_right[w] >> k & 1)
-        ws = self.right[w][s]
-        if self.d_right[u] >> s & 1:
-            val = self.bruhat_leq(self.right[u][s], ws)
-        else:
-            val = self.bruhat_leq(u, ws)
-        self._bruhat[key] = val
-        return val
-
     # -- quotients ------------------------------------------------------------
 
     def quotient(self, H: Iterable[int]) -> "ParabolicQuotient":
@@ -434,13 +413,13 @@ class ParabolicQuotient:
         self.reps = tuple(reps)
         self.rep_index = {w: i for i, w in enumerate(reps)}
 
-        masks = []
-        for i, w in enumerate(reps):
-            m = 0
-            for j, u in enumerate(reps):
-                if system.bruhat_leq(u, w):
-                    m |= 1 << j
-            masks.append(m)
+        # images[s][i]: the poset index of lambda_s(reps[i])
+        self.images = tuple(
+            tuple(self.rep_index.get(system.left[w][s], i)
+                  for i, w in enumerate(reps))
+            for s in range(system.num_gens))
+        masks = lifted_down_sets([system.length[w] for w in reps],
+                                 self.images)
         labels = [system.label(w) for w in reps]
         self.poset = from_comparability(labels, masks)
         for i, w in enumerate(reps):
@@ -451,10 +430,6 @@ class ParabolicQuotient:
     @property
     def n(self) -> int:
         return len(self.reps)
-
-    def lower_interval(self, i: int) -> GradedPoset:
-        """The induced poset on {z in W^H : z <= reps[i]}."""
-        return self.poset.order_ideal(i)
 
     @functools.cached_property
     def lambda_matchings(self) -> tuple[matchings.PartialMatching, ...]:

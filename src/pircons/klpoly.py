@@ -652,20 +652,12 @@ def brenti_identity(quot, table: PolyTable):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
     w < sw leaves it; scanned exhaustively over qualifying (s, u, w).
     """
-    system = quot.system
     factor = q_minus_one_minus_x(table.x)
-    n = quot.n
-    for s in range(system.num_gens):
-        ups = []      # u with su in W^H covering u
-        fixed = []    # w with sw above w but outside W^H
-        for i in range(n):
-            g = quot.reps[i]
-            sg = system.left[g][s]
-            if system.length[sg] > system.length[g]:
-                if sg in quot.rep_index:
-                    ups.append((i, quot.rep_index[sg]))
-                else:
-                    fixed.append(i)
+    rank = quot.poset.rank
+    for s, images in enumerate(quot.images):
+        # u < su in W^H, and w with sw outside W^H (so sw > w, by Deodhar)
+        ups = [(u, su) for u, su in enumerate(images) if rank[su] > rank[u]]
+        fixed = [w for w, sw in enumerate(images) if sw == w]
         for u, su in ups:
             for w in fixed:
                 if table.value(u, w) != factor * table.value(su, w):

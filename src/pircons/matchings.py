@@ -321,18 +321,10 @@ def lambda_partial(quot, s: int, w: int | None = None) -> PartialMatching:
     quasi SPM defined on the whole quotient poset.  Both variants validate
     themselves and raise on failure, which would signal a construction bug.
     """
-    system = quot.system
     poset = quot.poset
-    if w is None:
-        domain = range(poset.n)
-    else:
-        domain = poset.ideal_elements(w)
-
-    mapping = {}
-    for i in domain:
-        su = system.left[quot.reps[i]][s]
-        mapping[i] = quot.rep_index.get(su, i)
-    out = PartialMatching(poset, mapping)
+    images = quot.images[s]
+    domain = range(poset.n) if w is None else poset.ideal_elements(w)
+    out = PartialMatching(poset, {i: images[i] for i in domain})
     ok, witness = verify_spm(out) if w is not None else verify_qspm(out)
     if not ok:
         raise MatchingError(

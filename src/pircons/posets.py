@@ -253,6 +253,35 @@ class GradedPoset:
         return f"GradedPoset({self.n} elements, rank {self.max_rank()})"
 
 
+def lifted_down_sets(length: Sequence[int],
+                     maps: Sequence[Sequence[int]]) -> list[int]:
+    """Down-set bitmasks of an order with the lifting property.
+
+    ``maps`` are involutions of the elements given as image lists and
+    ``length`` grades the order.  When a map M takes w down, the lifting
+    property makes the down-set of w the union of D(M(w)) and its image
+    M(D(M(w))), so each w of positive length reads its mask off the first
+    map that lowers it; elements of length 0 are minimal.  Raises
+    ValueError at an element of positive length that no map lowers.
+    """
+    masks = [0] * len(length)
+    for w in sorted(range(len(length)), key=length.__getitem__):
+        if length[w] == 0:
+            masks[w] = 1 << w
+            continue
+        M = next((M for M in maps if length[M[w]] < length[w]), None)
+        if M is None:
+            raise ValueError(f"no map takes element {w} down")
+        rest = masks[M[w]]
+        mask = rest | 1 << w
+        while rest:
+            low = rest & -rest
+            mask |= 1 << M[low.bit_length() - 1]
+            rest ^= low
+        masks[w] = mask
+    return masks
+
+
 def from_comparability(labels: Sequence[str],
                        below_masks: Sequence[int]) -> GradedPoset:
     """Build the induced poset from a full comparability relation.

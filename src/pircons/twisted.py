@@ -11,7 +11,15 @@ recomputed inside the subset (a cover here may span a Bruhat-length gap of
 2), and the rank function is the one induced by the graded structure, which
 is validated at build time together with pircon-hood.
 
-The conjugation maps u -> theta(s_i) u s_i preserve the set; those that are
+Since theta((w s)^(-1)) w s = theta(s) theta(w^(-1)) w s, the set is the
+orbit of the identity under the conjugation maps u -> theta(s_i) u s_i,
+and it is built as that orbit.  The maps are tabulated once as image
+lists.  Bruhat order on the set has the lifting property of the twisted
+action (Hultman, Adv. Math. 195, 2005): when a conjugation map takes w
+down, the lower interval of w is the union of that of its image and the
+image of that interval under the map (``posets.lifted_down_sets``).
+
+The conjugation maps preserve the set; those that are
 quasi SPMs of the whole poset generate the Hecke-module structure, and per
 lower interval they provide the SPMs that drive the R-recursion.  The
 resulting R^q- and R^(-1)-tables are the Kazhdan-Lusztig-Vogan R- and
@@ -27,7 +35,7 @@ from .hecke import HeckeContext
 from .klpoly import PirconSystem, PolyTable, Refinement, X_MINUS_ONE, X_Q, \
     system_refinement
 from .matchings import PartialMatching, verify_pircon, verify_qspm
-from .posets import from_comparability
+from .posets import from_comparability, lifted_down_sets
 
 
 def _double_factorial(k: int) -> int:
@@ -49,33 +57,31 @@ class TwistedIdentities:
         self.host = CoxeterSystem({"type": "A", "rank": m - 1})
         host = self.host
 
-        def theta_perm(perm):
-            return tuple(m + 1 - perm[m - 1 - i] for i in range(m))
-
-        self._theta_gen = {k: m - 2 - k for k in range(m - 1)}
-
-        members = set()
-        for w in range(host.size):
-            inv = host.inverse(w)
-            tw = host.index[theta_perm(host.elements[inv])]
-            members.add(host.product(tw, w))
+        # conj[g][i] = theta(s_i) g s_i, where theta(s_i) = s_(m-2-i)
+        # (0-based).  The twisted identities are the orbit of e.
+        conj = {}
+        stack = [host.identity]
+        while stack:
+            g = stack.pop()
+            if g not in conj:
+                conj[g] = tuple(host.left[host.right[g][i]][m - 2 - i]
+                                for i in range(m - 1))
+                stack.extend(conj[g])
         expected = _double_factorial(2 * n - 1)
-        if len(members) != expected:
+        if len(conj) != expected:
             raise AssertionError(
-                f"twisted identity count {len(members)} != {expected}")
+                f"twisted identity count {len(conj)} != {expected}")
 
-        elems = sorted(members,
-                       key=lambda g: (host.length[g], host.elements[g]))
+        elems = sorted(conj, key=lambda g: (host.length[g], host.elements[g]))
         self.elements = tuple(elems)
         self.element_index = {g: i for i, g in enumerate(elems)}
+        # images[i][u]: the poset index of theta(s_i) u s_i
+        self.images = tuple(
+            tuple(self.element_index[conj[g][i]] for g in elems)
+            for i in range(m - 1))
         labels = ["".join(str(v) for v in host.elements[g]) for g in elems]
-        masks = []
-        for g in elems:
-            mask = 0
-            for j, h in enumerate(elems):
-                if host.bruhat_leq(h, g):
-                    mask |= 1 << j
-            masks.append(mask)
+        masks = lifted_down_sets([host.length[g] for g in elems],
+                                 self.images)
         self.poset = from_comparability(labels, masks)
         ok, witness = verify_pircon(self.poset)
         if not ok:
@@ -88,10 +94,7 @@ class TwistedIdentities:
 
         The generator index i is 0-based; theta swaps it with 2n-2-i.
         """
-        host = self.host
-        ti = self._theta_gen[i]
-        return {idx: self.element_index[host.left[host.right[g][i]][ti]]
-                for idx, g in enumerate(self.elements)}
+        return dict(enumerate(self.images[i]))
 
     def conjugation_qspm(self, i: int) -> PartialMatching | None:
         """The conjugation map as a quasi SPM of the whole poset, or None

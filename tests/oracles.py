@@ -3,7 +3,9 @@
 The sympy oracles deliberately avoid the package's own polynomial types and
 inversion code: polynomials are sympy expressions in q, and kernel inversion
 is done by undetermined coefficients plus a linear solve, so a bug in the
-production truncation recursion cannot hide.
+production truncation recursion cannot hide.  Bruhat order comes from the
+descent-lift recursion on group elements, not from the lifting rule that
+builds the library's quotient and twisted-identity posets.
 
 The reference path at the end keeps the kernel check, kernel inversion,
 up-down check, iota and the per-v P recursion as they were written on
@@ -72,6 +74,21 @@ def kernel_inversion(elements, leq, gap, r_value):
     return P
 
 
+@lru_cache(maxsize=None)
+def bruhat_leq(system, u: int, w: int) -> bool:
+    """u <= w in the Bruhat order of a CoxeterSystem, by the descent-lift
+    recursion with memoization over element-index pairs."""
+    if u == w or u == 0:
+        return True
+    if system.length[u] >= system.length[w]:
+        return False
+    s = min(k for k in range(system.num_gens) if system.d_right[w] >> k & 1)
+    ws = system.right[w][s]
+    if system.d_right[u] >> s & 1:
+        return bruhat_leq(system, system.right[u][s], ws)
+    return bruhat_leq(system, u, ws)
+
+
 def classical_r(system):
     """Classical R-polynomials of a finite Coxeter group, by the textbook
     left-descent recursion; no matchings involved anywhere."""
@@ -80,7 +97,7 @@ def classical_r(system):
     def R(u: int, w: int) -> sympy.Expr:
         if u == w:
             return sympy.Integer(1)
-        if not system.bruhat_leq(u, w):
+        if not bruhat_leq(system, u, w):
             return sympy.Integer(0)
         s = min(system.left_descents(w))
         sw = system.left[w][s]
@@ -98,7 +115,7 @@ def classical_kl(system):
     R = classical_r(system)
     elements = list(range(system.size))
     return kernel_inversion(
-        elements, system.bruhat_leq,
+        elements, lambda u, w: bruhat_leq(system, u, w),
         lambda u, w: system.length[w] - system.length[u], R)
 
 

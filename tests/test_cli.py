@@ -485,6 +485,24 @@ def test_config_field_types_are_config_errors(tmp_path, capsys, command,
     assert not (tmp_path / "5").exists()
 
 
+BAD_PRODUCTS = [({"type": "product"}, "'factors' list"),
+                ({"type": "product", "factors": [5]}, "factor 5 "),
+                ({"type": "product",
+                  "factors": [{"type": "A", "rank": 1}, "A"]}, "factor 'A' ")]
+
+
+@pytest.mark.parametrize("matrix,named", BAD_PRODUCTS)
+def test_malformed_product_is_a_coxeter_error(tmp_path, capsys, matrix,
+                                              named):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"instance": {"kind": "coxeter",
+                                            "matrix": matrix}}))
+    assert run(["compute", "--config", str(cfg)]) == cli.EXIT_UNSUPPORTED
+    err = capsys.readouterr().err
+    assert err.startswith("coxeter error:") and err.count("\n") == 1
+    assert named in err
+
+
 # -- fuzzing the config boundary ---------------------------------------------
 
 FUZZ_BASES = [
@@ -502,7 +520,8 @@ FUZZ_FIELDS = [((), "x"), ((), "format"), ((), "outputs"), ((), "verify"),
                (("instance",), "refinement_file"),
                (("instance", "matrix"), "type"),
                (("instance", "matrix"), "rank"),
-               (("instance", "matrix"), "m")]
+               (("instance", "matrix"), "m"),
+               (("instance", "matrix"), "factors")]
 # Field values stay small: relative names without separators, so outputs
 # land in the example's own directory, and instances of at most a few
 # elements (a huge rank or n must be refused by the size bound).

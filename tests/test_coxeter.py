@@ -65,24 +65,21 @@ def test_coxeter_matrix_matches_orders(groups):
 def test_mult_gen(groups):
     W = groups["A2"]
     e = W.identity
-    s1 = W.mult_gen(e, 0, "left")
+    s1 = W.left[e][0]
     assert W.length[s1] == 1
-    assert W.mult_gen(s1, 0, "left") == e
-    s2s1 = W.mult_gen(W.mult_gen(e, 0, "right"), 1, "left")
+    assert W.left[s1][0] == e
+    s2s1 = W.left[W.right[e][0]][1]
     assert W.label(s2s1) == "2.1"
     # (s2 s1) * s1 = s2
-    assert W.label(W.mult_gen(s2s1, 0, "right")) == "2"
-    with pytest.raises(ValueError):
-        W.mult_gen(e, 0, "sideways")
+    assert W.label(W.right[s2s1][0]) == "2"
 
 
 def test_length_changes_by_one(groups):
     W = groups["A3"]
     for w in range(W.size):
         for s in range(W.num_gens):
-            for side in ("left", "right"):
-                assert abs(W.length[W.mult_gen(w, s, side)]
-                           - W.length[w]) == 1
+            for table in (W.left, W.right):
+                assert abs(W.length[table[w][s]] - W.length[w]) == 1
 
 
 def test_nonidentity_has_left_descent(groups):
@@ -106,30 +103,39 @@ def _subword_leq(W, u, w):
     return target_len == 0
 
 
+def _bruhat(W):
+    """u <= w on group elements, read off the full quotient's poset."""
+    full = W.quotient(())
+    return lambda u, w: full.poset.leq(full.rep_index[u], full.rep_index[w])
+
+
 def test_bruhat_examples(groups):
     W = groups["A2"]
-    s1 = W.mult_gen(W.identity, 0, "left")
-    s2 = W.mult_gen(W.identity, 1, "left")
-    s2s1 = W.mult_gen(s1, 1, "left")
+    leq = _bruhat(W)
+    s1 = W.left[W.identity][0]
+    s2 = W.left[W.identity][1]
+    s2s1 = W.left[s1][1]
     for w in range(W.size):
-        assert W.bruhat_leq(W.identity, w)
-    assert not W.bruhat_leq(s1, s2)
-    assert W.bruhat_leq(s1, s2s1)
+        assert leq(W.identity, w)
+    assert not leq(s1, s2)
+    assert leq(s1, s2s1)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2"])
 def test_bruhat_against_subword_oracle(groups, name):
     W = groups[name]
+    leq = _bruhat(W)
     for u in range(W.size):
         for w in range(W.size):
-            assert W.bruhat_leq(u, w) == _subword_leq(W, u, w)
+            assert leq(u, w) == _subword_leq(W, u, w)
 
 
 def test_bruhat_refines_length(groups):
     W = groups["B3"]
+    leq = _bruhat(W)
     for u in range(W.size):
         for w in range(W.size):
-            if u != w and W.bruhat_leq(u, w):
+            if u != w and leq(u, w):
                 assert W.length[u] < W.length[w]
 
 
@@ -171,14 +177,14 @@ def test_lower_intervals(groups):
     W = groups["A2"]
     full = W.quotient(set())
     e = full.poset.index("e")
-    assert full.lower_interval(e).n == 1
+    assert full.poset.order_ideal(e).n == 1
 
     w0 = full.poset.index("1.2.1")
-    top_ideal = full.lower_interval(w0)
+    top_ideal = full.poset.order_ideal(w0)
     assert top_ideal.n == 6 and top_ideal.max_rank() == 3
 
     chain = W.quotient({1})
-    ideal = chain.lower_interval(chain.poset.index("2.1"))
+    ideal = chain.poset.order_ideal(chain.poset.index("2.1"))
     assert ideal.n == 3 and ideal.rank == (0, 1, 2)
 
 

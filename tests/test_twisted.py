@@ -45,7 +45,7 @@ def test_conjugation_fixed_points(twisted2):
     host = twisted2.host
     for i in range(host.num_gens):
         images = twisted2.conjugation_images(i)
-        ti = twisted2._theta_gen[i]
+        ti = 2 * twisted2.n - 2 - i   # theta(s_i) = s_(2n-2-i), 0-based
         for u, v in images.items():
             g = twisted2.elements[u]
             conj = host.left[host.right[g][i]][ti]
