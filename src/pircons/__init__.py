@@ -24,8 +24,8 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      brenti_identity, check_pkernel, check_updown,
                      down_matchings, is_calculating, is_strongly_calculating,
                      kls_polynomials, lambda_refinement, other_x,
-                     q_minus_one_minus_x, r_polynomials,
-                     refinement_independence, system_refinement,
+                     r_polynomials, refinement_independence,
+                     system_refinement,
                      verify_pircon_system, verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, characterize,
                     context_for_quotient, cprime_generator_action,

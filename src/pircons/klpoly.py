@@ -9,9 +9,9 @@ driven by M_w:
     R^x_{u,w} = (q-1) R^x_{u,M(w)} + q R^x_{M(u),M(w)} if M(u) is above u,
     R^x_{u,w} = (q-1-x) R^x_{u,M(w)}                   if M(u) = u,
 
-with M = M_w.  The parameter x is a two-valued enum and q-1-x is
-materialized as a concrete polynomial: q for x = -1 and the constant -1 for
-x = q.
+with M = M_w; x is a two-valued enum.  One evaluator, ``_by_case``, applies
+this rule at q = 2^B (below) for the recursion and its checks: up-down
+symmetry is the rule on the other index, Brenti's identity its fixed case.
 
 Every built-in refinement is read off a pircon system by one rule,
 ``system_refinement``: at each w take a matching of the system that takes w
@@ -53,7 +53,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .laurent import HalfLaurent, QPoly
+from .laurent import QPoly
 from .matchings import (PartialMatching, coherent, enumerate_spms,
                         strictly_coherent, verify_qspm, verify_spm)
 from .posets import GradedPoset
@@ -62,7 +62,6 @@ X_MINUS_ONE = "-1"
 X_Q = "q"
 X_PARAMS = (X_MINUS_ONE, X_Q)
 
-_Q = QPoly((0, 1))
 _ONE = QPoly((1,))
 
 
@@ -78,11 +77,6 @@ def check_x(x: str) -> str:
 
 def other_x(x: str) -> str:
     return X_Q if check_x(x) == X_MINUS_ONE else X_MINUS_ONE
-
-
-def q_minus_one_minus_x(x: str) -> QPoly:
-    """q-1-x as a polynomial: q when x = -1, the constant -1 when x = q."""
-    return _Q if check_x(x) == X_MINUS_ONE else QPoly((-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -300,51 +294,58 @@ class PolyTable:
 # The R-polynomial recursion and the calculating-matching checks.
 # ---------------------------------------------------------------------------
 
-def _rhs_by_cases(M: PartialMatching, table: "PolyTable",
-                  u: int, w: int, factor: QPoly) -> QPoly:
-    """Right-hand side of the recursion at (u, w) driven by M; M(w) < w."""
-    mu, mw = M(u), M(w)
-    kind = M.kind(u)
-    if kind == "down":
-        return table.value(mu, mw)
-    if kind == "up":
-        return (_Q - _ONE) * table.value(u, mw) + _Q * table.value(mu, mw)
-    return factor * table.value(u, mw)
-
-
 def r_polynomials(poset: GradedPoset, refinement: Refinement,
                   x: str) -> PolyTable:
-    """The unique R^x family of the refined pircon (P, refinement)."""
+    """The unique R^x family of the refined pircon (P, refinement).
+
+    Packed column w is {w: 1} and ``_by_case`` of M_w at each u < w, on
+    a = R_{u,M(w)} and b = R_{M(u),M(w)} from column M(w); each distinct
+    value is decoded once, into a shared QPoly.  B needs no widening: by
+    induction on rank, |coeff| <= 3^rank(w) in column w, as the bottom
+    column is {1} and each entry is b, at most 2|a| + |b|, or |a| over
+    column M(w), one rank lower.  So B = _width_for(3^(max rank)) is exact.
+    """
     check_x(x)
-    factor = q_minus_one_minus_x(x)
+    width = _width_for(3 ** poset.max_rank())
     table = PolyTable(poset, x, {})
-    order = sorted(range(poset.n), key=lambda w: poset.rank[w])
-    for w in order:
-        table.entries[(w, w)] = _ONE
-        if w == poset.bottom:
-            continue
-        M = refinement[w]
-        for u in poset.ideal_elements(w):
-            if u == w:
-                continue
-            table.entries[(u, w)] = _rhs_by_cases(M, table, u, w, factor)
+    cols: list = [None] * poset.n
+    polys: dict[int, QPoly] = {}
+    for w in sorted(range(poset.n), key=lambda w: poset.rank[w]):
+        col = cols[w] = {w: 1}
+        if w != poset.bottom:
+            M = refinement[w]
+            below = cols[M(w)]
+            for u in poset.ideal_elements(w):
+                if u != w:
+                    col[u] = _by_case(M.kind(u), below.get(u, 0),
+                                      below.get(M(u), 0), width, x)
+        for u, value in col.items():
+            poly = polys.get(value)
+            if poly is None:
+                d = _digits(value, width)
+                poly = polys[value] = QPoly(
+                    d.get(k, 0) for k in range(max(d, default=-1) + 1))
+            table.entries[(u, w)] = poly
     return table
 
 
-def is_calculating(M: PartialMatching, table: PolyTable, w: int):
+def is_calculating(M: PartialMatching, table: PolyTable, w: int,
+                   _packed: tuple | None = None):
     """Does the recursion hold at w when driven by M instead of M_w?
 
-    Requires M(w) covered by w.  Checks every u < w and returns
-    (True, None) or (False, ("not-calculating", (u, w))).
+    Requires M(w) covered by w.  Checks every u < w on packed entries and
+    returns (True, None) or (False, ("not-calculating", (u, w))).
+    ``_packed`` is ``_packed_entries(table)``, when the caller has it.
     """
     poset = table.poset
-    if not poset.covers(M(w), w):
+    mw = M(w)
+    if not poset.covers(mw, w):
         raise ValueError("is_calculating needs a matching with M(w) < w")
-    factor = q_minus_one_minus_x(table.x)
+    width, rows = _packed or _packed_entries(table)
     for u in poset.ideal_elements(w):
-        if u == w:
-            continue
-        if table.value(u, w) != _rhs_by_cases(M, table, u, w, factor):
+        if u != w and rows[u].get(w, 0) != _by_case(
+                M.kind(u), rows[u].get(mw, 0), rows[M(u)].get(mw, 0),
+                width, table.x):
             return False, ("not-calculating", (u, w))
     return True, None
 
@@ -352,9 +353,11 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int):
 def is_strongly_calculating(M: PartialMatching, table: PolyTable):
     """is_calculating at every z in the domain with M(z) covered by z."""
     poset = table.poset
+    packed = _packed_entries(table)
     for z in M.domain:
         if poset.covers(M(z), z):
-            ok, witness = is_calculating(M.restrict_to_ideal(z), table, z)
+            ok, witness = is_calculating(M.restrict_to_ideal(z), table, z,
+                                         packed)
             if not ok:
                 return ok, witness
     return True, None
@@ -371,36 +374,22 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
       (a') M(w) above w:  R_{u,w} = R_{M(u),M(w)}
       (b') M(w) below w:  R_{u,w} = (q-1) R_{M(u),w} + q R_{M(u),M(w)}
       (c') M(w) fixed:    R_{u,w} = (q-1-x) R_{M(u),w}
-    Clause (c') is the substance; (a') and (b') follow from the recursion
-    for strongly calculating matchings but are cheap to verify outright.
-
-    Every entry is packed once at q = 2^B, so a product with q is a shift:
-    (q-1) R is (r << B) - r, and (q-1-x) R is r << B for x = -1 and -r for
-    x = q.  No coefficient on either side exceeds 3 max |coeff(R)|, and B is
-    the least width that keeps this below 2^(B-1), so equal packed values
-    are equal polynomials.  Pairs absent from the table read as 0.
+    that is, ``_by_case`` with the kind of w mirrored, on packed entries
+    (absent pairs read as 0).  Clause (c') is the substance; (a') and (b')
+    follow from the recursion for strongly calculating matchings but are
+    cheap to verify outright.
     """
-    width = _width_for(3 * _norms(table)[1])
-    rows: list[dict[int, int]] = [{} for _ in range(table.poset.n)]
-    for (u, w), poly in table.entries.items():
-        rows[u][w] = _pack(poly.coeffs(), width)
-    minus_x = table.x == X_MINUS_ONE
+    width, rows = _packed_entries(table)
     for mi, M in enumerate(matchings):
         ups = [(u, rows[u], rows[M(u)]) for u in M.domain
                if M.kind(u) == "up"]
         for w in M.domain:
             kw = M.kind(w)
+            mirrored = {"up": "down", "down": "up"}.get(kw, kw)
             mw = M(w)
             for u, row, mrow in ups:
-                if kw == "up":
-                    rhs = mrow.get(mw, 0)
-                else:
-                    r = mrow.get(w, 0)
-                    if kw == "down":
-                        rhs = (r << width) - r + (mrow.get(mw, 0) << width)
-                    else:
-                        rhs = r << width if minus_x else -r
-                if row.get(w, 0) != rhs:
+                if row.get(w, 0) != _by_case(mirrored, mrow.get(w, 0),
+                                             mrow.get(mw, 0), width, table.x):
                     clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
                     return False, ("updown-" + clause, (mi, u, w))
     return True, None
@@ -412,6 +401,26 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
 
 class _TooNarrow(Exception):
     """A coefficient bound, the only argument, does not fit the width."""
+
+
+def _by_case(kind: str, a: int, b: int, width: int, x: str) -> int:
+    """The three-case rule at q = 2^width: b when M moves the element down,
+    (q-1) a + q b when up, and (q-1-x) a (q a or -a) when M fixes it."""
+    if kind == "down":
+        return b
+    if kind == "up":
+        return (a << width) - a + (b << width)
+    return a << width if x == X_MINUS_ONE else -a
+
+
+def _packed_entries(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
+    """The least B with 3 max |coeff(R)| < 2^(B-1), a bound on ``_by_case``
+    of entries, and one dict {w: R_{u,w}(2^B)} per u."""
+    width = _width_for(3 * _norms(table)[1])
+    rows: list[dict[int, int]] = [{} for _ in range(table.poset.n)]
+    for (u, w), poly in table.entries.items():
+        rows[u][w] = _pack(poly.coeffs(), width)
+    return width, rows
 
 
 def _width_for(bound: int) -> int:
@@ -629,7 +638,8 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
     """The three structural properties of the two R-families:
     (1) deg R^{-1}_{u,w} = rho(u,w);
     (2) R^q_{u,w}(0) = (-1)^rho(u,w);
-    (3) R^q_{u,w}(q) = (-q)^rho(u,w) R^{-1}_{u,w}(1/q).
+    (3) R^q_{u,w}(q) = (-q)^rho(u,w) R^{-1}_{u,w}(1/q), compared in Z[q]
+        through ``tilde``, whose degree bound (1) has just checked.
     """
     if r_minus.x != X_MINUS_ONE or r_q.x != X_Q:
         raise ValueError("pass the x=-1 table first and the x=q table second")
@@ -640,27 +650,29 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
             return False, ("degree", (u, w))
         if r_q.value(u, w).eval_at_zero() != (-1) ** gap:
             return False, ("constant-term", (u, w))
-        lhs = r_q.value(u, w).to_half_laurent()
-        rhs = HalfLaurent({2 * gap: (-1) ** gap}) \
-            * r_minus.entries[(u, w)].bar_half()
-        if lhs != rhs:
+        if r_q.value(u, w) != \
+                r_minus.entries[(u, w)].tilde(gap) * (-1) ** gap:
             return False, ("x-z-transform", (u, w))
     return True, None
 
 
 def brenti_identity(quot, table: PolyTable):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
-    w < sw leaves it; scanned exhaustively over qualifying (s, u, w).
+    w < sw leaves it; scanned exhaustively over qualifying (s, u, w).  This
+    is the fixed case of ``_by_case``, on packed entries.
     """
-    factor = q_minus_one_minus_x(table.x)
     rank = quot.poset.rank
+    rows = None
     for s, images in enumerate(quot.images):
         # u < su in W^H, and w with sw outside W^H (so sw > w, by Deodhar)
         ups = [(u, su) for u, su in enumerate(images) if rank[su] > rank[u]]
         fixed = [w for w, sw in enumerate(images) if sw == w]
+        if fixed and rows is None:   # full groups have no fixed points
+            width, rows = _packed_entries(table)
         for u, su in ups:
             for w in fixed:
-                if table.value(u, w) != factor * table.value(su, w):
+                if rows[u].get(w, 0) != _by_case(
+                        "fixed", rows[su].get(w, 0), 0, width, table.x):
                     return False, ("brenti", (s, u, w))
     return True, None
 

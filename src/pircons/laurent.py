@@ -300,12 +300,6 @@ class QPoly:
             out[n - k] = c
         return QPoly(out)
 
-    def truncate_below(self, twice_bound: int) -> "QPoly":
-        """Keep coefficients of q^k with 2k < twice_bound."""
-        keep = [c if 2 * k < twice_bound else 0
-                for k, c in enumerate(self._coeffs)]
-        return QPoly(keep)
-
     # -- embedding --------------------------------------------------------
 
     def to_half_laurent(self) -> HalfLaurent:

@@ -146,7 +146,8 @@ class GradedPoset:
     def interval_mask(self, x: int, y: int) -> int:
         return self._down[y] & self._up[x]
 
-    def elements_of(self, mask: int) -> list[int]:
+    @staticmethod
+    def elements_of(mask: int) -> list[int]:
         """The elements of a bitmask in ascending order, O(popcount)."""
         out = []
         while mask:
@@ -291,25 +292,12 @@ def from_comparability(labels: Sequence[str],
     constructor for subsets of a larger order, e.g. parabolic quotients or
     twisted identities, whose covers may not be covers of the ambient order.
     """
-    n = len(labels)
-    strict_above = [0] * n
-    for y in range(n):
-        m = below_masks[y] & ~(1 << y)
-        x = 0
-        mm = m
-        while mm:
-            if mm & 1:
-                strict_above[x] |= 1 << y
-            mm >>= 1
-            x += 1
+    strict_below = [below_masks[y] & ~(1 << y) for y in range(len(labels))]
     covers = []
-    for y in range(n):
-        cand = below_masks[y] & ~(1 << y)
-        m = cand
-        x = 0
-        while m:
-            if m & 1 and not (strict_above[x] & cand & ~(1 << y)):
-                covers.append((x, y))
-            m >>= 1
-            x += 1
+    for y, cand in enumerate(strict_below):
+        # the x < y that lie below no other z < y are the covers of y
+        lower = 0
+        for z in GradedPoset.elements_of(cand):
+            lower |= strict_below[z]
+        covers.extend((x, y) for x in GradedPoset.elements_of(cand & ~lower))
     return GradedPoset(labels, covers)

@@ -59,6 +59,11 @@ def twisted3():
 
 
 @pytest.fixture(scope="session")
+def twisted4():
+    return TwistedIdentities(4)
+
+
+@pytest.fixture(scope="session")
 def twisted2_context(twisted2):
     return twisted2.hecke_context()
 

@@ -7,15 +7,15 @@ production truncation recursion cannot hide.  Bruhat order comes from the
 descent-lift recursion on group elements, not from the lifting rule that
 builds the library's quotient and twisted-identity posets.
 
-The reference path at the end keeps the kernel check, kernel inversion,
-up-down check, iota and the per-v P recursion as they were written on
-``QPoly``/``HalfLaurent`` object arithmetic, before the library moved to
-packed evaluation and hoisted mu-corrections.  Differential tests hold the
-library to the same results, witnesses and ``KernelError`` messages.  It
-also keeps the two refinement searches that ``klpoly.system_refinement``
-replaced: the descent search over group generators for a parabolic
-quotient, and the per-generator candidate search over conjugation maps for
-twisted identities.
+The reference path at the end keeps the R recursion, the kernel check,
+kernel inversion, up-down check, iota and the per-v P recursion as they
+were written on ``QPoly``/``HalfLaurent`` object arithmetic, before the
+library moved to packed evaluation and hoisted mu-corrections.
+Differential tests hold the library to the same results, witnesses and
+``KernelError`` messages.  It also keeps the two refinement searches that
+``klpoly.system_refinement`` replaced: the descent search over group
+generators for a parabolic quotient, and the per-generator candidate search
+over conjugation maps for twisted identities.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from functools import lru_cache
 import sympy
 
 from pircons.hecke import ModuleVector
-from pircons.klpoly import (X_Q, KernelError, PolyTable, Refinement,
-                            other_x, q_minus_one_minus_x)
+from pircons.klpoly import (X_MINUS_ONE, X_Q, KernelError, PolyTable,
+                            Refinement, check_x, other_x)
 from pircons.laurent import HalfLaurent, QPoly
 from pircons.matchings import (MatchingError, PartialMatching, lambda_partial,
                                verify_spm)
@@ -129,10 +129,48 @@ def table_inversion(table):
 
 
 # ---------------------------------------------------------------------------
-# Reference path: the object-arithmetic kernel check and inversion.
+# Reference path: the object-arithmetic R recursion, kernel check and
+# inversion.
 # ---------------------------------------------------------------------------
 
 _ONE = QPoly((1,))
+_Q = QPoly((0, 1))
+
+
+def q_minus_one_minus_x(x: str) -> QPoly:
+    """q-1-x as a polynomial: q when x = -1, the constant -1 when x = q."""
+    return _Q if check_x(x) == X_MINUS_ONE else QPoly((-1,))
+
+
+def _rhs_by_cases(M: PartialMatching, table: PolyTable,
+                  u: int, w: int, factor: QPoly) -> QPoly:
+    """Right-hand side of the recursion at (u, w) driven by M; M(w) < w."""
+    mu, mw = M(u), M(w)
+    kind = M.kind(u)
+    if kind == "down":
+        return table.value(mu, mw)
+    if kind == "up":
+        return (_Q - _ONE) * table.value(u, mw) + _Q * table.value(mu, mw)
+    return factor * table.value(u, mw)
+
+
+def r_polynomials(poset, refinement: Refinement, x: str) -> PolyTable:
+    """The unique R^x family of the refined pircon (P, refinement), one
+    QPoly product or sum per pair."""
+    check_x(x)
+    factor = q_minus_one_minus_x(x)
+    table = PolyTable(poset, x, {})
+    order = sorted(range(poset.n), key=lambda w: poset.rank[w])
+    for w in order:
+        table.entries[(w, w)] = _ONE
+        if w == poset.bottom:
+            continue
+        M = refinement[w]
+        for u in poset.ideal_elements(w):
+            if u == w:
+                continue
+            table.entries[(u, w)] = _rhs_by_cases(M, table, u, w, factor)
+    return table
 
 
 def check_pkernel(table: PolyTable):
@@ -176,16 +214,14 @@ def kls_polynomials(table: PolyTable) -> PolyTable:
                 if z == u:
                     continue
                 G = G + table.value(u, z) * out.entries[(z, v)]
-            P = -G.truncate_below(gap)
+            P = -QPoly(c if 2 * k < gap else 0
+                       for k, c in enumerate(G.coeffs()))
             if G != P.tilde(gap) - P:
                 raise KernelError(
                     f"not a P-kernel at pair ({poset.labels[u]!r}, "
                     f"{poset.labels[v]!r})")
             out.entries[(u, v)] = P
     return out
-
-
-_Q = QPoly((0, 1))
 
 
 def check_updown(matchings, table: PolyTable):

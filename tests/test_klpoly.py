@@ -8,9 +8,8 @@ from pircons.klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                             brenti_identity, check_pkernel, check_updown,
                             is_calculating, is_strongly_calculating,
                             kls_polynomials, lambda_refinement, other_x,
-                            q_minus_one_minus_x, r_polynomials,
-                            refinement_independence, verify_pircon_system,
-                            verify_r_properties)
+                            r_polynomials, refinement_independence,
+                            verify_pircon_system, verify_r_properties)
 from pircons.laurent import QPoly
 from pircons.matchings import (PartialMatching, enumerate_spms,
                                lambda_partial)
@@ -18,8 +17,6 @@ from pircons.matchings import (PartialMatching, enumerate_spms,
 
 def test_x_plumbing():
     assert other_x(X_Q) == X_MINUS_ONE and other_x(X_MINUS_ONE) == X_Q
-    assert q_minus_one_minus_x(X_MINUS_ONE) == QPoly((0, 1))   # q
-    assert q_minus_one_minus_x(X_Q) == QPoly((-1,))            # -1
     with pytest.raises(ValueError):
         other_x("2")
 
@@ -105,10 +102,10 @@ def test_non_calculating_spm_on_refinement_dependent_pircon(
                 distinct.append(t)
         assert len(distinct) == 2  # genuinely refinement-dependent
         # a top matching from the other class is not calculating
-        bad, witness = is_calculating(
+        got = is_calculating(
             PartialMatching(P, {0: 1, 1: 0, 3: 3, 4: 4, 6: 7, 7: 6}),
             tables[0], 7)
-        assert not bad and witness[0] == "not-calculating"
+        assert got == (False, ("not-calculating", (0, 7)))
 
 
 def test_strongly_calculating(groups, suite_contexts):
@@ -143,8 +140,27 @@ def test_updown_witness_on_corrupted_table(groups):
     table = r_polynomials(P, lambda_refinement(quot), X_Q)
     table.entries[(P.index("1"), P.index("2.1"))] = QPoly((7,))
     S = [lambda_partial(quot, s) for s in range(2)]
-    ok, witness = check_updown(S, table)
-    assert not ok and witness[0].startswith("updown-")
+    assert check_updown(S, table) == \
+        (False, ("updown-c'", (0, P.index("e"), P.index("2.1"))))
+
+
+@pytest.mark.parametrize("x", X_PARAMS)
+@pytest.mark.parametrize("pair,want", [
+    (("e", "e"), ("updown-a'", (1, "e", "e"))),
+    (("e", "2"), ("updown-b'", (1, "e", "2"))),
+    (("e", "1.2"), ("updown-c'", (1, "e", "1.2"))),
+])
+def test_updown_whole_witness_per_clause(suite_contexts, x, pair, want):
+    """Adding q to one entry breaks the clause named, at the first
+    (matching, u, w) in scan order."""
+    ctx = suite_contexts["A3/H={s1}"]
+    P = ctx.poset
+    table = PolyTable(P, x, dict(ctx.r_table(x).entries))
+    key = (P.index(pair[0]), P.index(pair[1]))
+    table.entries[key] = table.entries[key] + QPoly.monomial(1, 1)
+    clause, (mi, u, w) = want
+    assert check_updown(ctx.matchings, table) == \
+        (False, (clause, (mi, P.index(u), P.index(w))))
 
 
 def test_pkernel_diagonal_and_rank1():
@@ -325,13 +341,8 @@ def test_r_properties_witnesses(groups):
         verify_r_properties(r_q, r_minus)
     broken = PolyTable(P, X_MINUS_ONE, dict(r_minus.entries))
     broken.entries[(P.index("e"), P.index("1"))] = QPoly((5,))
-    ok, witness = verify_r_properties(broken, r_q)
-    assert not ok and witness[0] == "degree"
-
-
-def test_brenti_factors():
-    assert q_minus_one_minus_x(X_MINUS_ONE) == QPoly((0, 1))
-    assert q_minus_one_minus_x(X_Q) == QPoly((-1,))
+    assert verify_r_properties(broken, r_q) == \
+        (False, ("degree", (P.index("e"), P.index("1"))))
 
 
 def test_brenti_identity_scan(groups, suite_contexts):
@@ -341,10 +352,11 @@ def test_brenti_identity_scan(groups, suite_contexts):
         assert brenti_identity(quot, ctx.r_table(x)) == (True, None)
     # corrupting one entry that participates in a qualifying triple fails
     P = quot.poset
-    bad = PolyTable(P, X_Q, dict(ctx.r_table(X_Q).entries))
-    bad.entries[(P.index("1"), P.index("2.1"))] = QPoly((3,))
-    ok, witness = brenti_identity(quot, bad)
-    assert not ok and witness[0] == "brenti"
+    for x in X_PARAMS:
+        bad = PolyTable(P, x, dict(ctx.r_table(x).entries))
+        bad.entries[(P.index("1"), P.index("2.1"))] = QPoly((3,))
+        assert brenti_identity(quot, bad) == \
+            (False, ("brenti", (0, P.index("e"), P.index("2.1"))))
 
 
 # -- pircon systems and refinement independence --------------------------------

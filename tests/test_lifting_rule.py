@@ -8,11 +8,6 @@ from pircons import CoxeterSystem, TwistedIdentities
 from pircons.posets import lifted_down_sets
 
 
-@pytest.fixture(scope="module")
-def twisted4():
-    return TwistedIdentities(4)
-
-
 def _assert_restricted_bruhat(poset, host, elements):
     """poset is Bruhat order of host restricted to elements, in order."""
     for i, g in enumerate(elements):

@@ -156,6 +156,19 @@ def test_from_comparability_transitive_reduction():
     assert P.rank == (0, 1, 2)
 
 
+def test_from_comparability_recovers_covers(suite_quotients, twisted3,
+                                            refinement_dependent_poset,
+                                            non_dircon_poset, diamond):
+    posets = [quot.poset for quot in suite_quotients.values()]
+    posets += [twisted3.poset, refinement_dependent_poset, non_dircon_poset,
+               diamond, chain(1), chain(5)]
+    for P in posets:
+        again = from_comparability(P.labels,
+                                   [P.down_set(y) for y in range(P.n)])
+        assert again.up_covers == P.up_covers
+        assert again.down_covers == P.down_covers
+
+
 def test_empty_poset():
     P = GradedPoset((), ())
     assert P.n == 0 and P.bottom is None
@@ -167,3 +180,4 @@ def test_elements_of_ascending(mask):
     n = max(mask.bit_length(), 1)
     want = [i for i in range(n) if mask >> i & 1]
     assert chain(2).elements_of(mask) == want
+    assert GradedPoset.elements_of(mask) == want
