@@ -11,7 +11,8 @@ C^x_w and C'^x_w.  The key dualities:
     j_P(C^x_w)      = (-1)^rho(w) C'^z_w
 
 and C'^x_w is computable by a recursion with mu-coefficients, which this
-script replays against the direct construction.
+script replays against the direct construction.  Module vectors are packed
+ints; ``ctx.decode`` turns one into readable Laurent coefficients.
 """
 
 from pircons import (CoxeterSystem, X_PARAMS, context_for_quotient,
@@ -30,8 +31,8 @@ print("duality suite:", verify_duality(ctx))
 top = P.index("2.1")
 for x in X_PARAMS:
     print(f"\nx = {x}")
-    print("  C [top] =", kl_element_c(ctx, top, x))
-    print("  C'[top] =", kl_element_cprime(ctx, top, x))
+    print("  C [top] =", ctx.decode(kl_element_c(ctx, top, x)))
+    print("  C'[top] =", ctx.decode(kl_element_cprime(ctx, top, x)))
     for M in ctx.system.down_matchings(top):
         rhs = cprime_recursion(ctx, top, M, x)
         print("  recursion reproduces C':",

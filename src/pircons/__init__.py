@@ -27,10 +27,10 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      r_polynomials, refinement_independence,
                      system_refinement,
                      verify_pircon_system, verify_r_properties)
-from .hecke import (HeckeContext, ModuleVector, characterize,
-                    context_for_quotient, cprime_generator_action,
-                    cprime_recursion, iota, j_map, kl_element_c,
-                    kl_element_cprime, p_recursion, t_action,
+from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
+                    characterize, context_for_quotient,
+                    cprime_generator_action, cprime_recursion, iota, j_map,
+                    kl_element_c, kl_element_cprime, p_recursion, t_action,
                     t_inverse_action, verify_duality, verify_hecke_relations)
 from .twisted import TwistedIdentities
 

@@ -250,21 +250,25 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
     return reports
 
 
+@hecke.widening
 def _recursion_witness(ctx: hecke.HeckeContext, xs):
     """Where the C' or the P recursion first disagrees with the directly
-    built KL basis, or None when both hold for every w and M."""
+    built KL basis, or None when both hold for every w and M.  Both
+    recursions assert the bounds that make these packed comparisons
+    exact."""
     poset = ctx.poset
     for x in xs:
-        pz = ctx.p_table(klpoly.other_x(x))
+        pz = ctx.packed_p(klpoly.other_x(x))
         for w in range(poset.n):
             if w == poset.bottom:
                 continue
             want = hecke.kl_element_cprime(ctx, w, x)
+            col = pz[w]
             for M in ctx.system.down_matchings(w):
                 if hecke.cprime_recursion(ctx, w, M, x) != want:
                     return ("cprime", (x, w))
                 for v in poset.ideal_elements(w):
-                    if hecke.p_recursion(ctx, v, w, M, x) != pz.value(v, w):
+                    if hecke.p_recursion(ctx, v, w, M, x) != col.get(v, 0):
                         return ("p", (x, v, w))
     return None
 
@@ -320,10 +324,10 @@ def cmd_compute(config: dict) -> int:
             doc = {"x": x, "C": {}, "Cprime": {}}
             for w in range(inst.poset.n):
                 lab = inst.poset.labels[w]
-                doc["C"][lab] = hecke.kl_element_c(ctx, w, x) \
+                doc["C"][lab] = ctx.decode(hecke.kl_element_c(ctx, w, x)) \
                     .to_json(inst.poset)
-                doc["Cprime"][lab] = hecke.kl_element_cprime(ctx, w, x) \
-                    .to_json(inst.poset)
+                doc["Cprime"][lab] = ctx.decode(
+                    hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
             _emit(config, f"klbasis_{tag}.json",
                   json.dumps(doc, indent=1) + "\n")
     return 0

@@ -23,83 +23,78 @@ directly constructed basis validates the convention executably.
 Hecke-algebra elements are never materialized; only compositions of the
 generator actions T_M, T_M^(-1) and C'_M act on module vectors.
 
-Module vectors and the generator actions stay on HalfLaurent objects, but
-iota runs on packed integers with the toolkit of ``klpoly``: the basis
-images iota^x(m_v) are kept per context as ints (every coefficient
-evaluated at q^(1/2) = 2^B), a call sums int products into one dict and
-decodes balanced base-2^B digits, and each call asserts its coefficient
-bound before any product, repacking at a wider B when it does not fit.
-The mu-corrections of the C' and P recursions are computed once per
-(M, M(w), x) and kept on the context.
+A module vector is a dict {u: c} over the nonzero coefficients, each packed
+at the context's width B and offset K: sum_h a_h q^(h/2) is stored as the
+int sum_h a_h 2^(B (h + K)), the scalar evaluated at q^(1/2) = 2^B times
+q^(K/2).  Packing is a ring map, so sums, integer multiples and products are
+exact int arithmetic, q^(1/2) is a shift left by B, and q^(-1/2) an exact
+shift right: a shift that would drop nonzero low bits means a term below
+q^(-K/2) and raises OffsetError.  A packed scalar determines its
+coefficients when every one lies inside (-2^(B-1), 2^(B-1)) (the vector is
+then *valid*), and two valid vectors are equal exactly when their dicts are.
+
+The bounds are derived, never assumed.  Each T_M at most triples a
+coefficient, so a composition of m actions on a basis vector stays below
+3^m; iota^x multiplies by at most max L1(R^x); the recursions add
+mu-multiples of P-entries.  A check asserts the bound of what it compares
+before comparing, and iota and the recursions assert their own before
+computing, raising WidthError on a miss; a check whose bound does not fit
+reruns on a copy of the context at a wider B (``widening``).  T_M, T_M^(-1),
+C'_M and j_P assert nothing: keeping their results valid is the caller's
+part.  The context's starting B already fits every built-in check, and
+K = 2 (max rank + 1) leaves room for iota's q^(-rho) and the q^(-1) shifts
+of T_M^(-1) and j_P on everything the checks build.
+
+Only iota and j_P read digits, to apply bar (a reflection of digit
+positions), and characterize, to test a shape; nothing else decodes.
+Vectors become ModuleVector objects with HalfLaurent coefficients only at
+the edges: klbasis JSON, printing and tests (``HeckeContext.decode``).
+The same algorithms on HalfLaurent and ModuleVector object arithmetic are
+the differential reference in ``tests/oracles.py``.  The mu-corrections of
+the C' and P recursions are computed once per (M, M(w), x) and kept on the
+context.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import copy
+import functools
+import math
+from typing import Mapping
 
-from .laurent import HalfLaurent, QPoly
+from .laurent import HalfLaurent
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _TooNarrow,
                      _digits, _norms, _pack, _width_for, _with_widening,
                      check_x, kls_polynomials, lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
-_ONE = HalfLaurent.one()
+Vector = dict[int, int]
+
+
+class OffsetError(ArithmeticError):
+    """A packed value has a term below q^(-K/2) of its context."""
+
+
+class WidthError(_TooNarrow, ArithmeticError):
+    """A coefficient bound, the only argument, reaches 2^(B-1) of the
+    context, so packed values at its width B would not decode faithfully.
+    The checks catch it and rerun wider (``widening``); a direct call of
+    iota or characterize raises it, and a wider context
+    (``HeckeContext.at_width``) takes the vector repacked."""
 
 
 class ModuleVector:
-    """A finitely supported map from poset elements to HalfLaurent scalars."""
+    """A decoded module vector: a finitely supported map from poset elements
+    to HalfLaurent scalars, for printing, JSON and tests."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, HalfLaurent] | None = None):
-        data = {}
-        if coeffs:
-            for u, c in coeffs.items():
-                if c:
-                    data[u] = c
-        self.coeffs = data
-
-    @classmethod
-    def zero(cls) -> "ModuleVector":
-        return cls()
-
-    @classmethod
-    def basis(cls, u: int) -> "ModuleVector":
-        return cls({u: _ONE})
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        data = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            s = data.get(u, HalfLaurent.zero()) + c
-            if s:
-                data[u] = s
-            elif u in data:
-                del data[u]
-        out = ModuleVector.__new__(ModuleVector)
-        out.coeffs = data
-        return out
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        neg = ModuleVector.__new__(ModuleVector)
-        neg.coeffs = {u: -c for u, c in other.coeffs.items()}
-        return self + neg
-
-    def scale(self, a: HalfLaurent) -> "ModuleVector":
-        if not a:
-            return ModuleVector()
-        out = ModuleVector.__new__(ModuleVector)
-        out.coeffs = {u: c * a for u, c in self.coeffs.items()}
-        return out
-
-    def shift(self, h: int) -> "ModuleVector":
-        """Multiply by q^(h/2)."""
-        out = ModuleVector.__new__(ModuleVector)
-        out.coeffs = {u: c.shift(h) for u, c in self.coeffs.items()}
-        return out
+        self.coeffs = {u: c for u, c in (coeffs or {}).items() if c}
 
     def coeff(self, u: int) -> HalfLaurent:
-        return self.coeffs.get(u, HalfLaurent.zero())
+        return self.coeffs.get(u, HalfLaurent())
 
     def support(self) -> list[int]:
         return sorted(self.coeffs)
@@ -130,7 +125,6 @@ class ModuleVector:
 
 def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
     """Order of MN as a permutation of the poset: lcm of cycle lengths."""
-    import math
     perm = [M(N(u)) for u in range(n)]
     seen = [False] * n
     order = 1
@@ -149,9 +143,11 @@ def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
 
 class HeckeContext:
     """The Hecke-module data of one pircon system: the system, whose R-tables
-    it reads, both P-tables, the permutation orders of matching pairs, and
-    two caches filled on use: the packed iota basis images and the
-    mu-corrections of the recursions.
+    it reads, both P-tables, the permutation orders of matching pairs, the
+    packing (``width`` B and ``offset`` K, see the module docstring), and
+    caches filled on use: each matching's images and kinds, the packed iota
+    basis images and P columns per width, and the mu-corrections of the
+    recursions.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, or its up-down or kernel verdict
@@ -185,15 +181,45 @@ class HeckeContext:
                 self.m_orders[(i, j)] = _permutation_order(
                     M, system.matchings[j], poset.n)
 
-        # Packed iota (see _iota_basis): images carry q^(K/2) with
-        # K = 2 max rank; r_l1 is the largest L1 norm of an R entry for
-        # either x, and the starting width fits the involution check
-        # iota(iota(m_u)), whose input L1 is at most n r_l1.
-        self.half_offset = 2 * max(poset.rank, default=0)
+        # r_l1 and p_l1 bound the L1 norm, so also every coefficient, of an
+        # R- and a P-entry for either x.  The starting width fits the
+        # largest bound a built-in check asserts: a braid of the longest
+        # length, the involution check iota(iota(m_u)) (input L1 at most
+        # n r_l1), iota of a KL element (input L1 at most n p_l1) and a C'
+        # recursion (at most n mu-corrections, each |mu| <= p_l1).
+        n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
-        self.iota_width = _width_for(poset.n * self.r_l1 ** 2)
-        self._iota_basis: dict[tuple[str, int], list[dict[int, int]]] = {}
-        self._corrections: dict[tuple, list[tuple[int, int]]] = {}
+        self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
+        self.offset = 2 * (poset.max_rank() + 1)
+        self._set_width(_width_for(max(
+            3 ** max(self.m_orders.values(), default=2),
+            5 * self.r_l1,
+            n * self.r_l1 * max(self.r_l1, self.p_l1),
+            self.p_l1 * (4 + n * self.p_l1))))
+        self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
+        self._iota_basis: dict[tuple[str, int], list[Vector]] = {}
+        self._packed_p: dict[tuple[str, int], list[Vector]] = {}
+        self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
+
+    def _set_width(self, width: int) -> None:
+        self.width = width
+        self.one = 1 << width * self.offset     # the packed scalar 1
+        self._limit = 1 << (width - 1)
+
+    def at_width(self, width: int) -> "HeckeContext":
+        """This context packing at ``width``: self when it already does,
+        else a copy sharing every table and cache."""
+        if width == self.width:
+            return self
+        other = copy.copy(self)
+        other._set_width(width)
+        return other
+
+    def require(self, bound: int) -> None:
+        """Raise WidthError unless bound < 2^(B-1), the range in which
+        packed coefficients decode and compare faithfully."""
+        if bound >= self._limit:
+            raise WidthError(bound)
 
     @property
     def matchings(self) -> tuple[PartialMatching, ...]:
@@ -204,6 +230,29 @@ class HeckeContext:
 
     def p_table(self, x: str) -> PolyTable:
         return self._p[check_x(x)]
+
+    # -- decoding at the edges ------------------------------------------
+
+    def decode(self, v: Vector) -> ModuleVector:
+        """The coefficients of a valid packed vector.  Validity is the
+        caller's to keep: a coefficient that has left (-2^(B-1), 2^(B-1))
+        decodes to other coefficients, with no error."""
+        return ModuleVector({u: HalfLaurent(_digits(c, self.width,
+                                                    -self.offset))
+                             for u, c in v.items()})
+
+    def packed_p(self, x: str) -> list[Vector]:
+        """P^x packed at q = 2^(2B) with no offset: for every w the dict
+        {v: P^x_{v,w}} over the nonzero entries, kept per width.  Shared;
+        callers must not modify it."""
+        key = (check_x(x), self.width)
+        cols = self._packed_p.get(key)
+        if cols is None:
+            cols = self._packed_p[key] = [{} for _ in range(self.poset.n)]
+            for (v, w), poly in self.p_table(x).entries.items():
+                if poly:
+                    cols[w][v] = _pack(poly.coeffs(), 2 * self.width)
+        return cols
 
     # -- mu-coefficients ---------------------------------------------------
 
@@ -218,65 +267,107 @@ class HeckeContext:
         return self.p_table(other_x(x)).value(u, w).coeff((gap - 1) // 2)
 
 
+def widening(check):
+    """check(ctx, *args), rerun on a copy of ctx at a wider B for as long as
+    a bound it asserts does not fit."""
+    @functools.wraps(check)
+    def run(ctx: HeckeContext, *args):
+        return _with_widening(
+            lambda width: check(ctx.at_width(width), *args), ctx.width)
+    return run
+
+
+def _shift_down(v: Vector, bits: int) -> Vector:
+    """Every coefficient times 2^(-bits), zeros dropped; raises OffsetError
+    when a coefficient has nonzero bits below ``bits``."""
+    mask = (1 << bits) - 1
+    if bits and any(c & mask for c in v.values()):
+        raise OffsetError("a term falls below the offset")
+    return {u: c >> bits for u, c in v.items() if c}
+
+
+def _reflect(digits: Mapping[int, int], width: int, top: int) -> int:
+    """sum_h a_h 2^(width (top - h)), the bar of the digits packed with
+    top as offset; raises OffsetError when some h exceeds top."""
+    if max(digits) > top:
+        raise OffsetError("a term falls below the offset")
+    return sum(a << width * (top - h) for h, a in digits.items())
+
+
 # ---------------------------------------------------------------------------
 # Generator actions.
 # ---------------------------------------------------------------------------
 
-def t_action(ctx: HeckeContext, M: PartialMatching, v: ModuleVector,
-             x: str) -> ModuleVector:
-    """T_M acting in the x-structure, extended linearly."""
+def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
+             x: str) -> Vector:
+    """T_M acting in the x-structure, extended linearly: q c is c shifted
+    left by 2B.  A coefficient at most triples.  Like T_M^(-1), C'_M and
+    j_P, this asserts no bound: the caller keeps the result valid (the
+    checks assert 3^m for m composed actions through ``ctx.require``), and
+    an overflowed coefficient decodes wrongly without an error."""
+    q = 2 * ctx.width
+    moves = ctx._moves.get(M)
+    if moves is None:   # (M(u), M.kind(u)) for every u, once per matching
+        moves = ctx._moves[M] = [(M(u), M.kind(u))
+                                 for u in range(ctx.poset.n)]
     fixed_q = x == X_Q
-    out: dict[int, HalfLaurent] = {}
-
-    def bump(u, c):
-        s = out.get(u, HalfLaurent.zero()) + c
-        if s:
-            out[u] = s
-        elif u in out:
-            del out[u]
-
-    for u, c in v.coeffs.items():
-        kind = M.kind(u)
+    out: Vector = {}
+    get = out.get
+    for u, c in v.items():
+        mu, kind = moves[u]
         if kind == "up":
-            bump(M(u), c)
+            out[mu] = get(mu, 0) + c
         elif kind == "down":
-            qc = c.shift(2)
-            bump(M(u), qc)
-            bump(u, qc - c)
+            qc = c << q
+            out[mu] = get(mu, 0) + qc
+            out[u] = get(u, 0) + qc - c
         else:
-            bump(u, c.shift(2) if fixed_q else -c)
-    return ModuleVector(out)
+            out[u] = get(u, 0) + (c << q if fixed_q else -c)
+    return {u: c for u, c in out.items() if c}
 
 
-def t_inverse_action(ctx: HeckeContext, M: PartialMatching, v: ModuleVector,
-                     x: str) -> ModuleVector:
+def t_inverse_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
+                     x: str) -> Vector:
     """T_M^(-1) = q^(-1) T_M + (q^(-1) - 1); this is also iota(T_M)."""
-    return (t_action(ctx, M, v, x) + v).shift(-2) - v
+    out = t_action(ctx, M, v, x)
+    for u, c in v.items():
+        out[u] = out.get(u, 0) + c
+    out = _shift_down(out, 2 * ctx.width)
+    for u, c in v.items():
+        out[u] = out.get(u, 0) - c
+    return {u: c for u, c in out.items() if c}
 
 
 def cprime_generator_action(ctx: HeckeContext, M: PartialMatching,
-                            v: ModuleVector, x: str) -> ModuleVector:
+                            v: Vector, x: str) -> Vector:
     """C'_M = q^(-1/2) (T_M + 1) acting in the x-structure."""
-    return (t_action(ctx, M, v, x) + v).shift(-1)
+    out = t_action(ctx, M, v, x)
+    for u, c in v.items():
+        out[u] = out.get(u, 0) + c
+    return _shift_down(out, ctx.width)
 
 
+@widening
 def verify_hecke_relations(ctx: HeckeContext, x: str):
     """Quadratic relation for every matching and braid relation of length
-    m(M, N) for every pair, checked on every basis vector."""
-    n = ctx.poset.n
+    m(M, N) for every pair, checked on every basis vector.  Both sides of
+    a relation of length m stay below 3^m."""
+    n, one, q = ctx.poset.n, ctx.one, 2 * ctx.width
+    ctx.require(9)
     for mi, M in enumerate(ctx.matchings):
         for u in range(n):
-            v = ModuleVector.basis(u)
-            tv = t_action(ctx, M, v, x)
+            tv = t_action(ctx, M, {u: one}, x)
             lhs = t_action(ctx, M, tv, x)
-            rhs = tv.shift(2) - tv + v.shift(2)
-            if lhs != rhs:
+            rhs = {w: (c << q) - c for w, c in tv.items()}
+            rhs[u] = rhs.get(u, 0) + (one << q)
+            if lhs != {w: c for w, c in rhs.items() if c}:
                 return False, ("quadratic", (mi, u))
     for (i, j), m in ctx.m_orders.items():
+        ctx.require(3 ** m)
         M, N = ctx.matchings[i], ctx.matchings[j]
         for u in range(n):
-            lhs = ModuleVector.basis(u)
-            rhs = ModuleVector.basis(u)
+            lhs = {u: one}
+            rhs = {u: one}
             for k in range(m):
                 lhs = t_action(ctx, M if k % 2 == 0 else N, lhs, x)
                 rhs = t_action(ctx, N if k % 2 == 0 else M, rhs, x)
@@ -289,24 +380,21 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
 # The involutions iota^x and j_P.
 # ---------------------------------------------------------------------------
 
-def _iota_basis(ctx: HeckeContext, x: str,
-                width: int) -> list[dict[int, int]]:
-    """iota^x(m_v) for every v, packed: the coefficient of m_u is
-    (-1)^rho(u,v) q^(-rho(v)) R^x_{u,v}, times q^(K/2) with
-    K = ctx.half_offset so that no exponent is negative, evaluated at
-    q^(1/2) = 2^width.  Kept on the context per (x, width)."""
-    key = (x, width)
+def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
+    """The images iota^x(m_v) without their factor q^(-rho(v)): for every v
+    the dict {u: (-1)^rho(u,v) R^x_{u,v}}, each packed at q^(1/2) = 2^B
+    with no offset.  Kept on the context per (x, width)."""
+    key = (x, ctx.width)
     cached = ctx._iota_basis.get(key)
     if cached is not None:
         return cached
-    poset = ctx.poset
+    poset, width = ctx.poset, ctx.width
     table = ctx.r_table(x)
     images = []
     for v in range(poset.n):
-        shift = width * (ctx.half_offset - 2 * poset.rank[v])
         coeffs = {}
         for u in poset.ideal_elements(v):
-            c = _pack(table.value(u, v).coeffs(), 2 * width) << shift
+            c = _pack(table.value(u, v).coeffs(), 2 * width)
             if c:
                 coeffs[u] = -c if poset.rank_gap(u, v) % 2 else c
         images.append(coeffs)
@@ -314,89 +402,79 @@ def _iota_basis(ctx: HeckeContext, x: str,
     return images
 
 
-def iota(ctx: HeckeContext, v: ModuleVector, x: str) -> ModuleVector:
+def iota(ctx: HeckeContext, v: Vector, x: str) -> Vector:
     """iota^x(m_v) = q^(-rho(v)) sum_u (-1)^(rho(u,v)) R^x_{u,v} m_u,
     extended bar-semilinearly.
 
-    Runs packed (see ``_iota_basis``): bar(c_u) of every input coefficient
-    is evaluated at q^(1/2) = 2^B, shifted by its largest half-exponent t
-    over the input, and its int product with each packed image coefficient
-    is added into one dict.  Balanced base-2^B digits of each sum give the
-    output coefficient, digit i at half-exponent i - K - t.  That is exact
-    while sum_u L1(c_u) * max L1(R) < 2^(B-1), which is asserted before
-    any product is formed; a bound that does not fit repacks the images at
-    a wider B.
+    Each input coefficient c_u is read as digits and barred by reflecting
+    them about its largest half-exponent t_u, which leaves an int b_u with
+    bar(c_u) = q^(-t_u/2) b_u and no trailing zero digits.  Its products
+    with the image of m_u are shifted to offset K + t, t the largest t_u
+    (at least 0), and added into one dict; an exact shift right by t B
+    returns the sums to offset K.  The output's coefficients are below
+    sum_u L1(c_u) * max L1(R), which is asserted before any product is
+    formed: WidthError when it reaches 2^(B-1).
     """
-    if not v.coeffs:
-        return ModuleVector()
-    terms = [(u, c.terms()) for u, c in v.coeffs.items()]
-    top = max(h for _, cu in terms for h in cu)
-    bound = ctx.r_l1 * sum(abs(c) for _, cu in terms for c in cu.values())
-
-    def run(width: int) -> dict[int, int]:
-        if bound >= 1 << (width - 1):
-            raise _TooNarrow(bound)
-        images = _iota_basis(ctx, x, width)
-        out: dict[int, int] = {}
-        get = out.get
-        for u, cu in terms:
-            c = sum(a << width * (top - h) for h, a in cu.items())
-            for w, image in images[u].items():
-                out[w] = get(w, 0) + c * image
-        low = -ctx.half_offset - top
-        return {w: HalfLaurent(_digits(total, width, low))
-                for w, total in out.items() if total}
-
-    return ModuleVector(_with_widening(run, ctx.iota_width))
+    width, offset, rank = ctx.width, ctx.offset, ctx.poset.rank
+    terms = [(u, _digits(c, width, -offset)) for u, c in v.items()]
+    ctx.require(ctx.r_l1 * sum(abs(a) for _, d in terms for a in d.values()))
+    tops = [max(d) for _, d in terms]
+    top = max([0] + tops)
+    images = _iota_basis(ctx, x)
+    out = [0] * ctx.poset.n
+    for (u, d), t in zip(terms, tops):
+        b = sum(a << width * (t - h) for h, a in d.items())
+        # the product's half-exponents, shifted to offset K + top
+        shift = width * (offset + top - t - 2 * rank[u])
+        for w, r in images[u].items():
+            out[w] += b * r << shift
+    return _shift_down({w: c for w, c in enumerate(out) if c}, top * width)
 
 
-def j_map(ctx: HeckeContext, v: ModuleVector) -> ModuleVector:
-    """j_P(a m_w) = bar(a) (-q^(-1))^rho(w) m_w."""
-    poset = ctx.poset
+def j_map(ctx: HeckeContext, v: Vector) -> Vector:
+    """j_P(a m_w) = bar(a) (-q^(-1))^rho(w) m_w, a reflection of a's
+    digits."""
+    width, offset, rank = ctx.width, ctx.offset, ctx.poset.rank
     out = {}
-    for w, c in v.coeffs.items():
-        r = poset.rank[w]
-        out[w] = c.bar().shift(-2 * r).scale((-1) ** r)
-    return ModuleVector(out)
+    for w, c in v.items():
+        c = _reflect(_digits(c, width, -offset), width,
+                     offset - 2 * rank[w])
+        out[w] = -c if rank[w] % 2 else c
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Kazhdan-Lusztig elements.
 # ---------------------------------------------------------------------------
 
-def kl_element_c(ctx: HeckeContext, w: int, x: str) -> ModuleVector:
+def kl_element_c(ctx: HeckeContext, w: int, x: str) -> Vector:
     """C^x_w = q^(rho(w)/2) sum_v (-1)^(rho(v,w)) q^(-rho(v))
     bar(P^x_{v,w}) m_v."""
-    poset = ctx.poset
+    poset, width = ctx.poset, ctx.width
     table = ctx.p_table(x)
-    rw = poset.rank[w]
-    coeffs = {}
+    top = ctx.offset + poset.rank[w]
+    out = {}
     for v in poset.ideal_elements(w):
-        gap = poset.rank_gap(v, w)
-        c = table.value(v, w).bar_half() \
-            .scale((-1) ** gap).shift(rw - 2 * poset.rank[v])
-        if c:
-            coeffs[v] = c
-    return ModuleVector(coeffs)
+        coeffs = table.value(v, w).coeffs()
+        if coeffs:
+            c = _reflect({2 * k: a for k, a in enumerate(coeffs)}, width,
+                         top - 2 * poset.rank[v])
+            out[v] = -c if poset.rank_gap(v, w) % 2 else c
+    return out
 
 
-def kl_element_cprime(ctx: HeckeContext, w: int, x: str) -> ModuleVector:
-    """C'^x_w = q^(-rho(w)/2) sum_v P^z_{v,w} m_v, with {x, z} = {q, -1}."""
-    poset = ctx.poset
-    table = ctx.p_table(other_x(x))
-    rw = poset.rank[w]
-    coeffs = {}
-    for v in poset.ideal_elements(w):
-        c = table.value(v, w).to_half_laurent().shift(-rw)
-        if c:
-            coeffs[v] = c
-    return ModuleVector(coeffs)
+def kl_element_cprime(ctx: HeckeContext, w: int, x: str) -> Vector:
+    """C'^x_w = q^(-rho(w)/2) sum_v P^z_{v,w} m_v, with {x, z} = {q, -1}:
+    the packed P^z column shifted to half-exponent -rho(w) >= -K."""
+    shift = ctx.width * (ctx.offset - ctx.poset.rank[w])
+    return {v: c << shift for v, c in ctx.packed_p(other_x(x))[w].items()}
 
 
 # ---------------------------------------------------------------------------
 # The duality suite.
 # ---------------------------------------------------------------------------
 
+@widening
 def verify_duality(ctx: HeckeContext):
     """All the involution identities, checked elementwise for both x:
 
@@ -407,13 +485,15 @@ def verify_duality(ctx: HeckeContext):
     * j_P(C^x_w) = (-1)^rho(w) C'^z_w, and both KL bases are iota-invariant.
 
     iota^x(m_u) is computed once per (x, u) and T_M . m_u once per
-    (x, u, M).
+    (x, u, M).  Besides iota's own bounds, the sides compared stay below
+    5 max L1(R) (T_M^(-1) of iota(m_u)) and max L1(P) (the KL elements).
     """
-    n = ctx.poset.n
+    n, one, q = ctx.poset.n, ctx.one, 2 * ctx.width
+    ctx.require(max(5 * ctx.r_l1, ctx.p_l1))
     for x in X_PARAMS:
         z = other_x(x)
         for u in range(n):
-            v = ModuleVector.basis(u)
+            v = {u: one}
             iv = iota(ctx, v, x)
             if iota(ctx, iv, x) != v:
                 return False, ("iota-involution", (x, u))
@@ -427,15 +507,17 @@ def verify_duality(ctx: HeckeContext):
                 if lhs != rhs:
                     return False, ("equivariance", (x, mi, u))
                 lhs = j_map(ctx, tv)
-                rhs = t_action(ctx, M, jv, z).scale(
-                    HalfLaurent({-2: -1}))
+                rhs = _shift_down({w: -c for w, c in
+                                   t_action(ctx, M, jv, z).items()}, q)
                 if lhs != rhs:
                     return False, ("twisted-equivariance", (x, mi, u))
         for w in range(n):
             c = kl_element_c(ctx, w, x)
             cp = kl_element_cprime(ctx, w, x)
-            sign = HalfLaurent.from_int((-1) ** ctx.poset.rank[w])
-            if j_map(ctx, c) != kl_element_cprime(ctx, w, z).scale(sign):
+            want = kl_element_cprime(ctx, w, z)
+            if ctx.poset.rank[w] % 2:
+                want = {v: -a for v, a in want.items()}
+            if j_map(ctx, c) != want:
                 return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
@@ -448,102 +530,107 @@ def verify_duality(ctx: HeckeContext):
 # Recursion and characterization.
 # ---------------------------------------------------------------------------
 
-def _correction_domain(ctx: HeckeContext, M: PartialMatching, mw: int,
-                       x: str) -> Iterable[int]:
-    """Summation domain of the correction term: u <= M(w) with M(u) <= u
-    when x = q, strictly below when x = -1."""
-    for u in ctx.poset.ideal_elements(mw):
-        kind = M.kind(u)
-        if kind == "down" or (kind == "fixed" and x == X_Q):
-            yield u
-
-
 def _corrections(ctx: HeckeContext, M: PartialMatching, mw: int,
-                 x: str) -> list[tuple[int, int]]:
-    """The correction terms [(u, mu(u, M(w)))] with mu nonzero, computed
-    once per (M, M(w), x) and kept on the context."""
+                 x: str) -> tuple[list[tuple[int, int]], int]:
+    """The correction terms [(u, mu(u, M(w)))] with mu nonzero, over the u
+    <= M(w) with M(u) <= u when x = q (strictly below when x = -1), and
+    the sum of their |mu|; computed once per (M, M(w), x) and kept on the
+    context."""
     key = (M, mw, x)
-    terms = ctx._corrections.get(key)
-    if terms is None:
-        terms = ctx._corrections[key] = [
-            (u, m) for u in _correction_domain(ctx, M, mw, x)
-            if (m := ctx.mu(u, mw, x))]
-    return terms
+    got = ctx._corrections.get(key)
+    if got is None:
+        terms = [(u, m) for u in _correction_domain(ctx, M, mw, x)
+                 if (m := ctx.mu(u, mw, x))]
+        got = ctx._corrections[key] = (terms, sum(abs(m) for _, m in terms))
+    return got
+
+
+def _correction_domain(ctx: HeckeContext, M: PartialMatching, mw: int,
+                       x: str) -> list[int]:
+    return [u for u in ctx.poset.ideal_elements(mw)
+            if (kind := M.kind(u)) == "down" or (kind == "fixed" and x == X_Q)]
 
 
 def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
-                     x: str) -> ModuleVector:
+                     x: str) -> Vector:
     """Right-hand side of
     C'^x_w = C'_M . C'^x_{M(w)} - sum_u mu(u, M(w)) C'^x_u,
     evaluated from directly-constructed lower C'-elements.  A mismatch with
     kl_element_cprime(ctx, w, x) would signal an internal inconsistency.
+    Its coefficients stay below max L1(P) (4 + sum |mu|), which is
+    asserted.
     """
-    poset = ctx.poset
     mw = M(w)
-    if not poset.covers(mw, w):
+    if not ctx.poset.covers(mw, w):
         raise ValueError("cprime_recursion needs M(w) covered by w")
+    terms, weight = _corrections(ctx, M, mw, x)
+    ctx.require(ctx.p_l1 * (4 + weight))
     out = cprime_generator_action(
         ctx, M, kl_element_cprime(ctx, mw, x), x)
-    for u, m in _corrections(ctx, M, mw, x):
-        out = out - kl_element_cprime(ctx, u, x).scale(
-            HalfLaurent.from_int(m))
-    return out
+    get = out.get
+    for u, m in terms:
+        for v, c in kl_element_cprime(ctx, u, x).items():
+            out[v] = get(v, 0) - m * c
+    return {v: c for v, c in out.items() if c}
 
 
 def p_recursion(ctx: HeckeContext, v: int, w: int, M: PartialMatching,
-                x: str) -> QPoly:
+                x: str) -> int:
     """Right-hand side of the polynomial-level recursion
     P^z_{v,w} = P^z_{v',M(w)} + x_v P^z_{v'',M(w)}
                 - sum_u mu(u, M(w)) q^(rho(u,w)/2) P^z_{v,u},
     where v' and v'' are the lower and upper of {v, M(v)} and x_v is x when
-    M fixes v and q otherwise."""
+    M fixes v and q otherwise; packed like the entries of
+    ``ctx.packed_p(z)``.  Its coefficients stay below
+    max L1(P) (2 + sum |mu|), which is asserted."""
     poset = ctx.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("p_recursion needs M(w) covered by w")
     if not poset.leq(v, w):
         raise ValueError("p_recursion needs v <= w")
-    z = other_x(x)
-    pz = ctx.p_table(z)
+    terms, weight = _corrections(ctx, M, mw, x)
+    ctx.require(ctx.p_l1 * (2 + weight))
+    width = ctx.width
+    cols = ctx.packed_p(other_x(x))
+    below = cols[mw]
     mv = M(v)
     if mv == v:
-        v_lo = v_hi = v
-        xv = QPoly((0, 1)) if x == X_Q else QPoly((-1,))
+        p = below.get(v, 0)
+        out = p + (p << 2 * width if x == X_Q else -p)
     else:
         v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
-        xv = QPoly((0, 1))
-    out = pz.value(v_lo, mw) + xv * pz.value(v_hi, mw)
-    for u, m in _corrections(ctx, M, mw, x):
-        p = pz.value(v, u)
+        out = below.get(v_lo, 0) + (below.get(v_hi, 0) << 2 * width)
+    for u, m in terms:
+        p = cols[u].get(v, 0)
         if p:
-            out = out - QPoly.monomial(poset.rank_gap(u, w) // 2, m) * p
+            out -= m * p << width * poset.rank_gap(u, w)
     return out
 
 
-def characterize(ctx: HeckeContext, D: ModuleVector, w: int, x: str) -> bool:
+def characterize(ctx: HeckeContext, D: Vector, w: int, x: str) -> bool:
     """True exactly when D is iota^x-invariant and has the normalized shape
     q^(-rho(w)/2) sum_v Q_{v,w} m_v with integer polynomials Q, Q_{w,w} = 1
     and deg Q_{v,w} < rho(v,w)/2.  Any vector passing both conditions must
-    be C'^x_w, which is asserted."""
+    be C'^x_w, which is asserted.  Raises WidthError, through iota, when
+    the coefficients of D are too large for the context's width."""
     poset = ctx.poset
     rw = poset.rank[w]
-    qs = {}
-    for v, c in D.coeffs.items():
-        shifted = c.shift(rw)
-        if not shifted.is_q_polynomial():
-            return False
-        qs[v] = shifted.to_qpoly()
-    if qs.get(w) != QPoly.one():
+    if w not in D:
         return False
-    for v, qpoly in qs.items():
+    for v, c in D.items():
+        # the half-exponents of q^(rho(w)/2) c, those of Q_{v,w}
+        d = {h + rw: a for h, a in _digits(c, ctx.width, -ctx.offset).items()}
+        if any(h < 0 or h % 2 for h in d):
+            return False
         if v == w:
-            continue
-        if 2 * qpoly.degree() >= poset.rank_gap(v, w):
+            if d != {0: 1}:
+                return False
+        elif max(d) >= poset.rank_gap(v, w):
             return False
     if iota(ctx, D, x) != D:
         return False
-    expected = kl_element_cprime(ctx, w, x)
-    if D != expected:
+    if D != kl_element_cprime(ctx, w, x):
         raise AssertionError(
             "characterization conditions hold but D differs from C'^x_w")
     return True

@@ -9,7 +9,7 @@ driven by M_w:
     R^x_{u,w} = (q-1) R^x_{u,M(w)} + q R^x_{M(u),M(w)} if M(u) is above u,
     R^x_{u,w} = (q-1-x) R^x_{u,M(w)}                   if M(u) = u,
 
-with M = M_w; x is a two-valued enum.  One evaluator, ``_by_case``, applies
+with M = M_w; x is a two-valued enum.  One evaluator, ``_cases``, applies
 this rule at q = 2^B (below) for the recursion and its checks: up-down
 symmetry is the rule on the other index, Brenti's identity its fixed case.
 
@@ -298,7 +298,7 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
                   x: str) -> PolyTable:
     """The unique R^x family of the refined pircon (P, refinement).
 
-    Packed column w is {w: 1} and ``_by_case`` of M_w at each u < w, on
+    Packed column w is {w: 1} and ``_cases`` of M_w at each u < w, on
     a = R_{u,M(w)} and b = R_{M(u),M(w)} from column M(w); each distinct
     value is decoded once, into a shared QPoly.  B needs no widening: by
     induction on rank, |coeff| <= 3^rank(w) in column w, as the bottom
@@ -307,6 +307,7 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
     """
     check_x(x)
     width = _width_for(3 ** poset.max_rank())
+    cases = _cases(width, x)
     table = PolyTable(poset, x, {})
     cols: list = [None] * poset.n
     polys: dict[int, QPoly] = {}
@@ -317,8 +318,8 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
             below = cols[M(w)]
             for u in poset.ideal_elements(w):
                 if u != w:
-                    col[u] = _by_case(M.kind(u), below.get(u, 0),
-                                      below.get(M(u), 0), width, x)
+                    col[u] = cases[M.kind(u)](below.get(u, 0),
+                                              below.get(M(u), 0))
         for u, value in col.items():
             poly = polys.get(value)
             if poly is None:
@@ -342,10 +343,10 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
     if not poset.covers(mw, w):
         raise ValueError("is_calculating needs a matching with M(w) < w")
     width, rows = _packed or _packed_entries(table)
+    cases = _cases(width, table.x)
     for u in poset.ideal_elements(w):
-        if u != w and rows[u].get(w, 0) != _by_case(
-                M.kind(u), rows[u].get(mw, 0), rows[M(u)].get(mw, 0),
-                width, table.x):
+        if u != w and rows[u].get(w, 0) != cases[M.kind(u)](
+                rows[u].get(mw, 0), rows[M(u)].get(mw, 0)):
             return False, ("not-calculating", (u, w))
     return True, None
 
@@ -374,22 +375,24 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
       (a') M(w) above w:  R_{u,w} = R_{M(u),M(w)}
       (b') M(w) below w:  R_{u,w} = (q-1) R_{M(u),w} + q R_{M(u),M(w)}
       (c') M(w) fixed:    R_{u,w} = (q-1-x) R_{M(u),w}
-    that is, ``_by_case`` with the kind of w mirrored, on packed entries
-    (absent pairs read as 0).  Clause (c') is the substance; (a') and (b')
-    follow from the recursion for strongly calculating matchings but are
-    cheap to verify outright.
+    that is, ``_cases`` of the mirrored kind of w, chosen once per w, on
+    packed entries (absent pairs read as 0).  Clause (c') is the substance;
+    (a') and (b') follow from the recursion for strongly calculating
+    matchings but are cheap to verify outright.
     """
     width, rows = _packed_entries(table)
+    cases = _cases(width, table.x)
+    mirrored = {"up": cases["down"], "down": cases["up"],
+                "fixed": cases["fixed"]}
     for mi, M in enumerate(matchings):
         ups = [(u, rows[u], rows[M(u)]) for u in M.domain
                if M.kind(u) == "up"]
         for w in M.domain:
             kw = M.kind(w)
-            mirrored = {"up": "down", "down": "up"}.get(kw, kw)
+            case = mirrored[kw]
             mw = M(w)
             for u, row, mrow in ups:
-                if row.get(w, 0) != _by_case(mirrored, mrow.get(w, 0),
-                                             mrow.get(mw, 0), width, table.x):
+                if row.get(w, 0) != case(mrow.get(w, 0), mrow.get(mw, 0)):
                     clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
                     return False, ("updown-" + clause, (mi, u, w))
     return True, None
@@ -403,18 +406,18 @@ class _TooNarrow(Exception):
     """A coefficient bound, the only argument, does not fit the width."""
 
 
-def _by_case(kind: str, a: int, b: int, width: int, x: str) -> int:
-    """The three-case rule at q = 2^width: b when M moves the element down,
-    (q-1) a + q b when up, and (q-1-x) a (q a or -a) when M fixes it."""
-    if kind == "down":
-        return b
-    if kind == "up":
-        return (a << width) - a + (b << width)
-    return a << width if x == X_MINUS_ONE else -a
+def _cases(width: int, x: str) -> dict[str, Callable[[int, int], int]]:
+    """The three-case rule at q = 2^width, one function of (a, b) per kind
+    of the element: b when M moves it down, (q-1) a + q b when up, and
+    (q-1-x) a (q a or -a) when M fixes it."""
+    return {"down": lambda a, b: b,
+            "up": lambda a, b: (a << width) - a + (b << width),
+            "fixed": (lambda a, b: a << width) if x == X_MINUS_ONE
+            else (lambda a, b: -a)}
 
 
 def _packed_entries(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
-    """The least B with 3 max |coeff(R)| < 2^(B-1), a bound on ``_by_case``
+    """The least B with 3 max |coeff(R)| < 2^(B-1), a bound on ``_cases``
     of entries, and one dict {w: R_{u,w}(2^B)} per u."""
     width = _width_for(3 * _norms(table)[1])
     rows: list[dict[int, int]] = [{} for _ in range(table.poset.n)]
@@ -659,7 +662,7 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
 def brenti_identity(quot, table: PolyTable):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
     w < sw leaves it; scanned exhaustively over qualifying (s, u, w).  This
-    is the fixed case of ``_by_case``, on packed entries.
+    is the fixed case of ``_cases``, on packed entries.
     """
     rank = quot.poset.rank
     rows = None
@@ -669,10 +672,10 @@ def brenti_identity(quot, table: PolyTable):
         fixed = [w for w, sw in enumerate(images) if sw == w]
         if fixed and rows is None:   # full groups have no fixed points
             width, rows = _packed_entries(table)
+            case = _cases(width, table.x)["fixed"]
         for u, su in ups:
             for w in fixed:
-                if rows[u].get(w, 0) != _by_case(
-                        "fixed", rows[su].get(w, 0), 0, width, table.x):
+                if rows[u].get(w, 0) != case(rows[su].get(w, 0), 0):
                     return False, ("brenti", (s, u, w))
     return True, None
 

@@ -1,14 +1,14 @@
-"""Exact Laurent-polynomial arithmetic over the integers.
+"""Integer scalars: Laurent polynomials in q^(1/2) and polynomials in q.
 
 Two scalar types:
 
 * :class:`HalfLaurent` -- elements of Z[q^(1/2), q^(-1/2)], stored sparsely
   by *half-exponent*: the integer number of q^(1/2) units, so q itself sits
-  at half-exponent 2 and q^(-1/2) at half-exponent -1.  Carries the bar
-  involution q^(1/2) -> q^(-1/2).
+  at half-exponent 2 and q^(-1/2) at half-exponent -1.  The Hecke layer
+  computes on packed ints (see ``hecke``); a HalfLaurent is a decoded
+  coefficient, for printing, JSON and equality, and has no arithmetic.
 * :class:`QPoly` -- ordinary polynomials in q with integer coefficients,
-  stored densely in ascending powers.  These embed into HalfLaurent at even
-  nonnegative half-exponents.
+  stored densely in ascending powers.
 
 Coefficients are Python ints, so arithmetic never overflows.  All values are
 immutable and hashable, and the canonical zero stores no coefficients at all,
@@ -22,105 +22,15 @@ from typing import Iterable, Mapping
 
 
 class HalfLaurent:
-    """An integer Laurent polynomial in q^(1/2)."""
+    """An integer Laurent polynomial in q^(1/2), as read off a packed
+    module-vector coefficient: for printing, JSON and equality."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         # Keys are half-exponents, zero coefficients are dropped.
-        data = {}
-        if coeffs:
-            for h, c in coeffs.items():
-                if c:
-                    data[int(h)] = int(c)
-        self._coeffs = data
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "HalfLaurent":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "HalfLaurent":
-        return _ONE
-
-    @classmethod
-    def from_int(cls, n: int) -> "HalfLaurent":
-        return cls({0: n})
-
-    @classmethod
-    def q_power(cls, k: int) -> "HalfLaurent":
-        """q^k, an integer power."""
-        return cls({2 * k: 1})
-
-    @classmethod
-    def half_power(cls, h: int) -> "HalfLaurent":
-        """q^(h/2) for any integer h."""
-        return cls({h: 1})
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        data = dict(self._coeffs)
-        for h, c in other._coeffs.items():
-            s = data.get(h, 0) + c
-            if s:
-                data[h] = s
-            elif h in data:
-                del data[h]
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = data
-        return out
-
-    def __neg__(self) -> "HalfLaurent":
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = {h: -c for h, c in self._coeffs.items()}
-        return out
-
-    def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, HalfLaurent):
-            return NotImplemented
-        data: dict[int, int] = {}
-        for h1, c1 in self._coeffs.items():
-            for h2, c2 in other._coeffs.items():
-                h = h1 + h2
-                s = data.get(h, 0) + c1 * c2
-                if s:
-                    data[h] = s
-                elif h in data:
-                    del data[h]
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = data
-        return out
-
-    __rmul__ = __mul__
-
-    def scale(self, n: int) -> "HalfLaurent":
-        if n == 0:
-            return _ZERO
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = {h: n * c for h, c in self._coeffs.items()}
-        return out
-
-    def shift(self, h: int) -> "HalfLaurent":
-        """Multiply by q^(h/2)."""
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = {k + h: c for k, c in self._coeffs.items()}
-        return out
-
-    def bar(self) -> "HalfLaurent":
-        """The involution sending q^(1/2) to q^(-1/2)."""
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._coeffs = {-h: c for h, c in self._coeffs.items()}
-        return out
+        self._coeffs = {int(h): int(c) for h, c in (coeffs or {}).items()
+                        if c}
 
     # -- queries --------------------------------------------------------
 
@@ -128,29 +38,12 @@ class HalfLaurent:
         """Coefficient of q^(h/2)."""
         return self._coeffs.get(h, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
     def terms(self) -> dict[int, int]:
         """The nonzero coefficients keyed by half-exponent, as a new dict."""
         return dict(self._coeffs)
 
     def items(self):
         return sorted(self._coeffs.items())
-
-    def is_q_polynomial(self) -> bool:
-        """True when all exponents are integral and nonnegative."""
-        return all(h >= 0 and h % 2 == 0 for h in self._coeffs)
-
-    def to_qpoly(self) -> "QPoly":
-        if not self.is_q_polynomial():
-            raise ValueError(f"{self} does not lie in Z[q]")
-        if not self._coeffs:
-            return QPoly(())
-        out = [0] * (max(self._coeffs) // 2 + 1)
-        for h, c in self._coeffs.items():
-            out[h // 2] = c
-        return QPoly(out)
 
     # -- value semantics -----------------------------------------------
 
@@ -196,10 +89,6 @@ class HalfLaurent:
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "HalfLaurent":
         return cls({int(h): int(c) for h, c in data})
-
-
-_ZERO = HalfLaurent()
-_ONE = HalfLaurent({0: 1})
 
 
 class QPoly:
@@ -299,15 +188,6 @@ class QPoly:
         for k, c in enumerate(self._coeffs):
             out[n - k] = c
         return QPoly(out)
-
-    # -- embedding --------------------------------------------------------
-
-    def to_half_laurent(self) -> HalfLaurent:
-        return HalfLaurent({2 * k: c for k, c in enumerate(self._coeffs) if c})
-
-    def bar_half(self) -> HalfLaurent:
-        """self(1/q) as a HalfLaurent value."""
-        return self.to_half_laurent().bar()
 
     # -- value semantics ----------------------------------------------------
 

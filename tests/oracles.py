@@ -8,14 +8,17 @@ descent-lift recursion on group elements, not from the lifting rule that
 builds the library's quotient and twisted-identity posets.
 
 The reference path at the end keeps the R recursion, the kernel check,
-kernel inversion, up-down check, iota and the per-v P recursion as they
-were written on ``QPoly``/``HalfLaurent`` object arithmetic, before the
-library moved to packed evaluation and hoisted mu-corrections.
-Differential tests hold the library to the same results, witnesses and
-``KernelError`` messages.  It also keeps the two refinement searches that
-``klpoly.system_refinement`` replaced: the descent search over group
-generators for a parabolic quotient, and the per-generator candidate search
-over conjugation maps for twisted identities.
+kernel inversion, up-down check and the whole Hecke layer (module-vector
+arithmetic, the T actions, iota, j_P, the KL elements, the relation and
+duality suites and both recursions) as they were written on
+``QPoly``/``HalfLaurent`` object arithmetic, before the library moved to
+packed evaluation and hoisted mu-corrections.  ``HalfLaurent`` and
+``ModuleVector`` here extend the library's decoded types with that
+arithmetic.  Differential tests hold the library to the same results,
+witnesses and ``KernelError`` messages.  It also keeps the two refinement
+searches that ``klpoly.system_refinement`` replaced: the descent search
+over group generators for a parabolic quotient, and the per-generator
+candidate search over conjugation maps for twisted identities.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from functools import lru_cache
 
 import sympy
 
-from pircons.hecke import ModuleVector
-from pircons.klpoly import (X_MINUS_ONE, X_Q, KernelError, PolyTable,
-                            Refinement, check_x, other_x)
-from pircons.laurent import HalfLaurent, QPoly
+from pircons import hecke, laurent
+from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
+                            PolyTable, Refinement, check_x, other_x)
+from pircons.laurent import QPoly
 from pircons.matchings import (MatchingError, PartialMatching, lambda_partial,
                                verify_spm)
 
@@ -129,6 +132,103 @@ def table_inversion(table):
 
 
 # ---------------------------------------------------------------------------
+# Reference scalars: HalfLaurent with its ring operations and bar.
+# ---------------------------------------------------------------------------
+
+class HalfLaurent(laurent.HalfLaurent):
+    """The library's decoded HalfLaurent with the object arithmetic the
+    reference path computes in; compares equal to a library value with the
+    same coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "HalfLaurent":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "HalfLaurent":
+        return cls({0: 1})
+
+    @classmethod
+    def from_int(cls, n: int) -> "HalfLaurent":
+        return cls({0: n})
+
+    @classmethod
+    def q_power(cls, k: int) -> "HalfLaurent":
+        """q^k, an integer power."""
+        return cls({2 * k: 1})
+
+    @classmethod
+    def half_power(cls, h: int) -> "HalfLaurent":
+        """q^(h/2) for any integer h."""
+        return cls({h: 1})
+
+    @classmethod
+    def lift(cls, c: laurent.HalfLaurent) -> "HalfLaurent":
+        return cls(c.terms())
+
+    def __add__(self, other: laurent.HalfLaurent) -> "HalfLaurent":
+        if not isinstance(other, laurent.HalfLaurent):
+            return NotImplemented
+        data = self.terms()
+        for h, c in other.terms().items():
+            data[h] = data.get(h, 0) + c
+        return HalfLaurent(data)
+
+    def __neg__(self) -> "HalfLaurent":
+        return self.scale(-1)
+
+    def __sub__(self, other: laurent.HalfLaurent) -> "HalfLaurent":
+        return self + HalfLaurent.lift(other).scale(-1)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        if not isinstance(other, laurent.HalfLaurent):
+            return NotImplemented
+        data: dict[int, int] = {}
+        for h1, c1 in self.terms().items():
+            for h2, c2 in other.terms().items():
+                data[h1 + h2] = data.get(h1 + h2, 0) + c1 * c2
+        return HalfLaurent(data)
+
+    __rmul__ = __mul__
+
+    def scale(self, n: int) -> "HalfLaurent":
+        return HalfLaurent({h: n * c for h, c in self.terms().items()})
+
+    def shift(self, h: int) -> "HalfLaurent":
+        """Multiply by q^(h/2)."""
+        return HalfLaurent({k + h: c for k, c in self.terms().items()})
+
+    def bar(self) -> "HalfLaurent":
+        """The involution sending q^(1/2) to q^(-1/2)."""
+        return HalfLaurent({-h: c for h, c in self.terms().items()})
+
+    def support(self) -> list[int]:
+        return sorted(self.terms())
+
+    def is_q_polynomial(self) -> bool:
+        """True when all exponents are integral and nonnegative."""
+        return all(h >= 0 and h % 2 == 0 for h in self.terms())
+
+    def to_qpoly(self) -> QPoly:
+        if not self.is_q_polynomial():
+            raise ValueError(f"{self} does not lie in Z[q]")
+        terms = self.terms()
+        out = [0] * (max(terms, default=-2) // 2 + 1)
+        for h, c in terms.items():
+            out[h // 2] = c
+        return QPoly(out)
+
+
+def embed(p: QPoly) -> HalfLaurent:
+    """A polynomial in q as a HalfLaurent, at even half-exponents."""
+    return HalfLaurent({2 * k: c for k, c in enumerate(p.coeffs())})
+
+
+# ---------------------------------------------------------------------------
 # Reference path: the object-arithmetic R recursion, kernel check and
 # inversion.
 # ---------------------------------------------------------------------------
@@ -184,8 +284,8 @@ def check_pkernel(table: PolyTable):
         for u in poset.ideal_elements(v):
             acc = HalfLaurent.zero()
             for z in poset.elements_of(poset.interval_mask(u, v)):
-                term = table.value(u, z).to_half_laurent() \
-                    * table.value(z, v).bar_half()
+                term = embed(table.value(u, z)) \
+                    * embed(table.value(z, v)).bar()
                 acc = acc + term.shift(2 * poset.rank_gap(z, v))
             want = HalfLaurent.one() if u == v else HalfLaurent.zero()
             if acc != want:
@@ -248,6 +348,113 @@ def check_updown(matchings, table: PolyTable):
     return True, None
 
 
+# ---------------------------------------------------------------------------
+# Reference path: the Hecke layer on ModuleVector objects.
+# ---------------------------------------------------------------------------
+
+class ModuleVector(hecke.ModuleVector):
+    """The library's decoded ModuleVector with the object arithmetic of the
+    reference path; coefficients are the HalfLaurent above."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        super().__init__({u: HalfLaurent.lift(c)
+                          for u, c in (coeffs or {}).items()})
+
+    @classmethod
+    def zero(cls) -> "ModuleVector":
+        return cls()
+
+    @classmethod
+    def basis(cls, u: int) -> "ModuleVector":
+        return cls({u: HalfLaurent.one()})
+
+    @classmethod
+    def lift(cls, v: hecke.ModuleVector) -> "ModuleVector":
+        return cls(v.coeffs)
+
+    def __add__(self, other: hecke.ModuleVector) -> "ModuleVector":
+        data = dict(self.coeffs)
+        for u, c in other.coeffs.items():
+            data[u] = data.get(u, HalfLaurent.zero()) + c
+        return ModuleVector(data)
+
+    def __sub__(self, other: hecke.ModuleVector) -> "ModuleVector":
+        return self + ModuleVector.lift(other).scale(HalfLaurent.from_int(-1))
+
+    def scale(self, a: laurent.HalfLaurent) -> "ModuleVector":
+        return ModuleVector({u: c * a for u, c in self.coeffs.items()})
+
+    def shift(self, h: int) -> "ModuleVector":
+        """Multiply by q^(h/2)."""
+        return ModuleVector({u: c.shift(h) for u, c in self.coeffs.items()})
+
+
+def pack(ctx, v: hecke.ModuleVector) -> dict[int, int]:
+    """The packed form of a decoded vector at ctx's width and offset, the
+    inverse of ``ctx.decode``; asserts that every coefficient fits the
+    width and every term the offset."""
+    width, offset = ctx.width, ctx.offset
+    out = {}
+    for u, c in v.coeffs.items():
+        terms = c.terms()
+        ctx.require(max(map(abs, terms.values())))
+        if min(terms) < -offset:
+            raise hecke.OffsetError(f"term q^({min(terms)}/2) below offset")
+        out[u] = sum(a << width * (h + offset) for h, a in terms.items())
+    return out
+
+
+def t_action(ctx, M, v, x: str) -> ModuleVector:
+    """T_M acting in the x-structure, extended linearly."""
+    out = ModuleVector.zero()
+    for u, c in v.coeffs.items():
+        kind = M.kind(u)
+        if kind == "up":
+            out = out + ModuleVector({M(u): c})
+        elif kind == "down":
+            qc = c.shift(2)
+            out = out + ModuleVector({M(u): qc, u: qc - c})
+        else:
+            out = out + ModuleVector({u: c.shift(2) if x == X_Q else -c})
+    return out
+
+
+def t_inverse_action(ctx, M, v, x: str) -> ModuleVector:
+    """T_M^(-1) = q^(-1) T_M + (q^(-1) - 1)."""
+    return (t_action(ctx, M, v, x) + v).shift(-2) - v
+
+
+def cprime_generator_action(ctx, M, v, x: str) -> ModuleVector:
+    """C'_M = q^(-1/2) (T_M + 1)."""
+    return (t_action(ctx, M, v, x) + v).shift(-1)
+
+
+def verify_hecke_relations(ctx, x: str):
+    """Quadratic and braid relations on every basis vector."""
+    n = ctx.poset.n
+    for mi, M in enumerate(ctx.matchings):
+        for u in range(n):
+            v = ModuleVector.basis(u)
+            tv = t_action(ctx, M, v, x)
+            lhs = t_action(ctx, M, tv, x)
+            rhs = tv.shift(2) - tv + v.shift(2)
+            if lhs != rhs:
+                return False, ("quadratic", (mi, u))
+    for (i, j), m in ctx.m_orders.items():
+        M, N = ctx.matchings[i], ctx.matchings[j]
+        for u in range(n):
+            lhs = ModuleVector.basis(u)
+            rhs = ModuleVector.basis(u)
+            for k in range(m):
+                lhs = t_action(ctx, M if k % 2 == 0 else N, lhs, x)
+                rhs = t_action(ctx, N if k % 2 == 0 else M, rhs, x)
+            if lhs != rhs:
+                return False, ("braid", (i, j, u))
+    return True, None
+
+
 @lru_cache(maxsize=None)
 def _iota_basis(ctx, x: str) -> list:
     poset = ctx.poset
@@ -257,21 +464,102 @@ def _iota_basis(ctx, x: str) -> list:
         coeffs = {}
         for u in poset.ideal_elements(v):
             gap = poset.rank_gap(u, v)
-            c = table.value(u, v).to_half_laurent() \
+            coeffs[u] = embed(table.value(u, v)) \
                 .scale((-1) ** gap).shift(-2 * poset.rank[v])
-            if c:
-                coeffs[u] = c
         images.append(ModuleVector(coeffs))
     return images
 
 
-def iota(ctx, v, x: str):
+def iota(ctx, v, x: str) -> ModuleVector:
     """iota^x(m_v) = q^(-rho(v)) sum_u (-1)^(rho(u,v)) R^x_{u,v} m_u,
     extended bar-semilinearly, on ModuleVector objects."""
     images = _iota_basis(ctx, x)
     out = ModuleVector.zero()
     for u, c in v.coeffs.items():
-        out = out + images[u].scale(c.bar())
+        out = out + images[u].scale(HalfLaurent.lift(c).bar())
+    return out
+
+
+def j_map(ctx, v) -> ModuleVector:
+    """j_P(a m_w) = bar(a) (-q^(-1))^rho(w) m_w."""
+    rank = ctx.poset.rank
+    return ModuleVector({
+        w: HalfLaurent.lift(c).bar().shift(-2 * rank[w]).scale((-1) ** rank[w])
+        for w, c in v.coeffs.items()})
+
+
+def kl_element_c(ctx, w: int, x: str) -> ModuleVector:
+    """C^x_w = q^(rho(w)/2) sum_v (-1)^(rho(v,w)) q^(-rho(v))
+    bar(P^x_{v,w}) m_v."""
+    poset = ctx.poset
+    table = ctx.p_table(x)
+    return ModuleVector({
+        v: embed(table.value(v, w)).bar().scale((-1) ** poset.rank_gap(v, w))
+        .shift(poset.rank[w] - 2 * poset.rank[v])
+        for v in poset.ideal_elements(w)})
+
+
+def kl_element_cprime(ctx, w: int, x: str) -> ModuleVector:
+    """C'^x_w = q^(-rho(w)/2) sum_v P^z_{v,w} m_v."""
+    poset = ctx.poset
+    table = ctx.p_table(other_x(x))
+    return ModuleVector({v: embed(table.value(v, w)).shift(-poset.rank[w])
+                         for v in poset.ideal_elements(w)})
+
+
+def verify_duality(ctx):
+    """The involution identities of the library's suite, in its order."""
+    n = ctx.poset.n
+    for x in X_PARAMS:
+        z = other_x(x)
+        for u in range(n):
+            v = ModuleVector.basis(u)
+            iv = iota(ctx, v, x)
+            if iota(ctx, iv, x) != v:
+                return False, ("iota-involution", (x, u))
+            jv = j_map(ctx, v)
+            if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
+                return False, ("iota-j-conjugation", (x, u))
+            for mi, M in enumerate(ctx.matchings):
+                tv = t_action(ctx, M, v, x)
+                if iota(ctx, tv, x) != t_inverse_action(ctx, M, iv, x):
+                    return False, ("equivariance", (x, mi, u))
+                rhs = t_action(ctx, M, jv, z).scale(HalfLaurent({-2: -1}))
+                if j_map(ctx, tv) != rhs:
+                    return False, ("twisted-equivariance", (x, mi, u))
+        for w in range(n):
+            c = kl_element_c(ctx, w, x)
+            cp = kl_element_cprime(ctx, w, x)
+            sign = HalfLaurent.from_int((-1) ** ctx.poset.rank[w])
+            if j_map(ctx, c) != kl_element_cprime(ctx, w, z).scale(sign):
+                return False, ("j-on-C", (x, w))
+            if iota(ctx, cp, x) != cp:
+                return False, ("iota-on-Cprime", (x, w))
+            if iota(ctx, c, x) != c:
+                return False, ("iota-on-C", (x, w))
+    return True, None
+
+
+def _corrections(ctx, M, mw: int, x: str) -> list:
+    """[(u, mu(u, M(w)))] with mu nonzero, recomputed on every call."""
+    out = []
+    for u in ctx.poset.ideal_elements(mw):
+        kind = M.kind(u)
+        if kind == "down" or (kind == "fixed" and x == X_Q):
+            m = ctx.mu(u, mw, x)
+            if m:
+                out.append((u, m))
+    return out
+
+
+def cprime_recursion(ctx, w: int, M, x: str) -> ModuleVector:
+    """C'_M . C'^x_{M(w)} - sum_u mu(u, M(w)) C'^x_u."""
+    mw = M(w)
+    if not ctx.poset.covers(mw, w):
+        raise ValueError("cprime_recursion needs M(w) covered by w")
+    out = cprime_generator_action(ctx, M, kl_element_cprime(ctx, mw, x), x)
+    for u, m in _corrections(ctx, M, mw, x):
+        out = out - kl_element_cprime(ctx, u, x).scale(HalfLaurent.from_int(m))
     return out
 
 
@@ -293,15 +581,29 @@ def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
         v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
         xv = QPoly((0, 1))
     out = pz.value(v_lo, mw) + xv * pz.value(v_hi, mw)
-    for u in poset.ideal_elements(mw):
-        kind = M.kind(u)
-        if not (kind == "down" or (kind == "fixed" and x == X_Q)):
-            continue
-        m = ctx.mu(u, mw, x)
-        if m:
-            out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
-                * pz.value(v, u)
+    for u, m in _corrections(ctx, M, mw, x):
+        out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
+            * pz.value(v, u)
     return out
+
+
+def recursion_witness(ctx, xs):
+    """Where the C' or the P recursion first disagrees with the directly
+    built KL basis, scanned in the CLI's order, or None."""
+    poset = ctx.poset
+    for x in xs:
+        pz = ctx.p_table(other_x(x))
+        for w in range(poset.n):
+            if w == poset.bottom:
+                continue
+            want = kl_element_cprime(ctx, w, x)
+            for M in ctx.system.down_matchings(w):
+                if cprime_recursion(ctx, w, M, x) != want:
+                    return ("cprime", (x, w))
+                for v in poset.ideal_elements(w):
+                    if p_recursion(ctx, v, w, M, x) != pz.value(v, w):
+                        return ("p", (x, v, w))
+    return None
 
 
 def lambda_refinement(quot, pick=min) -> Refinement:

@@ -1,23 +1,31 @@
 """Differential tests of the packed Hecke layer.
 
-``hecke.iota`` and ``klpoly.check_updown`` evaluate polynomials at a power
-of two and work on ints, and ``hecke.p_recursion`` reads mu-corrections
-kept on the context.  The reference path in ``oracles`` is the same
-algorithm on ``QPoly``/``HalfLaurent`` objects, recomputed on every call.
-Both must give identical vectors, polynomials and ``(ok, witness)`` pairs,
-on genuine data and on corrupted tables alike, including coefficients far
-beyond any machine word.
+Module vectors are dicts of ints packed at the context's width and offset;
+``hecke.iota`` reads digits only to apply bar, ``hecke.p_recursion`` runs on
+packed P columns with mu-corrections kept on the context, and
+``klpoly.check_updown`` evaluates polynomials at a power of two.  The
+reference path in ``oracles`` is the same algorithm on
+``QPoly``/``HalfLaurent``/``ModuleVector`` objects, recomputed on every
+call.  Both must give identical vectors (after decoding), polynomials and
+``(ok, witness)`` pairs, on genuine data and on corrupted tables alike,
+including coefficients far beyond any machine word.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import HalfLaurent, ModuleVector, embed, pack
 from pircons import cli, hecke
-from pircons.hecke import (ModuleVector, context_for_quotient, iota,
-                           kl_element_c, kl_element_cprime, p_recursion)
-from pircons.klpoly import X_PARAMS, PolyTable, check_updown
-from pircons.laurent import HalfLaurent, QPoly
+from pircons.hecke import (OffsetError, WidthError, characterize,
+                           context_for_quotient, cprime_generator_action,
+                           cprime_recursion, iota, j_map, kl_element_c,
+                           kl_element_cprime, p_recursion, t_action,
+                           t_inverse_action)
+from pircons.klpoly import X_PARAMS, PolyTable, _with_widening, check_updown
+from pircons.laurent import QPoly
 
 
 @pytest.fixture(scope="module")
@@ -34,36 +42,63 @@ def contexts(suite_contexts, twisted2_context, twisted3_context):
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The packing widths iota asks for, in order, one per (re)start."""
+    """The widths at which iota reads its images, in order."""
     seen = []
     real = hecke._iota_basis
 
-    def spy(ctx, x, width):
-        seen.append(width)
-        return real(ctx, x, width)
+    def spy(ctx, x):
+        seen.append(ctx.width)
+        return real(ctx, x)
 
     monkeypatch.setattr(hecke, "_iota_basis", spy)
     return seen
+
+
+def decoded(ctx, v):
+    return ModuleVector.lift(ctx.decode(v))
+
+
+def widened(ctx, op, v, growth=1):
+    """op on v packed at the narrowest width, from ctx's up, at which v
+    packs and op's bounds fit, the result decoded.  The offset is ctx's
+    plus the largest |half-exponent| in v, which holds every term op
+    makes: ctx's offset covers q^(-rho) and the q^(-1) shifts.
+    ``growth`` bounds how much op multiplies a coefficient, for the ops
+    that assert no bound of their own (the caller's bound, as in the
+    checks)."""
+    terms = [t for c in v.coeffs.values() for t in c.terms().items()]
+    top = max((abs(a) for _, a in terms), default=0)
+    reach = max((abs(h) for h, _ in terms), default=0)
+
+    def run(width):
+        wide = copy.copy(ctx)
+        wide.offset = ctx.offset + reach
+        wide._set_width(width)
+        wide.require(growth * top)
+        return decoded(wide, op(wide, pack(wide, v)))
+    return _with_widening(run, ctx.width)
 
 
 # -- iota --------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_iota_on_every_context(contexts, x):
-    """Basis vectors, their images (the involution check) and the C basis."""
+    """Basis vectors, their images (the involution check) and both KL
+    bases."""
     for key, ctx in contexts.items():
         for u in range(ctx.poset.n):
-            for v in (ModuleVector.basis(u),
-                      oracles.iota(ctx, ModuleVector.basis(u), x),
+            for v in ({u: ctx.one},
+                      pack(ctx, oracles.iota(ctx, ModuleVector.basis(u), x)),
                       kl_element_c(ctx, u, x),
                       kl_element_cprime(ctx, u, x)):
-                assert iota(ctx, v, x) == oracles.iota(ctx, v, x), (key, u)
+                assert decoded(ctx, iota(ctx, v, x)) == \
+                    oracles.iota(ctx, ctx.decode(v), x), (key, u)
 
 
 def test_iota_of_zero(contexts):
     ctx = contexts["A2/H={-}"]
     for x in X_PARAMS:
-        assert iota(ctx, ModuleVector.zero(), x) == ModuleVector.zero()
+        assert iota(ctx, {}, x) == {}
 
 
 HUGE = st.integers(-2 ** 80, 2 ** 80)
@@ -74,46 +109,243 @@ RANDOM_KEYS = ["A2/H={-}", "B2/H={s1}", "A3/H={-}", "I2(5)/H={-}",
                "B3/H={s1,s2}", "twisted3"]
 
 
+def random_vector(data, ctx):
+    return ModuleVector(data.draw(st.dictionaries(
+        st.integers(0, ctx.poset.n - 1), laurents, max_size=6)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_iota_on_random_vectors(contexts, data):
     ctx = contexts[data.draw(st.sampled_from(RANDOM_KEYS))]
     x = data.draw(st.sampled_from(X_PARAMS))
-    v = ModuleVector(data.draw(st.dictionaries(
-        st.integers(0, ctx.poset.n - 1), laurents, max_size=6)))
-    assert iota(ctx, v, x) == oracles.iota(ctx, v, x)
+    v = random_vector(data, ctx)
+    assert widened(ctx, lambda c, pv: iota(c, pv, x), v) == \
+        oracles.iota(ctx, v, x)
 
 
 def test_iota_width_is_derived(contexts, widths):
     ctx = contexts["A3/H={-}"]
     top = ctx.poset.top
-    iota(ctx, ModuleVector.basis(top), "q")
-    iota(ctx, iota(ctx, ModuleVector.basis(top), "q"), "q")
-    assert widths == [ctx.iota_width] * 3
+    iota(ctx, iota(ctx, {top: ctx.one}, "q"), "q")
+    assert widths == [ctx.width] * 2
     widths.clear()
     # a 2^70 coefficient needs more than 70 bits per digit; the bound is
     # checked before the images are read, so only the wider width packs
     v = ModuleVector({top: HalfLaurent({1: 2 ** 70, -3: -(2 ** 70)})})
-    assert iota(ctx, v, "-1") == oracles.iota(ctx, v, "-1")
+    assert widened(ctx, lambda c, pv: iota(c, pv, "-1"), v) == \
+        oracles.iota(ctx, v, "-1")
     assert len(widths) == 1 and widths[0] > 72
 
 
 def test_iota_bound_sits_at_the_width(contexts, widths):
-    """A vector whose bound is just below 2^(B-1) packs at B; one unit
-    more restarts wider.  Both decode to the reference."""
+    """A vector whose bound is just below 2^(B-1) maps at B; one unit more
+    raises the public WidthError before any image is read, and maps at a
+    wider B.  Both decode to the reference."""
     ctx = contexts["B2/H={-}"]
     x = "q"
-    width = ctx.iota_width
     top = ctx.poset.top
-    fits = ((1 << (width - 1)) - 1) // ctx.r_l1
-    for c, want in ((fits, [width]), (fits + 1, None)):
-        widths.clear()
-        v = ModuleVector({top: HalfLaurent({0: c})})
-        assert iota(ctx, v, x) == oracles.iota(ctx, v, x)
-        if want:
-            assert widths == want
-        else:
-            assert len(widths) == 1 and widths[0] > width
+    fits = ((1 << (ctx.width - 1)) - 1) // ctx.r_l1
+    v = ModuleVector({top: HalfLaurent({0: fits})})
+    assert decoded(ctx, iota(ctx, pack(ctx, v), x)) == oracles.iota(ctx, v, x)
+    assert widths == [ctx.width]
+    widths.clear()
+    v = ModuleVector({top: HalfLaurent({0: fits + 1})})
+    with pytest.raises(WidthError):
+        iota(ctx, pack(ctx, v), x)
+    assert widths == []
+    # characterize reaches the same bound through iota
+    D = kl_element_cprime(ctx, top, x)
+    D[ctx.poset.bottom] = (fits + 1) << ctx.width * (
+        ctx.offset - ctx.poset.rank[top])
+    with pytest.raises(WidthError):
+        characterize(ctx, D, top, x)
+    assert widths == []
+    assert widened(ctx, lambda c, pv: iota(c, pv, x), v) == \
+        oracles.iota(ctx, v, x)
+    assert len(widths) == 1 and widths[0] > ctx.width
+
+
+# -- the actions, j and the KL elements -------------------------------------
+
+@pytest.mark.parametrize("x", X_PARAMS)
+def test_packed_ops_on_every_context(contexts, x):
+    """T_M, T_M^(-1), C'_M and j_P on basis vectors and iota images, both
+    KL elements and the C' recursion, decoded, against the object path."""
+    for key, ctx in contexts.items():
+        poset = ctx.poset
+        for u in range(poset.n):
+            vectors = [{u: ctx.one}, iota(ctx, {u: ctx.one}, x)]
+            for v in vectors:
+                ref = ModuleVector.lift(ctx.decode(v))
+                assert decoded(ctx, j_map(ctx, v)) == \
+                    oracles.j_map(ctx, ref), (key, u)
+                for M in ctx.matchings:
+                    for op, want in (
+                            (t_action, oracles.t_action),
+                            (t_inverse_action, oracles.t_inverse_action),
+                            (cprime_generator_action,
+                             oracles.cprime_generator_action)):
+                        assert decoded(ctx, op(ctx, M, v, x)) == \
+                            want(ctx, M, ref, x), (key, op.__name__, u)
+            assert decoded(ctx, kl_element_c(ctx, u, x)) == \
+                oracles.kl_element_c(ctx, u, x), (key, u)
+            assert decoded(ctx, kl_element_cprime(ctx, u, x)) == \
+                oracles.kl_element_cprime(ctx, u, x), (key, u)
+            for M in ctx.system.down_matchings(u):
+                assert decoded(ctx, cprime_recursion(ctx, u, M, x)) == \
+                    oracles.cprime_recursion(ctx, u, M, x), (key, u)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_ops_on_random_vectors(contexts, data):
+    """Coefficients up to 2^80 through every operation that takes a
+    vector, each at the width its input needs."""
+    ctx = contexts[data.draw(st.sampled_from(RANDOM_KEYS))]
+    x = data.draw(st.sampled_from(X_PARAMS))
+    M = data.draw(st.sampled_from(ctx.matchings))
+    v = random_vector(data, ctx)
+    # T_M at most triples a coefficient; T_M^(-1) = q^(-1) (T_M + 1) - 1
+    # and C'_M = q^(-1/2) (T_M + 1) at most multiply it by 5 and 4
+    for op, want, growth in (
+            (t_action, oracles.t_action, 3),
+            (t_inverse_action, oracles.t_inverse_action, 5),
+            (cprime_generator_action, oracles.cprime_generator_action, 4)):
+        assert widened(ctx, lambda c, pv: op(c, M, pv, x), v, growth) == \
+            want(ctx, M, v, x)
+    assert widened(ctx, j_map, v) == oracles.j_map(ctx, v)
+
+
+def test_widening_from_a_narrow_start(contexts, monkeypatch):
+    """Every check asserts its bound before comparing, so started at B = 3
+    it reruns wider and gives the verdict of the default width."""
+    seen = []
+    real = hecke.t_action
+
+    def spy(ctx, M, v, x):
+        seen.append(ctx.width)
+        return real(ctx, M, v, x)
+
+    monkeypatch.setattr(hecke, "t_action", spy)
+    for key in ("A3/H={-}", "B3/H={s2}", "twisted3"):
+        ctx = contexts[key]
+        narrow = ctx.at_width(3)
+        assert narrow.width == 3 and ctx.width > 3
+        for x in X_PARAMS:
+            seen.clear()
+            assert hecke.verify_hecke_relations(narrow, x) == (True, None)
+            assert seen and min(seen) > 3
+        seen.clear()
+        assert hecke.verify_duality(narrow) == (True, None)
+        assert seen and min(seen) > 3
+        assert cli._recursion_witness(narrow, X_PARAMS) is None
+
+
+def test_inexact_down_shift_raises(contexts):
+    """A term at q^(-K/2), the lowest the offset holds, cannot be divided
+    by q^(1/2) again: every down-shift raises instead of truncating."""
+    ctx = contexts["A2/H={s2}"]
+    poset = ctx.poset
+    e = poset.bottom
+    lowest = ModuleVector({e: HalfLaurent.half_power(-ctx.offset)})
+    v = pack(ctx, lowest)
+    assert v == {e: 1}
+    M = next(M for M in ctx.matchings if M(e) != e)
+    with pytest.raises(OffsetError):
+        cprime_generator_action(ctx, M, v, "q")
+    with pytest.raises(OffsetError):
+        t_inverse_action(ctx, M, v, "q")
+    with pytest.raises(OffsetError):
+        hecke._shift_down({e: 1 << ctx.width}, 2 * ctx.width)
+    # bar of q^(K/2) lands at q^(-K/2) - 2 rho(w): below the offset
+    top = poset.top
+    high = pack(ctx, ModuleVector({top: HalfLaurent.half_power(ctx.offset)}))
+    with pytest.raises(OffsetError):
+        j_map(ctx, high)
+    with pytest.raises(OffsetError):
+        pack(ctx, ModuleVector({e: HalfLaurent.half_power(-ctx.offset - 1)}))
+
+
+# -- failure witnesses --------------------------------------------------------
+
+WITNESS_KEYS = ["A2/H={-}", "B2/H={s1}", "I2(5)/H={-}"]
+
+
+def fresh_context(suite_quotients, key):
+    """A context of its own, with no packed images or columns yet."""
+    return context_for_quotient(suite_quotients[key])
+
+
+def nudges(poset, pairs, top_degree):
+    """(pair, k) for each u < w in pairs and each q^k with k up to
+    top_degree(gap), so the nudged table keeps its degree bound."""
+    for u, w in pairs:
+        if u != w:
+            for k in range(top_degree(poset.rank_gap(u, w)) + 1):
+                yield (u, w), k
+
+
+def assert_same_witnesses(ctx):
+    got = []
+    for x in X_PARAMS:
+        got.append(hecke.verify_hecke_relations(ctx, x))
+        assert got[-1] == oracles.verify_hecke_relations(ctx, x)
+    got.append(hecke.verify_duality(ctx))
+    assert got[-1] == oracles.verify_duality(ctx)
+    got.append(cli._recursion_witness(ctx, X_PARAMS))
+    assert got[-1] == oracles.recursion_witness(ctx, X_PARAMS)
+    return got
+
+
+def test_witnesses_of_corrupted_r_entries(suite_quotients):
+    """One R entry nudged before the iota images exist: the duality suite
+    fails where the object path fails, with the same witness."""
+    seen = set()
+    for key in WITNESS_KEYS:
+        base = fresh_context(suite_quotients, key)
+        for x in X_PARAMS:
+            pairs = base.r_table(x).pairs()
+            for pair, k in nudges(base.poset, pairs, lambda gap: gap):
+                ctx = fresh_context(suite_quotients, key)
+                table = ctx.r_table(x)
+                table.entries[pair] = table.entries[pair] + \
+                    QPoly.monomial(k, 1)
+                duality = assert_same_witnesses(ctx)[2]
+                assert duality[0] is False, (key, x, pair, k)
+                seen.add(duality[1][0])
+    # a single nudge fails iota o j = j o iota or equivariance before the
+    # involution check reaches it
+    assert seen == {"iota-j-conjugation", "equivariance"}
+
+
+def test_witnesses_of_corrupted_p_entries(suite_quotients):
+    """One P entry nudged before the packed columns exist: the KL elements
+    lose iota-invariance and the C' recursion fails, as on the object
+    path, with the same witnesses."""
+    seen = set()
+    for key in WITNESS_KEYS:
+        base = fresh_context(suite_quotients, key)
+        for x in X_PARAMS:
+            pairs = base.p_table(x).pairs()
+            for pair, k in nudges(base.poset, pairs,
+                                  lambda gap: (gap - 1) // 2):
+                ctx = fresh_context(suite_quotients, key)
+                table = ctx.p_table(x)
+                table.entries[pair] = table.entries[pair] + \
+                    QPoly.monomial(k, 1)
+                got = assert_same_witnesses(ctx)
+                assert got[2][0] is False and got[3] is not None
+                seen.add(got[2][1][0])
+                seen.add(got[3][0])
+    assert {"iota-on-Cprime", "iota-on-C", "cprime"} <= seen
+
+
+def test_witness_of_a_wrong_braid_length(suite_quotients):
+    ctx = fresh_context(suite_quotients, "B2/H={-}")
+    ctx.m_orders[(0, 1)] -= 1
+    got = assert_same_witnesses(ctx)
+    assert got[0] == (False, ("braid", (0, 1, 0)))
 
 
 # -- the P recursion ---------------------------------------------------------
@@ -125,8 +357,10 @@ def test_p_recursion_on_every_context(contexts, x):
         for w in range(poset.n):
             for M in ctx.system.down_matchings(w):
                 for v in poset.ideal_elements(w):
-                    assert p_recursion(ctx, v, w, M, x) == \
-                        oracles.p_recursion(ctx, v, w, M, x), (key, v, w)
+                    got = p_recursion(ctx, v, w, M, x)
+                    want = oracles.p_recursion(ctx, v, w, M, x)
+                    assert ctx.decode({0: got << ctx.width * ctx.offset}) \
+                        .coeff(0) == embed(want), (key, v, w)
 
 
 def test_corrections_once_per_matching_and_target(groups, monkeypatch):
