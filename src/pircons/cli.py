@@ -250,7 +250,6 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
     return reports
 
 
-@hecke.widening
 def _recursion_witness(ctx: hecke.HeckeContext, xs):
     """Where the C' or the P recursion first disagrees with the directly
     built KL basis, or None when both hold for every w and M.  Both

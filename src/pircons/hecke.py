@@ -36,14 +36,14 @@ then *valid*), and two valid vectors are equal exactly when their dicts are.
 The bounds are derived, never assumed.  Each T_M at most triples a
 coefficient, so a composition of m actions on a basis vector stays below
 3^m; iota^x multiplies by at most max L1(R^x); the recursions add
-mu-multiples of P-entries.  A check asserts the bound of what it compares
-before comparing, and iota and the recursions assert their own before
-computing, raising WidthError on a miss; a check whose bound does not fit
-reruns on a copy of the context at a wider B (``widening``).  T_M, T_M^(-1),
-C'_M and j_P assert nothing: keeping their results valid is the caller's
-part.  The context's starting B already fits every built-in check, and
-K = 2 (max rank + 1) leaves room for iota's q^(-rho) and the q^(-1) shifts
-of T_M^(-1) and j_P on everything the checks build.
+mu-multiples of P-entries.  The context derives its width B once, from the
+largest bound a built-in check asserts, and never changes it.  A check
+asserts the bound of what it compares before comparing, and iota and the
+recursions assert their own before computing; a miss raises WidthError
+rather than comparing ints that no longer decode faithfully.  T_M,
+T_M^(-1), C'_M and j_P assert nothing: keeping their results valid is the
+caller's part.  K = 2 (max rank + 1) leaves room for iota's q^(-rho) and
+the q^(-1) shifts of T_M^(-1) and j_P on everything the checks build.
 
 Only iota and j_P read digits, to apply bar (a reflection of digit
 positions), and characterize, to test a shape; nothing else decodes.
@@ -57,15 +57,13 @@ context.
 
 from __future__ import annotations
 
-import copy
-import functools
 import math
 from typing import Mapping
 
 from .laurent import HalfLaurent
-from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _TooNarrow,
-                     _digits, _norms, _pack, _width_for, _with_widening,
-                     check_x, kls_polynomials, lambda_refinement, other_x)
+from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _digits, _norms,
+                     _pack, _width_for, check_x, kls_polynomials,
+                     lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -76,12 +74,12 @@ class OffsetError(ArithmeticError):
     """A packed value has a term below q^(-K/2) of its context."""
 
 
-class WidthError(_TooNarrow, ArithmeticError):
+class WidthError(ArithmeticError):
     """A coefficient bound, the only argument, reaches 2^(B-1) of the
     context, so packed values at its width B would not decode faithfully.
-    The checks catch it and rerun wider (``widening``); a direct call of
-    iota or characterize raises it, and a wider context
-    (``HeckeContext.at_width``) takes the vector repacked."""
+    The context's width fits every built-in check, so a check raises it
+    only on a context given a narrower width; a direct call of iota or
+    characterize raises it on a vector too large for the width."""
 
 
 class ModuleVector:
@@ -146,8 +144,9 @@ class HeckeContext:
     it reads, both P-tables, the permutation orders of matching pairs, the
     packing (``width`` B and ``offset`` K, see the module docstring), and
     caches filled on use: each matching's images and kinds, the packed iota
-    basis images and P columns per width, and the mu-corrections of the
-    recursions.
+    basis images and P columns per x, and the mu-corrections of the
+    recursions.  The packed caches belong to the width: ``_set_width``
+    starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, or its up-down or kernel verdict
@@ -182,11 +181,12 @@ class HeckeContext:
                     M, system.matchings[j], poset.n)
 
         # r_l1 and p_l1 bound the L1 norm, so also every coefficient, of an
-        # R- and a P-entry for either x.  The starting width fits the
-        # largest bound a built-in check asserts: a braid of the longest
-        # length, the involution check iota(iota(m_u)) (input L1 at most
-        # n r_l1), iota of a KL element (input L1 at most n p_l1) and a C'
-        # recursion (at most n mu-corrections, each |mu| <= p_l1).
+        # R- and a P-entry for either x.  The width fits the largest bound
+        # a built-in check asserts: a braid of the longest length, iota of
+        # a KL element (input L1 at most n p_l1) and a C' recursion (at
+        # most n mu-corrections, each |mu| <= p_l1).  It also fits iota of
+        # an iota image (input L1 at most n r_l1), so iota o iota of a
+        # basis vector, the kernel identity, needs no other width.
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
@@ -197,23 +197,14 @@ class HeckeContext:
             n * self.r_l1 * max(self.r_l1, self.p_l1),
             self.p_l1 * (4 + n * self.p_l1))))
         self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
-        self._iota_basis: dict[tuple[str, int], list[Vector]] = {}
-        self._packed_p: dict[tuple[str, int], list[Vector]] = {}
         self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
 
     def _set_width(self, width: int) -> None:
         self.width = width
         self.one = 1 << width * self.offset     # the packed scalar 1
         self._limit = 1 << (width - 1)
-
-    def at_width(self, width: int) -> "HeckeContext":
-        """This context packing at ``width``: self when it already does,
-        else a copy sharing every table and cache."""
-        if width == self.width:
-            return self
-        other = copy.copy(self)
-        other._set_width(width)
-        return other
+        self._iota_basis: dict[str, list[Vector]] = {}
+        self._packed_p: dict[str, list[Vector]] = {}
 
     def require(self, bound: int) -> None:
         """Raise WidthError unless bound < 2^(B-1), the range in which
@@ -243,12 +234,12 @@ class HeckeContext:
 
     def packed_p(self, x: str) -> list[Vector]:
         """P^x packed at q = 2^(2B) with no offset: for every w the dict
-        {v: P^x_{v,w}} over the nonzero entries, kept per width.  Shared;
+        {v: P^x_{v,w}} over the nonzero entries, kept per x.  Shared;
         callers must not modify it."""
-        key = (check_x(x), self.width)
-        cols = self._packed_p.get(key)
+        x = check_x(x)
+        cols = self._packed_p.get(x)
         if cols is None:
-            cols = self._packed_p[key] = [{} for _ in range(self.poset.n)]
+            cols = self._packed_p[x] = [{} for _ in range(self.poset.n)]
             for (v, w), poly in self.p_table(x).entries.items():
                 if poly:
                     cols[w][v] = _pack(poly.coeffs(), 2 * self.width)
@@ -265,16 +256,6 @@ class HeckeContext:
         if gap % 2 == 0:
             return 0
         return self.p_table(other_x(x)).value(u, w).coeff((gap - 1) // 2)
-
-
-def widening(check):
-    """check(ctx, *args), rerun on a copy of ctx at a wider B for as long as
-    a bound it asserts does not fit."""
-    @functools.wraps(check)
-    def run(ctx: HeckeContext, *args):
-        return _with_widening(
-            lambda width: check(ctx.at_width(width), *args), ctx.width)
-    return run
 
 
 def _shift_down(v: Vector, bits: int) -> Vector:
@@ -347,7 +328,6 @@ def cprime_generator_action(ctx: HeckeContext, M: PartialMatching,
     return _shift_down(out, ctx.width)
 
 
-@widening
 def verify_hecke_relations(ctx: HeckeContext, x: str):
     """Quadratic relation for every matching and braid relation of length
     m(M, N) for every pair, checked on every basis vector.  Both sides of
@@ -383,9 +363,8 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
 def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
     """The images iota^x(m_v) without their factor q^(-rho(v)): for every v
     the dict {u: (-1)^rho(u,v) R^x_{u,v}}, each packed at q^(1/2) = 2^B
-    with no offset.  Kept on the context per (x, width)."""
-    key = (x, ctx.width)
-    cached = ctx._iota_basis.get(key)
+    with no offset.  Kept on the context per x."""
+    cached = ctx._iota_basis.get(x)
     if cached is not None:
         return cached
     poset, width = ctx.poset, ctx.width
@@ -398,7 +377,7 @@ def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
             if c:
                 coeffs[u] = -c if poset.rank_gap(u, v) % 2 else c
         images.append(coeffs)
-    ctx._iota_basis[key] = images
+    ctx._iota_basis[x] = images
     return images
 
 
@@ -474,15 +453,21 @@ def kl_element_cprime(ctx: HeckeContext, w: int, x: str) -> Vector:
 # The duality suite.
 # ---------------------------------------------------------------------------
 
-@widening
 def verify_duality(ctx: HeckeContext):
-    """All the involution identities, checked elementwise for both x:
+    """The involution identities, checked elementwise for both x:
 
-    * iota^x is an involution;
     * iota^x(T_M . m) = iota(T_M) . iota^x(m)        (equivariance);
     * j_P(T_M .x m) = -q^(-1) T_M .z j_P(m)         (twisted equivariance);
     * iota^x o j_P = j_P o iota^z;
-    * j_P(C^x_w) = (-1)^rho(w) C'^z_w, and both KL bases are iota-invariant.
+    * j_P(C^x_w) = (-1)^rho(w) C'^z_w, and C'^x_w is iota-invariant.
+
+    Two identities are not checked again here, since the context is built
+    only when they hold.  iota^x is an involution: iota^x(iota^x(m_v)) is
+    sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, and
+    the bracket is the sum that the kernel verdict checks.  C^x_w is
+    iota-invariant: that says sum_v R_{t,v} P_{v,w} = q^rho(t,w)
+    P_{t,w}(1/q), which kls_polynomials asserts for every pair as it builds
+    P^x.
 
     iota^x(m_u) is computed once per (x, u) and T_M . m_u once per
     (x, u, M).  Besides iota's own bounds, the sides compared stay below
@@ -495,8 +480,6 @@ def verify_duality(ctx: HeckeContext):
         for u in range(n):
             v = {u: one}
             iv = iota(ctx, v, x)
-            if iota(ctx, iv, x) != v:
-                return False, ("iota-involution", (x, u))
             jv = j_map(ctx, v)
             if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
                 return False, ("iota-j-conjugation", (x, u))
@@ -512,17 +495,14 @@ def verify_duality(ctx: HeckeContext):
                 if lhs != rhs:
                     return False, ("twisted-equivariance", (x, mi, u))
         for w in range(n):
-            c = kl_element_c(ctx, w, x)
             cp = kl_element_cprime(ctx, w, x)
             want = kl_element_cprime(ctx, w, z)
             if ctx.poset.rank[w] % 2:
                 want = {v: -a for v, a in want.items()}
-            if j_map(ctx, c) != want:
+            if j_map(ctx, kl_element_c(ctx, w, x)) != want:
                 return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
-            if iota(ctx, c, x) != c:
-                return False, ("iota-on-C", (x, w))
     return True, None
 
 

@@ -36,9 +36,11 @@ column v keeps one int accumulator per element of its ideal, and each z
 adds its products into the accumulators of the u below it, read from the
 transposed packed table.  Packing is injective only on polynomials whose
 coefficients lie inside (-2^(B-1), 2^(B-1)).  The width B is therefore
-derived from the table (ideal sizes, L1 norms and coefficient sizes), each
-sum asserts its coefficient bound against B before its value is used, and
-a bound that does not fit restarts the computation at a wider B.
+derived once from the table (ideal sizes, L1 norms and coefficient sizes).
+For the kernel check that B covers every sum outright.  Inversion alone
+can outgrow it, since its sums take products with the P it produces: each
+of its sums asserts its coefficient bound against B before its digits are
+read, and a bound that does not fit restarts the inversion at a wider B.
 
 Tables store a polynomial for every comparable pair, zeros included;
 absence of a key means the pair is incomparable.
@@ -402,10 +404,6 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
 # Packed evaluation at q = 2^B (see the module docstring).
 # ---------------------------------------------------------------------------
 
-class _TooNarrow(Exception):
-    """A coefficient bound, the only argument, does not fit the width."""
-
-
 def _cases(width: int, x: str) -> dict[str, Callable[[int, int], int]]:
     """The three-case rule at q = 2^width, one function of (a, b) per kind
     of the element: b when M moves it down, (q-1) a + q b when up, and
@@ -429,15 +427,6 @@ def _packed_entries(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
 def _width_for(bound: int) -> int:
     """The least B >= 2 with bound < 2^(B-1)."""
     return max(bound, 1).bit_length() + 1
-
-
-def _with_widening(run: Callable[[int], object], width: int):
-    """run(width), restarted wider for as long as it raises _TooNarrow."""
-    while True:
-        try:
-            return run(width)
-        except _TooNarrow as exc:
-            width = max(_width_for(exc.args[0]), 2 * width)
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -512,7 +501,7 @@ def _row_supports(table: PolyTable) -> list[int]:
     return rows
 
 
-def check_pkernel(table: PolyTable, _width: int | None = None):
+def check_pkernel(table: PolyTable):
     """sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly.
 
     Each R_{u,z} is packed once at q = 2^B, and so is each
@@ -521,39 +510,29 @@ def check_pkernel(table: PolyTable, _width: int | None = None):
     no power is negative.  The sums of one column v are pushed: every z
     with R~_{z,v} != 0 adds R_{u,z} R~_{z,v} to the int accumulator of
     each u <= z.  Each u of the column is then compared, in ascending
-    order, with the packed q^s or 0, after asserting that its coefficients
-    are at most (pushes into u) * max L1(R) * max |coeff(R)| < 2^(B-1).
-    B is derived from the table; ``_width`` overrides the starting width,
-    for tests of the widening.
+    order, with the packed q^s or 0.  A u takes at most |ideal(v)| pushes,
+    each with coefficients at most max L1(R) * max |coeff(R)|, so
+    B = _width_for(largest ideal * max L1(R) * max |coeff(R)|) keeps every
+    comparison exact.
     """
     poset = table.poset
     l1, top, terms = _norms(table)
-    supports = _row_supports(table)
     shift = max([0] + [p.degree() - poset.rank_gap(u, w)
                        for (u, w), p in table.entries.items() if p])
-
-    def run(width: int):
-        half = 1 << (width - 1)
-        one = 1 << (width * shift)
-        cols = _packed_rows(table, width)
-        for v in range(poset.n):
-            acc = [0] * poset.n
-            pushed = 0
-            for z, _ in cols[v]:
-                t = _pack_tilde(table.value(z, v).coeffs(),
-                                poset.rank_gap(z, v) + shift, width)
-                pushed |= 1 << z
-                for u, r in cols[z]:
-                    acc[u] += r * t
-            for u in poset.ideal_elements(v):
-                bound = (supports[u] & pushed).bit_count() * l1 * top
-                if bound >= half:
-                    raise _TooNarrow(bound)
-                if acc[u] != (one if u == v else 0):
-                    return False, ("kernel", (u, v))
-        return True, None
-
-    return _with_widening(run, _width or _width_for(terms * l1 * top))
+    width = _width_for(terms * l1 * top)
+    one = 1 << (width * shift)
+    cols = _packed_rows(table, width)
+    for v in range(poset.n):
+        acc = [0] * poset.n
+        for z, _ in cols[v]:
+            t = _pack_tilde(table.value(z, v).coeffs(),
+                            poset.rank_gap(z, v) + shift, width)
+            for u, r in cols[z]:
+                acc[u] += r * t
+        for u in poset.ideal_elements(v):
+            if acc[u] != (one if u == v else 0):
+                return False, ("kernel", (u, v))
+    return True, None
 
 
 def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
@@ -576,15 +555,16 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     (pushes into G[u]) * max L1(R) * (running max |coeff| of P_{.,v})
     < 2^(B-1).  B starts from the table's own bound with max |coeff(R)| in
     place of the P factor; a pair whose bound does not fit restarts the
-    inversion at a wider B.  ``_width`` overrides the starting width, for
-    tests.
+    inversion at a wider B, the only rerun at a wider width in the library.
+    ``_width`` overrides the starting width, for tests of the restart.
     """
     poset = table.poset
     rank = poset.rank
     l1, top, terms = _norms(table)
     supports = _row_supports(table)
 
-    def run(width: int) -> PolyTable:
+    def run(width: int) -> PolyTable | int:
+        """The inversion at ``width``, or the bound that did not fit."""
         half = 1 << (width - 1)
         digit = (1 << width) - 1
         cols = _packed_rows(table, width)
@@ -602,7 +582,7 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
             for u in below:
                 bound = (supports[u] & pushed).bit_count() * l1 * pmax
                 if bound >= half:
-                    raise _TooNarrow(bound)
+                    return bound
                 gap = rank[v] - rank[u]
                 half_gap = (gap + 1) // 2
                 # low digits d_k of G[u] give P = -sum d_k q^k; the rest
@@ -634,7 +614,10 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
                         G[w] += r * packed
         return out
 
-    return _with_widening(run, _width or _width_for(terms * l1 * top))
+    width = _width or _width_for(terms * l1 * top)
+    while isinstance(got := run(width), int):
+        width = max(_width_for(got), 2 * width)
+    return got
 
 
 def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):

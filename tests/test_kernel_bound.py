@@ -1,18 +1,19 @@
-"""The coefficient bound of the pushed interval sums, factor by factor.
+"""The coefficient bound of kernel inversion's pushed sums, factor by
+factor.
 
 ``kls_polynomials`` asserts (pushes into G[u]) * max L1(R) * (running max
-|coeff| of P_{.,v}) < 2^(B-1) before it reads the digits of G[u], and
-``check_pkernel`` asserts (pushes into u) * max L1(R) * max |coeff(R)|
-< 2^(B-1) before it compares.  On a genuine kernel the sums themselves stay
-small, so a wrong bound still gives right tables; what shows it is the
-width.  Each test starts at a width that covers every factor but one and
-requires a restart at a wider B.
+|coeff| of P_{.,v}) < 2^(B-1) before it reads the digits of G[u].  On a
+genuine kernel the sums themselves stay small, so a wrong bound still gives
+right tables; what shows it is the width.  Each test starts at a width that
+covers every factor but one and requires a restart at a wider B.
+``check_pkernel`` has no such test: its width covers every sum from the
+start, with nothing to assert or restart.
 """
 
 import pytest
 
 from pircons import klpoly
-from pircons.klpoly import check_pkernel, kls_polynomials
+from pircons.klpoly import kls_polynomials
 from test_packed_kernel import huge_kernel, widths  # noqa: F401 (fixtures)
 
 
@@ -53,13 +54,4 @@ def test_inversion_bound_counts_the_pushes(huge_kernel, widths, factors):
     l1, _, pmax, _ = factors
     start = klpoly._width_for(l1 * pmax)
     assert kls_polynomials(table, _width=start).entries == P
-    assert restarted(widths, start)
-
-
-def test_kernel_check_bound_counts_the_pushes(huge_kernel, widths,
-                                              factors):
-    table, _ = huge_kernel
-    l1, top, _, _ = factors
-    start = klpoly._width_for(l1 * top)
-    assert check_pkernel(table, _width=start) == (True, None)
     assert restarted(widths, start)

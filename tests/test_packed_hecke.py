@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack
-from pircons import cli, hecke
+from pircons import TwistedIdentities, cli, hecke
 from pircons.hecke import (OffsetError, WidthError, characterize,
                            context_for_quotient, cprime_generator_action,
                            cprime_recursion, iota, j_map, kl_element_c,
                            kl_element_cprime, p_recursion, t_action,
                            t_inverse_action)
-from pircons.klpoly import X_PARAMS, PolyTable, _with_widening, check_updown
+from pircons.klpoly import (X_PARAMS, KernelError, PolyTable, _width_for,
+                            check_pkernel, check_updown, kls_polynomials)
 from pircons.laurent import QPoly
 
 
@@ -69,22 +70,24 @@ def widened(ctx, op, v, growth=1):
     terms = [t for c in v.coeffs.values() for t in c.terms().items()]
     top = max((abs(a) for _, a in terms), default=0)
     reach = max((abs(h) for h, _ in terms), default=0)
-
-    def run(width):
+    width = ctx.width
+    while True:
         wide = copy.copy(ctx)
         wide.offset = ctx.offset + reach
         wide._set_width(width)
-        wide.require(growth * top)
-        return decoded(wide, op(wide, pack(wide, v)))
-    return _with_widening(run, ctx.width)
+        try:
+            wide.require(growth * top)
+            return decoded(wide, op(wide, pack(wide, v)))
+        except WidthError as exc:
+            width = max(_width_for(exc.args[0]), 2 * width)
 
 
 # -- iota --------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_iota_on_every_context(contexts, x):
-    """Basis vectors, their images (the involution check) and both KL
-    bases."""
+    """Basis vectors, their images (iota o iota, which the context's width
+    fits) and both KL bases."""
     for key, ctx in contexts.items():
         for u in range(ctx.poset.n):
             for v in ({u: ctx.one},
@@ -217,29 +220,51 @@ def test_packed_ops_on_random_vectors(contexts, data):
     assert widened(ctx, j_map, v) == oracles.j_map(ctx, v)
 
 
-def test_widening_from_a_narrow_start(contexts, monkeypatch):
-    """Every check asserts its bound before comparing, so started at B = 3
-    it reruns wider and gives the verdict of the default width."""
-    seen = []
-    real = hecke.t_action
-
-    def spy(ctx, M, v, x):
-        seen.append(ctx.width)
-        return real(ctx, M, v, x)
-
-    monkeypatch.setattr(hecke, "t_action", spy)
+def test_a_narrow_width_raises_before_comparing(contexts, monkeypatch):
+    """A context derives its width once and nothing reruns wider: on a
+    copy given B = 3, every check raises WidthError from its first bound,
+    before any action or iota is evaluated."""
+    called = []
+    for name in ("t_action", "iota"):
+        def spy(*args, _real=getattr(hecke, name), _name=name):
+            called.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(hecke, name, spy)
     for key in ("A3/H={-}", "B3/H={s2}", "twisted3"):
         ctx = contexts[key]
-        narrow = ctx.at_width(3)
-        assert narrow.width == 3 and ctx.width > 3
+        narrow = copy.copy(ctx)
+        narrow._set_width(3)
+        assert ctx.width > 3
         for x in X_PARAMS:
-            seen.clear()
-            assert hecke.verify_hecke_relations(narrow, x) == (True, None)
-            assert seen and min(seen) > 3
-        seen.clear()
-        assert hecke.verify_duality(narrow) == (True, None)
-        assert seen and min(seen) > 3
-        assert cli._recursion_witness(narrow, X_PARAMS) is None
+            with pytest.raises(WidthError):
+                hecke.verify_hecke_relations(narrow, x)
+        with pytest.raises(WidthError):
+            hecke.verify_duality(narrow)
+        with pytest.raises(WidthError):
+            cli._recursion_witness(narrow, X_PARAMS)
+    assert called == []
+
+
+def test_a_new_width_starts_fresh_caches(suite_quotients):
+    """The packed iota images and P columns are kept per x for the width
+    they were packed at: a copy given another width through _set_width
+    packs its own, and the original keeps its caches."""
+    ctx = fresh_context(suite_quotients, "B2/H={-}")
+    assert hecke.verify_duality(ctx) == (True, None)
+    assert cli._recursion_witness(ctx, X_PARAMS) is None
+    images, columns = dict(ctx._iota_basis), dict(ctx._packed_p)
+    assert set(images) == set(columns) == set(X_PARAMS)
+    wide = copy.copy(ctx)
+    wide._set_width(ctx.width + 7)
+    assert hecke.verify_duality(wide) == (True, None)
+    assert cli._recursion_witness(wide, X_PARAMS) is None
+    for x in X_PARAMS:
+        assert wide._iota_basis[x] is not images[x]
+        assert wide._packed_p[x] is not columns[x]
+        for u in range(ctx.poset.n):
+            assert decoded(wide, iota(wide, {u: wide.one}, x)) == \
+                decoded(ctx, iota(ctx, {u: ctx.one}, x))
+    assert ctx._iota_basis == images and ctx._packed_p == columns
 
 
 def test_inexact_down_shift_raises(contexts):
@@ -274,6 +299,8 @@ WITNESS_KEYS = ["A2/H={-}", "B2/H={s1}", "I2(5)/H={-}"]
 
 def fresh_context(suite_quotients, key):
     """A context of its own, with no packed images or columns yet."""
+    if key == "twisted2":
+        return TwistedIdentities(2).hecke_context()
     return context_for_quotient(suite_quotients[key])
 
 
@@ -314,15 +341,15 @@ def test_witnesses_of_corrupted_r_entries(suite_quotients):
                 duality = assert_same_witnesses(ctx)[2]
                 assert duality[0] is False, (key, x, pair, k)
                 seen.add(duality[1][0])
-    # a single nudge fails iota o j = j o iota or equivariance before the
-    # involution check reaches it
+    # a single nudge fails iota o j = j o iota or equivariance, the first
+    # clauses to read iota
     assert seen == {"iota-j-conjugation", "equivariance"}
 
 
 def test_witnesses_of_corrupted_p_entries(suite_quotients):
-    """One P entry nudged before the packed columns exist: the KL elements
-    lose iota-invariance and the C' recursion fails, as on the object
-    path, with the same witnesses."""
+    """One P entry nudged before the packed columns exist: C' loses
+    iota-invariance and the C' recursion fails, as on the object path, with
+    the same witnesses."""
     seen = set()
     for key in WITNESS_KEYS:
         base = fresh_context(suite_quotients, key)
@@ -338,7 +365,54 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
                 assert got[2][0] is False and got[3] is not None
                 seen.add(got[2][1][0])
                 seen.add(got[3][0])
-    assert {"iota-on-Cprime", "iota-on-C", "cprime"} <= seen
+    assert {"iota-on-Cprime", "cprime"} <= seen
+
+
+def nudged_contexts(suite_quotients, key, x):
+    """A fresh context, then one for each single nudge of an R^x entry (up
+    to q^gap) and of a P^x entry (below q^(gap/2))."""
+    yield fresh_context(suite_quotients, key)
+    base = fresh_context(suite_quotients, key)
+    for name, top_degree in (("r_table", lambda gap: gap),
+                             ("p_table", lambda gap: (gap - 1) // 2)):
+        pairs = getattr(base, name)(x).pairs()
+        for pair, k in nudges(base.poset, pairs, top_degree):
+            ctx = fresh_context(suite_quotients, key)
+            table = getattr(ctx, name)(x)
+            table.entries[pair] = table.entries[pair] + QPoly.monomial(k, 1)
+            yield ctx
+
+
+@pytest.mark.parametrize("key", WITNESS_KEYS + ["twisted2"])
+def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
+    """verify_duality does not check that iota^x is an involution or that
+    it fixes C^x_w, because the kernel checks behind the context prove
+    both.  iota^x(iota^x(m_v)) is
+    sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, whose
+    bracket is check_pkernel's sum; iota^x(C^x_w) = C^x_w says
+    sum_v R_{t,v} P_{v,w} = q^rho(t,w) P_{t,w}(1/q), the identity that
+    kls_polynomials asserts.  On the object path each clause holds exactly
+    when its check passes, on genuine and on nudged tables."""
+    seen = set()
+    for x in X_PARAMS:
+        for ctx in nudged_contexts(suite_quotients, key, x):
+            n = ctx.poset.n
+            table = ctx.r_table(x)
+            involution = all(
+                oracles.iota(ctx, oracles.iota(ctx, m, x), x) == m
+                for m in map(ModuleVector.basis, range(n)))
+            assert involution == check_pkernel(table)[0]
+            fixes_c = all(oracles.iota(ctx, c, x) == c for c in (
+                oracles.kl_element_c(ctx, w, x) for w in range(n)))
+            try:
+                inverse = kls_polynomials(table) == ctx.p_table(x)
+            except KernelError:
+                inverse = False
+            assert fixes_c == inverse
+            seen.add((involution, fixes_c))
+    # genuine tables pass both; an R nudge fails both; a P nudge only the
+    # second
+    assert seen == {(True, True), (False, False), (True, False)}
 
 
 def test_witness_of_a_wrong_braid_length(suite_quotients):
@@ -395,9 +469,11 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
 def test_duality_reuses_images(groups, monkeypatch):
     """verify_duality computes iota^x(m_u) once per (x, u) and T_M . m_u
     once per (x, u, M).  On A3/H={} (24 elements, 3 matchings) each (x, u)
-    makes 4 + 3 iota calls (iota^x(m_u), its image, iota^x(j m_u),
-    iota^z(m_u) and one per M) and each w makes 2 per x: 432 in all.
-    Each (x, u, M) makes 3 t_action calls, one inside t_inverse_action."""
+    makes 3 + 3 iota calls (iota^x(m_u), iota^x(j m_u), iota^z(m_u) and
+    one per M) and each w makes 1 per x, on C'^x_w: 336 in all.  Neither
+    iota o iota nor iota of C^x_w is evaluated, since the kernel checks
+    behind the context prove both.  Each (x, u, M) makes 3 t_action
+    calls, one inside t_inverse_action."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     n, k = ctx.poset.n, len(ctx.matchings)
     assert (n, k) == (24, 3)
@@ -411,7 +487,7 @@ def test_duality_reuses_images(groups, monkeypatch):
 
         monkeypatch.setattr(hecke, name, counted)
     assert hecke.verify_duality(ctx) == (True, None)
-    assert counts == {"iota": 2 * n * (4 + k) + 2 * n * 2,
+    assert counts == {"iota": 2 * n * (3 + k) + 2 * n,
                       "t_action": 2 * n * k * 3}
 
 

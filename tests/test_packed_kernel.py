@@ -197,9 +197,6 @@ def test_widening_from_a_narrow_start(huge_kernel, widths, start):
     assert kls_polynomials(table, _width=start).entries == P
     assert widths[0] == start and len(widths) > 1
     assert widths == sorted(set(widths))
-    widths.clear()
-    assert check_pkernel(table, _width=start) == (True, None)
-    assert widths[0] == start and len(widths) > 1
 
 
 def test_huge_corrupted_entries(huge_kernel, suite_contexts):
@@ -218,8 +215,9 @@ def test_huge_corrupted_entries(huge_kernel, suite_contexts):
             kls_polynomials(bad)
         assert outcome(oracles.kls_polynomials, bad) == \
             ("KernelError", str(exc.value))
-        # the same answers from a start width far too narrow
-        assert_matches_reference(bad, _width=3)
+        # the same inversion outcome from a start width far too narrow
+        assert outcome(kls_polynomials, bad, _width=3) == \
+            outcome(oracles.kls_polynomials, bad)
     # a genuine small table with a single 2^70 coefficient added
     base = suite_contexts["B2/H={-}"].r_table("-1")
     bad = PolyTable(base.poset, "-1", dict(base.entries))
