@@ -184,9 +184,7 @@ class HeckeContext:
         # R- and a P-entry for either x.  The width fits the largest bound
         # a built-in check asserts: a braid of the longest length, iota of
         # a KL element (input L1 at most n p_l1) and a C' recursion (at
-        # most n mu-corrections, each |mu| <= p_l1).  It also fits iota of
-        # an iota image (input L1 at most n r_l1), so iota o iota of a
-        # basis vector, the kernel identity, needs no other width.
+        # most n mu-corrections, each |mu| <= p_l1).
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
@@ -194,7 +192,7 @@ class HeckeContext:
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
             5 * self.r_l1,
-            n * self.r_l1 * max(self.r_l1, self.p_l1),
+            n * self.r_l1 * self.p_l1,
             self.p_l1 * (4 + n * self.p_l1))))
         self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
         self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}

@@ -87,7 +87,9 @@ def other_x(x: str) -> str:
 
 class Refinement:
     """One SPM of the lower ideal of every non-minimal element, and none at
-    the minimal element.  Raises ValueError naming an element by label."""
+    the minimal element.  The constructor checks only that shape; each SPM
+    is proven where it arises (``system_refinement``, ``enumerate_spms``,
+    ``from_json``).  Raises ValueError naming an element by label."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Mapping[int, PartialMatching]):
@@ -106,12 +108,6 @@ class Refinement:
             if m.domain_mask() != poset.down_set(w):
                 raise ValueError(f"matching at {labels[w]!r} is not defined "
                                  f"on its lower ideal")
-            ok, witness = verify_spm(m)
-            if not ok:
-                reason, where = witness
-                raise ValueError(
-                    f"matching at {labels[w]!r} is not an SPM: "
-                    f"{(reason, _by_label(labels, where))}")
 
     def __getitem__(self, w: int) -> PartialMatching:
         return self.matchings[w]
@@ -137,7 +133,14 @@ class Refinement:
                     from None
             matchings[w] = PartialMatching(
                 poset, {x: y for x, y in enumerate(images) if y is not None})
-        return cls(poset, matchings)
+        refinement = cls(poset, matchings)
+        for w in sorted(matchings):
+            ok, witness = verify_spm(matchings[w])
+            if not ok:
+                raise ValueError(
+                    f"matching at {poset.labels[w]!r} is not an SPM: "
+                    f"{(witness[0], _by_label(poset.labels, witness[1]))}")
+        return refinement
 
 
 def _by_label(labels: Sequence[str], where):
@@ -160,6 +163,11 @@ def system_refinement(poset: GradedPoset,
                       pick=min) -> Refinement:
     """The refinement read off a system of quasi SPMs: at every non-minimal
     w, one matching that takes w down, restricted to the ideal of w.
+
+    The matchings must be quasi SPMs; then each restriction is an SPM and
+    is not checked again.  If M(w) is covered by w, every y <= w has
+    M(y) <= w, by induction down from w: take z covering y with z <= w,
+    and compatibility gives M(y) = z or M(y) < M(z) <= w.
 
     ``pick`` selects among the list positions of the down-matchings; the
     default takes the first.  Raises ValueError naming the label of an
@@ -716,7 +724,8 @@ def verify_pircon_system(poset: GradedPoset,
     (4) any two such M, N restrict to coherent SPMs of P_{<=w}.
 
     Condition (1) follows from (3): the restriction of a down-matching is an
-    SPM of the ideal, which is verified here pair by pair.  Coherence is
+    SPM of the ideal (given (2), by ``system_refinement``'s lemma), which
+    is verified here pair by pair all the same.  Coherence is
     checked strictly first; only when that fails is the full SPM pool of w
     enumerated to search for a connecting chain.
     """

@@ -231,10 +231,10 @@ def check_lifting(m: PartialMatching):
 
 def enumerate_spms(poset: GradedPoset, w: int | None = None,
                    find_one: bool = False) -> list[PartialMatching]:
-    """All SPMs of the lower ideal of w (default: of the whole poset).
-
-    Results are verified and returned in lexicographic order of the map as a
-    function of element index.  A one-element ideal has no SPM.
+    """All SPMs of the lower ideal of w (default: of the whole poset), in
+    lexicographic order of the map as a function of element index.  A
+    one-element ideal has no SPM.  The search builds only SPMs, so none is
+    checked again.
     """
     if w is None:
         if poset.top is None:
@@ -283,15 +283,8 @@ def enumerate_spms(poset: GradedPoset, w: int | None = None,
         return False
 
     extend(0)
-    out = []
-    for mapping in sorted(results,
-                          key=lambda m: tuple(m[x] for x in sorted(m))):
-        cand = PartialMatching(poset, mapping)
-        ok, witness = verify_spm(cand)
-        if not ok:
-            raise MatchingError(f"enumerated a non-SPM: {witness}")
-        out.append(cand)
-    return out
+    return [PartialMatching(poset, mapping) for mapping in
+            sorted(results, key=lambda m: tuple(m[x] for x in sorted(m)))]
 
 
 def has_spm(poset: GradedPoset, w: int) -> bool:
@@ -312,20 +305,13 @@ def verify_pircon(poset: GradedPoset):
 # Left multiplication partial matchings of a parabolic quotient.
 # ---------------------------------------------------------------------------
 
-def lambda_partial(quot, s: int, w: int | None = None) -> PartialMatching:
+def lambda_partial(quot, s: int) -> PartialMatching:
     """The matching u -> su restricted to W^H: u maps to su when su stays in
-    the quotient and is fixed otherwise.
-
-    With w given (a poset index), the matching of the lower interval of w;
-    this is an SPM exactly when sw < w inside the quotient.  Without w, the
-    quasi SPM defined on the whole quotient poset.  Both variants validate
-    themselves and raise on failure, which would signal a construction bug.
-    """
-    poset = quot.poset
-    images = quot.images[s]
-    domain = range(poset.n) if w is None else poset.ideal_elements(w)
-    out = PartialMatching(poset, {i: images[i] for i in domain})
-    ok, witness = verify_spm(out) if w is not None else verify_qspm(out)
+    the quotient and is fixed otherwise.  A quasi SPM of the whole quotient
+    poset; it validates itself and raises on failure, which would signal a
+    construction bug."""
+    out = PartialMatching(quot.poset, dict(enumerate(quot.images[s])))
+    ok, witness = verify_qspm(out)
     if not ok:
         raise MatchingError(
             f"lambda matching for s{s + 1} failed validation: {witness}")

@@ -22,7 +22,7 @@ class PosetError(ValueError):
 
 class GradedPoset:
     __slots__ = ("labels", "up_covers", "down_covers", "rank", "bottom",
-                 "top", "_down", "_up", "_label_index")
+                 "top", "_down", "_up", "_ideals", "_label_index")
 
     def __init__(self, labels: Sequence[str],
                  cover_pairs: Iterable[tuple[int, int]]):
@@ -48,6 +48,7 @@ class GradedPoset:
         self.up_covers = tuple(tuple(v) for v in up)
         self.down_covers = tuple(tuple(v) for v in down)
         self._label_index = {lab: i for i, lab in enumerate(labels)}
+        self._ideals: list[tuple[int, ...] | None] = [None] * n
 
         if n == 0:
             self.rank = ()
@@ -156,8 +157,11 @@ class GradedPoset:
             mask ^= low
         return out
 
-    def ideal_elements(self, w: int) -> list[int]:
-        return self.elements_of(self._down[w])
+    def ideal_elements(self, w: int) -> tuple[int, ...]:
+        """The down-set of w in ascending order, decoded once and kept."""
+        if self._ideals[w] is None:
+            self._ideals[w] = tuple(self.elements_of(self._down[w]))
+        return self._ideals[w]
 
     def max_rank(self) -> int:
         return max(self.rank) if self.rank else 0

@@ -23,16 +23,17 @@ candidate search over conjugation maps for twisted identities.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import sympy
 
 from pircons import hecke, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
-                            PolyTable, Refinement, check_x, other_x)
+                            PolyTable, Refinement, _width_for, check_x,
+                            other_x)
 from pircons.laurent import QPoly
-from pircons.matchings import (MatchingError, PartialMatching, lambda_partial,
-                               verify_spm)
+from pircons.matchings import MatchingError, PartialMatching, verify_spm
 
 q = sympy.Symbol("q")
 
@@ -406,6 +407,29 @@ def pack(ctx, v: hecke.ModuleVector) -> dict[int, int]:
     return out
 
 
+def widened(ctx, op, v, growth=1):
+    """op on v packed at the narrowest width, from ctx's up, at which v
+    packs and op's bounds fit, the result decoded.  The offset is ctx's
+    plus the largest |half-exponent| in v, which holds every term op
+    makes: ctx's offset covers q^(-rho) and the q^(-1) shifts.
+    ``growth`` bounds how much op multiplies a coefficient, for the ops
+    that assert no bound of their own (the caller's bound, as in the
+    checks)."""
+    terms = [t for c in v.coeffs.values() for t in c.terms().items()]
+    top = max((abs(a) for _, a in terms), default=0)
+    reach = max((abs(h) for h, _ in terms), default=0)
+    width = ctx.width
+    while True:
+        wide = copy.copy(ctx)
+        wide.offset = ctx.offset + reach
+        wide._set_width(width)
+        try:
+            wide.require(growth * top)
+            return ModuleVector.lift(wide.decode(op(wide, pack(wide, v))))
+        except hecke.WidthError as exc:
+            width = max(_width_for(exc.args[0]), 2 * width)
+
+
 def t_action(ctx, M, v, x: str) -> ModuleVector:
     """T_M acting in the x-structure, extended linearly."""
     out = ModuleVector.zero()
@@ -620,7 +644,14 @@ def lambda_refinement(quot, pick=min) -> Refinement:
                 cands.append(s)
         if not cands:
             raise ValueError(f"no descent inside the quotient at {w}")
-        return lambda_partial(quot, pick(cands), w)
+        images = quot.images[pick(cands)]
+        m = PartialMatching(poset, {u: images[u]
+                                    for u in poset.ideal_elements(w)})
+        ok, witness = verify_spm(m)
+        if not ok:
+            raise MatchingError(f"lambda matching at {w} is not an SPM: "
+                                f"{witness}")
+        return m
 
     return Refinement(poset, {w: choose(w) for w in range(poset.n)
                               if w != poset.bottom})

@@ -349,9 +349,10 @@ def test_klbasis_output(tmp_path):
 
 
 def spy_calls(monkeypatch, names):
-    """Count calls of klpoly functions, in every namespace that binds them,
-    constructions of HeckeContext and builds of the system matchings
-    (``lambda_system`` and ``TwistedIdentities.conjugation_qspms``)."""
+    """Count calls of klpoly functions (and of the matchings functions it
+    imports), in every namespace that binds them, constructions of
+    HeckeContext and builds of the system matchings (``lambda_system`` and
+    ``TwistedIdentities.conjugation_qspms``)."""
     counts = dict.fromkeys(names, 0)
     counts["HeckeContext"] = 0
     for owner, name in ((matchings, "lambda_system"),
@@ -373,7 +374,7 @@ def spy_calls(monkeypatch, names):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (klpoly, hecke):
+        for module in (matchings, klpoly, hecke):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     init = hecke.HeckeContext.__init__
@@ -453,6 +454,18 @@ def test_compute_p_and_klbasis_read_the_context_p_tables(tmp_path,
     for tag in ("q", "minus1"):
         name = f"p_{tag}.json"
         assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_built_in_refinements_are_not_checked_again(tmp_path, monkeypatch):
+    counts = spy_calls(monkeypatch, ("verify_spm",))
+    assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
+                "--outputs", "r,p", "--out", str(tmp_path / "c")]) == 0
+    assert counts["verify_spm"] == 0
+    # only the system verdict checks a restriction, one per down-matching
+    # of each w: the 36 left descents of the elements of A3
+    assert run(["verify", "--type", "A", "--rank", "3",
+                "--out", str(tmp_path / "v")]) == 0
+    assert counts["verify_spm"] == 36
 
 
 BAD_FIELDS = [

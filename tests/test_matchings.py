@@ -165,17 +165,6 @@ def test_lambda_partial_examples(groups):
         assert not lam.fixed_points()
 
 
-def test_lambda_partial_spm_of_interval(groups):
-    W = groups["A2"]
-    quot = W.quotient({1})
-    top = quot.poset.index("2.1")
-    m = lambda_partial(quot, 1, top)
-    assert verify_spm(m)[0]
-    # s1 does not take the top down inside the quotient
-    with pytest.raises(MatchingError):
-        lambda_partial(quot, 0, top)
-
-
 def test_two_element_orbits():
     P = chain(2)
     both = PartialMatching(P, {0: 1, 1: 0})
@@ -219,7 +208,7 @@ def test_strictly_coherent_self(groups):
     quot = W.quotient(set())
     top = quot.poset.index("1.2.1")
     for s in range(2):
-        m = lambda_partial(quot, s, top)
+        m = lambda_partial(quot, s).restrict_to_ideal(top)
         assert strictly_coherent(m, m, top)
 
 
@@ -259,8 +248,8 @@ def test_coherent(groups):
     quot = W.quotient(set())
     top = quot.poset.index("1.2.1")
     pool = enumerate_spms(quot.poset, top)
-    lam1 = lambda_partial(quot, 0, top)
-    lam2 = lambda_partial(quot, 1, top)
+    lam1, lam2 = (lambda_partial(quot, s).restrict_to_ideal(top)
+                  for s in range(2))
     assert coherent(lam1, lam1, top, pool)
     assert strictly_coherent(lam1, lam2, top)
     assert coherent(lam1, lam2, top, pool)

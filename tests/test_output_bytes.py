@@ -1,5 +1,6 @@
 """The bytes of the default verify report and of the klbasis output are
-pinned by SHA-256 on four instances.
+pinned by SHA-256 on four instances, and those of the verify report and
+the r/p tables of one poset instance read from files.
 
 The Hecke layer computes on packed ints and decodes only to write; these
 digests were taken from the object-arithmetic implementation it replaced,
@@ -8,12 +9,16 @@ here.  Take a new digest only after checking the new output by hand.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pircons import CoxeterSystem
+from pircons.klpoly import lambda_refinement
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,3 +79,38 @@ def test_klbasis_bytes(name, tmp_path):
                    *INSTANCES[name]], tmp_path)
     assert got == {f: SHA256[(name, f)]
                    for f in ("klbasis_minus1.json", "klbasis_q.json")}
+
+
+# B3/{s2} given as --poset-file and --refinement-file: the refinement file
+# is the only input whose matchings are proven SPMs by verify_spm as they
+# are read, so these bytes pin that path.
+POSET_SHA256 = {
+    "verify_report.json":
+        "bbfb248932cd7f7e472762185ffd8a3194d1cdebab82fd7ad938a4eea3fe344d",
+    "r_minus1.json":
+        "0dbd4acc8bc6cc2d23abe2abb42e01d8fa280db833b1889dbba31ea934d51418",
+    "r_q.json":
+        "b9b0ae5a6098e9f192d1f49e1a4002b5cda771ab7e170c294772fa22ed206262",
+    "p_minus1.json":
+        "7fa96acc4bd8a4b19268d7503836f09e022e380d75a99ca5fed9b8d6eabd163a",
+    "p_q.json":
+        "8f8d2942f55161dd13c530627f85ac6524b94b4a80cf024b9451149a73b319ca",
+}
+
+
+@pytest.fixture(scope="module")
+def poset_files(tmp_path_factory):
+    quot = CoxeterSystem({"type": "B", "rank": 3}).quotient({1})
+    root = tmp_path_factory.mktemp("poset")
+    poset_file, ref_file = root / "b3_s2.json", root / "b3_s2_ref.json"
+    poset_file.write_text(json.dumps(quot.poset.to_json()))
+    ref_file.write_text(json.dumps(lambda_refinement(quot).to_json()))
+    return ["--poset-file", str(poset_file),
+            "--refinement-file", str(ref_file)]
+
+
+def test_poset_instance_bytes(poset_files, tmp_path):
+    got = run_cli(["verify", *poset_files], tmp_path / "v")
+    got.update(run_cli(["compute", "--x", "both", "--outputs", "r,p",
+                        *poset_files], tmp_path / "c"))
+    assert got == POSET_SHA256

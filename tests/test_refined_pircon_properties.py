@@ -6,6 +6,8 @@ Over every pircon found, the suite checks statements the theory makes for
 *arbitrary* refined pircons, not just the Coxeter-flavoured instances:
 
 * every enumerated SPM passes the axioms and the lifting property;
+* a quasi SPM restricted to the ideal of an element it takes down is an
+  SPM, the lemma that lets refinements skip ``verify_spm``;
 * every orbit of a pair of SPMs of the same element is dihedral or
   chain-like and forms an interval (the two-matching dichotomy);
 * R-tables of any refinement satisfy the degree, constant-term, and
@@ -18,8 +20,9 @@ import pytest
 
 from pircons.klpoly import (X_MINUS_ONE, X_Q, all_refinements, r_polynomials,
                             verify_r_properties)
-from pircons.matchings import (check_lifting, enumerate_spms,
-                               orbit_partition, verify_pircon, verify_spm)
+from pircons.matchings import (PartialMatching, check_lifting,
+                               enumerate_spms, orbit_partition, verify_pircon,
+                               verify_qspm, verify_spm)
 from pircons.posets import GradedPoset, PosetError
 
 PROFILES = [[1, 2, 2], [1, 3, 1], [1, 2, 2, 1], [1, 2, 3], [1, 3, 2]]
@@ -67,6 +70,48 @@ def test_enumerated_spms_satisfy_axioms_and_lifting(pircon_zoo):
             for m in enumerate_spms(P, w):
                 assert verify_spm(m) == (True, None)
                 assert check_lifting(m) == (True, None)
+
+
+def qspms_on(P, domain):
+    """Every quasi SPM of P on the order ideal ``domain``, by brute force:
+    each involution of the domain that moves elements by at most one
+    cover, kept when it passes ``verify_qspm``."""
+    out, assign, inside = [], {}, set(domain)
+
+    def rec():
+        free = next((x for x in domain if x not in assign), None)
+        if free is None:
+            m = PartialMatching(P, assign)
+            if verify_qspm(m)[0]:
+                out.append(m)
+            return
+        for y in (free, *P.up_covers[free], *P.down_covers[free]):
+            if y in inside and y not in assign:
+                assign[free], assign[y] = y, free
+                rec()
+                del assign[free]
+                assign.pop(y, None)
+
+    rec()
+    return out
+
+
+def test_restricted_qspm_is_an_spm():
+    """On every generated poset, every quasi SPM on the whole poset or on
+    the ideal of an element restricts to an SPM of the ideal of each w it
+    takes down."""
+    checked = 0
+    for P in generated_posets():
+        domains = {tuple(range(P.n))} | {P.ideal_elements(v)
+                                         for v in range(P.n)}
+        for domain in sorted(domains):
+            for M in qspms_on(P, domain):
+                for w in M.domain:
+                    if P.covers(M(w), w):
+                        assert verify_spm(M.restrict_to_ideal(w)) == \
+                            (True, None), (M, w)
+                        checked += 1
+    assert checked > 1000
 
 
 def test_orbit_dichotomy_for_spm_pairs(pircon_zoo):
