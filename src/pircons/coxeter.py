@@ -5,12 +5,19 @@ notation, B_n as signed permutations, D_n as even-signed permutations,
 I2(m) as the dihedral group of order 2m, and direct products of these.
 A realization supplies only its identity, right multiplication by a
 generator and its Coxeter matrix.  The whole group is tabulated by
-breadth-first closure under right multiplication; the inverse table comes
-from reading each element's word backwards, and left multiplication from
-s w = (w^-1 s)^-1.  The tables give O(1) length, descent, inverse and
-generator-multiplication queries; the trade-off is a configurable size
-bound (PIRCONS_MAX_GROUP_SIZE, default 50000).  The orders of the products
-s_i s_j are checked against the Coxeter matrix.
+breadth-first closure under right multiplication, with one realization
+call per edge of the Cayley graph, |W| r / 2 in all: at a frontier element
+w, a generator s whose image is still unknown is an ascent, and w s, when
+new, gets w as its image under s and s as a right descent (Bjorner-Brenti,
+GTM 231, ch. 1-2).  The right table, lengths and right descents are built
+eagerly.  The inverse, left-multiplication, left-descent and word tables
+are built on first use and kept: w^-1 is the word of w read backwards
+along its parent chain in the closure, s w = (w^-1 s)^-1, and the left
+descents of w are the right descents of w^-1.  The tables give O(1)
+length, descent, inverse and generator-multiplication queries; the
+trade-off is a configurable size bound (PIRCONS_MAX_GROUP_SIZE, default
+50000).  The orders of the products s_i s_j are checked against the
+Coxeter matrix.
 
 Generators are 0-indexed internally and rendered 1-based in labels, so the
 element with lexicographically least reduced word s2*s1 is labelled "2.1".
@@ -252,7 +259,16 @@ def _realization(config: dict):
 # ---------------------------------------------------------------------------
 
 class CoxeterSystem:
-    """A finite Coxeter system with a complete element table."""
+    """A finite Coxeter system with a complete element table.
+
+    Built eagerly: ``elements`` (sorted by representation within each
+    length), ``index``, ``length``, ``right`` and ``d_right``, from one
+    realization call per Cayley edge; an ascent whose image is already
+    tabulated raises ``CoxeterError``, since such a realization is not
+    length-additive.  Built on first use and kept: ``_inv``, ``left``,
+    ``d_left`` and ``word``.  ``inverse(w)`` walks the parent chain of w
+    alone and builds no table.
+    """
 
     def __init__(self, config: dict, bound: int | None = None):
         self.config = dict(config)
@@ -267,58 +283,57 @@ class CoxeterSystem:
                                   for j in range(real.rank))
                             for i in range(real.rank))
 
+        # Breadth-first closure by length, one realization call per edge of
+        # the Cayley graph: an unknown right[w][k] at a frontier element is
+        # an ascent, and its image's k-th entry is w, a right descent.
+        r = self.num_gens
         ident = real.identity()
         elements = [ident]
         index = {ident: 0}
         length = [0]
-        word: list[tuple[int, ...]] = [()]
+        parent = [(0, -1)]
+        right = [[None] * r]
+        d_right = [0]
         frontier = [0]
         while frontier:
             # Deterministic layer order: sort new elements by representation.
             nxt = {}
             for i in frontier:
-                for k in range(self.num_gens):
-                    img = real.right(elements[i], k)
-                    if img not in index and img not in nxt:
-                        nxt[img] = (i, k)
-            for img in sorted(nxt):
-                i, k = nxt[img]
-                index[img] = len(elements)
+                w = elements[i]
+                for k, known in enumerate(right[i]):
+                    if known is None:
+                        img = real.right(w, k)
+                        if img in index:
+                            raise CoxeterError(
+                                "realization is not length-additive: "
+                                f"{w!r} * s{k + 1} is already tabulated")
+                        nxt.setdefault(img, []).append((i, k))
+            if len(elements) + len(nxt) > bound:
+                raise SizeBoundError(f"group exceeds size bound {bound}")
+            layer = sorted(nxt)
+            for img in layer:
+                edges = nxt[img]
+                j = len(elements)
+                index[img] = j
                 elements.append(img)
-                length.append(length[i] + 1)
-                word.append(word[i] + (k,))
-                if len(elements) > bound:
-                    raise SizeBoundError(
-                        f"group exceeds size bound {bound}")
-            frontier = [index[img] for img in sorted(nxt)]
-        n = len(elements)
+                length.append(length[edges[0][0]] + 1)
+                parent.append(edges[0])
+                row = [None] * r
+                bits = 0
+                for i, k in edges:
+                    right[i][k] = j
+                    row[k] = i
+                    bits |= 1 << k
+                right.append(row)
+                d_right.append(bits)
+            frontier = [index[img] for img in layer]
         self.elements = tuple(elements)
         self.index = index
         self.length = tuple(length)
-        self.word = tuple(word)
-
-        self.right = right = tuple(tuple(index[real.right(elements[i], k)]
-                                         for k in range(self.num_gens))
-                                   for i in range(n))
-        # w^-1 is the word of w read backwards; s w = (w^-1 s)^-1.
-        inv = []
-        for w in range(n):
-            u = 0
-            for k in reversed(word[w]):
-                u = right[u][k]
-            inv.append(u)
-        self._inv = inv = tuple(inv)
-        self.left = tuple(tuple(inv[j] for j in right[inv[w]])
-                          for w in range(n))
-        self.d_right = tuple(
-            sum(1 << k for k in range(self.num_gens)
-                if self.length[self.right[i][k]] < self.length[i])
-            for i in range(n))
-        self.d_left = tuple(
-            sum(1 << k for k in range(self.num_gens)
-                if self.length[self.left[i][k]] < self.length[i])
-            for i in range(n))
-        self._lexwords: list[tuple[int, ...] | None] = [None] * n
+        self.right = tuple(map(tuple, right))
+        self.d_right = tuple(d_right)
+        self._parent = parent
+        self._lexwords: list[tuple[int, ...] | None] = [None] * len(elements)
 
         for i in range(self.num_gens):
             for j in range(i + 1, self.num_gens):
@@ -361,7 +376,41 @@ class CoxeterSystem:
         return u
 
     def inverse(self, w: int) -> int:
-        return self._inv[w]
+        """w^-1, the word of w read backwards along its parent chain."""
+        u = 0
+        while w:
+            w, k = self._parent[w]
+            u = self.right[u][k]
+        return u
+
+    # -- tables derived on first use and kept ---------------------------------
+
+    @functools.cached_property
+    def _inv(self) -> tuple[int, ...]:
+        return tuple(self.inverse(w) for w in range(self.size))
+
+    @functools.cached_property
+    def left(self) -> tuple[tuple[int, ...], ...]:
+        """left[w][k] = s_k w = (w^-1 s_k)^-1."""
+        inv, right = self._inv, self.right
+        return tuple(tuple(inv[j] for j in right[inv[w]])
+                     for w in range(self.size))
+
+    @functools.cached_property
+    def d_left(self) -> tuple[int, ...]:
+        """Left descents as bit masks: those of w are the right descents
+        of w^-1."""
+        inv, d_right = self._inv, self.d_right
+        return tuple(d_right[inv[w]] for w in range(self.size))
+
+    @functools.cached_property
+    def word(self) -> tuple[tuple[int, ...], ...]:
+        """A reduced word of each element: its parent's word and the
+        generator of the edge it was found by."""
+        word: list[tuple[int, ...]] = [()]
+        for i, k in self._parent[1:]:
+            word.append(word[i] + (k,))
+        return tuple(word)
 
     def lex_least_word(self, w: int) -> tuple[int, ...]:
         """Lexicographically least reduced word, built greedily from D_L."""

@@ -47,7 +47,13 @@ def _double_factorial(k: int) -> int:
 
 
 class TwistedIdentities:
-    """The twisted-identity pircon of S_(2n)."""
+    """The twisted-identity pircon of S_(2n).
+
+    The host S_(2n) is tabulated, but only its right table and inverses
+    are read: each conjugate theta(s_i) g s_i of an orbit element g is
+    s (g s_i) = ((g s_i)^-1 s)^-1 with s = theta(s_i), two parent-chain
+    walks, so the host builds no left-multiplication table.
+    """
 
     def __init__(self, n: int):
         if n < 1:
@@ -58,13 +64,15 @@ class TwistedIdentities:
         host = self.host
 
         # conj[g][i] = theta(s_i) g s_i, where theta(s_i) = s_(m-2-i)
-        # (0-based).  The twisted identities are the orbit of e.
+        # (0-based), computed as s w = (w^-1 s)^-1 with no left table.
+        # The twisted identities are the orbit of e.
+        inv, right = host.inverse, host.right
         conj = {}
         stack = [host.identity]
         while stack:
             g = stack.pop()
             if g not in conj:
-                conj[g] = tuple(host.left[host.right[g][i]][m - 2 - i]
+                conj[g] = tuple(inv(right[inv(right[g][i])][m - 2 - i])
                                 for i in range(m - 1))
                 stack.extend(conj[g])
         expected = _double_factorial(2 * n - 1)

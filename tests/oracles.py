@@ -18,7 +18,10 @@ arithmetic.  Differential tests hold the library to the same results,
 witnesses and ``KernelError`` messages.  It also keeps the two refinement
 searches that ``klpoly.system_refinement`` replaced: the descent search
 over group generators for a parabolic quotient, and the per-generator
-candidate search over conjugation maps for twisted identities.
+candidate search over conjugation maps for twisted identities.  Last, it
+keeps the group tabulation that ``coxeter.CoxeterSystem`` replaced: every
+Cayley edge realized from both ends, with every derived table built
+eagerly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 
 import sympy
 
-from pircons import hecke, laurent
+from pircons import coxeter, hecke, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
                             PolyTable, Refinement, _width_for, check_x,
                             other_x)
@@ -687,3 +690,53 @@ def conjugation_refinement(tw, pick=min) -> Refinement:
                 f"no conjugation matching at {tw.poset.labels[w]}")
         matchings[w] = cands[pick(cands)]
     return Refinement(tw.poset, matchings)
+
+
+def coxeter_tables(config: dict) -> dict:
+    """Every table of a Coxeter group, by breadth-first closure that
+    realizes each (element, generator) pair once in the closure and again
+    for the right table; the inverse is each word read backwards and left
+    multiplication s w = (w^-1 s)^-1, all built eagerly."""
+    real = coxeter._realization(config)
+    r = real.rank
+    ident = real.identity()
+    elements = [ident]
+    index = {ident: 0}
+    length = [0]
+    word: list[tuple[int, ...]] = [()]
+    frontier = [0]
+    while frontier:
+        nxt = {}
+        for i in frontier:
+            for k in range(r):
+                img = real.right(elements[i], k)
+                if img not in index and img not in nxt:
+                    nxt[img] = (i, k)
+        for img in sorted(nxt):
+            i, k = nxt[img]
+            index[img] = len(elements)
+            elements.append(img)
+            length.append(length[i] + 1)
+            word.append(word[i] + (k,))
+        frontier = [index[img] for img in sorted(nxt)]
+    n = len(elements)
+    right = tuple(tuple(index[real.right(elements[i], k)] for k in range(r))
+                  for i in range(n))
+    inv = []
+    for w in range(n):
+        u = 0
+        for k in reversed(word[w]):
+            u = right[u][k]
+        inv.append(u)
+    inv = tuple(inv)
+    left = tuple(tuple(inv[j] for j in right[inv[w]]) for w in range(n))
+
+    def descents(table):
+        return tuple(sum(1 << k for k in range(r)
+                         if length[table[i][k]] < length[i])
+                     for i in range(n))
+
+    return {"elements": tuple(elements), "index": index,
+            "length": tuple(length), "word": tuple(word), "right": right,
+            "_inv": inv, "left": left, "d_right": descents(right),
+            "d_left": descents(left)}

@@ -6,8 +6,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pircons import cli, hecke, klpoly, matchings
-from pircons.coxeter import CoxeterSystem, SizeBoundError
+from pircons import cli, coxeter, hecke, klpoly, matchings
+from pircons.coxeter import (DEFAULT_SIZE_BOUND, SIZE_BOUND_ENV,
+                             CoxeterSystem, SizeBoundError)
 from pircons.twisted import TwistedIdentities
 from pircons.klpoly import (X_MINUS_ONE, X_Q, PolyTable, kls_polynomials,
                             lambda_refinement, r_polynomials)
@@ -162,6 +163,21 @@ def test_size_bound_exit(monkeypatch):
     monkeypatch.setenv("PIRCONS_MAX_GROUP_SIZE", "4")
     assert run(["compute", "--type", "A", "--rank", "3"]) == \
         cli.EXIT_SIZE_BOUND
+
+
+def test_twisted_host_past_the_bound_is_refused(monkeypatch, capsys):
+    """S_10 has 3628800 elements; its tabulation stops at the default bound
+    of 50000, having realized at most r edges per element it kept."""
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
+    calls = []
+    right = coxeter._TypeA.right
+    monkeypatch.setattr(coxeter._TypeA, "right",
+                        lambda self, w, k: calls.append(k) or
+                        right(self, w, k))
+    assert run(["compute", "--twisted-n", "5"]) == cli.EXIT_SIZE_BOUND
+    assert capsys.readouterr().err == \
+        "coxeter error: group exceeds size bound 50000\n"
+    assert 0 < len(calls) <= DEFAULT_SIZE_BOUND * 9
 
 
 def test_size_bound_exit_follows_the_error_type(monkeypatch):

@@ -1,0 +1,105 @@
+"""The group tabulation against the eager reference closure.
+
+``CoxeterSystem`` realizes each edge of the Cayley graph once and builds
+its inverse, left-multiplication, left-descent and word tables on first
+use; ``oracles.coxeter_tables`` realizes every edge from both ends and
+builds every table eagerly.  Every table must agree.
+"""
+
+import pytest
+
+from oracles import coxeter_tables
+from pircons import coxeter
+from pircons.coxeter import CoxeterError, CoxeterSystem
+from pircons.twisted import TwistedIdentities
+
+from conftest import GROUP_CONFIGS
+from test_coxeter import DERIVED_EXTRA
+
+TABLES = ("elements", "index", "length", "word", "right", "_inv", "left",
+          "d_right", "d_left")
+DERIVED = ("left", "d_left", "_inv", "word")
+
+ORACLE_CONFIGS = {
+    **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 6)},
+    **{f"B{r}": {"type": "B", "rank": r} for r in range(2, 6)},
+    "D4": {"type": "D", "rank": 4},
+    "D5": {"type": "D", "rank": 5},
+    **{f"I2({m})": {"type": "I2", "m": m} for m in (2, 5, 8)},
+    **DERIVED_EXTRA,
+    **dict(GROUP_CONFIGS),
+}
+
+
+def assert_tables_match(W, want):
+    for name in TABLES:
+        assert getattr(W, name) == want[name], name
+    for w in range(W.size):
+        assert W.inverse(w) == want["_inv"][w], w
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_tables_match_the_eager_closure(name):
+    cfg = ORACLE_CONFIGS[name]
+    assert_tables_match(CoxeterSystem(cfg), coxeter_tables(cfg))
+
+
+@pytest.fixture(scope="module")
+def s8():
+    cfg = {"type": "A", "rank": 7}
+    return CoxeterSystem(cfg), coxeter_tables(cfg)
+
+
+def test_s8_tables_match_the_eager_closure(s8):
+    W, want = s8
+    assert W.size == 40320
+    assert_tables_match(W, want)
+
+
+def spy_right(monkeypatch):
+    counts = {"right": 0}
+    for cls in (coxeter._TypeA, coxeter._TypeB, coxeter._TypeD):
+        original = cls.right
+
+        def counted(self, w, k, _original=original):
+            counts["right"] += 1
+            return _original(self, w, k)
+
+        monkeypatch.setattr(cls, "right", counted)
+    return counts
+
+
+@pytest.mark.parametrize("cfg, calls", [
+    ({"type": "A", "rank": 3}, 36),
+    ({"type": "B", "rank": 3}, 72),
+    ({"type": "D", "rank": 4}, 384),
+])
+def test_one_realization_call_per_edge(monkeypatch, cfg, calls):
+    """|W| r / 2 calls: one per edge of the Cayley graph."""
+    counts = spy_right(monkeypatch)
+    W = CoxeterSystem(cfg)
+    assert counts["right"] == calls == W.size * W.num_gens // 2
+    for name in DERIVED:
+        getattr(W, name)
+    assert counts["right"] == calls
+
+
+def test_derived_tables_are_built_on_first_use():
+    W = CoxeterSystem({"type": "B", "rank": 3})
+    assert not set(DERIVED) & set(W.__dict__)
+    assert W.left is W.left and "left" in W.__dict__
+
+
+def test_twisted_build_reads_no_derived_table():
+    host = TwistedIdentities(3).host
+    assert not set(DERIVED) & set(host.__dict__)
+
+
+def test_realization_that_is_not_length_additive(monkeypatch):
+    """An ascent whose image is already tabulated is refused."""
+    original = coxeter._TypeA.right
+    monkeypatch.setattr(coxeter._TypeA, "right",
+                        lambda self, w, k: w if k == 1 else
+                        original(self, w, k))
+    with pytest.raises(CoxeterError, match="not length-additive"):
+        CoxeterSystem({"type": "A", "rank": 2})
