@@ -31,7 +31,8 @@ from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
                     characterize, context_for_quotient,
                     cprime_generator_action, cprime_recursion, iota, j_map,
                     kl_element_c, kl_element_cprime, p_recursion, t_action,
-                    t_inverse_action, verify_duality, verify_hecke_relations)
+                    t_inverse_action, verify_duality, verify_hecke_relations,
+                    verify_recursion)
 from .twisted import TwistedIdentities
 
 __all__ = [name for name in dir() if not name.startswith("_")]

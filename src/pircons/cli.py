@@ -245,31 +245,9 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
             ok, witness = hecke.verify_duality(ctx)
             record(kind, ok, witness)
         elif kind == "recursion":
-            witness = _recursion_witness(inst.hecke_context, xs)
-            record(kind, witness is None, witness)
+            ok, witness = hecke.verify_recursion(inst.hecke_context, xs)
+            record(kind, ok, witness)
     return reports
-
-
-def _recursion_witness(ctx: hecke.HeckeContext, xs):
-    """Where the C' or the P recursion first disagrees with the directly
-    built KL basis, or None when both hold for every w and M.  Both
-    recursions assert the bounds that make these packed comparisons
-    exact."""
-    poset = ctx.poset
-    for x in xs:
-        pz = ctx.packed_p(klpoly.other_x(x))
-        for w in range(poset.n):
-            if w == poset.bottom:
-                continue
-            want = hecke.kl_element_cprime(ctx, w, x)
-            col = pz[w]
-            for M in ctx.system.down_matchings(w):
-                if hecke.cprime_recursion(ctx, w, M, x) != want:
-                    return ("cprime", (x, w))
-                for v in poset.ideal_elements(w):
-                    if hecke.p_recursion(ctx, v, w, M, x) != col.get(v, 0):
-                        return ("p", (x, v, w))
-    return None
 
 
 # ---------------------------------------------------------------------------

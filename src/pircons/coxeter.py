@@ -270,10 +270,10 @@ class CoxeterSystem:
     alone and builds no table.
     """
 
-    def __init__(self, config: dict, bound: int | None = None):
+    def __init__(self, config: dict):
         self.config = dict(config)
         real = _realization(config)
-        bound = size_bound() if bound is None else bound
+        bound = size_bound()
         # A group of rank r has at least 2^r elements; refuse a huge rank
         # before the rank-by-rank matrix is built.
         if real.rank >= bound.bit_length():

@@ -50,9 +50,14 @@ positions), and characterize, to test a shape; nothing else decodes.
 Vectors become ModuleVector objects with HalfLaurent coefficients only at
 the edges: klbasis JSON, printing and tests (``HeckeContext.decode``).
 The same algorithms on HalfLaurent and ModuleVector object arithmetic are
-the differential reference in ``tests/oracles.py``.  The mu-corrections of
-the C' and P recursions are computed once per (M, M(w), x) and kept on the
-context.
+the differential reference in ``tests/oracles.py``.
+
+The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
+basis images are the columns of R^x, signed, and P^z is kept as its
+columns, which are C'-elements up to a shift.  ``p_recursion`` builds a
+whole P column, and ``verify_recursion`` compares it with the kept one.
+The mu-corrections of the C' and P recursions are computed once per
+(M, M(w), x) and kept on the context.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ import math
 from typing import Mapping
 
 from .laurent import HalfLaurent
-from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _digits, _norms,
-                     _pack, _width_for, check_x, kls_polynomials,
+from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
+                     _digits, _norms, _width_for, check_x, kls_polynomials,
                      lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
@@ -231,16 +236,14 @@ class HeckeContext:
                              for u, c in v.items()})
 
     def packed_p(self, x: str) -> list[Vector]:
-        """P^x packed at q = 2^(2B) with no offset: for every w the dict
-        {v: P^x_{v,w}} over the nonzero entries, kept per x.  Shared;
-        callers must not modify it."""
+        """The ``_columns`` of P^x at q = 2^(2B), with no offset: for every
+        w the dict {v: P^x_{v,w}} over the nonzero entries, kept per x.
+        Shared; callers must not modify it."""
         x = check_x(x)
         cols = self._packed_p.get(x)
         if cols is None:
-            cols = self._packed_p[x] = [{} for _ in range(self.poset.n)]
-            for (v, w), poly in self.p_table(x).entries.items():
-                if poly:
-                    cols[w][v] = _pack(poly.coeffs(), 2 * self.width)
+            cols = self._packed_p[x] = _columns(self.p_table(x),
+                                                2 * self.width)
         return cols
 
     # -- mu-coefficients ---------------------------------------------------
@@ -360,22 +363,14 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
 
 def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
     """The images iota^x(m_v) without their factor q^(-rho(v)): for every v
-    the dict {u: (-1)^rho(u,v) R^x_{u,v}}, each packed at q^(1/2) = 2^B
-    with no offset.  Kept on the context per x."""
-    cached = ctx._iota_basis.get(x)
-    if cached is not None:
-        return cached
-    poset, width = ctx.poset, ctx.width
-    table = ctx.r_table(x)
-    images = []
-    for v in range(poset.n):
-        coeffs = {}
-        for u in poset.ideal_elements(v):
-            c = _pack(table.value(u, v).coeffs(), 2 * width)
-            if c:
-                coeffs[u] = -c if poset.rank_gap(u, v) % 2 else c
-        images.append(coeffs)
-    ctx._iota_basis[x] = images
+    the dict {u: (-1)^rho(u,v) R^x_{u,v}}, the ``_columns`` of R^x at
+    q^(1/2) = 2^B with no offset, signed.  Kept on the context per x."""
+    images = ctx._iota_basis.get(x)
+    if images is None:
+        rank = ctx.poset.rank
+        images = ctx._iota_basis[x] = [
+            {u: -c if (rank[v] - rank[u]) % 2 else c for u, c in col.items()}
+            for v, col in enumerate(_columns(ctx.r_table(x), 2 * ctx.width))]
     return images
 
 
@@ -552,38 +547,68 @@ def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
     return {v: c for v, c in out.items() if c}
 
 
-def p_recursion(ctx: HeckeContext, v: int, w: int, M: PartialMatching,
-                x: str) -> int:
+def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
+                x: str) -> Vector:
     """Right-hand side of the polynomial-level recursion
     P^z_{v,w} = P^z_{v',M(w)} + x_v P^z_{v'',M(w)}
-                - sum_u mu(u, M(w)) q^(rho(u,w)/2) P^z_{v,u},
-    where v' and v'' are the lower and upper of {v, M(v)} and x_v is x when
-    M fixes v and q otherwise; packed like the entries of
-    ``ctx.packed_p(z)``.  Its coefficients stay below
-    max L1(P) (2 + sum |mu|), which is asserted."""
+                - sum_u mu(u, M(w)) q^(rho(u,w)/2) P^z_{v,u}
+    for every v <= w, where v' and v'' are the lower and upper of
+    {v, M(v)} and x_v is x when M fixes v and q otherwise: the whole
+    column, packed like ``ctx.packed_p(z)[w]``, nonzero entries only.  Its
+    coefficients stay below max L1(P) (2 + sum |mu|), which is asserted
+    once for the column."""
     poset = ctx.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("p_recursion needs M(w) covered by w")
-    if not poset.leq(v, w):
-        raise ValueError("p_recursion needs v <= w")
     terms, weight = _corrections(ctx, M, mw, x)
     ctx.require(ctx.p_l1 * (2 + weight))
-    width = ctx.width
+    width, q = ctx.width, 2 * ctx.width
     cols = ctx.packed_p(other_x(x))
     below = cols[mw]
-    mv = M(v)
-    if mv == v:
-        p = below.get(v, 0)
-        out = p + (p << 2 * width if x == X_Q else -p)
-    else:
-        v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
-        out = below.get(v_lo, 0) + (below.get(v_hi, 0) << 2 * width)
+    get = below.get
+    out: Vector = {}
+    for v in poset.ideal_elements(w):
+        kind = M.kind(v)
+        if kind == "fixed":
+            p = get(v, 0)
+            out[v] = p + (p << q) if x == X_Q else 0
+        elif kind == "down":
+            out[v] = get(M(v), 0) + (get(v, 0) << q)
+        else:
+            out[v] = get(v, 0) + (get(M(v), 0) << q)
     for u, m in terms:
-        p = cols[u].get(v, 0)
-        if p:
-            out -= m * p << width * poset.rank_gap(u, w)
-    return out
+        shift = width * poset.rank_gap(u, w)
+        for v, p in cols[u].items():
+            out[v] -= m * p << shift
+    return {v: c for v, c in out.items() if c}
+
+
+def verify_recursion(ctx: HeckeContext, xs):
+    """The C' and P recursions against the directly built KL basis, for
+    every x in xs, every non-minimal w and every M that takes w down:
+    (True, None), or (False, ("cprime", (x, w))) or
+    (False, ("p", (x, v, w))) at the first failure, v the first element of
+    the ideal of w, in ideal order, where the P column differs.  Both
+    recursions assert the bounds that make these packed comparisons
+    exact."""
+    poset = ctx.poset
+    for x in xs:
+        pz = ctx.packed_p(other_x(x))
+        for w in range(poset.n):
+            if w == poset.bottom:
+                continue
+            want = kl_element_cprime(ctx, w, x)
+            col = pz[w]
+            for M in ctx.system.down_matchings(w):
+                if cprime_recursion(ctx, w, M, x) != want:
+                    return False, ("cprime", (x, w))
+                got = p_recursion(ctx, w, M, x)
+                if got != col:
+                    v = next(v for v in poset.ideal_elements(w)
+                             if got.get(v, 0) != col.get(v, 0))
+                    return False, ("p", (x, v, w))
+    return True, None
 
 
 def characterize(ctx: HeckeContext, D: Vector, w: int, x: str) -> bool:

@@ -33,17 +33,22 @@ q = 2^B (Kronecker substitution), so a polynomial product is one int
 multiply and an interval sum is a sum of int products; balanced base-2^B
 digits recover the coefficients.  The sums are pushed, not pulled: a
 column v keeps one int accumulator per element of its ideal, and each z
-adds its products into the accumulators of the u below it, read from the
-transposed packed table.  Packing is injective only on polynomials whose
-coefficients lie inside (-2^(B-1), 2^(B-1)).  The width B is therefore
-derived once from the table (ideal sizes, L1 norms and coefficient sizes).
-For the kernel check that B covers every sum outright.  Inversion alone
-can outgrow it, since its sums take products with the P it produces: each
-of its sums asserts its coefficient bound against B before its digits are
-read, and a bound that does not fit restarts the inversion at a wider B.
+adds its products into the accumulators of the u below it.  Packing is
+injective only on polynomials whose coefficients lie inside
+(-2^(B-1), 2^(B-1)).  The width B is therefore derived once from the table
+(ideal sizes, L1 norms and coefficient sizes).  For the kernel check that
+B covers every sum outright.  Inversion alone can outgrow it, since its
+sums take products with the P it produces: each of its sums asserts its
+coefficient bound against B before its digits are read, and a bound that
+does not fit restarts the inversion at a wider B.
 
-Tables store a polynomial for every comparable pair, zeros included;
-absence of a key means the pair is incomparable.
+One function packs a table: ``_columns(table, B)`` gives column w as
+{u: R_{u,w}(2^B)} over the nonzero entries, the shape of a Hecke module
+vector.  The rule checks, both interval sums and the Hecke layer read these
+columns, each at its own width.  Tables store a polynomial for every
+comparable pair, zeros included; absence of a key means the pair is
+incomparable, and ``_columns`` raises KeyError for a comparable pair with
+no entry.
 """
 
 from __future__ import annotations
@@ -159,19 +164,18 @@ def down_matchings(poset: GradedPoset, matchings: Sequence[PartialMatching],
 
 
 def system_refinement(poset: GradedPoset,
-                      matchings: Sequence[PartialMatching],
-                      pick=min) -> Refinement:
+                      matchings: Sequence[PartialMatching]) -> Refinement:
     """The refinement read off a system of quasi SPMs: at every non-minimal
-    w, one matching that takes w down, restricted to the ideal of w.
+    w, the first matching in list order that takes w down, restricted to
+    the ideal of w.
 
     The matchings must be quasi SPMs; then each restriction is an SPM and
     is not checked again.  If M(w) is covered by w, every y <= w has
     M(y) <= w, by induction down from w: take z covering y with z <= w,
     and compatibility gives M(y) = z or M(y) < M(z) <= w.
 
-    ``pick`` selects among the list positions of the down-matchings; the
-    default takes the first.  Raises ValueError naming the label of an
-    element that no matching takes down.
+    Raises ValueError naming the label of an element that no matching
+    takes down.
     """
     chosen = {}
     for w in range(poset.n):
@@ -181,19 +185,16 @@ def system_refinement(poset: GradedPoset,
         if not down:
             raise ValueError(
                 f"no matching takes {poset.labels[w]!r} down")
-        chosen[w] = down[pick(range(len(down)))].restrict_to_ideal(w)
+        chosen[w] = down[0].restrict_to_ideal(w)
     return Refinement(poset, chosen)
 
 
-def lambda_refinement(quot, pick=min) -> Refinement:
-    """Refinement of a parabolic quotient by left multiplication matchings:
-    ``system_refinement`` on ``quot.lambda_matchings``.
-
-    ``pick`` selects among the matchings that take w down, which are listed
-    in order of their generator; the default takes the smallest, giving the
-    canonical refinement.
-    """
-    return system_refinement(quot.poset, quot.lambda_matchings, pick)
+def lambda_refinement(quot) -> Refinement:
+    """The canonical refinement of a parabolic quotient:
+    ``system_refinement`` on ``quot.lambda_matchings``, which are listed in
+    order of their generator, so at every w the smallest generator that
+    takes w down."""
+    return system_refinement(quot.poset, quot.lambda_matchings)
 
 
 def all_refinements(poset: GradedPoset) -> Iterable[Refinement]:
@@ -344,19 +345,20 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
                    _packed: tuple | None = None):
     """Does the recursion hold at w when driven by M instead of M_w?
 
-    Requires M(w) covered by w.  Checks every u < w on packed entries and
+    Requires M(w) covered by w.  Checks every u < w on packed columns and
     returns (True, None) or (False, ("not-calculating", (u, w))).
-    ``_packed`` is ``_packed_entries(table)``, when the caller has it.
+    ``_packed`` is ``_rule_columns(table)``, when the caller has it.
     """
     poset = table.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("is_calculating needs a matching with M(w) < w")
-    width, rows = _packed or _packed_entries(table)
+    width, cols = _packed or _rule_columns(table)
     cases = _cases(width, table.x)
+    col, below = cols[w], cols[mw]
     for u in poset.ideal_elements(w):
-        if u != w and rows[u].get(w, 0) != cases[M.kind(u)](
-                rows[u].get(mw, 0), rows[M(u)].get(mw, 0)):
+        if u != w and col.get(u, 0) != cases[M.kind(u)](
+                below.get(u, 0), below.get(M(u), 0)):
             return False, ("not-calculating", (u, w))
     return True, None
 
@@ -364,7 +366,7 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
 def is_strongly_calculating(M: PartialMatching, table: PolyTable):
     """is_calculating at every z in the domain with M(z) covered by z."""
     poset = table.poset
-    packed = _packed_entries(table)
+    packed = _rule_columns(table)
     for z in M.domain:
         if poset.covers(M(z), z):
             ok, witness = is_calculating(M.restrict_to_ideal(z), table, z,
@@ -386,23 +388,22 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
       (b') M(w) below w:  R_{u,w} = (q-1) R_{M(u),w} + q R_{M(u),M(w)}
       (c') M(w) fixed:    R_{u,w} = (q-1-x) R_{M(u),w}
     that is, ``_cases`` of the mirrored kind of w, chosen once per w, on
-    packed entries (absent pairs read as 0).  Clause (c') is the substance;
-    (a') and (b') follow from the recursion for strongly calculating
-    matchings but are cheap to verify outright.
+    packed columns (incomparable pairs read as 0).  Clause (c') is the
+    substance; (a') and (b') follow from the recursion for strongly
+    calculating matchings but are cheap to verify outright.
     """
-    width, rows = _packed_entries(table)
+    width, cols = _rule_columns(table)
     cases = _cases(width, table.x)
     mirrored = {"up": cases["down"], "down": cases["up"],
                 "fixed": cases["fixed"]}
     for mi, M in enumerate(matchings):
-        ups = [(u, rows[u], rows[M(u)]) for u in M.domain
-               if M.kind(u) == "up"]
+        ups = [(u, M(u)) for u in M.domain if M.kind(u) == "up"]
         for w in M.domain:
             kw = M.kind(w)
             case = mirrored[kw]
-            mw = M(w)
-            for u, row, mrow in ups:
-                if row.get(w, 0) != case(mrow.get(w, 0), mrow.get(mw, 0)):
+            col, mcol = cols[w], cols[M(w)]
+            for u, mu in ups:
+                if col.get(u, 0) != case(col.get(mu, 0), mcol.get(mu, 0)):
                     clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
                     return False, ("updown-" + clause, (mi, u, w))
     return True, None
@@ -422,14 +423,28 @@ def _cases(width: int, x: str) -> dict[str, Callable[[int, int], int]]:
             else (lambda a, b: -a)}
 
 
-def _packed_entries(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
-    """The least B with 3 max |coeff(R)| < 2^(B-1), a bound on ``_cases``
-    of entries, and one dict {w: R_{u,w}(2^B)} per u."""
+def _rule_columns(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
+    """The least B with 3 max |coeff| < 2^(B-1), a bound on ``_cases`` of
+    entries, and the table's ``_columns`` at B."""
     width = _width_for(3 * _norms(table)[1])
-    rows: list[dict[int, int]] = [{} for _ in range(table.poset.n)]
-    for (u, w), poly in table.entries.items():
-        rows[u][w] = _pack(poly.coeffs(), width)
-    return width, rows
+    return width, _columns(table, width)
+
+
+def _columns(table: PolyTable, width: int) -> list[dict[int, int]]:
+    """The table packed at q = 2^width, by column: for every w the dict
+    {u: R_{u,w}(2^width)} over the u <= w with R_{u,w} != 0, in ideal
+    order.  Each ideal is read through ``PolyTable.value``, so a comparable
+    pair with no entry raises KeyError."""
+    poset, value = table.poset, table.value
+    cols = []
+    for w in range(poset.n):
+        col = {}
+        for u in poset.ideal_elements(w):
+            coeffs = value(u, w).coeffs()
+            if coeffs:
+                col[u] = _pack(coeffs, width)
+        cols.append(col)
+    return cols
 
 
 def _width_for(bound: int) -> int:
@@ -482,33 +497,6 @@ def _norms(table: PolyTable) -> tuple[int, int, int]:
     return l1, top, terms
 
 
-def _packed_rows(table: PolyTable,
-                 width: int) -> list[list[tuple[int, int]]]:
-    """The table packed at q = 2^width and transposed: for every z, the
-    pairs (u, R_{u,z}(2^width)) over the u <= z with R_{u,z} != 0, in
-    ascending u."""
-    poset, value = table.poset, table.value
-    cols = []
-    for z in range(poset.n):
-        col = []
-        for u in poset.ideal_elements(z):
-            coeffs = value(u, z).coeffs()
-            if coeffs:
-                col.append((u, _pack(coeffs, width)))
-        cols.append(col)
-    return cols
-
-
-def _row_supports(table: PolyTable) -> list[int]:
-    """For every u, the bitmask of the z >= u with R_{u,z} != 0."""
-    poset = table.poset
-    rows = [0] * poset.n
-    for (u, z), poly in table.entries.items():
-        if poly and poset.leq(u, z):
-            rows[u] |= 1 << z
-    return rows
-
-
 def check_pkernel(table: PolyTable):
     """sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly.
 
@@ -529,13 +517,13 @@ def check_pkernel(table: PolyTable):
                        for (u, w), p in table.entries.items() if p])
     width = _width_for(terms * l1 * top)
     one = 1 << (width * shift)
-    cols = _packed_rows(table, width)
+    cols = _columns(table, width)
     for v in range(poset.n):
         acc = [0] * poset.n
-        for z, _ in cols[v]:
+        for z in cols[v]:
             t = _pack_tilde(table.value(z, v).coeffs(),
                             poset.rank_gap(z, v) + shift, width)
-            for u, r in cols[z]:
+            for u, r in cols[z].items():
                 acc[u] += r * t
         for u in poset.ideal_elements(v):
             if acc[u] != (one if u == v else 0):
@@ -569,19 +557,22 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     poset = table.poset
     rank = poset.rank
     l1, top, terms = _norms(table)
-    supports = _row_supports(table)
 
     def run(width: int) -> PolyTable | int:
         """The inversion at ``width``, or the bound that did not fit."""
         half = 1 << (width - 1)
         digit = (1 << width) - 1
-        cols = _packed_rows(table, width)
+        cols = _columns(table, width)
+        supports = [0] * poset.n   # for every u, the z with R_{u,z} != 0
+        for z, col in enumerate(cols):
+            for u in col:
+                supports[u] |= 1 << z
         out = PolyTable(poset, table.x, {})
         polys = {}   # P-tables repeat few polynomials: build each once
         for v in range(poset.n):
             out.entries[(v, v)] = _ONE
             G = [0] * poset.n
-            for u, r in cols[v]:
+            for u, r in cols[v].items():
                 G[u] += r
             pushed = 1 << v
             pmax = 1
@@ -618,7 +609,7 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
                 if packed:
                     pmax = max(pmax, got[1])
                     pushed |= 1 << u
-                    for w, r in cols[u]:
+                    for w, r in cols[u].items():
                         G[w] += r * packed
         return out
 
@@ -653,20 +644,20 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
 def brenti_identity(quot, table: PolyTable):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
     w < sw leaves it; scanned exhaustively over qualifying (s, u, w).  This
-    is the fixed case of ``_cases``, on packed entries.
+    is the fixed case of ``_cases``, on packed columns.
     """
     rank = quot.poset.rank
-    rows = None
+    cols = None
     for s, images in enumerate(quot.images):
         # u < su in W^H, and w with sw outside W^H (so sw > w, by Deodhar)
         ups = [(u, su) for u, su in enumerate(images) if rank[su] > rank[u]]
         fixed = [w for w, sw in enumerate(images) if sw == w]
-        if fixed and rows is None:   # full groups have no fixed points
-            width, rows = _packed_entries(table)
+        if fixed and cols is None:   # full groups have no fixed points
+            width, cols = _rule_columns(table)
             case = _cases(width, table.x)["fixed"]
         for u, su in ups:
             for w in fixed:
-                if rows[u].get(w, 0) != case(rows[su].get(w, 0), 0):
+                if cols[w].get(u, 0) != case(cols[w].get(su, 0), 0):
                     return False, ("brenti", (s, u, w))
     return True, None
 

@@ -121,12 +121,11 @@ class TwistedIdentities:
     def _qspms(self) -> tuple[PartialMatching, ...]:
         return tuple(self.conjugation_qspms())
 
-    def conjugation_refinement(self, pick=min) -> Refinement:
-        """``system_refinement`` on the conjugation quasi SPMs: one
-        conjugation matching per non-minimal element.  ``pick`` selects
-        among the matchings that take w down, listed in order of their
-        generator."""
-        return system_refinement(self.poset, self._qspms, pick)
+    def conjugation_refinement(self) -> Refinement:
+        """``system_refinement`` on the conjugation quasi SPMs: at every
+        non-minimal element, the conjugation matching of the smallest
+        generator that takes it down."""
+        return system_refinement(self.poset, self._qspms)
 
     @functools.cached_property
     def system(self) -> PirconSystem:

@@ -610,9 +610,10 @@ def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
     return out
 
 
-def recursion_witness(ctx, xs):
+def verify_recursion(ctx, xs):
     """Where the C' or the P recursion first disagrees with the directly
-    built KL basis, scanned in the CLI's order, or None."""
+    built KL basis, scanned in the library's order: (True, None) or
+    (False, witness)."""
     poset = ctx.poset
     for x in xs:
         pz = ctx.p_table(other_x(x))
@@ -622,11 +623,11 @@ def recursion_witness(ctx, xs):
             want = kl_element_cprime(ctx, w, x)
             for M in ctx.system.down_matchings(w):
                 if cprime_recursion(ctx, w, M, x) != want:
-                    return ("cprime", (x, w))
+                    return False, ("cprime", (x, w))
                 for v in poset.ideal_elements(w):
                     if p_recursion(ctx, v, w, M, x) != pz.value(v, w):
-                        return ("p", (x, v, w))
-    return None
+                        return False, ("p", (x, v, w))
+    return True, None
 
 
 def lambda_refinement(quot, pick=min) -> Refinement:

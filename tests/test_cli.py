@@ -6,12 +6,14 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from pircons import cli, coxeter, hecke, klpoly, matchings
 from pircons.coxeter import (DEFAULT_SIZE_BOUND, SIZE_BOUND_ENV,
                              CoxeterSystem, SizeBoundError)
 from pircons.twisted import TwistedIdentities
-from pircons.klpoly import (X_MINUS_ONE, X_Q, PolyTable, kls_polynomials,
-                            lambda_refinement, r_polynomials)
+from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, PolyTable,
+                            kls_polynomials, lambda_refinement, r_polynomials)
+from pircons.laurent import QPoly
 
 
 def run(argv):
@@ -86,6 +88,27 @@ def test_verify_failure_exit_code(tmp_path, non_dircon_poset):
     assert code == cli.VERIFY_EXIT_CODES["dircon"]
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report[0]["status"] == "fail"
+
+
+def test_recursion_record_is_the_library_verdict():
+    """run_verification records hecke.verify_recursion as it records
+    verify_duality: a pass with no witness, and on a context whose P^q has
+    one nudged entry, a fail with the repr of the reference witness."""
+    config = {"instance": {"kind": "coxeter",
+                           "matrix": {"type": "B", "rank": 2}}}
+    inst = cli.build_instance(config)
+    assert cli.run_verification(inst, ["recursion"], X_PARAMS) == [
+        {"identity": "recursion", "instance": inst.name, "status": "pass"}]
+    inst = cli.build_instance(config)
+    ctx = inst.hecke_context
+    table = ctx.p_table(X_Q)
+    pair = (ctx.poset.bottom, ctx.poset.top)
+    table.entries[pair] = table.entries[pair] + QPoly.monomial(0, 1)
+    ok, witness = oracles.verify_recursion(ctx, X_PARAMS)
+    assert not ok
+    assert cli.run_verification(inst, ["recursion"], X_PARAMS) == [
+        {"identity": "recursion", "instance": inst.name, "status": "fail",
+         "witness": repr(witness)}]
 
 
 def test_poset_instance_with_refinement(tmp_path, groups):
@@ -181,8 +204,9 @@ def test_twisted_host_past_the_bound_is_refused(monkeypatch, capsys):
 
 
 def test_size_bound_exit_follows_the_error_type(monkeypatch):
+    monkeypatch.setenv(SIZE_BOUND_ENV, "4")
     with pytest.raises(SizeBoundError):
-        CoxeterSystem({"type": "A", "rank": 3}, bound=4)
+        CoxeterSystem({"type": "A", "rank": 3})
     # an unsupported type whose message happens to say "size bound"
     assert run(["compute", "--type", "size bound", "--rank", "3"]) == \
         cli.EXIT_UNSUPPORTED

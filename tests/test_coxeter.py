@@ -38,8 +38,9 @@ def test_bad_configs_rejected():
 
 
 def test_size_bound(monkeypatch):
+    monkeypatch.setenv(SIZE_BOUND_ENV, "10")
     with pytest.raises(CoxeterError, match="size bound"):
-        CoxeterSystem({"type": "B", "rank": 3}, bound=10)
+        CoxeterSystem({"type": "B", "rank": 3})
     monkeypatch.setenv(SIZE_BOUND_ENV, "5")
     with pytest.raises(CoxeterError, match="size bound"):
         CoxeterSystem({"type": "A", "rank": 2})
@@ -48,12 +49,13 @@ def test_size_bound(monkeypatch):
 def test_huge_rank_is_refused_before_the_matrix(monkeypatch):
     """A rank-r group has at least 2^r elements, so a rank past the bound's
     bit length is refused before the rank-by-rank matrix is built."""
+    monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     entries = []
     monkeypatch.setattr(coxeter._TypeA, "m_entry",
                         lambda self, i, j: entries.append((i, j)) or 2)
     for rank in (16, 17):
         with pytest.raises(SizeBoundError, match="size bound 50000"):
-            CoxeterSystem({"type": "A", "rank": rank}, bound=50000)
+            CoxeterSystem({"type": "A", "rank": rank})
     assert not entries
 
 

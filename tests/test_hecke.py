@@ -262,8 +262,9 @@ def test_p_recursion_examples(suite_contexts):
     e, w = P.index("e"), P.index("2.1.3.2")
     for x in X_PARAMS:
         for M in ctx.system.down_matchings(w):
-            assert p_recursion(ctx, w, w, M, x) == 1
-            assert p_recursion(ctx, e, w, M, x) == (1 << 2 * ctx.width) + 1
+            column = p_recursion(ctx, w, M, x)
+            assert column[w] == 1
+            assert column[e] == (1 << 2 * ctx.width) + 1
 
 
 def test_p_recursion_chain(chain_ctx):
@@ -273,10 +274,10 @@ def test_p_recursion_chain(chain_ctx):
     for x in X_PARAMS:
         z = other_x(x)
         for M in ctx.system.down_matchings(top):
+            column = p_recursion(ctx, top, M, x)
+            assert column == ctx.packed_p(z)[top]
             for v in P.ideal_elements(top):
-                got = p_recursion(ctx, v, top, M, x)
-                assert got == ctx.packed_p(z)[top].get(v, 0)
-                assert polynomial(ctx, got) == \
+                assert polynomial(ctx, column.get(v, 0)) == \
                     embed(ctx.p_table(z).value(v, top))
 
 

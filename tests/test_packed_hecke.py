@@ -1,8 +1,8 @@
 """Differential tests of the packed Hecke layer.
 
 Module vectors are dicts of ints packed at the context's width and offset;
-``hecke.iota`` reads digits only to apply bar, ``hecke.p_recursion`` runs on
-packed P columns with mu-corrections kept on the context, and
+``hecke.iota`` reads digits only to apply bar, ``hecke.p_recursion`` builds
+a whole packed P column with mu-corrections kept on the context, and
 ``klpoly.check_updown`` evaluates polynomials at a power of two.  The
 reference path in ``oracles`` is the same algorithm on
 ``QPoly``/``HalfLaurent``/``ModuleVector`` objects, recomputed on every
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack, widened
-from pircons import TwistedIdentities, cli, hecke
+from pircons import TwistedIdentities, hecke
 from pircons.hecke import (OffsetError, WidthError, characterize,
                            context_for_quotient, cprime_generator_action,
                            cprime_recursion, iota, j_map, kl_element_c,
@@ -43,15 +43,16 @@ def contexts(suite_contexts, twisted2_context, twisted3_context):
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The widths at which iota reads its images, in order."""
+    """The widths at which the Hecke layer packs a table, in order: 2B for
+    the iota images of a context of width B, and for its P columns."""
     seen = []
-    real = hecke._iota_basis
+    real = hecke._columns
 
-    def spy(ctx, x):
-        seen.append(ctx.width)
-        return real(ctx, x)
+    def spy(table, width):
+        seen.append(width)
+        return real(table, width)
 
-    monkeypatch.setattr(hecke, "_iota_basis", spy)
+    monkeypatch.setattr(hecke, "_columns", spy)
     return seen
 
 
@@ -106,11 +107,11 @@ def test_iota_on_random_vectors(contexts, data):
         oracles.iota(ctx, v, x)
 
 
-def test_iota_width_is_derived(contexts, widths):
-    ctx = contexts["A3/H={-}"]
+def test_iota_width_is_derived(suite_quotients, widths):
+    ctx = fresh_context(suite_quotients, "A3/H={-}")
     top = ctx.poset.top
     image = decoded(ctx, iota(ctx, {top: ctx.one}, "q"))
-    assert widths == [ctx.width]
+    assert widths == [2 * ctx.width]
     # iota o iota is no built-in check, so only a widened copy must fit it
     assert widened(ctx, lambda c, pv: iota(c, pv, "q"), image) == \
         ModuleVector.basis(top)
@@ -120,35 +121,36 @@ def test_iota_width_is_derived(contexts, widths):
     v = ModuleVector({top: HalfLaurent({1: 2 ** 70, -3: -(2 ** 70)})})
     assert widened(ctx, lambda c, pv: iota(c, pv, "-1"), v) == \
         oracles.iota(ctx, v, "-1")
-    assert len(widths) == 1 and widths[0] > 72
+    assert len(widths) == 1 and widths[0] > 2 * 72
 
 
-def test_iota_bound_sits_at_the_width(contexts, widths):
-    """A vector whose bound is just below 2^(B-1) maps at B; one unit more
-    raises the public WidthError before any image is read, and maps at a
-    wider B.  Both decode to the reference."""
-    ctx = contexts["B2/H={-}"]
+def test_iota_bound_sits_at_the_width(suite_quotients, widths):
+    """On a fresh context, a vector one unit past the bound 2^(B-1) raises
+    the public WidthError before the iota images are packed, and maps at a
+    wider B; one whose bound is just below maps at B.  Both decode to the
+    reference."""
+    ctx = fresh_context(suite_quotients, "B2/H={-}")
     x = "q"
     top = ctx.poset.top
     fits = ((1 << (ctx.width - 1)) - 1) // ctx.r_l1
-    v = ModuleVector({top: HalfLaurent({0: fits})})
-    assert decoded(ctx, iota(ctx, pack(ctx, v), x)) == oracles.iota(ctx, v, x)
-    assert widths == [ctx.width]
+    D = kl_element_cprime(ctx, top, x)   # packs the P columns, not R
+    D[ctx.poset.bottom] = (fits + 1) << ctx.width * (
+        ctx.offset - ctx.poset.rank[top])
     widths.clear()
     v = ModuleVector({top: HalfLaurent({0: fits + 1})})
     with pytest.raises(WidthError):
         iota(ctx, pack(ctx, v), x)
-    assert widths == []
     # characterize reaches the same bound through iota
-    D = kl_element_cprime(ctx, top, x)
-    D[ctx.poset.bottom] = (fits + 1) << ctx.width * (
-        ctx.offset - ctx.poset.rank[top])
     with pytest.raises(WidthError):
         characterize(ctx, D, top, x)
     assert widths == []
     assert widened(ctx, lambda c, pv: iota(c, pv, x), v) == \
         oracles.iota(ctx, v, x)
-    assert len(widths) == 1 and widths[0] > ctx.width
+    assert len(widths) == 1 and widths[0] > 2 * ctx.width
+    widths.clear()
+    v = ModuleVector({top: HalfLaurent({0: fits})})
+    assert decoded(ctx, iota(ctx, pack(ctx, v), x)) == oracles.iota(ctx, v, x)
+    assert widths == [2 * ctx.width]
 
 
 # -- the actions, j and the KL elements -------------------------------------
@@ -223,7 +225,7 @@ def test_a_narrow_width_raises_before_comparing(contexts, monkeypatch):
         with pytest.raises(WidthError):
             hecke.verify_duality(narrow)
         with pytest.raises(WidthError):
-            cli._recursion_witness(narrow, X_PARAMS)
+            hecke.verify_recursion(narrow, X_PARAMS)
     assert called == []
 
 
@@ -233,13 +235,13 @@ def test_a_new_width_starts_fresh_caches(suite_quotients):
     packs its own, and the original keeps its caches."""
     ctx = fresh_context(suite_quotients, "B2/H={-}")
     assert hecke.verify_duality(ctx) == (True, None)
-    assert cli._recursion_witness(ctx, X_PARAMS) is None
+    assert hecke.verify_recursion(ctx, X_PARAMS) == (True, None)
     images, columns = dict(ctx._iota_basis), dict(ctx._packed_p)
     assert set(images) == set(columns) == set(X_PARAMS)
     wide = copy.copy(ctx)
     wide._set_width(ctx.width + 7)
     assert hecke.verify_duality(wide) == (True, None)
-    assert cli._recursion_witness(wide, X_PARAMS) is None
+    assert hecke.verify_recursion(wide, X_PARAMS) == (True, None)
     for x in X_PARAMS:
         assert wide._iota_basis[x] is not images[x]
         assert wide._packed_p[x] is not columns[x]
@@ -302,8 +304,8 @@ def assert_same_witnesses(ctx):
         assert got[-1] == oracles.verify_hecke_relations(ctx, x)
     got.append(hecke.verify_duality(ctx))
     assert got[-1] == oracles.verify_duality(ctx)
-    got.append(cli._recursion_witness(ctx, X_PARAMS))
-    assert got[-1] == oracles.recursion_witness(ctx, X_PARAMS)
+    got.append(hecke.verify_recursion(ctx, X_PARAMS))
+    assert got[-1] == oracles.verify_recursion(ctx, X_PARAMS)
     return got
 
 
@@ -344,9 +346,9 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
                 table.entries[pair] = table.entries[pair] + \
                     QPoly.monomial(k, 1)
                 got = assert_same_witnesses(ctx)
-                assert got[2][0] is False and got[3] is not None
+                assert got[2][0] is False and got[3][0] is False
                 seen.add(got[2][1][0])
-                seen.add(got[3][0])
+                seen.add(got[3][1][0])
     assert {"iota-on-Cprime", "cprime"} <= seen
 
 
@@ -408,20 +410,25 @@ def test_witness_of_a_wrong_braid_length(suite_quotients):
 
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_p_recursion_on_every_context(contexts, x):
+    """The column p_recursion builds for (w, M) holds the reference value
+    at every v <= w, and nothing outside the ideal of w."""
     for key, ctx in contexts.items():
         poset = ctx.poset
         for w in range(poset.n):
             for M in ctx.system.down_matchings(w):
+                column = p_recursion(ctx, w, M, x)
+                assert set(column) <= set(poset.ideal_elements(w))
                 for v in poset.ideal_elements(w):
-                    got = p_recursion(ctx, v, w, M, x)
+                    got = column.get(v, 0)
                     want = oracles.p_recursion(ctx, v, w, M, x)
                     assert ctx.decode({0: got << ctx.width * ctx.offset}) \
                         .coeff(0) == embed(want), (key, v, w)
 
 
 def test_corrections_once_per_matching_and_target(groups, monkeypatch):
-    """During the recursion check the correction domain is entered once per
-    distinct (M, M(w), x), not once per v."""
+    """During the recursion check the corrections are computed once, and
+    p_recursion is called once, per (M, w, x): the P check takes the whole
+    column at once, not one v at a time."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     entered = []
     real = hecke._correction_domain
@@ -433,19 +440,20 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
     calls = []
     real_p = hecke.p_recursion
 
-    def count_p(*args):
-        calls.append(args)
-        return real_p(*args)
+    def count_p(ctx, w, M, x):
+        calls.append((M, w, x))
+        return real_p(ctx, w, M, x)
 
     monkeypatch.setattr(hecke, "_correction_domain", spy)
     monkeypatch.setattr(hecke, "p_recursion", count_p)
-    assert cli._recursion_witness(ctx, X_PARAMS) is None
+    assert hecke.verify_recursion(ctx, X_PARAMS) == (True, None)
     poset = ctx.poset
-    expected = {(M, M(w), x) for x in X_PARAMS for w in range(poset.n)
+    expected = {(M, w, x) for x in X_PARAMS for w in range(poset.n)
                 for M in ctx.system.down_matchings(w)}
     assert len(entered) == len(set(entered)) == len(expected)
-    assert set(entered) == expected
-    assert len(calls) > 3 * len(expected)
+    assert set(entered) == {(M, M(w), x) for M, w, x in expected}
+    assert len(calls) == len(set(calls)) == len(expected)
+    assert set(calls) == expected
 
 
 def test_duality_reuses_images(groups, monkeypatch):

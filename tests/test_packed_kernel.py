@@ -41,15 +41,16 @@ def assert_matches_reference(table, **kwargs):
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The packing widths used, in order, one per (re)start."""
+    """The widths at which a table is packed, in order: one per call of
+    the kernel check and one per (re)start of the inversion."""
     seen = []
-    real = klpoly._packed_rows
+    real = klpoly._columns
 
     def spy(table, width):
         seen.append(width)
         return real(table, width)
 
-    monkeypatch.setattr(klpoly, "_packed_rows", spy)
+    monkeypatch.setattr(klpoly, "_columns", spy)
     return seen
 
 

@@ -13,19 +13,16 @@ from pircons.klpoly import down_matchings, lambda_refinement, \
 from pircons.matchings import lambda_partial, verify_spm
 
 
-@pytest.mark.parametrize("pick", [min, max])
-def test_lambda_refinement_matches_descent_search(suite_quotients, pick):
+def test_lambda_refinement_matches_descent_search(suite_quotients):
     for name, quot in suite_quotients.items():
-        assert lambda_refinement(quot, pick) == \
-            oracles.lambda_refinement(quot, pick), name
+        assert lambda_refinement(quot) == \
+            oracles.lambda_refinement(quot), name
 
 
-@pytest.mark.parametrize("pick", [min, max])
 @pytest.mark.parametrize("n", [2, 3])
-def test_conjugation_refinement_matches_candidate_search(request, n, pick):
+def test_conjugation_refinement_matches_candidate_search(request, n):
     tw = request.getfixturevalue(f"twisted{n}")
-    assert tw.conjugation_refinement(pick) == \
-        oracles.conjugation_refinement(tw, pick)
+    assert tw.conjugation_refinement() == oracles.conjugation_refinement(tw)
 
 
 def test_down_matchings_in_list_order(groups):
