@@ -222,7 +222,8 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
                 raise ConfigError("brenti needs a coxeter instance")
             for x in xs:
                 ok, witness = klpoly.brenti_identity(
-                    inst.quotient, inst.system.r_table(x))
+                    inst.quotient, inst.system.r_table(x),
+                    inst.system.rule_columns(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "system":
             ok, witness = inst.system.verdict

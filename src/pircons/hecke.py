@@ -53,8 +53,9 @@ The same algorithms on HalfLaurent and ModuleVector object arithmetic are
 the differential reference in ``tests/oracles.py``.
 
 The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
-basis images are the columns of R^x, signed, and P^z is kept as its
-columns, which are C'-elements up to a shift.  ``p_recursion`` builds a
+basis images are the columns of R^x, signed, which the duality suite also
+reads for its two table identities, and P^z is kept as its columns, which
+are C'-elements up to a shift.  ``p_recursion`` builds a
 whole P column, and ``verify_recursion`` compares it with the kept one.
 The mu-corrections of the C' and P recursions are computed once per
 (M, M(w), x) and kept on the context.
@@ -66,9 +67,9 @@ import math
 from typing import Mapping
 
 from .laurent import HalfLaurent
-from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
-                     _digits, _norms, _width_for, check_x, kls_polynomials,
-                     lambda_refinement, other_x)
+from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _cases,
+                     _columns, _digits, _norms, _pack_tilde, _width_for,
+                     check_x, kls_polynomials, lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -187,16 +188,17 @@ class HeckeContext:
 
         # r_l1 and p_l1 bound the L1 norm, so also every coefficient, of an
         # R- and a P-entry for either x.  The width fits the largest bound
-        # a built-in check asserts: a braid of the longest length, iota of
-        # a KL element (input L1 at most n p_l1) and a C' recursion (at
-        # most n mu-corrections, each |mu| <= p_l1).
+        # a built-in check asserts: a braid of the longest length, the
+        # three-case rule on R columns, iota of a KL element (input L1 at
+        # most n p_l1) and a C' recursion (at most n mu-corrections, each
+        # |mu| <= p_l1).
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
         self.offset = 2 * (poset.max_rank() + 1)
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
-            5 * self.r_l1,
+            3 * self.r_l1,
             n * self.r_l1 * self.p_l1,
             self.p_l1 * (4 + n * self.p_l1))))
         self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
@@ -280,6 +282,16 @@ def _reflect(digits: Mapping[int, int], width: int, top: int) -> int:
 # Generator actions.
 # ---------------------------------------------------------------------------
 
+def _moves(ctx: HeckeContext, M: PartialMatching) -> list[tuple[int, str]]:
+    """(M(u), M.kind(u)) for every u, computed once per matching and kept
+    on the context."""
+    moves = ctx._moves.get(M)
+    if moves is None:
+        moves = ctx._moves[M] = [(M(u), M.kind(u))
+                                 for u in range(ctx.poset.n)]
+    return moves
+
+
 def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
              x: str) -> Vector:
     """T_M acting in the x-structure, extended linearly: q c is c shifted
@@ -288,10 +300,7 @@ def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
     checks assert 3^m for m composed actions through ``ctx.require``), and
     an overflowed coefficient decodes wrongly without an error."""
     q = 2 * ctx.width
-    moves = ctx._moves.get(M)
-    if moves is None:   # (M(u), M.kind(u)) for every u, once per matching
-        moves = ctx._moves[M] = [(M(u), M.kind(u))
-                                 for u in range(ctx.poset.n)]
+    moves = _moves(ctx, M)
     fixed_q = x == X_Q
     out: Vector = {}
     get = out.get
@@ -447,56 +456,100 @@ def kl_element_cprime(ctx: HeckeContext, w: int, x: str) -> Vector:
 # ---------------------------------------------------------------------------
 
 def verify_duality(ctx: HeckeContext):
-    """The involution identities, checked elementwise for both x:
+    """The involution identities, checked for both x, with {x, z} = {q, -1}:
 
+    * iota^x o j_P = j_P o iota^z                    (iota-j-conjugation);
     * iota^x(T_M . m) = iota(T_M) . iota^x(m)        (equivariance);
-    * j_P(T_M .x m) = -q^(-1) T_M .z j_P(m)         (twisted equivariance);
-    * iota^x o j_P = j_P o iota^z;
-    * j_P(C^x_w) = (-1)^rho(w) C'^z_w, and C'^x_w is iota-invariant.
+    * C'^x_w is iota-invariant                       (iota-on-Cprime).
 
-    Two identities are not checked again here, since the context is built
-    only when they hold.  iota^x is an involution: iota^x(iota^x(m_v)) is
-    sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, and
-    the bracket is the sum that the kernel verdict checks.  C^x_w is
-    iota-invariant: that says sum_v R_{t,v} P_{v,w} = q^rho(t,w)
-    P_{t,w}(1/q), which kls_polynomials asserts for every pair as it builds
-    P^x.
+    The first two are statements about the R-tables and are checked on
+    their columns, the iota images I^x_u = {t: (-1)^rho(t,u) R^x_{t,u}}
+    packed at 2B; only the third applies iota.  At (x, u):
 
-    iota^x(m_u) is computed once per (x, u) and T_M . m_u once per
-    (x, u, M).  Besides iota's own bounds, the sides compared stay below
-    5 max L1(R) (T_M^(-1) of iota(m_u)) and max L1(P) (the KL elements).
+    * iota-j-conjugation says R^x_{t,u} = (-1)^rho q^rho R^z_{t,u}(1/q),
+      rho = rho(t,u), for every t <= u (Deodhar's x-z transform): I^x_u[t]
+      is R^z_{t,u} with its coefficients reversed, ``_pack_tilde``.  The
+      transform at x is the transform at z read backwards, so it is
+      checked at the first x only; at the second it holds.
+    * equivariance, where M moves u, compares the columns of lo < hi, the
+      pair {u, M(u)}.  At the up element lo it says
+      R_{t,hi} = ``_cases`` of M at t on (R_{t,lo}, R_{M(t),lo}) for every
+      t <= hi, the R recursion driven by M (refinement independence,
+      Brenti-Caselli-Marietti, Adv. Math. 202, 2006); in signed columns,
+      I_hi[t] = case(-I_lo[t], I_lo[M(t)]).  At hi it is the same identity
+      (multiply the one at lo by T_M), so each pair is checked at its first
+      element in the scan and passes at the second.  No t outside the
+      ideal of hi can fail, since ideal(hi) is closed under M.  Where M
+      fixes u it is clause (c') of ``check_updown`` at u, part of the
+      up-down verdict that the context requires, and is not checked again.
+
+    Four identities are not checked, because the context is built only
+    when they hold or because they hold for any table:
+
+    * iota^x is an involution: iota^x(iota^x(m_v)) is
+      sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, and
+      the bracket is the sum that the kernel verdict checks.
+    * C^x_w is iota-invariant: that says sum_v R_{t,v} P_{v,w} =
+      q^rho(t,w) P_{t,w}(1/q), which kls_polynomials asserts for every pair
+      as it builds P^x.
+    * j_P(T_M .x m) = -q^(-1) T_M .z j_P(m) (twisted equivariance) reads
+      only the kinds of M and the ranks.  On m_u with u = lo, up: both
+      sides are (-1)^rho(hi) q^(-rho(hi)) m_hi, as rho(hi) = rho(lo) + 1.
+      Down, u = hi: both are (-1)^rho(lo) q^(-rho(lo)-1) m_lo
+      + (-1)^rho(hi) q^(-rho(hi)) (q^(-1) - 1) m_hi.  Fixed:
+      bar(x) = -q^(-1) z for both x.  The system verdict proves the
+      matchings quasi SPMs, so M(u) covers or is covered by u.
+    * j_P(C^x_w) = (-1)^rho(w) C'^z_w: j_P of the coefficient of m_v in
+      C^x_w is (-1)^rho(w) q^(-rho(w)/2) P^x_{v,w}, the coefficient in the
+      right side, for any P^x.
+
+    The columns are the iota images, packed once per x on first use and
+    kept on the context.  The sides compared stay below 3 max L1(R)
+    (``_cases`` of R entries) and max L1(P) (C'^x_w), which is asserted;
+    iota asserts its own bound.
     """
-    n, one, q = ctx.poset.n, ctx.one, 2 * ctx.width
-    ctx.require(max(5 * ctx.r_l1, ctx.p_l1))
+    poset, width = ctx.poset, 2 * ctx.width
+    rank = poset.rank
+    ctx.require(max(3 * ctx.r_l1, ctx.p_l1))
     for x in X_PARAMS:
-        z = other_x(x)
-        for u in range(n):
-            v = {u: one}
-            iv = iota(ctx, v, x)
-            jv = j_map(ctx, v)
-            if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
-                return False, ("iota-j-conjugation", (x, u))
-            for mi, M in enumerate(ctx.matchings):
-                tv = t_action(ctx, M, v, x)
-                lhs = iota(ctx, tv, x)
-                rhs = t_inverse_action(ctx, M, iv, x)
-                if lhs != rhs:
+        images = _iota_basis(ctx, x)
+        rz = ctx.r_table(other_x(x)).value
+        cases = _cases(width, x)
+        moves = [_moves(ctx, M) for M in ctx.matchings]
+        for u in range(poset.n):
+            if x == X_PARAMS[0]:
+                col = images[u]
+                for t in poset.ideal_elements(u):
+                    gap = rank[u] - rank[t]
+                    coeffs = rz(t, u).coeffs()
+                    if len(coeffs) > gap + 1 or col.get(t, 0) != \
+                            _pack_tilde(coeffs, gap, width):
+                        return False, ("iota-j-conjugation", (x, u))
+            for mi, move in enumerate(moves):
+                mu = move[u][0]
+                # fixed, or checked at mu
+                if mu > u and not _rule_holds(poset, images, move, cases,
+                                              u, mu):
                     return False, ("equivariance", (x, mi, u))
-                lhs = j_map(ctx, tv)
-                rhs = _shift_down({w: -c for w, c in
-                                   t_action(ctx, M, jv, z).items()}, q)
-                if lhs != rhs:
-                    return False, ("twisted-equivariance", (x, mi, u))
-        for w in range(n):
+        for w in range(poset.n):
             cp = kl_element_cprime(ctx, w, x)
-            want = kl_element_cprime(ctx, w, z)
-            if ctx.poset.rank[w] % 2:
-                want = {v: -a for v, a in want.items()}
-            if j_map(ctx, kl_element_c(ctx, w, x)) != want:
-                return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
     return True, None
+
+
+def _rule_holds(poset: GradedPoset, images: list[Vector],
+                move: list[tuple[int, str]], cases, u: int, mu: int) -> bool:
+    """Whether the signed R columns ``images`` satisfy, for the pair
+    {u, mu} of a matching with ``_moves`` ``move``, lo < hi, the three-case
+    rule ``cases`` at every t <= hi: I_hi[t] = case(-I_lo[t], I_lo[M(t)])."""
+    lo, hi = (u, mu) if poset.rank[mu] > poset.rank[u] else (mu, u)
+    above, get = images[hi], images[lo].get
+    for t in poset.ideal_elements(hi):
+        mt, kind = move[t]
+        if above.get(t, 0) != cases[kind](-get(t, 0), get(mt, 0)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

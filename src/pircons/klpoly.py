@@ -380,7 +380,8 @@ def is_strongly_calculating(M: PartialMatching, table: PolyTable):
 # Up-down symmetry, the kernel condition and kernel inversion.
 # ---------------------------------------------------------------------------
 
-def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
+def check_updown(matchings: Sequence[PartialMatching], table: PolyTable,
+                 _packed: tuple | None = None):
     """The flipped recursion, clauses (a'), (b'), (c'), on every matching.
 
     For all M and all pairs u, w in M's domain with M(u) above u:
@@ -391,8 +392,9 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
     packed columns (incomparable pairs read as 0).  Clause (c') is the
     substance; (a') and (b') follow from the recursion for strongly
     calculating matchings but are cheap to verify outright.
+    ``_packed`` is ``_rule_columns(table)``, when the caller has it.
     """
-    width, cols = _rule_columns(table)
+    width, cols = _packed or _rule_columns(table)
     cases = _cases(width, table.x)
     mirrored = {"up": cases["down"], "down": cases["up"],
                 "fixed": cases["fixed"]}
@@ -641,10 +643,11 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
     return True, None
 
 
-def brenti_identity(quot, table: PolyTable):
+def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
     w < sw leaves it; scanned exhaustively over qualifying (s, u, w).  This
-    is the fixed case of ``_cases``, on packed columns.
+    is the fixed case of ``_cases``, on packed columns: ``_packed`` when
+    the caller has ``_rule_columns(table)``, else packed here.
     """
     rank = quot.poset.rank
     cols = None
@@ -653,7 +656,7 @@ def brenti_identity(quot, table: PolyTable):
         ups = [(u, su) for u, su in enumerate(images) if rank[su] > rank[u]]
         fixed = [w for w, sw in enumerate(images) if sw == w]
         if fixed and cols is None:   # full groups have no fixed points
-            width, cols = _rule_columns(table)
+            width, cols = _packed or _rule_columns(table)
             case = _cases(width, table.x)["fixed"]
         for u, su in ups:
             for w in fixed:
@@ -669,9 +672,12 @@ def brenti_identity(quot, table: PolyTable):
 class PirconSystem:
     """A pircon, a family of quasi SPMs of order ideals and a refinement
     read off it.  The constructor stores these, without duplicate matchings;
-    ``verdict``, ``r_table(x)`` and the (ok, witness) pairs ``updown(x)``
-    and ``pkernel(x)`` are computed on first use and kept.  P-tables are
-    not kept, so a caller holds one only while it needs it."""
+    ``verdict``, ``r_table(x)``, its ``rule_columns(x)`` and the
+    (ok, witness) pairs ``updown(x)`` and ``pkernel(x)`` are computed on
+    first use and kept.  The rule checks of one job read the kept columns
+    (``updown`` and, passed by the caller, ``brenti_identity``); a check
+    called with only a table packs it afresh.  P-tables are not kept, so a
+    caller holds one only while it needs it."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Sequence[PartialMatching],
@@ -695,9 +701,15 @@ class PirconSystem:
         return self._once(("r", check_x(x)), lambda: r_polynomials(
             self.poset, self.refinement, x))
 
+    def rule_columns(self, x: str) -> tuple[int, list[dict[int, int]]]:
+        """``_rule_columns`` of the R^x table; shared, callers must not
+        modify it."""
+        return self._once(("rule", check_x(x)),
+                          lambda: _rule_columns(self.r_table(x)))
+
     def updown(self, x: str):
         return self._once(("updown", x), lambda: check_updown(
-            self.matchings, self.r_table(x)))
+            self.matchings, self.r_table(x), self.rule_columns(x)))
 
     def pkernel(self, x: str):
         return self._once(("pkernel", x),

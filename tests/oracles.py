@@ -534,29 +534,47 @@ def kl_element_cprime(ctx, w: int, x: str) -> ModuleVector:
                          for v in poset.ideal_elements(w)})
 
 
+def equivariance(ctx, M, u: int, x: str) -> bool:
+    """iota^x(T_M . m_u) = T_M^(-1) . iota^x(m_u)."""
+    v = ModuleVector.basis(u)
+    return iota(ctx, t_action(ctx, M, v, x), x) == \
+        t_inverse_action(ctx, M, iota(ctx, v, x), x)
+
+
+def twisted_equivariance(ctx, M, u: int, x: str) -> bool:
+    """j_P(T_M .x m_u) = -q^(-1) T_M .z j_P(m_u)."""
+    v = ModuleVector.basis(u)
+    rhs = t_action(ctx, M, j_map(ctx, v), other_x(x)) \
+        .scale(HalfLaurent({-2: -1}))
+    return j_map(ctx, t_action(ctx, M, v, x)) == rhs
+
+
+def j_on_c(ctx, w: int, x: str) -> bool:
+    """j_P(C^x_w) = (-1)^rho(w) C'^z_w."""
+    sign = HalfLaurent.from_int((-1) ** ctx.poset.rank[w])
+    return j_map(ctx, kl_element_c(ctx, w, x)) == \
+        kl_element_cprime(ctx, w, other_x(x)).scale(sign)
+
+
 def verify_duality(ctx):
-    """The involution identities of the library's suite, in its order."""
+    """All five involution identities on module vectors, in the library's
+    order.  The library checks three of them and proves the other two
+    (``twisted_equivariance`` and ``j_on_c``) hold for any tables."""
     n = ctx.poset.n
     for x in X_PARAMS:
         z = other_x(x)
         for u in range(n):
             v = ModuleVector.basis(u)
-            iv = iota(ctx, v, x)
-            jv = j_map(ctx, v)
-            if iota(ctx, jv, x) != j_map(ctx, iota(ctx, v, z)):
+            if iota(ctx, j_map(ctx, v), x) != j_map(ctx, iota(ctx, v, z)):
                 return False, ("iota-j-conjugation", (x, u))
             for mi, M in enumerate(ctx.matchings):
-                tv = t_action(ctx, M, v, x)
-                if iota(ctx, tv, x) != t_inverse_action(ctx, M, iv, x):
+                if not equivariance(ctx, M, u, x):
                     return False, ("equivariance", (x, mi, u))
-                rhs = t_action(ctx, M, jv, z).scale(HalfLaurent({-2: -1}))
-                if j_map(ctx, tv) != rhs:
+                if not twisted_equivariance(ctx, M, u, x):
                     return False, ("twisted-equivariance", (x, mi, u))
         for w in range(n):
-            c = kl_element_c(ctx, w, x)
             cp = kl_element_cprime(ctx, w, x)
-            sign = HalfLaurent.from_int((-1) ** ctx.poset.rank[w])
-            if j_map(ctx, c) != kl_element_cprime(ctx, w, z).scale(sign):
+            if not j_on_c(ctx, w, x):
                 return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))

@@ -443,6 +443,19 @@ def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
                       "lambda_system": 1, "conjugation_qspms": 0}
 
 
+def test_verify_packs_each_r_table_once_for_the_rule_checks(tmp_path,
+                                                          monkeypatch):
+    """check_updown and brenti_identity read the system's packing of each
+    R-table: one _rule_columns call per x.  The generators of A3/H={s1}
+    fix elements, so brenti_identity reads the columns too."""
+    counts = spy_calls(monkeypatch, ("_rule_columns", "check_updown",
+                                     "brenti_identity"))
+    assert run(["verify", "--type", "A", "--rank", "3", "--H", "1",
+                "--out", str(tmp_path)]) == 0
+    assert (counts["_rule_columns"], counts["check_updown"],
+            counts["brenti_identity"]) == (2, 2, 2)
+
+
 def test_verify_twisted_builds_the_system_matchings_once(tmp_path,
                                                          monkeypatch):
     counts = spy_calls(monkeypatch, SPIED)

@@ -11,9 +11,11 @@ of reading the pair as 0.
 import pytest
 
 from pircons import klpoly
-from pircons.klpoly import (X_PARAMS, PolyTable, brenti_identity,
-                            check_pkernel, check_updown, is_calculating,
-                            kls_polynomials)
+from pircons.klpoly import (X_PARAMS, PirconSystem, PolyTable,
+                            brenti_identity, check_pkernel, check_updown,
+                            is_calculating, kls_polynomials,
+                            lambda_refinement)
+from pircons.laurent import QPoly
 
 
 @pytest.mark.parametrize("x", X_PARAMS)
@@ -62,3 +64,29 @@ def test_a_missing_pair_raises_in_every_reader(suite_quotients,
                          lambda: kls_polynomials(table)):
                 with pytest.raises(KeyError, match="comparable pair"):
                     read()
+
+
+def test_a_table_alone_is_packed_afresh(suite_quotients):
+    """A PirconSystem keeps the rule columns of its R-tables for its own
+    up-down verdict and hands them to brenti_identity; a rule check given
+    only a table packs that table, so it sees an entry changed after the
+    system packed."""
+    quot = suite_quotients["A3/H={s1}"]
+    rank = quot.poset.rank
+    # u < su in the quotient, w fixed by s, u <= w
+    s, u, w = next((s, u, w) for s, images in enumerate(quot.images)
+                   for u, su in enumerate(images) if rank[su] > rank[u]
+                   for w, sw in enumerate(images)
+                   if sw == w and quot.poset.leq(u, w))
+    for x in X_PARAMS:
+        system = PirconSystem(quot.poset, quot.lambda_matchings,
+                              lambda_refinement(quot))
+        table = system.r_table(x)
+        assert system.updown(x) == (True, None)
+        kept = system.rule_columns(x)
+        assert system.rule_columns(x) is kept
+        assert brenti_identity(quot, table, kept) == (True, None)
+        table.entries[(u, w)] = table.entries[(u, w)] + QPoly.monomial(0, 1)
+        assert check_updown(system.matchings, table)[0] is False
+        assert brenti_identity(quot, table)[0] is False
+        assert system.updown(x) == (True, None)

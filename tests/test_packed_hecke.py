@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack, widened
-from pircons import TwistedIdentities, hecke
+from pircons import TwistedIdentities, hecke, klpoly
 from pircons.hecke import (OffsetError, WidthError, characterize,
                            context_for_quotient, cprime_generator_action,
                            cprime_recursion, iota, j_map, kl_element_c,
@@ -289,12 +289,13 @@ def fresh_context(suite_quotients, key):
 
 
 def nudges(poset, pairs, top_degree):
-    """(pair, k) for each u < w in pairs and each q^k with k up to
-    top_degree(gap), so the nudged table keeps its degree bound."""
+    """(pair, +q^k) and (pair, -q^k) for each u < w in pairs and each k up
+    to top_degree(gap), so the nudged table keeps its degree bound."""
     for u, w in pairs:
         if u != w:
             for k in range(top_degree(poset.rank_gap(u, w)) + 1):
-                yield (u, w), k
+                for sign in (1, -1):
+                    yield (u, w), QPoly.monomial(k, sign)
 
 
 def assert_same_witnesses(ctx):
@@ -310,41 +311,56 @@ def assert_same_witnesses(ctx):
 
 
 def test_witnesses_of_corrupted_r_entries(suite_quotients):
-    """One R entry nudged before the iota images exist: the duality suite
-    fails where the object path fails, with the same witness."""
+    """One R entry nudged by +-q^k before the iota images exist: the
+    duality suite, which reads the R-tables as columns, fails where the
+    object path's five clauses fail, with the same witness."""
     seen = set()
-    for key in WITNESS_KEYS:
+    for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
             pairs = base.r_table(x).pairs()
-            for pair, k in nudges(base.poset, pairs, lambda gap: gap):
+            for pair, nudge in nudges(base.poset, pairs, lambda gap: gap):
                 ctx = fresh_context(suite_quotients, key)
                 table = ctx.r_table(x)
-                table.entries[pair] = table.entries[pair] + \
-                    QPoly.monomial(k, 1)
+                table.entries[pair] = table.entries[pair] + nudge
                 duality = assert_same_witnesses(ctx)[2]
-                assert duality[0] is False, (key, x, pair, k)
+                assert duality[0] is False, (key, x, pair, nudge)
                 seen.add(duality[1][0])
-    # a single nudge fails iota o j = j o iota or equivariance, the first
-    # clauses to read iota
+    # a single nudge breaks the x-z transform or the recursion driven by
+    # some matching, the first clauses to read the R-tables
     assert seen == {"iota-j-conjugation", "equivariance"}
 
 
+def test_an_r_entry_past_its_rank_gap_fails_the_transform(suite_quotients):
+    """R^q_{u,w} nudged by q^(rho(u,w) + 1): q^rho R^q_{u,w}(1/q) has a
+    negative power, so the x-z transform fails at (-1, w), the first
+    clause to read column w of R^q, as on the object path."""
+    for key in WITNESS_KEYS + ["twisted2"]:
+        base = fresh_context(suite_quotients, key)
+        for u, w in base.r_table("q").pairs():
+            if u != w:
+                ctx = fresh_context(suite_quotients, key)
+                table = ctx.r_table("q")
+                table.entries[(u, w)] = table.entries[(u, w)] + \
+                    QPoly.monomial(ctx.poset.rank_gap(u, w) + 1, 1)
+                assert assert_same_witnesses(ctx)[2] == \
+                    (False, ("iota-j-conjugation", ("-1", w))), (key, u, w)
+
+
 def test_witnesses_of_corrupted_p_entries(suite_quotients):
-    """One P entry nudged before the packed columns exist: C' loses
-    iota-invariance and the C' recursion fails, as on the object path, with
-    the same witnesses."""
+    """One P entry nudged by +-q^k before the packed columns exist: C'
+    loses iota-invariance and the C' recursion fails, as on the object
+    path, with the same witnesses."""
     seen = set()
-    for key in WITNESS_KEYS:
+    for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
             pairs = base.p_table(x).pairs()
-            for pair, k in nudges(base.poset, pairs,
-                                  lambda gap: (gap - 1) // 2):
+            for pair, nudge in nudges(base.poset, pairs,
+                                      lambda gap: (gap - 1) // 2):
                 ctx = fresh_context(suite_quotients, key)
                 table = ctx.p_table(x)
-                table.entries[pair] = table.entries[pair] + \
-                    QPoly.monomial(k, 1)
+                table.entries[pair] = table.entries[pair] + nudge
                 got = assert_same_witnesses(ctx)
                 assert got[2][0] is False and got[3][0] is False
                 seen.add(got[2][1][0])
@@ -352,18 +368,23 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
     assert {"iota-on-Cprime", "cprime"} <= seen
 
 
-def nudged_contexts(suite_quotients, key, x):
-    """A fresh context, then one for each single nudge of an R^x entry (up
-    to q^gap) and of a P^x entry (below q^(gap/2))."""
+TOP_DEGREES = {"r_table": lambda gap: gap,
+               "p_table": lambda gap: (gap - 1) // 2}
+
+
+def nudged_contexts(suite_quotients, key, x, tables=tuple(TOP_DEGREES)):
+    """A fresh context, then one for each single +-q^k nudge of an entry of
+    each of the named tables at x: R^x up to q^gap and P^x below
+    q^(gap/2)."""
     yield fresh_context(suite_quotients, key)
     base = fresh_context(suite_quotients, key)
-    for name, top_degree in (("r_table", lambda gap: gap),
-                             ("p_table", lambda gap: (gap - 1) // 2)):
+    for name in tables:
+        top_degree = TOP_DEGREES[name]
         pairs = getattr(base, name)(x).pairs()
-        for pair, k in nudges(base.poset, pairs, top_degree):
+        for pair, nudge in nudges(base.poset, pairs, top_degree):
             ctx = fresh_context(suite_quotients, key)
             table = getattr(ctx, name)(x)
-            table.entries[pair] = table.entries[pair] + QPoly.monomial(k, 1)
+            table.entries[pair] = table.entries[pair] + nudge
             yield ctx
 
 
@@ -397,6 +418,60 @@ def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
     # genuine tables pass both; an R nudge fails both; a P nudge only the
     # second
     assert seen == {(True, True), (False, False), (True, False)}
+
+
+@pytest.mark.parametrize("key", WITNESS_KEYS + ["twisted2"])
+def test_equivariance_is_the_rule_on_columns(suite_quotients, key):
+    """Where M moves u, equivariance at u on the object path holds exactly
+    when the R column of the upper element of {u, M(u)} is the three-case
+    rule of M on the column of the lower one, the check verify_duality
+    makes; at both elements of the pair.  On genuine and on nudged
+    R-tables.  A u that M fixes is left out: there the clause is (c') of
+    the up-down check at u, which the context requires."""
+    seen = set()
+    for x in X_PARAMS:
+        for ctx in nudged_contexts(suite_quotients, key, x, ("r_table",)):
+            images = hecke._iota_basis(ctx, x)
+            cases = klpoly._cases(2 * ctx.width, x)
+            for M in ctx.matchings:
+                move = hecke._moves(ctx, M)
+                for u in range(ctx.poset.n):
+                    if M(u) != u:
+                        rule = hecke._rule_holds(ctx.poset, images, move,
+                                                 cases, u, M(u))
+                        assert oracles.equivariance(ctx, M, u, x) == rule
+                        seen.add(rule)
+    assert seen == {True, False}
+
+
+def test_twisted_equivariance_holds_on_every_context(contexts):
+    """verify_duality has no twisted-equivariance clause,
+    j_P(T_M .x m_u) = -q^(-1) T_M .z j_P(m_u).  Neither j_P nor T_M reads a
+    table: both sides depend only on the kind of M at u and on the ranks,
+    and they agree whenever M(u) covers u, is covered by u, or is u, which
+    the system verdict proves of every quasi SPM.  On the object path the
+    clause holds for every matching, basis vector and x of every suite
+    quotient and of twisted 2 and 3."""
+    for key, ctx in contexts.items():
+        for x in X_PARAMS:
+            for M in ctx.matchings:
+                for u in range(ctx.poset.n):
+                    assert oracles.twisted_equivariance(ctx, M, u, x), \
+                        (key, x, u)
+
+
+@pytest.mark.parametrize("key", WITNESS_KEYS + ["twisted2"])
+def test_j_on_c_holds_for_any_p_table(suite_quotients, key):
+    """verify_duality has no j-on-C clause, j_P(C^x_w) = (-1)^rho(w)
+    C'^z_w: the coefficient of m_v on each side is
+    (-1)^rho(w) q^(-rho(w)/2) P^x_{v,w}, read from the same column of P^x,
+    so the clause holds for every P^x table.  On the object path it holds
+    at every w on genuine tables and under every single nudge of a P^x
+    entry."""
+    for x in X_PARAMS:
+        for ctx in nudged_contexts(suite_quotients, key, x, ("p_table",)):
+            for w in range(ctx.poset.n):
+                assert oracles.j_on_c(ctx, w, x), (key, x, w)
 
 
 def test_witness_of_a_wrong_braid_length(suite_quotients):
@@ -457,13 +532,10 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
 
 
 def test_duality_reuses_images(groups, monkeypatch):
-    """verify_duality computes iota^x(m_u) once per (x, u) and T_M . m_u
-    once per (x, u, M).  On A3/H={} (24 elements, 3 matchings) each (x, u)
-    makes 3 + 3 iota calls (iota^x(m_u), iota^x(j m_u), iota^z(m_u) and
-    one per M) and each w makes 1 per x, on C'^x_w: 336 in all.  Neither
-    iota o iota nor iota of C^x_w is evaluated, since the kernel checks
-    behind the context prove both.  Each (x, u, M) makes 3 t_action
-    calls, one inside t_inverse_action."""
+    """verify_duality applies iota only to C'^x_w, once per (x, w): 2n = 48
+    calls on A3/H={} (24 elements, 3 matchings).  The x-z transform and
+    equivariance are checked on the columns of R^x, with no iota, and
+    nothing applies T_M."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     n, k = ctx.poset.n, len(ctx.matchings)
     assert (n, k) == (24, 3)
@@ -477,8 +549,7 @@ def test_duality_reuses_images(groups, monkeypatch):
 
         monkeypatch.setattr(hecke, name, counted)
     assert hecke.verify_duality(ctx) == (True, None)
-    assert counts == {"iota": 2 * n * (3 + k) + 2 * n,
-                      "t_action": 2 * n * k * 3}
+    assert counts == {"iota": 2 * n, "t_action": 0}
 
 
 # -- the up-down check -------------------------------------------------------
