@@ -28,10 +28,9 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      system_refinement,
                      verify_pircon_system, verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
-                    characterize, context_for_quotient,
-                    cprime_generator_action, cprime_recursion, iota, j_map,
-                    kl_element_c, kl_element_cprime, p_recursion, t_action,
-                    t_inverse_action, verify_duality, verify_hecke_relations,
+                    characterize, context_for_quotient, cprime_recursion,
+                    iota, kl_element_c, kl_element_cprime, p_recursion,
+                    t_action, verify_duality, verify_hecke_relations,
                     verify_recursion)
 from .twisted import TwistedIdentities
 

@@ -21,7 +21,7 @@ the rank gap is even or u = w.  The recursion cross-check against the
 directly constructed basis validates the convention executably.
 
 Hecke-algebra elements are never materialized; only compositions of the
-generator actions T_M, T_M^(-1) and C'_M act on module vectors.
+generator action T_M act on module vectors, in the relation suite.
 
 A module vector is a dict {u: c} over the nonzero coefficients, each packed
 at the context's width B and offset K: sum_h a_h q^(h/2) is stored as the
@@ -38,15 +38,15 @@ coefficient, so a composition of m actions on a basis vector stays below
 3^m; iota^x multiplies by at most max L1(R^x); the recursions add
 mu-multiples of P-entries.  The context derives its width B once, from the
 largest bound a built-in check asserts, and never changes it.  A check
-asserts the bound of what it compares before comparing, and iota and the
-recursions assert their own before computing; a miss raises WidthError
-rather than comparing ints that no longer decode faithfully.  T_M,
-T_M^(-1), C'_M and j_P assert nothing: keeping their results valid is the
-caller's part.  K = 2 (max rank + 1) leaves room for iota's q^(-rho) and
-the q^(-1) shifts of T_M^(-1) and j_P on everything the checks build.
+asserts the bound of what it compares before comparing, and iota and
+p_recursion assert their own before computing; a miss raises WidthError
+rather than comparing ints that no longer decode faithfully.  T_M
+asserts nothing: keeping its results valid is the caller's part.
+K = 2 (max rank + 1) leaves room for the q^(-rho) of iota and of C'^x_w
+on everything the checks build.
 
-Only iota and j_P read digits, to apply bar (a reflection of digit
-positions), and characterize, to test a shape; nothing else decodes.
+Only iota reads digits, to apply bar (a reflection of digit positions),
+and characterize, to test a shape; nothing else decodes.
 Vectors become ModuleVector objects with HalfLaurent coefficients only at
 the edges: klbasis JSON, printing and tests (``HeckeContext.decode``).
 The same algorithms on HalfLaurent and ModuleVector object arithmetic are
@@ -55,10 +55,9 @@ the differential reference in ``tests/oracles.py``.
 The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
 basis images are the columns of R^x, signed, which the duality suite also
 reads for its two table identities, and P^z is kept as its columns, which
-are C'-elements up to a shift.  ``p_recursion`` builds a
-whole P column, and ``verify_recursion`` compares it with the kept one.
-The mu-corrections of the C' and P recursions are computed once per
-(M, M(w), x) and kept on the context.
+are C'-elements up to a shift.  ``p_recursion`` builds a whole P column,
+and ``verify_recursion`` compares it, shifted, with the kept one.  Its
+mu-corrections are computed once per (M, M(w), x) and kept on the context.
 """
 
 from __future__ import annotations
@@ -190,8 +189,8 @@ class HeckeContext:
         # R- and a P-entry for either x.  The width fits the largest bound
         # a built-in check asserts: a braid of the longest length, the
         # three-case rule on R columns, iota of a KL element (input L1 at
-        # most n p_l1) and a C' recursion (at most n mu-corrections, each
-        # |mu| <= p_l1).
+        # most n p_l1) and a P recursion (two entries of column M(w), and
+        # at most n mu-corrections, each |mu| <= p_l1).
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
@@ -200,7 +199,7 @@ class HeckeContext:
             3 ** max(self.m_orders.values(), default=2),
             3 * self.r_l1,
             n * self.r_l1 * self.p_l1,
-            self.p_l1 * (4 + n * self.p_l1))))
+            self.p_l1 * (2 + n * self.p_l1))))
         self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
         self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
 
@@ -295,10 +294,10 @@ def _moves(ctx: HeckeContext, M: PartialMatching) -> list[tuple[int, str]]:
 def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
              x: str) -> Vector:
     """T_M acting in the x-structure, extended linearly: q c is c shifted
-    left by 2B.  A coefficient at most triples.  Like T_M^(-1), C'_M and
-    j_P, this asserts no bound: the caller keeps the result valid (the
-    checks assert 3^m for m composed actions through ``ctx.require``), and
-    an overflowed coefficient decodes wrongly without an error."""
+    left by 2B.  A coefficient at most triples.  This asserts no bound:
+    the caller keeps the result valid (the relation suite asserts 3^m for
+    m composed actions through ``ctx.require``), and an overflowed
+    coefficient decodes wrongly without an error."""
     q = 2 * ctx.width
     moves = _moves(ctx, M)
     fixed_q = x == X_Q
@@ -315,27 +314,6 @@ def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
         else:
             out[u] = get(u, 0) + (c << q if fixed_q else -c)
     return {u: c for u, c in out.items() if c}
-
-
-def t_inverse_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
-                     x: str) -> Vector:
-    """T_M^(-1) = q^(-1) T_M + (q^(-1) - 1); this is also iota(T_M)."""
-    out = t_action(ctx, M, v, x)
-    for u, c in v.items():
-        out[u] = out.get(u, 0) + c
-    out = _shift_down(out, 2 * ctx.width)
-    for u, c in v.items():
-        out[u] = out.get(u, 0) - c
-    return {u: c for u, c in out.items() if c}
-
-
-def cprime_generator_action(ctx: HeckeContext, M: PartialMatching,
-                            v: Vector, x: str) -> Vector:
-    """C'_M = q^(-1/2) (T_M + 1) acting in the x-structure."""
-    out = t_action(ctx, M, v, x)
-    for u, c in v.items():
-        out[u] = out.get(u, 0) + c
-    return _shift_down(out, ctx.width)
 
 
 def verify_hecke_relations(ctx: HeckeContext, x: str):
@@ -367,7 +345,7 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
 
 
 # ---------------------------------------------------------------------------
-# The involutions iota^x and j_P.
+# The involution iota^x.
 # ---------------------------------------------------------------------------
 
 def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
@@ -410,18 +388,6 @@ def iota(ctx: HeckeContext, v: Vector, x: str) -> Vector:
         for w, r in images[u].items():
             out[w] += b * r << shift
     return _shift_down({w: c for w, c in enumerate(out) if c}, top * width)
-
-
-def j_map(ctx: HeckeContext, v: Vector) -> Vector:
-    """j_P(a m_w) = bar(a) (-q^(-1))^rho(w) m_w, a reflection of a's
-    digits."""
-    width, offset, rank = ctx.width, ctx.offset, ctx.poset.rank
-    out = {}
-    for w, c in v.items():
-        c = _reflect(_digits(c, width, -offset), width,
-                     offset - 2 * rank[w])
-        out[w] = -c if rank[w] % 2 else c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,24 +546,22 @@ def _correction_domain(ctx: HeckeContext, M: PartialMatching, mw: int,
 def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
                      x: str) -> Vector:
     """Right-hand side of
-    C'^x_w = C'_M . C'^x_{M(w)} - sum_u mu(u, M(w)) C'^x_u,
-    evaluated from directly-constructed lower C'-elements.  A mismatch with
-    kl_element_cprime(ctx, w, x) would signal an internal inconsistency.
-    Its coefficients stay below max L1(P) (4 + sum |mu|), which is
-    asserted.
+    C'^x_w = C'_M . C'^x_{M(w)} - sum_u mu(u, M(w)) C'^x_u: the
+    ``p_recursion`` column at half-exponent -rho(w), the shift
+    kl_element_cprime applies to the kept column.  With P = P^z and
+    C'_M = q^(-1/2) (T_M + 1), the coefficient of m_t in
+    C'_M . C'^x_{M(w)} is q^(-rho(w)/2) times a value of column M(w):
+
+        P_{M(t)} + q P_t    when M moves t down,
+        P_t + q P_{M(t)}    when M moves t up,
+        (x + 1) P_t         when M fixes t,
+
+    p_recursion's three cases, and mu(u, M(w)) C'^x_u is
+    q^(-rho(w)/2) mu q^(rho(u,w)/2) P_{.,u}, its corrections.  So the
+    coefficients stay below the bound that p_recursion asserts.
     """
-    mw = M(w)
-    if not ctx.poset.covers(mw, w):
-        raise ValueError("cprime_recursion needs M(w) covered by w")
-    terms, weight = _corrections(ctx, M, mw, x)
-    ctx.require(ctx.p_l1 * (4 + weight))
-    out = cprime_generator_action(
-        ctx, M, kl_element_cprime(ctx, mw, x), x)
-    get = out.get
-    for u, m in terms:
-        for v, c in kl_element_cprime(ctx, u, x).items():
-            out[v] = get(v, 0) - m * c
-    return {v: c for v, c in out.items() if c}
+    shift = ctx.width * (ctx.offset - ctx.poset.rank[w])
+    return {v: c << shift for v, c in p_recursion(ctx, w, M, x).items()}
 
 
 def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
@@ -618,8 +582,7 @@ def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
     ctx.require(ctx.p_l1 * (2 + weight))
     width, q = ctx.width, 2 * ctx.width
     cols = ctx.packed_p(other_x(x))
-    below = cols[mw]
-    get = below.get
+    get = cols[mw].get
     out: Vector = {}
     for v in poset.ideal_elements(w):
         kind = M.kind(v)
@@ -638,29 +601,20 @@ def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
 
 
 def verify_recursion(ctx: HeckeContext, xs):
-    """The C' and P recursions against the directly built KL basis, for
-    every x in xs, every non-minimal w and every M that takes w down:
-    (True, None), or (False, ("cprime", (x, w))) or
-    (False, ("p", (x, v, w))) at the first failure, v the first element of
-    the ideal of w, in ideal order, where the P column differs.  Both
-    recursions assert the bounds that make these packed comparisons
-    exact."""
+    """The C' recursion against the directly built KL basis, for every x
+    in xs, every non-minimal w and every M that takes w down: (True, None),
+    or (False, ("cprime", (x, w))) at the first failure.  Both sides are
+    P^z columns shifted alike (``cprime_recursion``), so this one
+    comparison per (x, w, M) also checks the P recursion, entry by entry."""
     poset = ctx.poset
     for x in xs:
-        pz = ctx.packed_p(other_x(x))
         for w in range(poset.n):
             if w == poset.bottom:
                 continue
             want = kl_element_cprime(ctx, w, x)
-            col = pz[w]
             for M in ctx.system.down_matchings(w):
                 if cprime_recursion(ctx, w, M, x) != want:
                     return False, ("cprime", (x, w))
-                got = p_recursion(ctx, w, M, x)
-                if got != col:
-                    v = next(v for v in poset.ideal_elements(w)
-                             if got.get(v, 0) != col.get(v, 0))
-                    return False, ("p", (x, v, w))
     return True, None
 
 

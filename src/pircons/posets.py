@@ -141,9 +141,6 @@ class GradedPoset:
         """Bitmask of {z : z <= y}."""
         return self._down[y]
 
-    def up_set(self, x: int) -> int:
-        return self._up[x]
-
     def interval_mask(self, x: int, y: int) -> int:
         return self._down[y] & self._up[x]
 

@@ -20,10 +20,9 @@ import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack, widened
 from pircons import TwistedIdentities, hecke, klpoly
 from pircons.hecke import (OffsetError, WidthError, characterize,
-                           context_for_quotient, cprime_generator_action,
-                           cprime_recursion, iota, j_map, kl_element_c,
-                           kl_element_cprime, p_recursion, t_action,
-                           t_inverse_action)
+                           context_for_quotient, cprime_recursion, iota,
+                           kl_element_c, kl_element_cprime, p_recursion,
+                           t_action)
 from pircons.klpoly import (X_PARAMS, KernelError, PolyTable,
                             check_pkernel, check_updown, kls_polynomials)
 from pircons.laurent import QPoly
@@ -153,28 +152,23 @@ def test_iota_bound_sits_at_the_width(suite_quotients, widths):
     assert widths == [2 * ctx.width]
 
 
-# -- the actions, j and the KL elements -------------------------------------
+# -- the action and the KL elements ------------------------------------------
 
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_packed_ops_on_every_context(contexts, x):
-    """T_M, T_M^(-1), C'_M and j_P on basis vectors and iota images, both
-    KL elements and the C' recursion, decoded, against the object path."""
+    """T_M on basis vectors and iota images, both KL elements and the C'
+    recursion, decoded, against the object path.  The last holds the
+    shifted P recursion equal to C'_M . C'^x_{M(u)} minus the
+    mu-corrections, computed on module vectors."""
     for key, ctx in contexts.items():
         poset = ctx.poset
         for u in range(poset.n):
             vectors = [{u: ctx.one}, iota(ctx, {u: ctx.one}, x)]
             for v in vectors:
                 ref = ModuleVector.lift(ctx.decode(v))
-                assert decoded(ctx, j_map(ctx, v)) == \
-                    oracles.j_map(ctx, ref), (key, u)
                 for M in ctx.matchings:
-                    for op, want in (
-                            (t_action, oracles.t_action),
-                            (t_inverse_action, oracles.t_inverse_action),
-                            (cprime_generator_action,
-                             oracles.cprime_generator_action)):
-                        assert decoded(ctx, op(ctx, M, v, x)) == \
-                            want(ctx, M, ref, x), (key, op.__name__, u)
+                    assert decoded(ctx, t_action(ctx, M, v, x)) == \
+                        oracles.t_action(ctx, M, ref, x), (key, u)
             assert decoded(ctx, kl_element_c(ctx, u, x)) == \
                 oracles.kl_element_c(ctx, u, x), (key, u)
             assert decoded(ctx, kl_element_cprime(ctx, u, x)) == \
@@ -187,21 +181,15 @@ def test_packed_ops_on_every_context(contexts, x):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_ops_on_random_vectors(contexts, data):
-    """Coefficients up to 2^80 through every operation that takes a
-    vector, each at the width its input needs."""
+    """Coefficients up to 2^80 through T_M, at the width its input
+    needs (iota has its own random test)."""
     ctx = contexts[data.draw(st.sampled_from(RANDOM_KEYS))]
     x = data.draw(st.sampled_from(X_PARAMS))
     M = data.draw(st.sampled_from(ctx.matchings))
     v = random_vector(data, ctx)
-    # T_M at most triples a coefficient; T_M^(-1) = q^(-1) (T_M + 1) - 1
-    # and C'_M = q^(-1/2) (T_M + 1) at most multiply it by 5 and 4
-    for op, want, growth in (
-            (t_action, oracles.t_action, 3),
-            (t_inverse_action, oracles.t_inverse_action, 5),
-            (cprime_generator_action, oracles.cprime_generator_action, 4)):
-        assert widened(ctx, lambda c, pv: op(c, M, pv, x), v, growth) == \
-            want(ctx, M, v, x)
-    assert widened(ctx, j_map, v) == oracles.j_map(ctx, v)
+    # T_M at most triples a coefficient
+    assert widened(ctx, lambda c, pv: t_action(c, M, pv, x), v, 3) == \
+        oracles.t_action(ctx, M, v, x)
 
 
 def test_a_narrow_width_raises_before_comparing(contexts, monkeypatch):
@@ -260,18 +248,13 @@ def test_inexact_down_shift_raises(contexts):
     lowest = ModuleVector({e: HalfLaurent.half_power(-ctx.offset)})
     v = pack(ctx, lowest)
     assert v == {e: 1}
-    M = next(M for M in ctx.matchings if M(e) != e)
-    with pytest.raises(OffsetError):
-        cprime_generator_action(ctx, M, v, "q")
-    with pytest.raises(OffsetError):
-        t_inverse_action(ctx, M, v, "q")
     with pytest.raises(OffsetError):
         hecke._shift_down({e: 1 << ctx.width}, 2 * ctx.width)
-    # bar of q^(K/2) lands at q^(-K/2) - 2 rho(w): below the offset
+    # bar of q^(K/2), times iota's q^(-rho(w)), lands below the offset
     top = poset.top
     high = pack(ctx, ModuleVector({top: HalfLaurent.half_power(ctx.offset)}))
     with pytest.raises(OffsetError):
-        j_map(ctx, high)
+        iota(ctx, high, "q")
     with pytest.raises(OffsetError):
         pack(ctx, ModuleVector({e: HalfLaurent.half_power(-ctx.offset - 1)}))
 
@@ -502,8 +485,9 @@ def test_p_recursion_on_every_context(contexts, x):
 
 def test_corrections_once_per_matching_and_target(groups, monkeypatch):
     """During the recursion check the corrections are computed once, and
-    p_recursion is called once, per (M, w, x): the P check takes the whole
-    column at once, not one v at a time."""
+    cprime_recursion and p_recursion are each called once, per (M, w, x):
+    the recursion is checked once, on the whole P column, not one v at a
+    time, and no T_M is applied."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     entered = []
     real = hecke._correction_domain
@@ -512,23 +496,31 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
         entered.append((M, mw, x))
         return real(ctx, M, mw, x)
 
-    calls = []
-    real_p = hecke.p_recursion
+    calls = {"cprime_recursion": [], "p_recursion": []}
+    for name, seen in calls.items():
+        def count(ctx, w, M, x, _seen=seen, _real=getattr(hecke, name)):
+            _seen.append((M, w, x))
+            return _real(ctx, w, M, x)
+        monkeypatch.setattr(hecke, name, count)
+    actions = []
+    real_t = hecke.t_action
 
-    def count_p(ctx, w, M, x):
-        calls.append((M, w, x))
-        return real_p(ctx, w, M, x)
+    def count_t(*args):
+        actions.append(args)
+        return real_t(*args)
 
     monkeypatch.setattr(hecke, "_correction_domain", spy)
-    monkeypatch.setattr(hecke, "p_recursion", count_p)
+    monkeypatch.setattr(hecke, "t_action", count_t)
     assert hecke.verify_recursion(ctx, X_PARAMS) == (True, None)
     poset = ctx.poset
     expected = {(M, w, x) for x in X_PARAMS for w in range(poset.n)
                 for M in ctx.system.down_matchings(w)}
     assert len(entered) == len(set(entered)) == len(expected)
     assert set(entered) == {(M, M(w), x) for M, w, x in expected}
-    assert len(calls) == len(set(calls)) == len(expected)
-    assert set(calls) == expected
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)) == len(expected), name
+        assert set(seen) == expected, name
+    assert actions == []
 
 
 def test_duality_reuses_images(groups, monkeypatch):
