@@ -15,8 +15,7 @@ and kernel inversion then yields the parabolic P^x-polynomials.
 """
 
 from pircons import (CoxeterSystem, X_PARAMS, check_pkernel, check_updown,
-                     kls_polynomials, lambda_partial, lambda_refinement,
-                     r_polynomials)
+                     lambda_partial, lambda_refinement, r_polynomials)
 
 W = CoxeterSystem({"type": "B", "rank": 3})
 quot = W.quotient({1, 2})            # H = {s2, s3}
@@ -30,8 +29,9 @@ for x in X_PARAMS:
     r = r_polynomials(P, refinement, x)
     print(f"\nx = {x}")
     print("  up-down symmetry:", check_updown(matchings, r))
-    print("  kernel identity: ", check_pkernel(r))
-    p = kls_polynomials(r)
+    # the kernel check is kernel inversion: it returns P with its verdict
+    ok, witness, p = check_pkernel(r)
+    print("  kernel identity: ", (ok, witness))
     interesting = {(P.labels[u], P.labels[w]): str(poly)
                    for (u, w), poly in sorted(p.entries.items())
                    if poly.degree() >= 1 or (u != w and not poly)}

@@ -68,7 +68,7 @@ from typing import Mapping
 from .laurent import HalfLaurent
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _cases,
                      _columns, _digits, _norms, _pack_tilde, _width_for,
-                     check_x, kls_polynomials, lambda_refinement, other_x)
+                     check_x, lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -145,13 +145,13 @@ def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
 
 
 class HeckeContext:
-    """The Hecke-module data of one pircon system: the system, whose R-tables
-    it reads, both P-tables, the permutation orders of matching pairs, the
-    packing (``width`` B and ``offset`` K, see the module docstring), and
-    caches filled on use: each matching's images and kinds, the packed iota
-    basis images and P columns per x, and the mu-corrections of the
-    recursions.  The packed caches belong to the width: ``_set_width``
-    starts them empty.
+    """The Hecke-module data of one pircon system: the system, whose R- and
+    P-tables it reads (each P-table built by the system's kernel verdict),
+    the permutation orders of matching pairs, the packing (``width`` B and
+    ``offset`` K, see the module docstring), and caches filled on use:
+    each matching's images and kinds, the packed iota basis images and P
+    columns per x, and the mu-corrections of the recursions.  The packed
+    caches belong to the width: ``_set_width`` starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, or its up-down or kernel verdict
@@ -170,14 +170,12 @@ class HeckeContext:
         if not ok:
             raise ValueError(f"not a pircon system: {witness}")
 
-        self._p: dict[str, PolyTable] = {}
         for x in X_PARAMS:
             for verdict, what in ((system.updown, "up-down symmetry"),
                                   (system.pkernel, "kernel identity")):
                 ok, witness = verdict(x)
                 if not ok:
                     raise ValueError(f"{what} fails for x={x}: {witness}")
-            self._p[x] = kls_polynomials(system.r_table(x))
 
         self.m_orders = {}
         for i, M in enumerate(system.matchings):
@@ -193,7 +191,7 @@ class HeckeContext:
         # at most n mu-corrections, each |mu| <= p_l1).
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
-        self.p_l1 = max(_norms(self._p[x])[0] for x in X_PARAMS)
+        self.p_l1 = max(_norms(self.p_table(x))[0] for x in X_PARAMS)
         self.offset = 2 * (poset.max_rank() + 1)
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
@@ -224,7 +222,7 @@ class HeckeContext:
         return self.system.r_table(x)
 
     def p_table(self, x: str) -> PolyTable:
-        return self._p[check_x(x)]
+        return self.system.p_table(x)
 
     # -- decoding at the edges ------------------------------------------
 
@@ -454,10 +452,11 @@ def verify_duality(ctx: HeckeContext):
 
     * iota^x is an involution: iota^x(iota^x(m_v)) is
       sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, and
-      the bracket is the sum that the kernel verdict checks.
+      the bracket is delta_{t,v} because R^x is a P-kernel, which the
+      kernel verdict proves.
     * C^x_w is iota-invariant: that says sum_v R_{t,v} P_{v,w} =
       q^rho(t,w) P_{t,w}(1/q), which kls_polynomials asserts for every pair
-      as it builds P^x.
+      as it builds P^x in the kernel verdict.
     * j_P(T_M .x m) = -q^(-1) T_M .z j_P(m) (twisted equivariance) reads
       only the kinds of M and the ranks.  On m_u with u = lo, up: both
       sides are (-1)^rho(hi) q^(-rho(hi)) m_hi, as rho(hi) = rho(lo) + 1.

@@ -21,14 +21,17 @@ conjugation matchings, and a ``PirconSystem`` carries the refinement of
 its system; any choice of down-matching gives the same tables.
 
 The same module hosts the incidence-algebra side: a family is a P-kernel
-exactly when sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) vanishes for u < v,
-and kernel inversion produces the unique unitary family P with
-deg P_{u,v} < rho(u,v)/2 and
+exactly when R_{v,v} = 1 and sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q)
+vanishes for u < v, and kernel inversion produces the unique unitary
+family P with deg P_{u,v} < rho(u,v)/2 and
 sum_z R_{u,z} P_{z,v} = q^(rho(u,v)) P_{u,v}(1/q).  The inversion asserts
 full consistency of the high part against the low part instead of trusting
-the truncation, which turns uniqueness into an executable error check.
+the truncation, which turns uniqueness into an executable error check.  It
+is also the kernel check: with a unit diagonal, the inversion succeeds
+exactly on P-kernels (``check_pkernel``), so one interval sum both proves
+R a P-kernel and builds P.
 
-Both interval sums run on packed values: every polynomial is evaluated at
+The interval sum runs on packed values: every polynomial is evaluated at
 q = 2^B (Kronecker substitution), so a polynomial product is one int
 multiply and an interval sum is a sum of int products; balanced base-2^B
 digits recover the coefficients.  The sums are pushed, not pulled: a
@@ -36,15 +39,14 @@ column v keeps one int accumulator per element of its ideal, and each z
 adds its products into the accumulators of the u below it.  Packing is
 injective only on polynomials whose coefficients lie inside
 (-2^(B-1), 2^(B-1)).  The width B is therefore derived once from the table
-(ideal sizes, L1 norms and coefficient sizes).  For the kernel check that
-B covers every sum outright.  Inversion alone can outgrow it, since its
-sums take products with the P it produces: each of its sums asserts its
+(ideal sizes, L1 norms and coefficient sizes).  The sums take products
+with the P they produce, so they can outgrow it: each sum asserts its
 coefficient bound against B before its digits are read, and a bound that
 does not fit restarts the inversion at a wider B.
 
 One function packs a table: ``_columns(table, B)`` gives column w as
 {u: R_{u,w}(2^B)} over the nonzero entries, the shape of a Hecke module
-vector.  The rule checks, both interval sums and the Hecke layer read these
+vector.  The rule checks, the interval sum and the Hecke layer read these
 columns, each at its own width.  Tables store a polynomial for every
 comparable pair, zeros included; absence of a key means the pair is
 incomparable, and ``_columns`` raises KeyError for a comparable pair with
@@ -73,7 +75,12 @@ _ONE = QPoly((1,))
 
 
 class KernelError(ValueError):
-    """The given family is not a genuine P-kernel."""
+    """The given family is not a genuine P-kernel: kernel inversion fails
+    at ``pair``, the (u, v) named in the message by label."""
+
+    def __init__(self, message: str, pair: tuple[int, int]):
+        super().__init__(message)
+        self.pair = pair
 
 
 def check_x(x: str) -> str:
@@ -500,37 +507,34 @@ def _norms(table: PolyTable) -> tuple[int, int, int]:
 
 
 def check_pkernel(table: PolyTable):
-    """sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly.
+    """Is R a P-kernel: R_{v,v} = 1 for every v and
+    sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q) = delta_{u,v}, exactly?
 
-    Each R_{u,z} is packed once at q = 2^B, and so is each
-    R~_{z,v} = q^(rho(z,v) + s) R_{z,v}(1/q), where s >= 0 is the largest
-    excess of a degree over its rank gap (0 for a genuine R-table) so that
-    no power is negative.  The sums of one column v are pushed: every z
-    with R~_{z,v} != 0 adds R_{u,z} R~_{z,v} to the int accumulator of
-    each u <= z.  Each u of the column is then compared, in ascending
-    order, with the packed q^s or 0.  A u takes at most |ideal(v)| pushes,
-    each with coefficients at most max L1(R) * max |coeff(R)|, so
-    B = _width_for(largest ideal * max L1(R) * max |coeff(R)|) keeps every
-    comparison exact.
+    Returns (ok, witness, P): (True, None, the kernel inversion of R), or
+    (False, ("kernel", pair), None), where pair is (v, v) for the first v
+    with R_{v,v} != 1, else the ``KernelError.pair`` of the inversion.
+    The check sums nothing itself; the inversion's interval sums decide it.
+
+    Write bar(f)(u,v) = q^(rho(u,v)) f(u,v)(1/q) on the incidence algebra
+    over Z[q, 1/q]; it is a ring involution, since rho(u,z) + rho(z,v) =
+    rho(u,v).  The sum above is (R bar(R))(u,v).  If the diagonal is 1
+    and the inversion succeeds, then R P = bar(P) at every pair, the
+    diagonal included, with P unitriangular.  Applying bar gives
+    bar(R) bar(P) = P, so bar(R) R P = P, and as P is invertible,
+    bar(R) R = delta.  R has a unit diagonal, so it is invertible and
+    R bar(R) = delta as well.  Conversely, a P-kernel has a unit diagonal,
+    and its inversion exists (Stanley, J. Amer. Math. Soc. 5, 1992) and is
+    unique, so ``kls_polynomials`` finds it.  The inversion never reads
+    R_{v,v}, which is why the diagonal is checked here.
     """
     poset = table.poset
-    l1, top, terms = _norms(table)
-    shift = max([0] + [p.degree() - poset.rank_gap(u, w)
-                       for (u, w), p in table.entries.items() if p])
-    width = _width_for(terms * l1 * top)
-    one = 1 << (width * shift)
-    cols = _columns(table, width)
     for v in range(poset.n):
-        acc = [0] * poset.n
-        for z in cols[v]:
-            t = _pack_tilde(table.value(z, v).coeffs(),
-                            poset.rank_gap(z, v) + shift, width)
-            for u, r in cols[z].items():
-                acc[u] += r * t
-        for u in poset.ideal_elements(v):
-            if acc[u] != (one if u == v else 0):
-                return False, ("kernel", (u, v))
-    return True, None
+        if table.value(v, v) != _ONE:
+            return False, ("kernel", (v, v)), None
+    try:
+        return True, None, kls_polynomials(table)
+    except KernelError as exc:
+        return False, ("kernel", exc.pair), None
 
 
 def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
@@ -601,7 +605,7 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
                 if rest != tilde << width * (gap + 1 - 2 * half_gap):
                     raise KernelError(
                         f"not a P-kernel at pair ({poset.labels[u]!r}, "
-                        f"{poset.labels[v]!r})")
+                        f"{poset.labels[v]!r})", (u, v))
                 key = tuple(low)
                 got = polys.get(key)
                 if got is None:
@@ -676,8 +680,10 @@ class PirconSystem:
     (ok, witness) pairs ``updown(x)`` and ``pkernel(x)`` are computed on
     first use and kept.  The rule checks of one job read the kept columns
     (``updown`` and, passed by the caller, ``brenti_identity``); a check
-    called with only a table packs it afresh.  P-tables are not kept, so a
-    caller holds one only while it needs it."""
+    called with only a table packs it afresh.  The kernel verdict is
+    kernel inversion, so once it has run at x its P^x table is kept too,
+    as ``p_table(x)``; a job that needs no verdict calls
+    ``kls_polynomials`` and holds its P-table only while it needs it."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Sequence[PartialMatching],
@@ -712,7 +718,15 @@ class PirconSystem:
             self.matchings, self.r_table(x), self.rule_columns(x)))
 
     def pkernel(self, x: str):
-        return self._once(("pkernel", x),
+        return self._kernel(x)[:2]
+
+    def p_table(self, x: str) -> PolyTable | None:
+        """The P^x table that ``pkernel(x)`` inverted, or None when that
+        verdict fails.  Shared, callers must not modify it."""
+        return self._kernel(x)[2]
+
+    def _kernel(self, x: str):
+        return self._once(("pkernel", check_x(x)),
                           lambda: check_pkernel(self.r_table(x)))
 
     def down_matchings(self, w: int) -> list[PartialMatching]:

@@ -163,30 +163,6 @@ class GradedPoset:
     def max_rank(self) -> int:
         return max(self.rank) if self.rank else 0
 
-    # -- subposets -----------------------------------------------------------
-
-    def subposet(self, elements: Iterable[int]) -> "GradedPoset":
-        """Induced poset on a down-closed-or-interval subset.
-
-        Cover relations of such subsets coincide with the ambient covers, so
-        they are restricted rather than recomputed.
-        """
-        elems = sorted(set(elements))
-        pos = {e: i for i, e in enumerate(elems)}
-        labels = [self.labels[e] for e in elems]
-        covers = [(pos[x], pos[y]) for x in elems for y in self.up_covers[x]
-                  if y in pos]
-        return GradedPoset(labels, covers)
-
-    def order_ideal(self, w: int) -> "GradedPoset":
-        return self.subposet(self.ideal_elements(w))
-
-    def interval(self, x: int, y: int) -> "GradedPoset":
-        """The induced poset on [x, y]; empty when x is not below y."""
-        if not self.leq(x, y):
-            return GradedPoset((), ())
-        return self.subposet(self.elements_of(self.interval_mask(x, y)))
-
     # -- shape tests -------------------------------------------------------
 
     def is_dihedral_interval(self, x: int, y: int) -> bool:

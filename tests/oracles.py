@@ -323,7 +323,7 @@ def kls_polynomials(table: PolyTable) -> PolyTable:
             if G != P.tilde(gap) - P:
                 raise KernelError(
                     f"not a P-kernel at pair ({poset.labels[u]!r}, "
-                    f"{poset.labels[v]!r})")
+                    f"{poset.labels[v]!r})", (u, v))
             out.entries[(u, v)] = P
     return out
 

@@ -121,7 +121,7 @@ def test_criterion_05_pkernel(suite_quotients, suite_contexts,
         for x in X_PARAMS:
             table = ctx.r_table(x)
             ud = check_updown(S, table)[0]
-            pk, witness = check_pkernel(table)
+            pk, witness, _ = check_pkernel(table)
             assert pk, (name, x, witness)
             results.append((ud, pk))
     for T in (twisted2, twisted3):
@@ -129,7 +129,7 @@ def test_criterion_05_pkernel(suite_quotients, suite_contexts,
         for x in X_PARAMS:
             table = T.klv_polynomials(x)
             ud = check_updown(S, table)[0]
-            pk, witness = check_pkernel(table)
+            pk, witness, _ = check_pkernel(table)
             assert pk, (T, x, witness)
             results.append((ud, pk))
     # implication structure: up-down symmetry forces the kernel identity

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 
 import pytest
@@ -11,8 +12,9 @@ from pircons import cli, coxeter, hecke, klpoly, matchings
 from pircons.coxeter import (DEFAULT_SIZE_BOUND, SIZE_BOUND_ENV,
                              CoxeterSystem, SizeBoundError)
 from pircons.twisted import TwistedIdentities
-from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, PolyTable,
-                            kls_polynomials, lambda_refinement, r_polynomials)
+from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
+                            PolyTable, kls_polynomials, lambda_refinement,
+                            r_polynomials)
 from pircons.laurent import QPoly
 
 
@@ -109,6 +111,33 @@ def test_recursion_record_is_the_library_verdict():
     assert cli.run_verification(inst, ["recursion"], X_PARAMS) == [
         {"identity": "recursion", "instance": inst.name, "status": "fail",
          "witness": repr(witness)}]
+
+
+def test_kernel_record_is_the_library_verdict():
+    """run_verification records the kernel verdict with the repr of its
+    witness, the pair where the oracle inversion fails, and the context
+    refuses the system on it.  Every single nudge of R^q also breaks
+    up-down symmetry, so the up-down verdicts are taken on the genuine
+    table and kept, as a default verify job takes them first."""
+    inst = cli.build_instance({"instance": {
+        "kind": "coxeter", "matrix": {"type": "B", "rank": 2}}})
+    for x in X_PARAMS:
+        assert inst.system.updown(x) == (True, None)
+    table = inst.system.r_table(X_Q)
+    pair = (inst.poset.bottom, inst.poset.top)
+    table.entries[pair] = table.entries[pair] + QPoly.monomial(0, 1)
+    with pytest.raises(KernelError) as exc:
+        oracles.kls_polynomials(table)
+    witness = ("kernel", exc.value.pair)
+    assert cli.run_verification(inst, ["pkernel"], X_PARAMS) == [
+        {"identity": "pkernel", "instance": inst.name, "status": "pass",
+         "detail": "x=-1"},
+        {"identity": "pkernel", "instance": inst.name, "status": "fail",
+         "detail": "x=q", "witness": repr(witness)}]
+    assert inst.system.p_table(X_Q) is None
+    with pytest.raises(ValueError, match=re.escape(
+            f"kernel identity fails for x=q: {witness}")):
+        inst.hecke_context
 
 
 def test_poset_instance_with_refinement(tmp_path, groups):
@@ -454,6 +483,26 @@ def test_verify_packs_each_r_table_once_for_the_rule_checks(tmp_path,
                 "--out", str(tmp_path)]) == 0
     assert (counts["_rule_columns"], counts["check_updown"],
             counts["brenti_identity"]) == (2, 2, 2)
+
+
+def test_verify_packs_each_r_table_once_at_the_kernel_width(tmp_path,
+                                                            monkeypatch):
+    """The kernel verdict is kernel inversion, and the context reads the
+    P-tables it built: one packing of each R-table at the kernel width,
+    the inversion's starting width."""
+    kernel = []
+    real = klpoly._columns
+
+    def spy(table, width):
+        l1, top, terms = klpoly._norms(table)
+        if width == klpoly._width_for(terms * l1 * top):
+            kernel.append(table.x)
+        return real(table, width)
+
+    monkeypatch.setattr(klpoly, "_columns", spy)
+    assert run(["verify", "--type", "A", "--rank", "3",
+                "--out", str(tmp_path)]) == 0
+    assert sorted(kernel) == sorted(X_PARAMS)
 
 
 def test_verify_twisted_builds_the_system_matchings_once(tmp_path,

@@ -6,8 +6,8 @@ factor.
 genuine kernel the sums themselves stay small, so a wrong bound still gives
 right tables; what shows it is the width.  Each test starts at a width that
 covers every factor but one and requires a restart at a wider B.
-``check_pkernel`` has no such test: its width covers every sum from the
-start, with nothing to assert or restart.
+``check_pkernel`` needs no test of its own here: it is this inversion
+plus a check of the diagonal, and packs nothing itself.
 """
 
 import pytest

@@ -170,7 +170,8 @@ def test_pkernel_diagonal_and_rank1():
     chain2 = GradedPoset("ab", [(0, 1)])
     ref = Refinement(chain2, {1: PartialMatching(chain2, {0: 1, 1: 0})})
     table = r_polynomials(chain2, ref, X_MINUS_ONE)
-    assert check_pkernel(table) == (True, None)
+    ok, witness, p = check_pkernel(table)
+    assert (ok, witness) == (True, None) and p == kls_polynomials(table)
 
 
 def test_refinement_errors_name_labels():
@@ -190,8 +191,8 @@ def test_pkernel_witness_on_corrupted_table(groups):
     P = quot.poset
     table = r_polynomials(P, lambda_refinement(quot), X_MINUS_ONE)
     table.entries[(P.index("e"), P.index("1.2.1"))] = QPoly((1, 1))
-    ok, witness = check_pkernel(table)
-    assert not ok and witness[0] == "kernel"
+    ok, witness, p = check_pkernel(table)
+    assert not ok and witness[0] == "kernel" and p is None
 
 
 # -- kernel inversion ----------------------------------------------------------

@@ -1,11 +1,14 @@
 """Differential tests of the packed kernel check and kernel inversion.
 
-``klpoly.check_pkernel`` and ``klpoly.kls_polynomials`` evaluate every
-polynomial at q = 2^B and work on ints.  The reference path in ``oracles``
-is the same algorithm on ``QPoly``/``HalfLaurent`` objects.  Both must give
-identical tables, identical ``(ok, witness)`` results and identical
-``KernelError`` messages, on genuine kernels and on corrupted tables alike,
-including coefficients far beyond any machine word.
+``klpoly.kls_polynomials`` evaluates every polynomial at q = 2^B and works
+on ints, and ``klpoly.check_pkernel`` is that inversion plus a check of the
+diagonal.  The reference path in ``oracles`` keeps the inversion and the
+kernel sum itself on ``QPoly``/``HalfLaurent`` objects.  The inversions
+must give identical tables and identical ``KernelError`` messages and
+pairs.  The check must give the oracle sum's verdict and fail in the same
+column, naming the first diagonal entry other than 1, else the pair where
+the oracle inversion fails.  All of this holds on genuine kernels and on
+corrupted tables alike, including coefficients far beyond any machine word.
 """
 
 import random
@@ -23,26 +26,51 @@ from test_refined_pircon_properties import generated_posets
 
 
 def outcome(fn, table, **kwargs):
-    """A comparable summary of one call: the check's (ok, witness) pair, the
-    inversion's entries, or the KernelError message."""
+    """A comparable summary of one inversion: its entries, or the
+    KernelError message and pair."""
     try:
-        got = fn(table, **kwargs)
+        return fn(table, **kwargs).entries
     except KernelError as exc:
-        return ("KernelError", str(exc))
-    return got.entries if isinstance(got, PolyTable) else got
+        return ("KernelError", str(exc), exc.pair)
 
 
-def assert_matches_reference(table, **kwargs):
-    assert outcome(check_pkernel, table, **kwargs) == \
-        outcome(oracles.check_pkernel, table)
-    assert outcome(kls_polynomials, table, **kwargs) == \
-        outcome(oracles.kls_polynomials, table)
+def kernel_witness(table, inverse):
+    """The witness check_pkernel must give, read off the oracles: the first
+    diagonal entry other than 1, else the pair of the KernelError in
+    ``inverse``, the outcome of oracles.kls_polynomials, else None."""
+    for v in range(table.poset.n):
+        if table.value(v, v) != QPoly.one():
+            return ("kernel", (v, v))
+    return ("kernel", inverse[2]) if isinstance(inverse, tuple) else None
+
+
+def assert_matches_reference(table):
+    """check_pkernel has the oracle sum's verdict, the witness above and,
+    when it passes, the oracle inversion's P; kls_polynomials has the
+    oracle inversion's outcome.  With the diagonal at 1, the failing column
+    is the oracle sum's too.  Both checks of column v read only the ideal
+    of v, and the index order of every poset here is a linear extension, so
+    the first failing column is the first v whose ideal is not a P-kernel.
+    Returns the two witnesses, the check's and the oracle sum's.
+    """
+    ok, witness, p = check_pkernel(table)
+    want_ok, want_witness = oracles.check_pkernel(table)
+    inverse = outcome(oracles.kls_polynomials, table)
+    assert outcome(kls_polynomials, table) == inverse
+    assert ok == want_ok and witness == kernel_witness(table, inverse)
+    if ok:
+        assert p.entries == inverse
+    else:
+        assert p is None
+        if witness[1][0] != witness[1][1]:
+            assert witness[1][1] == want_witness[1][1]
+    return witness, want_witness
 
 
 @pytest.fixture
 def widths(monkeypatch):
-    """The widths at which a table is packed, in order: one per call of
-    the kernel check and one per (re)start of the inversion."""
+    """The widths at which a table is packed, in order: one per (re)start
+    of the inversion, which the kernel check runs."""
     seen = []
     real = klpoly._columns
 
@@ -60,8 +88,9 @@ def widths(monkeypatch):
 def test_every_suite_quotient(suite_contexts, x):
     for key, ctx in suite_contexts.items():
         table = ctx.r_table(x)
-        assert check_pkernel(table) == (True, None), key
-        assert kls_polynomials(table).entries == \
+        ok, witness, p = check_pkernel(table)
+        assert (ok, witness) == (True, None), key
+        assert kls_polynomials(table).entries == p.entries == \
             oracles.kls_polynomials(table).entries, key
 
 
@@ -69,8 +98,9 @@ def test_every_suite_quotient(suite_contexts, x):
 def test_twisted_identities(twisted2, twisted3, x):
     for tw in (twisted2, twisted3):
         table = tw.klv_polynomials(x)
-        assert check_pkernel(table) == (True, None)
-        assert kls_polynomials(table).entries == \
+        ok, witness, p = check_pkernel(table)
+        assert (ok, witness) == (True, None)
+        assert kls_polynomials(table).entries == p.entries == \
             oracles.kls_polynomials(table).entries
 
 
@@ -93,7 +123,71 @@ def test_refinement_dependent_pircon(refinement_dependent_poset):
                 r_polynomials(refinement_dependent_poset, ref, x))
 
 
+def test_a_negated_kernel_fails_on_its_diagonal(suite_contexts):
+    """-R satisfies the kernel sum, as (-R) bar(-R) = R bar(R) = delta, so
+    the oracle sum accepts it; but a P-kernel has a unit diagonal."""
+    table = suite_contexts["A2/H={-}"].r_table("q")
+    negated = PolyTable(table.poset, "q",
+                        {pair: -p for pair, p in table.entries.items()})
+    assert oracles.check_pkernel(negated) == (True, None)
+    assert check_pkernel(negated) == (False, ("kernel", (0, 0)), None)
+
+
 # -- corrupted tables --------------------------------------------------------
+
+def single_nudges(table):
+    """The table with one entry plus or minus q^k, for every comparable
+    pair, the diagonal included, and every k up to its rank gap + 1."""
+    poset = table.poset
+    for pair in table.pairs():
+        for k in range(poset.rank_gap(*pair) + 2):
+            for c in (1, -1):
+                entries = dict(table.entries)
+                entries[pair] = entries[pair] + QPoly.monomial(k, c)
+                yield PolyTable(poset, table.x, entries)
+
+
+# The oracles are object arithmetic, about 0.05 s per nudged table on
+# B3/H={-}; tables with more elements than this (A3 and B3 with at most one
+# generator in H, B3/H={s1,s3}, twisted 3) get a fixed sample of nudges.
+EXHAUSTIVE_UP_TO = 10
+SAMPLED_NUDGES = 24
+
+
+def nudge_bases(suite_contexts, twisted2, twisted3,
+                refinement_dependent_poset):
+    """(name, genuine R^x table) for the suite quotients, twisted 2 and 3,
+    and every refinement of the refinement-dependent pircon."""
+    for x in X_PARAMS:
+        for key, ctx in suite_contexts.items():
+            yield key, ctx.r_table(x)
+        for tw in (twisted2, twisted3):
+            yield f"twisted{tw.n}", tw.klv_polynomials(x)
+        for ref in all_refinements(refinement_dependent_poset):
+            yield "refinement-dependent", r_polynomials(
+                refinement_dependent_poset, ref, x)
+
+
+def test_every_single_nudge(suite_contexts, twisted2, twisted3,
+                            refinement_dependent_poset):
+    """The kernel check on every single +-q^k nudge of a genuine table
+    fails exactly where the oracle sum fails, in the same column, and at
+    the pair that assert_matches_reference names.  A diagonal nudge is
+    caught by the diagonal check alone: inversion never reads R_{v,v}."""
+    rng = random.Random(19)
+    seen = set()
+    for key, base in nudge_bases(suite_contexts, twisted2, twisted3,
+                                 refinement_dependent_poset):
+        tables = list(single_nudges(base))
+        if base.poset.n > EXHAUSTIVE_UP_TO:
+            tables = rng.sample(tables, SAMPLED_NUDGES)
+        for table in tables:
+            witness, want = assert_matches_reference(table)
+            assert witness is not None, key
+            assert witness[1][1] == want[1][1], key
+            seen.add(witness[1][0] == witness[1][1])
+    assert seen == {True, False}
+
 
 CORRUPTED_BASES = ["A3/H={-}", "B2/H={s1}", "I2(5)/H={-}", "B3/H={s1,s2}"]
 
@@ -125,11 +219,14 @@ def test_corrupted_witness_and_message(groups):
     P = quot.poset
     table = r_polynomials(P, klpoly.lambda_refinement(quot), "-1")
     table.entries[(P.index("e"), P.index("1.2.1"))] = QPoly((1, 2, 3, 4))
-    ok, witness = check_pkernel(table)
-    assert not ok and witness == oracles.check_pkernel(table)[1]
+    ok, witness, _ = check_pkernel(table)
     with pytest.raises(KernelError, match=r"not a P-kernel at pair \('e', "
-                                          r"'1\.2\.1'\)"):
+                                          r"'1\.2\.1'\)") as exc:
         kls_polynomials(table)
+    assert outcome(oracles.kls_polynomials, table)[1:] == \
+        (str(exc.value), exc.value.pair)
+    assert not ok and witness == ("kernel", exc.value.pair)
+    assert witness[1][1] == oracles.check_pkernel(table)[1][1][1]
 
 
 # -- the derived width -------------------------------------------------------
@@ -185,7 +282,7 @@ def test_width_is_derived_from_the_table(suite_contexts, huge_kernel,
 
     table, P = huge_kernel
     assert top_bits(table) > 140
-    assert check_pkernel(table) == (True, None)
+    assert check_pkernel(table)[:2] == (True, None)
     assert kls_polynomials(table).entries == P
     # one pass each, no widening, and wide enough for the largest entry
     assert len(widths) == 2 and min(widths) > top_bits(table)
@@ -210,12 +307,13 @@ def test_huge_corrupted_entries(huge_kernel, suite_contexts):
                         ((e, mid), QPoly.monomial(9, 2 ** 90))):
         bad = PolyTable(poset, "q", dict(table.entries))
         bad.entries[pair] = bad.entries[pair] + delta
-        got = check_pkernel(bad)
-        assert not got[0] and got == oracles.check_pkernel(bad)
+        ok, witness, _ = check_pkernel(bad)
         with pytest.raises(KernelError) as exc:
             kls_polynomials(bad)
         assert outcome(oracles.kls_polynomials, bad) == \
-            ("KernelError", str(exc.value))
+            ("KernelError", str(exc.value), exc.value.pair)
+        assert not ok and witness == ("kernel", exc.value.pair)
+        assert witness[1][1] == oracles.check_pkernel(bad)[1][1][1]
         # the same inversion outcome from a start width far too narrow
         assert outcome(kls_polynomials, bad, _width=3) == \
             outcome(oracles.kls_polynomials, bad)

@@ -64,38 +64,6 @@ def test_leq_is_partial_order(diamond):
                     assert P.leq(x, z)
 
 
-def test_order_ideal_of_top_is_whole(diamond):
-    ideal = diamond.order_ideal(3)
-    assert ideal.n == 4
-    assert ideal.rank == diamond.rank
-    assert set(ideal.labels) == set(diamond.labels)
-
-
-def test_order_ideal_keeps_ranks(diamond):
-    ideal = diamond.order_ideal(1)
-    assert ideal.labels == ("a", "b")
-    assert ideal.rank == (0, 1)
-    assert ideal.top == 1
-
-
-def test_interval_of_incomparable_is_empty(diamond):
-    empty = diamond.interval(1, 2)
-    assert empty.n == 0
-
-
-def test_interval_rank_shift():
-    P = chain(5)
-    sub = P.interval(2, 4)
-    assert sub.n == 3
-    assert sub.rank == (0, 1, 2)
-    assert [sub.labels[i] for i in range(3)] == ["2", "3", "4"]
-
-
-def test_singleton_interval(diamond):
-    sub = diamond.interval(1, 1)
-    assert sub.n == 1 and sub.rank == (0,)
-
-
 def test_dihedral_shapes():
     # rank-1 interval
     assert chain(2).is_dihedral_interval(0, 1)
