@@ -24,7 +24,7 @@ import tempfile
 
 from . import hecke, klpoly, matchings, twisted
 from .coxeter import CoxeterError, CoxeterSystem, SizeBoundError
-from .klpoly import X_MINUS_ONE, X_PARAMS, X_Q
+from .klpoly import X_PARAMS, X_Q
 from .posets import GradedPoset, PosetError
 
 VERIFY_KINDS = ("updown", "pkernel", "system", "dircon", "duality",
@@ -214,8 +214,7 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
                 ok, witness = getattr(inst.system, kind)(x)
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "properties":
-            ok, witness = klpoly.verify_r_properties(
-                inst.system.r_table(X_MINUS_ONE), inst.system.r_table(X_Q))
+            ok, witness = inst.system.properties
             record(kind, ok, witness)
         elif kind == "brenti":
             if inst.kind != "coxeter":

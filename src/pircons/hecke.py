@@ -53,11 +53,13 @@ The same algorithms on HalfLaurent and ModuleVector object arithmetic are
 the differential reference in ``tests/oracles.py``.
 
 The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
-basis images are the columns of R^x, signed, which the duality suite also
-reads for its two table identities, and P^z is kept as its columns, which
-are C'-elements up to a shift.  ``p_recursion`` builds a whole P column,
-and ``verify_recursion`` compares it, shifted, with the kept one.  Its
-mu-corrections are computed once per (M, M(w), x) and kept on the context.
+basis images are the columns of R^x, signed, and P^z is kept as its
+columns, which are C'-elements up to a shift.  ``p_recursion`` builds a
+whole P column, and ``verify_recursion`` compares it, shifted, with the
+kept one.  Its mu-corrections are computed once per (M, M(w), x) and kept
+on the context.  This module evaluates no identity of the R-tables alone:
+the context requires the system's verdicts on them, and the duality
+suite's one table clause is ``klpoly.is_calculating``.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ import math
 from typing import Mapping
 
 from .laurent import HalfLaurent
-from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _cases,
-                     _columns, _digits, _norms, _pack_tilde, _width_for,
-                     check_x, lambda_refinement, other_x)
+from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
+                     _digits, _norms, _width_for, check_x, is_calculating,
+                     lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -154,8 +156,9 @@ class HeckeContext:
     caches belong to the width: ``_set_width`` starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
-    ValueError when the system's verdict, or its up-down or kernel verdict
-    for either parameter, fails.
+    ValueError when the system's verdict, its up-down or kernel verdict for
+    either parameter, or its ``properties`` verdict on the two R-tables
+    fails.
     """
 
     def __init__(self, poset: GradedPoset, system: PirconSystem):
@@ -176,6 +179,9 @@ class HeckeContext:
                 ok, witness = verdict(x)
                 if not ok:
                     raise ValueError(f"{what} fails for x={x}: {witness}")
+        ok, witness = system.properties
+        if not ok:
+            raise ValueError(f"R-table properties fail: {witness}")
 
         self.m_orders = {}
         for i, M in enumerate(system.matchings):
@@ -185,17 +191,22 @@ class HeckeContext:
 
         # r_l1 and p_l1 bound the L1 norm, so also every coefficient, of an
         # R- and a P-entry for either x.  The width fits the largest bound
-        # a built-in check asserts: a braid of the longest length, the
-        # three-case rule on R columns, iota of a KL element (input L1 at
-        # most n p_l1) and a P recursion (two entries of column M(w), and
-        # at most n mu-corrections, each |mu| <= p_l1).
+        # a built-in check asserts: a braid of the longest length, iota of
+        # a KL element (input L1 at most n p_l1, which also bounds the C'
+        # it is compared with) and a P recursion (two entries of column
+        # M(w), and at most n mu-corrections, each |mu| <= p_l1).  The rule
+        # checks on R columns run at the system's own width.  Their bound
+        # 3 r_l1 would never bind here anyway: for n >= 3,
+        # n r_l1 p_l1 >= 3 r_l1, as p_l1 >= 1; for n <= 2, the R-entries
+        # are 1 and q - 1, so r_l1 <= 2, and the braid term is at least
+        # 3^2 (two distinct involutions have a product of order >= 2, and
+        # with one matching the term is its default 3^2).
         n = poset.n
         self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
         self.p_l1 = max(_norms(self.p_table(x))[0] for x in X_PARAMS)
         self.offset = 2 * (poset.max_rank() + 1)
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
-            3 * self.r_l1,
             n * self.r_l1 * self.p_l1,
             self.p_l1 * (2 + n * self.p_l1))))
         self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
@@ -422,34 +433,38 @@ def kl_element_cprime(ctx: HeckeContext, w: int, x: str) -> Vector:
 def verify_duality(ctx: HeckeContext):
     """The involution identities, checked for both x, with {x, z} = {q, -1}:
 
-    * iota^x o j_P = j_P o iota^z                    (iota-j-conjugation);
     * iota^x(T_M . m) = iota(T_M) . iota^x(m)        (equivariance);
     * C'^x_w is iota-invariant                       (iota-on-Cprime).
 
-    The first two are statements about the R-tables and are checked on
-    their columns, the iota images I^x_u = {t: (-1)^rho(t,u) R^x_{t,u}}
-    packed at 2B; only the third applies iota.  At (x, u):
+    Only the second applies iota.  Equivariance is a statement about the
+    R^x-table, on the iota images I_u = {t: (-1)^rho(t,u) R^x_{t,u}}.
+    Where M moves u, let lo < hi be the pair {u, M(u)}.  At lo the clause
+    says I_hi[t] = case(-I_lo[t], I_lo[M(t)]) for every t <= hi, with
+    case the three-case rule of M at t; at hi it is the same identity
+    (multiply the one at lo by T_M), so each pair is checked at its first
+    element in the scan and passes at the second.  At t != hi, (-1)^rho(t,hi)
+    times it is R_{t,hi} = case(R_{t,lo}, R_{M(t),lo}), as the rule is
+    linear, -I_lo[t] = (-1)^rho(t,hi) R_{t,lo}, and M(t) != t has rank
+    rho(t) +- 1: that is ``is_calculating(M, R^x, hi)``, the R recursion
+    driven by M (refinement independence, Brenti-Caselli-Marietti,
+    Adv. Math. 202, 2006), on the system's kept rule columns.  At t = hi
+    it compares R_{hi,hi} with R_{lo,lo}, both 1 by the kernel verdict.
+    No t outside the ideal of hi can fail, since ideal(hi) is closed under
+    M.  Where M fixes u it is clause (c') of ``check_updown`` at u, part
+    of the up-down verdict that the context requires, and is not checked
+    again.
 
-    * iota-j-conjugation says R^x_{t,u} = (-1)^rho q^rho R^z_{t,u}(1/q),
-      rho = rho(t,u), for every t <= u (Deodhar's x-z transform): I^x_u[t]
-      is R^z_{t,u} with its coefficients reversed, ``_pack_tilde``.  The
-      transform at x is the transform at z read backwards, so it is
-      checked at the first x only; at the second it holds.
-    * equivariance, where M moves u, compares the columns of lo < hi, the
-      pair {u, M(u)}.  At the up element lo it says
-      R_{t,hi} = ``_cases`` of M at t on (R_{t,lo}, R_{M(t),lo}) for every
-      t <= hi, the R recursion driven by M (refinement independence,
-      Brenti-Caselli-Marietti, Adv. Math. 202, 2006); in signed columns,
-      I_hi[t] = case(-I_lo[t], I_lo[M(t)]).  At hi it is the same identity
-      (multiply the one at lo by T_M), so each pair is checked at its first
-      element in the scan and passes at the second.  No t outside the
-      ideal of hi can fail, since ideal(hi) is closed under M.  Where M
-      fixes u it is clause (c') of ``check_updown`` at u, part of the
-      up-down verdict that the context requires, and is not checked again.
-
-    Four identities are not checked, because the context is built only
+    Five identities are not checked, because the context is built only
     when they hold or because they hold for any table:
 
+    * iota^x o j_P = j_P o iota^z: at m_u it says
+      R^x_{t,u} = (-1)^rho q^rho R^z_{t,u}(1/q), rho = rho(t,u), for every
+      t <= u (Deodhar's x-z transform).  At x = q that is clause (3) of
+      ``verify_r_properties``, whose verdict the context requires.  At
+      x = -1, clause (1) gives deg R^(-1)_{t,u} = rho, and applying
+      tilde_rho, an involution on the polynomials of degree <= rho, to
+      clause (3) gives the transform; clause (3) also bounds
+      deg R^q_{t,u} <= rho, so q^rho R^q_{t,u}(1/q) is a polynomial.
     * iota^x is an involution: iota^x(iota^x(m_v)) is
       sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, and
       the bracket is delta_{t,v} because R^x is a P-kernel, which the
@@ -468,53 +483,26 @@ def verify_duality(ctx: HeckeContext):
       C^x_w is (-1)^rho(w) q^(-rho(w)/2) P^x_{v,w}, the coefficient in the
       right side, for any P^x.
 
-    The columns are the iota images, packed once per x on first use and
-    kept on the context.  The sides compared stay below 3 max L1(R)
-    (``_cases`` of R entries) and max L1(P) (C'^x_w), which is asserted;
-    iota asserts its own bound.
+    Before the first comparison the bound of iota on C'^x_w,
+    n max L1(R) max L1(P), is asserted; it covers max L1(P), the bound of
+    the C' it is compared with.
     """
-    poset, width = ctx.poset, 2 * ctx.width
-    rank = poset.rank
-    ctx.require(max(3 * ctx.r_l1, ctx.p_l1))
+    poset = ctx.poset
+    ctx.require(poset.n * ctx.r_l1 * ctx.p_l1)
     for x in X_PARAMS:
-        images = _iota_basis(ctx, x)
-        rz = ctx.r_table(other_x(x)).value
-        cases = _cases(width, x)
-        moves = [_moves(ctx, M) for M in ctx.matchings]
+        table, packed = ctx.r_table(x), ctx.system.rule_columns(x)
         for u in range(poset.n):
-            if x == X_PARAMS[0]:
-                col = images[u]
-                for t in poset.ideal_elements(u):
-                    gap = rank[u] - rank[t]
-                    coeffs = rz(t, u).coeffs()
-                    if len(coeffs) > gap + 1 or col.get(t, 0) != \
-                            _pack_tilde(coeffs, gap, width):
-                        return False, ("iota-j-conjugation", (x, u))
-            for mi, move in enumerate(moves):
-                mu = move[u][0]
+            for mi, M in enumerate(ctx.matchings):
+                mu = M(u)
                 # fixed, or checked at mu
-                if mu > u and not _rule_holds(poset, images, move, cases,
-                                              u, mu):
+                if mu > u and not is_calculating(
+                        M, table, mu if M.kind(u) == "up" else u, packed)[0]:
                     return False, ("equivariance", (x, mi, u))
         for w in range(poset.n):
             cp = kl_element_cprime(ctx, w, x)
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
     return True, None
-
-
-def _rule_holds(poset: GradedPoset, images: list[Vector],
-                move: list[tuple[int, str]], cases, u: int, mu: int) -> bool:
-    """Whether the signed R columns ``images`` satisfy, for the pair
-    {u, mu} of a matching with ``_moves`` ``move``, lo < hi, the three-case
-    rule ``cases`` at every t <= hi: I_hi[t] = case(-I_lo[t], I_lo[M(t)])."""
-    lo, hi = (u, mu) if poset.rank[mu] > poset.rank[u] else (mu, u)
-    above, get = images[hi], images[lo].get
-    for t in poset.ideal_elements(hi):
-        mt, kind = move[t]
-        if above.get(t, 0) != cases[kind](-get(t, 0), get(mt, 0)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

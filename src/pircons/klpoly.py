@@ -371,13 +371,15 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
 
 
 def is_strongly_calculating(M: PartialMatching, table: PolyTable):
-    """is_calculating at every z in the domain with M(z) covered by z."""
+    """is_calculating at every z in the domain with M(z) covered by z.
+    That check reads M only on the ideal of z, where M agrees with its
+    restriction to the ideal (an SPM of it when M is a quasi SPM, by the
+    lemma in ``system_refinement``), so M is passed whole."""
     poset = table.poset
     packed = _rule_columns(table)
     for z in M.domain:
         if poset.covers(M(z), z):
-            ok, witness = is_calculating(M.restrict_to_ideal(z), table, z,
-                                         packed)
+            ok, witness = is_calculating(M, table, z, packed)
             if not ok:
                 return ok, witness
     return True, None
@@ -467,11 +469,6 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     for c in reversed(coeffs):
         value = (value << width) + c
     return value
-
-
-def _pack_tilde(coeffs: Sequence[int], n: int, width: int) -> int:
-    """q^n p(1/q) packed, for p with the given coefficients and deg p <= n."""
-    return _pack(coeffs[::-1], width) << width * (n + 1 - len(coeffs))
 
 
 def _digits(value: int, width: int, low: int = 0) -> dict[int, int]:
@@ -631,6 +628,8 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
     (2) R^q_{u,w}(0) = (-1)^rho(u,w);
     (3) R^q_{u,w}(q) = (-q)^rho(u,w) R^{-1}_{u,w}(1/q), compared in Z[q]
         through ``tilde``, whose degree bound (1) has just checked.
+    Clause (3) is Deodhar's x-z transform between the two R-tables, which
+    ``HeckeContext`` requires through ``PirconSystem.properties``.
     """
     if r_minus.x != X_MINUS_ONE or r_q.x != X_Q:
         raise ValueError("pass the x=-1 table first and the x=q table second")
@@ -676,11 +675,13 @@ def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
 class PirconSystem:
     """A pircon, a family of quasi SPMs of order ideals and a refinement
     read off it.  The constructor stores these, without duplicate matchings;
-    ``verdict``, ``r_table(x)``, its ``rule_columns(x)`` and the
-    (ok, witness) pairs ``updown(x)`` and ``pkernel(x)`` are computed on
-    first use and kept.  The rule checks of one job read the kept columns
-    (``updown`` and, passed by the caller, ``brenti_identity``); a check
-    called with only a table packs it afresh.  The kernel verdict is
+    ``verdict``, ``r_table(x)``, its ``rule_columns(x)``, the
+    (ok, witness) pairs ``updown(x)`` and ``pkernel(x)``, and
+    ``properties``, ``verify_r_properties`` of the two R-tables, are
+    computed on first use and kept.  The rule checks of one job read the
+    kept columns (``updown`` and, passed by the caller,
+    ``brenti_identity`` and the duality suite's ``is_calculating``); a
+    check called with only a table packs it afresh.  The kernel verdict is
     kernel inversion, so once it has run at x its P^x table is kept too,
     as ``p_table(x)``; a job that needs no verdict calls
     ``kls_polynomials`` and holds its P-table only while it needs it."""
@@ -702,6 +703,11 @@ class PirconSystem:
     def verdict(self):
         return self._once(("system",), lambda: verify_pircon_system(
             self.poset, self.matchings))
+
+    @property
+    def properties(self):
+        return self._once(("properties",), lambda: verify_r_properties(
+            self.r_table(X_MINUS_ONE), self.r_table(X_Q)))
 
     def r_table(self, x: str) -> PolyTable:
         return self._once(("r", check_x(x)), lambda: r_polynomials(

@@ -534,6 +534,13 @@ def kl_element_cprime(ctx, w: int, x: str) -> ModuleVector:
                          for v in poset.ideal_elements(w)})
 
 
+def iota_j_conjugation(ctx, u: int, x: str) -> bool:
+    """iota^x(j_P(m_u)) = j_P(iota^z(m_u)): the x-z transform of the
+    R-tables, which the context's properties verdict proves."""
+    v = ModuleVector.basis(u)
+    return iota(ctx, j_map(ctx, v), x) == j_map(ctx, iota(ctx, v, other_x(x)))
+
+
 def equivariance(ctx, M, u: int, x: str) -> bool:
     """iota^x(T_M . m_u) = T_M^(-1) . iota^x(m_u)."""
     v = ModuleVector.basis(u)
@@ -557,25 +564,21 @@ def j_on_c(ctx, w: int, x: str) -> bool:
 
 
 def verify_duality(ctx):
-    """All five involution identities on module vectors, in the library's
-    order.  The library checks three of them and proves the other two
-    (``twisted_equivariance`` and ``j_on_c``) hold for any tables."""
+    """The library's two involution identities on module vectors, in its
+    order.  Equivariance is checked wherever M moves u; the library checks
+    each such pair at its first element only, and both elements give the
+    same identity.  Where M fixes u it is part of the up-down verdict.  The
+    other clauses are kept above: ``iota_j_conjugation``, which the
+    properties verdict proves, and ``twisted_equivariance`` and ``j_on_c``,
+    which hold for any tables."""
     n = ctx.poset.n
     for x in X_PARAMS:
-        z = other_x(x)
         for u in range(n):
-            v = ModuleVector.basis(u)
-            if iota(ctx, j_map(ctx, v), x) != j_map(ctx, iota(ctx, v, z)):
-                return False, ("iota-j-conjugation", (x, u))
             for mi, M in enumerate(ctx.matchings):
-                if not equivariance(ctx, M, u, x):
+                if M(u) != u and not equivariance(ctx, M, u, x):
                     return False, ("equivariance", (x, mi, u))
-                if not twisted_equivariance(ctx, M, u, x):
-                    return False, ("twisted-equivariance", (x, mi, u))
         for w in range(n):
             cp = kl_element_cprime(ctx, w, x)
-            if not j_on_c(ctx, w, x):
-                return False, ("j-on-C", (x, w))
             if iota(ctx, cp, x) != cp:
                 return False, ("iota-on-Cprime", (x, w))
     return True, None

@@ -140,6 +140,29 @@ def test_kernel_record_is_the_library_verdict():
         inst.hecke_context
 
 
+def test_properties_record_is_the_kept_verdict():
+    """run_verification records the system's kept properties verdict, and
+    the context refuses the system on it.  R^q_{e,top} nudged by q keeps
+    the degrees of R^-1 and the constant terms of R^q, so only the x-z
+    transform breaks; the up-down and kernel verdicts are taken on the
+    genuine tables and kept, as a default verify job takes them first."""
+    inst = cli.build_instance({"instance": {
+        "kind": "coxeter", "matrix": {"type": "B", "rank": 2}}})
+    for x in X_PARAMS:
+        assert inst.system.updown(x) == (True, None)
+        assert inst.system.pkernel(x) == (True, None)
+    table = inst.system.r_table(X_Q)
+    pair = (inst.poset.bottom, inst.poset.top)
+    table.entries[pair] = table.entries[pair] + QPoly.monomial(1, 1)
+    witness = ("x-z-transform", pair)
+    assert cli.run_verification(inst, ["properties"], X_PARAMS) == [
+        {"identity": "properties", "instance": inst.name, "status": "fail",
+         "witness": repr(witness)}]
+    with pytest.raises(ValueError, match=re.escape(
+            f"R-table properties fail: {witness}")):
+        inst.hecke_context
+
+
 def test_poset_instance_with_refinement(tmp_path, groups):
     quot = groups["A2"].quotient({1})
     ref = lambda_refinement(quot)

@@ -12,6 +12,7 @@ including coefficients far beyond any machine word.
 """
 
 import copy
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack, widened
 from pircons import TwistedIdentities, hecke, klpoly
-from pircons.hecke import (OffsetError, WidthError, characterize,
-                           context_for_quotient, cprime_recursion, iota,
-                           kl_element_c, kl_element_cprime, p_recursion,
-                           t_action)
-from pircons.klpoly import (X_PARAMS, KernelError, PolyTable,
-                            check_pkernel, check_updown, kls_polynomials)
+from pircons.hecke import (HeckeContext, OffsetError, WidthError,
+                           characterize, context_for_quotient,
+                           cprime_recursion, iota, kl_element_c,
+                           kl_element_cprime, p_recursion, t_action)
+from pircons.klpoly import (X_PARAMS, KernelError, PirconSystem, PolyTable,
+                            check_pkernel, check_updown, is_calculating,
+                            kls_polynomials, lambda_refinement,
+                            verify_r_properties)
 from pircons.laurent import QPoly
 
 
@@ -239,6 +242,21 @@ def test_a_new_width_starts_fresh_caches(suite_quotients):
     assert ctx._iota_basis == images and ctx._packed_p == columns
 
 
+def test_the_width_fits_the_largest_bound_of_a_check(contexts, twisted4):
+    """The width is derived from three bounds: a braid of the longest
+    length, iota of a KL element and a P recursion.  The R columns of the
+    rule checks are packed at the system's own width, and their bound
+    3 max L1(R) never binds (the comment at the derivation proves it).  On
+    every suite context and on twisted 1-4."""
+    every = {**contexts, "twisted1": TwistedIdentities(1).hecke_context(),
+             "twisted4": twisted4.hecke_context()}
+    for key, ctx in every.items():
+        n, r, p = ctx.poset.n, ctx.r_l1, ctx.p_l1
+        assert ctx.width == klpoly._width_for(max(
+            3 ** max(ctx.m_orders.values(), default=2), n * r * p,
+            p * (2 + n * p))), key
+
+
 def test_inexact_down_shift_raises(contexts):
     """A term at q^(-K/2), the lowest the offset holds, cannot be divided
     by q^(1/2) again: every down-shift raises instead of truncating."""
@@ -271,6 +289,17 @@ def fresh_context(suite_quotients, key):
     return context_for_quotient(suite_quotients[key])
 
 
+def nudge(ctx, name, x, pair, delta):
+    """Add delta to the entry at pair of the context's table ``name`` at
+    x, after the context has taken its verdicts on the genuine tables.  A
+    nudge of R^x also drops the system's kept rule columns of R^x, so that
+    the rule checks read the nudged table."""
+    table = getattr(ctx, name)(x)
+    table.entries[pair] = table.entries[pair] + delta
+    if name == "r_table":
+        del ctx.system._kept[("rule", x)]
+
+
 def nudges(poset, pairs, top_degree):
     """(pair, +q^k) and (pair, -q^k) for each u < w in pairs and each k up
     to top_degree(gap), so the nudged table keeps its degree bound."""
@@ -294,40 +323,59 @@ def assert_same_witnesses(ctx):
 
 
 def test_witnesses_of_corrupted_r_entries(suite_quotients):
-    """One R entry nudged by +-q^k before the iota images exist: the
-    duality suite, which reads the R-tables as columns, fails where the
-    object path's five clauses fail, with the same witness."""
+    """One R entry nudged by +-q^k after the context's verdicts are taken:
+    the duality suite fails where the object path's clauses fail, with the
+    same witness, and always at equivariance, the recursion driven by a
+    matching that takes the entry's column down."""
     seen = set()
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
             pairs = base.r_table(x).pairs()
-            for pair, nudge in nudges(base.poset, pairs, lambda gap: gap):
+            for pair, delta in nudges(base.poset, pairs, lambda gap: gap):
                 ctx = fresh_context(suite_quotients, key)
-                table = ctx.r_table(x)
-                table.entries[pair] = table.entries[pair] + nudge
+                nudge(ctx, "r_table", x, pair, delta)
                 duality = assert_same_witnesses(ctx)[2]
-                assert duality[0] is False, (key, x, pair, nudge)
+                assert duality[0] is False, (key, x, pair, delta)
                 seen.add(duality[1][0])
-    # a single nudge breaks the x-z transform or the recursion driven by
-    # some matching, the first clauses to read the R-tables
-    assert seen == {"iota-j-conjugation", "equivariance"}
+    assert seen == {"equivariance"}
+
+
+def gated_system(suite_quotients, key):
+    """A fresh system of the context at key, with its system, up-down and
+    kernel verdicts taken on the genuine tables and kept, and no
+    properties verdict yet."""
+    if key == "twisted2":
+        system = TwistedIdentities(2).system
+    else:
+        quot = suite_quotients[key]
+        system = PirconSystem(quot.poset, quot.lambda_matchings,
+                              lambda_refinement(quot))
+    assert system.verdict[0]
+    for x in X_PARAMS:
+        assert system.updown(x)[0] and system.pkernel(x)[0]
+    return system
 
 
 def test_an_r_entry_past_its_rank_gap_fails_the_transform(suite_quotients):
     """R^q_{u,w} nudged by q^(rho(u,w) + 1): q^rho R^q_{u,w}(1/q) has a
-    negative power, so the x-z transform fails at (-1, w), the first
-    clause to read column w of R^q, as on the object path."""
+    negative power, so the x-z transform, clause (3) of
+    verify_r_properties, fails at (u, w), and the context refuses the
+    system on that verdict."""
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for u, w in base.r_table("q").pairs():
             if u != w:
-                ctx = fresh_context(suite_quotients, key)
-                table = ctx.r_table("q")
+                system = gated_system(suite_quotients, key)
+                table = system.r_table("q")
                 table.entries[(u, w)] = table.entries[(u, w)] + \
-                    QPoly.monomial(ctx.poset.rank_gap(u, w) + 1, 1)
-                assert assert_same_witnesses(ctx)[2] == \
-                    (False, ("iota-j-conjugation", ("-1", w))), (key, u, w)
+                    QPoly.monomial(system.poset.rank_gap(u, w) + 1, 1)
+                witness = ("x-z-transform", (u, w))
+                assert verify_r_properties(system.r_table("-1"), table) \
+                    == (False, witness), (key, u, w)
+                with pytest.raises(ValueError, match=re.escape(
+                        f"R-table properties fail: {witness}")):
+                    HeckeContext(system.poset, system)
 
 
 def test_witnesses_of_corrupted_p_entries(suite_quotients):
@@ -339,11 +387,10 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
             pairs = base.p_table(x).pairs()
-            for pair, nudge in nudges(base.poset, pairs,
+            for pair, delta in nudges(base.poset, pairs,
                                       lambda gap: (gap - 1) // 2):
                 ctx = fresh_context(suite_quotients, key)
-                table = ctx.p_table(x)
-                table.entries[pair] = table.entries[pair] + nudge
+                nudge(ctx, "p_table", x, pair, delta)
                 got = assert_same_witnesses(ctx)
                 assert got[2][0] is False and got[3][0] is False
                 seen.add(got[2][1][0])
@@ -364,23 +411,26 @@ def nudged_contexts(suite_quotients, key, x, tables=tuple(TOP_DEGREES)):
     for name in tables:
         top_degree = TOP_DEGREES[name]
         pairs = getattr(base, name)(x).pairs()
-        for pair, nudge in nudges(base.poset, pairs, top_degree):
+        for pair, delta in nudges(base.poset, pairs, top_degree):
             ctx = fresh_context(suite_quotients, key)
-            table = getattr(ctx, name)(x)
-            table.entries[pair] = table.entries[pair] + nudge
+            nudge(ctx, name, x, pair, delta)
             yield ctx
 
 
 @pytest.mark.parametrize("key", WITNESS_KEYS + ["twisted2"])
 def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
-    """verify_duality does not check that iota^x is an involution or that
-    it fixes C^x_w, because the kernel checks behind the context prove
-    both.  iota^x(iota^x(m_v)) is
+    """verify_duality does not check that iota^x is an involution, that
+    it fixes C^x_w, or that it conjugates to iota^z through j_P, because
+    the verdicts behind the context prove all three.
+    iota^x(iota^x(m_v)) is
     sum_t (-1)^rho(t,v) [sum_z R_{t,z} q^rho(z,v) R_{z,v}(1/q)] m_t, whose
     bracket is check_pkernel's sum; iota^x(C^x_w) = C^x_w says
     sum_v R_{t,v} P_{v,w} = q^rho(t,w) P_{t,w}(1/q), the identity that
-    kls_polynomials asserts.  On the object path each clause holds exactly
-    when its check passes, on genuine and on nudged tables."""
+    kls_polynomials asserts.  On the object path each of these clauses
+    holds exactly when its check passes, on genuine and on nudged tables.
+    iota^x o j_P = j_P o iota^z is the x-z transform, which
+    verify_r_properties implies: wherever the object-path clause fails,
+    for either x, the properties verdict fails too."""
     seen = set()
     for x in X_PARAMS:
         for ctx in nudged_contexts(suite_quotients, key, x):
@@ -397,31 +447,37 @@ def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
             except KernelError:
                 inverse = False
             assert fixes_c == inverse
-            seen.add((involution, fixes_c))
-    # genuine tables pass both; an R nudge fails both; a P nudge only the
-    # second
-    assert seen == {(True, True), (False, False), (True, False)}
+            conjugates = all(oracles.iota_j_conjugation(ctx, u, y)
+                             for y in X_PARAMS for u in range(n))
+            properties = verify_r_properties(ctx.r_table("-1"),
+                                             ctx.r_table("q"))[0]
+            assert conjugates or not properties
+            seen.add((involution, fixes_c, conjugates, properties))
+    # genuine tables pass all four; an R nudge fails all four; a P nudge
+    # only the second
+    assert seen == {(True, True, True, True), (False, False, False, False),
+                    (True, False, True, True)}
 
 
 @pytest.mark.parametrize("key", WITNESS_KEYS + ["twisted2"])
 def test_equivariance_is_the_rule_on_columns(suite_quotients, key):
     """Where M moves u, equivariance at u on the object path holds exactly
-    when the R column of the upper element of {u, M(u)} is the three-case
-    rule of M on the column of the lower one, the check verify_duality
-    makes; at both elements of the pair.  On genuine and on nudged
-    R-tables.  A u that M fixes is left out: there the clause is (c') of
-    the up-down check at u, which the context requires."""
+    when is_calculating(M, R^x, hi) does, hi the upper element of
+    {u, M(u)}: the check verify_duality makes, at both elements of the
+    pair.  On genuine and on nudged R-tables; the nudges are off the
+    diagonal, where the two differ only at t = hi, on diagonal entries the
+    kernel verdict proves 1.  A u that M fixes is left out: there the
+    clause is (c') of the up-down check at u, which the context
+    requires."""
     seen = set()
     for x in X_PARAMS:
         for ctx in nudged_contexts(suite_quotients, key, x, ("r_table",)):
-            images = hecke._iota_basis(ctx, x)
-            cases = klpoly._cases(2 * ctx.width, x)
+            table, packed = ctx.r_table(x), ctx.system.rule_columns(x)
             for M in ctx.matchings:
-                move = hecke._moves(ctx, M)
                 for u in range(ctx.poset.n):
                     if M(u) != u:
-                        rule = hecke._rule_holds(ctx.poset, images, move,
-                                                 cases, u, M(u))
+                        hi = M(u) if M.kind(u) == "up" else u
+                        rule = is_calculating(M, table, hi, packed)[0]
                         assert oracles.equivariance(ctx, M, u, x) == rule
                         seen.add(rule)
     assert seen == {True, False}
@@ -525,8 +581,8 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
 
 def test_duality_reuses_images(groups, monkeypatch):
     """verify_duality applies iota only to C'^x_w, once per (x, w): 2n = 48
-    calls on A3/H={} (24 elements, 3 matchings).  The x-z transform and
-    equivariance are checked on the columns of R^x, with no iota, and
+    calls on A3/H={} (24 elements, 3 matchings).  Equivariance is
+    is_calculating on the system's rule columns of R^x, with no iota, and
     nothing applies T_M."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     n, k = ctx.poset.n, len(ctx.matchings)
