@@ -33,6 +33,6 @@ for x in X_PARAMS:
     ok, witness, p = check_pkernel(r)
     print("  kernel identity: ", (ok, witness))
     interesting = {(P.labels[u], P.labels[w]): str(poly)
-                   for (u, w), poly in sorted(p.entries.items())
+                   for u, w, poly in p.rows()
                    if poly.degree() >= 1 or (u != w and not poly)}
     print("  nontrivial P-values:", interesting or "all 0/1")

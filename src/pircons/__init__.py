@@ -22,10 +22,9 @@ from .matchings import (MatchingError, OrbitClassificationError, OrbitReport,
 from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                      brenti_identity, check_pkernel, check_updown,
-                     down_matchings, is_calculating, is_strongly_calculating,
-                     kls_polynomials, lambda_refinement, other_x,
-                     r_polynomials, refinement_independence,
-                     system_refinement,
+                     down_matchings, is_calculating, kls_polynomials,
+                     lambda_refinement, other_x, r_polynomials,
+                     refinement_independence, system_refinement,
                      verify_pircon_system, verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
                     characterize, context_for_quotient, cprime_recursion,

@@ -407,11 +407,10 @@ def kl_element_c(ctx: HeckeContext, w: int, x: str) -> Vector:
     """C^x_w = q^(rho(w)/2) sum_v (-1)^(rho(v,w)) q^(-rho(v))
     bar(P^x_{v,w}) m_v."""
     poset, width = ctx.poset, ctx.width
-    table = ctx.p_table(x)
     top = ctx.offset + poset.rank[w]
     out = {}
-    for v in poset.ideal_elements(w):
-        coeffs = table.value(v, w).coeffs()
+    for v, poly in zip(poset.ideal_elements(w), ctx.p_table(x).columns[w]):
+        coeffs = poly.coeffs()
         if coeffs:
             c = _reflect({2 * k: a for k, a in enumerate(coeffs)}, width,
                          top - 2 * poset.rank[v])

@@ -14,11 +14,12 @@ this rule at q = 2^B (below) for the recursion and its checks: up-down
 symmetry is the rule on the other index, Brenti's identity its fixed case.
 
 Every built-in refinement is read off a pircon system by one rule,
-``system_refinement``: at each w take a matching of the system that takes w
-down (``down_matchings``) and restrict it to the ideal of w.  Parabolic
-quotients use their left multiplication matchings, twisted identities their
-conjugation matchings, and a ``PirconSystem`` carries the refinement of
-its system; any choice of down-matching gives the same tables.
+``system_refinement``: at each w choose a matching of the system that takes
+w down (``down_matchings``); the refinement holds that matching itself and
+reads it on the ideal of w only.  Parabolic quotients use their left
+multiplication matchings, twisted identities their conjugation matchings,
+and a ``PirconSystem`` carries the refinement of its system; any choice of
+down-matching gives the same tables.
 
 The same module hosts the incidence-algebra side: a family is a P-kernel
 exactly when R_{v,v} = 1 and sum_z R_{u,z} q^(rho(z,v)) R_{z,v}(1/q)
@@ -44,13 +45,13 @@ with the P they produce, so they can outgrow it: each sum asserts its
 coefficient bound against B before its digits are read, and a bound that
 does not fit restarts the inversion at a wider B.
 
-One function packs a table: ``_columns(table, B)`` gives column w as
-{u: R_{u,w}(2^B)} over the nonzero entries, the shape of a Hecke module
-vector.  The rule checks, the interval sum and the Hecke layer read these
-columns, each at its own width.  Tables store a polynomial for every
-comparable pair, zeros included; absence of a key means the pair is
-incomparable, and ``_columns`` raises KeyError for a comparable pair with
-no entry.
+A table stores one column per element w, a polynomial for every u in the
+ideal of w in ``ideal_elements`` order, zeros included; a dict missing a
+comparable pair raises KeyError when it is made a table.  One function
+packs a table: ``_columns(table, B)`` gives column w as {u: R_{u,w}(2^B)}
+over the nonzero entries, the shape of a Hecke module vector.  The rule
+checks, the interval sum and the Hecke layer read these columns, each at
+its own width; the writers walk the rows in (u, w) order.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import io
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import QPoly
 from .matchings import (PartialMatching, coherent, enumerate_spms,
@@ -98,10 +99,12 @@ def other_x(x: str) -> str:
 # ---------------------------------------------------------------------------
 
 class Refinement:
-    """One SPM of the lower ideal of every non-minimal element, and none at
-    the minimal element.  The constructor checks only that shape; each SPM
-    is proven where it arises (``system_refinement``, ``enumerate_spms``,
-    ``from_json``).  Raises ValueError naming an element by label."""
+    """A matching M_w for every non-minimal element w, and none at the
+    minimal element, with M_w defined on at least the ideal of w and M_w(w)
+    covered by w; only M_w on that ideal is read.  The constructor checks
+    only that shape; each M_w is proven an SPM of the ideal where it arises
+    (``system_refinement``, ``enumerate_spms``, ``from_json``).  Raises
+    ValueError naming an element by label."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Mapping[int, PartialMatching]):
@@ -117,9 +120,12 @@ class Refinement:
             m = self.matchings.get(w)
             if m is None:
                 raise ValueError(f"refinement misses element {labels[w]!r}")
-            if m.domain_mask() != poset.down_set(w):
+            if poset.down_set(w) & ~m.domain_mask():
                 raise ValueError(f"matching at {labels[w]!r} is not defined "
                                  f"on its lower ideal")
+            if m(w) not in poset.down_covers[w]:
+                raise ValueError(f"matching at {labels[w]!r} does not map "
+                                 f"it to an element it covers")
 
     def __getitem__(self, w: int) -> PartialMatching:
         return self.matchings[w]
@@ -127,12 +133,16 @@ class Refinement:
     def __eq__(self, other):
         if not isinstance(other, Refinement):
             return NotImplemented
-        return self.poset is other.poset and self.matchings == other.matchings
+        return self.poset is other.poset and self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
-        return {lab: self.matchings[w].to_json()["map"]
-                for w, lab in enumerate(self.poset.labels)
-                if w in self.matchings}
+        """Each M_w on the ideal of w: its image list, None elsewhere."""
+        out = {}
+        for w, M in sorted(self.matchings.items()):
+            out[self.poset.labels[w]] = images = [None] * self.poset.n
+            for u in self.poset.ideal_elements(w):
+                images[u] = M(u)
+        return out
 
     @classmethod
     def from_json(cls, poset: GradedPoset, data: Mapping) -> "Refinement":
@@ -147,6 +157,9 @@ class Refinement:
                 poset, {x: y for x, y in enumerate(images) if y is not None})
         refinement = cls(poset, matchings)
         for w in sorted(matchings):
+            if matchings[w].domain_mask() != poset.down_set(w):
+                raise ValueError(f"matching at {poset.labels[w]!r} is not "
+                                 f"defined on its lower ideal")
             ok, witness = verify_spm(matchings[w])
             if not ok:
                 raise ValueError(
@@ -173,10 +186,10 @@ def down_matchings(poset: GradedPoset, matchings: Sequence[PartialMatching],
 def system_refinement(poset: GradedPoset,
                       matchings: Sequence[PartialMatching]) -> Refinement:
     """The refinement read off a system of quasi SPMs: at every non-minimal
-    w, the first matching in list order that takes w down, restricted to
-    the ideal of w.
+    w, the first matching in list order that takes w down, itself.
 
-    The matchings must be quasi SPMs; then each restriction is an SPM and
+    The matchings must be quasi SPMs; then each one's restriction to the
+    ideal of w is an SPM, the only part of it that a refinement reads, and
     is not checked again.  If M(w) is covered by w, every y <= w has
     M(y) <= w, by induction down from w: take z covering y with z <= w,
     and compatibility gives M(y) = z or M(y) < M(z) <= w.
@@ -192,7 +205,7 @@ def system_refinement(poset: GradedPoset,
         if not down:
             raise ValueError(
                 f"no matching takes {poset.labels[w]!r} down")
-        chosen[w] = down[0].restrict_to_ideal(w)
+        chosen[w] = down[0]
     return Refinement(poset, chosen)
 
 
@@ -230,36 +243,67 @@ def all_refinements(poset: GradedPoset) -> Iterable[Refinement]:
 # ---------------------------------------------------------------------------
 
 class PolyTable:
-    """Triangular table of polynomials over the comparable pairs of a poset."""
+    """Triangular table of polynomials over the comparable pairs of a
+    poset, stored by column: ``columns[w]`` is a tuple of QPoly aligned
+    with ``poset.ideal_elements(w)``, zeros included, so the entry of a
+    pair u <= w sits at the number of elements of the ideal below u."""
 
     def __init__(self, poset: GradedPoset, x: str,
-                 entries: Mapping[tuple[int, int], QPoly]):
+                 columns: Sequence[Sequence[QPoly]]):
         self.poset = poset
         self.x = check_x(x)
-        self.entries = dict(entries)
+        self.columns = tuple(map(tuple, columns))
+        if len(self.columns) != poset.n or any(
+                len(col) != poset.down_set(w).bit_count()
+                for w, col in enumerate(self.columns)):
+            raise ValueError("table columns must match the lower ideals")
+
+    @classmethod
+    def from_entries(cls, poset: GradedPoset, x: str,
+                     entries: Mapping[tuple[int, int], QPoly]) -> "PolyTable":
+        """The table of a dict keyed by the comparable pairs (u, w).  Raises
+        KeyError naming a comparable pair with no entry, and ValueError
+        when an entry sits at an incomparable pair."""
+        ideals = [poset.ideal_elements(w) for w in range(poset.n)]
+        for w, ideal in enumerate(ideals):
+            for u in ideal:
+                if (u, w) not in entries:
+                    raise KeyError(f"table has no entry for comparable "
+                                   f"pair ({u},{w})")
+        if sum(map(len, ideals)) != len(entries):
+            raise ValueError("table has an entry at an incomparable pair")
+        return cls(poset, x, [[entries[(u, w)] for u in ideal]
+                              for w, ideal in enumerate(ideals)])
 
     def value(self, u: int, w: int) -> QPoly:
-        got = self.entries.get((u, w))
-        if got is not None:
-            return got
-        if not self.poset.leq(u, w):
+        below = self.poset.down_set(w)
+        if not below >> u & 1:
             return QPoly.zero()
-        raise KeyError(f"table has no entry for comparable pair ({u},{w})")
+        return self.columns[w][(below & ((1 << u) - 1)).bit_count()]
 
     def __eq__(self, other):
         if not isinstance(other, PolyTable):
             return NotImplemented
         return (self.poset is other.poset and self.x == other.x
-                and self.entries == other.entries)
+                and self.columns == other.columns)
 
-    def pairs(self):
-        return sorted(self.entries)
+    def rows(self) -> Iterator[tuple[int, int, QPoly]]:
+        """(u, w, entry) over the comparable pairs, sorted by (u, w): u
+        ascending, then each w >= u ascending.  A column lists its ideal in
+        ascending order, so one cursor per column reads its entries in
+        turn, with no transpose."""
+        poset, columns = self.poset, self.columns
+        pos = [0] * poset.n
+        for u in range(poset.n):
+            for w in poset.elements_of(poset.up_set(u)):
+                yield u, w, columns[w][pos[w]]
+                pos[w] += 1
 
     def to_json(self) -> dict:
         labs = self.poset.labels
         return {"poset": self.poset.to_json(), "x": self.x,
-                "entries": [[labs[u], labs[w], self.entries[(u, w)].to_json()]
-                            for u, w in self.pairs()]}
+                "entries": [[labs[u], labs[w], poly.to_json()]
+                            for u, w, poly in self.rows()]}
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json(), indent=1)``, byte for byte.
@@ -274,17 +318,21 @@ class PolyTable:
         labs = [encode_basestring_ascii(lab) for lab in self.poset.labels]
         # tables repeat few distinct polynomials: format each once
         texts = {(): "[]"}
-        items = []
-        for u, w in self.pairs():
-            coeffs = self.entries[(u, w)].coeffs()
-            poly = texts.get(coeffs)
-            if poly is None:
-                poly = texts[coeffs] = \
+        # head ends with the "\n}" that closes the object; one join of the
+        # parts makes the text without an intermediate copy
+        parts = [head[:-2], ',\n "entries": ']
+        sep = "[\n"
+        for u, w, poly in self.rows():
+            coeffs = poly.coeffs()
+            text = texts.get(coeffs)
+            if text is None:
+                text = texts[coeffs] = \
                     "[\n    " + ",\n    ".join(map(str, coeffs)) + "\n   ]"
-            items.append(f"  [\n   {labs[u]},\n   {labs[w]},\n   {poly}\n  ]")
-        entries = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-        # head ends with the "\n}" that closes the object
-        return f'{head[:-2]},\n "entries": {entries}\n}}'
+            parts += (sep,
+                      f"  [\n   {labs[u]},\n   {labs[w]},\n   {text}\n  ]")
+            sep = ",\n"
+        parts.append("[]\n}" if sep == "[\n" else "\n ]\n}")
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, data: dict,
@@ -295,16 +343,16 @@ class PolyTable:
         for u_lab, w_lab, coeffs in data["entries"]:
             entries[(poset.index(u_lab), poset.index(w_lab))] = \
                 QPoly.from_json(coeffs)
-        return cls(poset, data["x"], entries)
+        return cls.from_entries(poset, data["x"], entries)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["u", "w", "coefficients"])
         labs = self.poset.labels
-        for u, w in self.pairs():
+        for u, w, poly in self.rows():
             writer.writerow([labs[u], labs[w],
-                             " ".join(map(str, self.entries[(u, w)].coeffs()))])
+                             " ".join(map(str, poly.coeffs()))])
         return buf.getvalue()
 
 
@@ -326,26 +374,30 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
     check_x(x)
     width = _width_for(3 ** poset.max_rank())
     cases = _cases(width, x)
-    table = PolyTable(poset, x, {})
     cols: list = [None] * poset.n
+    columns: list = [None] * poset.n
     polys: dict[int, QPoly] = {}
     for w in sorted(range(poset.n), key=lambda w: poset.rank[w]):
         col = cols[w] = {w: 1}
+        ideal = poset.ideal_elements(w)
         if w != poset.bottom:
             M = refinement[w]
             below = cols[M(w)]
-            for u in poset.ideal_elements(w):
+            for u in ideal:
                 if u != w:
                     col[u] = cases[M.kind(u)](below.get(u, 0),
                                               below.get(M(u), 0))
-        for u, value in col.items():
+        column = []
+        for u in ideal:
+            value = col[u]
             poly = polys.get(value)
             if poly is None:
                 d = _digits(value, width)
                 poly = polys[value] = QPoly(
                     d.get(k, 0) for k in range(max(d, default=-1) + 1))
-            table.entries[(u, w)] = poly
-    return table
+            column.append(poly)
+        columns[w] = column
+    return PolyTable(poset, x, columns)
 
 
 def is_calculating(M: PartialMatching, table: PolyTable, w: int,
@@ -367,21 +419,6 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
         if u != w and col.get(u, 0) != cases[M.kind(u)](
                 below.get(u, 0), below.get(M(u), 0)):
             return False, ("not-calculating", (u, w))
-    return True, None
-
-
-def is_strongly_calculating(M: PartialMatching, table: PolyTable):
-    """is_calculating at every z in the domain with M(z) covered by z.
-    That check reads M only on the ideal of z, where M agrees with its
-    restriction to the ideal (an SPM of it when M is a quasi SPM, by the
-    lemma in ``system_refinement``), so M is passed whole."""
-    poset = table.poset
-    packed = _rule_columns(table)
-    for z in M.domain:
-        if poset.covers(M(z), z):
-            ok, witness = is_calculating(M, table, z, packed)
-            if not ok:
-                return ok, witness
     return True, None
 
 
@@ -444,16 +481,14 @@ def _rule_columns(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
 def _columns(table: PolyTable, width: int) -> list[dict[int, int]]:
     """The table packed at q = 2^width, by column: for every w the dict
     {u: R_{u,w}(2^width)} over the u <= w with R_{u,w} != 0, in ideal
-    order.  Each ideal is read through ``PolyTable.value``, so a comparable
-    pair with no entry raises KeyError."""
-    poset, value = table.poset, table.value
+    order, read off ``table.columns[w]`` zipped with the ideal of w."""
+    ideal = table.poset.ideal_elements
     cols = []
-    for w in range(poset.n):
+    for w, column in enumerate(table.columns):
         col = {}
-        for u in poset.ideal_elements(w):
-            coeffs = value(u, w).coeffs()
-            if coeffs:
-                col[u] = _pack(coeffs, width)
+        for u, poly in zip(ideal(w), column):
+            if poly:
+                col[u] = _pack(poly.coeffs(), width)
         cols.append(col)
     return cols
 
@@ -494,7 +529,7 @@ def _digits(value: int, width: int, low: int = 0) -> dict[int, int]:
 def _norms(table: PolyTable) -> tuple[int, int, int]:
     """Max L1 norm and max |coefficient| over the entries, and the most
     terms an interval sum can have (the largest lower ideal)."""
-    coeffs = [poly.coeffs() for poly in table.entries.values()]
+    coeffs = [poly.coeffs() for poly in chain.from_iterable(table.columns)]
     l1 = max((sum(map(abs, c)) for c in coeffs), default=0)
     top = max(map(abs, chain.from_iterable(coeffs)), default=0)
     poset = table.poset
@@ -570,16 +605,17 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
         for z, col in enumerate(cols):
             for u in col:
                 supports[u] |= 1 << z
-        out = PolyTable(poset, table.x, {})
+        columns = []
         polys = {}   # P-tables repeat few polynomials: build each once
         for v in range(poset.n):
-            out.entries[(v, v)] = _ONE
+            ideal = poset.ideal_elements(v)
+            col = {v: _ONE}
             G = [0] * poset.n
             for u, r in cols[v].items():
                 G[u] += r
             pushed = 1 << v
             pmax = 1
-            below = sorted((u for u in poset.ideal_elements(v) if u != v),
+            below = sorted((u for u in ideal if u != v),
                            key=lambda u: -rank[u])
             for u in below:
                 bound = (supports[u] & pushed).bit_count() * l1 * pmax
@@ -607,14 +643,15 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
                 got = polys.get(key)
                 if got is None:
                     got = polys[key] = (QPoly(low), max(map(abs, low)))
-                out.entries[(u, v)] = got[0]
+                col[u] = got[0]
                 packed = (rest << width * half_gap) - g
                 if packed:
                     pmax = max(pmax, got[1])
                     pushed |= 1 << u
                     for w, r in cols[u].items():
                         G[w] += r * packed
-        return out
+            columns.append(tuple(map(col.__getitem__, ideal)))
+        return PolyTable(poset, table.x, columns)
 
     width = _width or _width_for(terms * l1 * top)
     while isinstance(got := run(width), int):
@@ -633,15 +670,15 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
     """
     if r_minus.x != X_MINUS_ONE or r_q.x != X_Q:
         raise ValueError("pass the x=-1 table first and the x=q table second")
-    poset = r_minus.poset
-    for u, w in r_minus.pairs():
-        gap = poset.rank_gap(u, w)
-        if r_minus.entries[(u, w)].degree() != gap:
+    rank = r_minus.poset.rank
+    for (u, w, minus), (_, _, plus) in zip(r_minus.rows(), r_q.rows()):
+        gap = rank[w] - rank[u]
+        if minus.degree() != gap:
             return False, ("degree", (u, w))
-        if r_q.value(u, w).eval_at_zero() != (-1) ** gap:
+        if plus.eval_at_zero() != (-1) ** gap:
             return False, ("constant-term", (u, w))
-        if r_q.value(u, w) != \
-                r_minus.entries[(u, w)].tilde(gap) * (-1) ** gap:
+        sign = (-1) ** gap
+        if plus.coeffs() != tuple(sign * c for c in minus.tilde(gap).coeffs()):
             return False, ("x-z-transform", (u, w))
     return True, None
 
@@ -788,8 +825,8 @@ def refinement_independence(poset: GradedPoset,
     first = r_polynomials(poset, refinements[0], x)
     for i, ref in enumerate(refinements[1:], start=1):
         other = r_polynomials(poset, ref, x)
-        if other.entries != first.entries:
-            bad = sorted(k for k in first.entries
-                         if first.entries[k] != other.entries.get(k))
-            return False, ("refinement-dependent", (i, bad[:1]))
+        if other != first:
+            bad = next((u, w) for (u, w, a), (_, _, b)
+                       in zip(first.rows(), other.rows()) if a != b)
+            return False, ("refinement-dependent", (i, [bad]))
     return True, None

@@ -8,11 +8,13 @@ Two scalar types:
   computes on packed ints (see ``hecke``); a HalfLaurent is a decoded
   coefficient, for printing, JSON and equality, and has no arithmetic.
 * :class:`QPoly` -- ordinary polynomials in q with integer coefficients,
-  stored densely in ascending powers.
+  stored densely in ascending powers.  The R and P recursions compute on
+  packed ints (see ``klpoly``); a QPoly is a table entry, for printing,
+  JSON, equality and the bar map ``tilde``, and has no ring operations.
 
-Coefficients are Python ints, so arithmetic never overflows.  All values are
-immutable and hashable, and the canonical zero stores no coefficients at all,
-which makes equality structural.
+Coefficients are Python ints of any size.  All values are immutable and
+hashable, and the canonical zero stores no coefficients at all, which makes
+equality structural.
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ class QPoly:
     def one(cls) -> "QPoly":
         return _QONE
 
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "QPoly":
-        return cls([0] * k + [c])
-
     # -- accessors ------------------------------------------------------
 
     def degree(self):
@@ -130,54 +128,6 @@ class QPoly:
 
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-v for v in self._coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly([other * v for v in self._coeffs])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return _QZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _QONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def tilde(self, n: int) -> "QPoly":
         """q^n * self(1/q).  Requires deg(self) <= n."""

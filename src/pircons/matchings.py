@@ -45,13 +45,14 @@ class OrbitClassificationError(ValueError):
 class PartialMatching:
     """An involution on an order ideal of a graded poset."""
 
-    __slots__ = ("poset", "domain", "mapping", "_hash")
+    __slots__ = ("poset", "domain", "mapping", "_hash", "_mask")
 
     def __init__(self, poset: GradedPoset, mapping: Mapping[int, int]):
         self.poset = poset
         self.mapping = {int(k): int(v) for k, v in mapping.items()}
         self.domain = tuple(sorted(self.mapping))
         self._hash = hash((id(poset), tuple(sorted(self.mapping.items()))))
+        self._mask = None
 
     @classmethod
     def identity(cls, poset: GradedPoset,
@@ -76,10 +77,13 @@ class PartialMatching:
         return [x for x in self.domain if self.mapping[x] == x]
 
     def domain_mask(self) -> int:
-        m = 0
-        for x in self.domain:
-            m |= 1 << x
-        return m
+        """Bitmask of the domain, built on first use and kept."""
+        if self._mask is None:
+            m = 0
+            for x in self.domain:
+                m |= 1 << x
+            self._mask = m
+        return self._mask
 
     def restrict_to_ideal(self, z: int) -> "PartialMatching":
         """Restriction to P_{<=z}; valid when M(z) <= z (lifting property)."""

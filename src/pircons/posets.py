@@ -22,7 +22,8 @@ class PosetError(ValueError):
 
 class GradedPoset:
     __slots__ = ("labels", "up_covers", "down_covers", "rank", "bottom",
-                 "top", "_down", "_up", "_ideals", "_label_index")
+                 "top", "_down", "_up", "_elements", "_ideals",
+                 "_label_index")
 
     def __init__(self, labels: Sequence[str],
                  cover_pairs: Iterable[tuple[int, int]]):
@@ -48,6 +49,7 @@ class GradedPoset:
         self.up_covers = tuple(tuple(v) for v in up)
         self.down_covers = tuple(tuple(v) for v in down)
         self._label_index = {lab: i for i, lab in enumerate(labels)}
+        self._elements = tuple(range(n))
         self._ideals: list[tuple[int, ...] | None] = [None] * n
 
         if n == 0:
@@ -141,6 +143,10 @@ class GradedPoset:
         """Bitmask of {z : z <= y}."""
         return self._down[y]
 
+    def up_set(self, x: int) -> int:
+        """Bitmask of {z : z >= x}."""
+        return self._up[x]
+
     def interval_mask(self, x: int, y: int) -> int:
         return self._down[y] & self._up[x]
 
@@ -155,9 +161,11 @@ class GradedPoset:
         return out
 
     def ideal_elements(self, w: int) -> tuple[int, ...]:
-        """The down-set of w in ascending order, decoded once and kept."""
+        """The down-set of w in ascending order, decoded once and kept.  Its
+        ints are the poset's own, shared by every ideal."""
         if self._ideals[w] is None:
-            self._ideals[w] = tuple(self.elements_of(self._down[w]))
+            self._ideals[w] = tuple(map(self._elements.__getitem__,
+                                        self.elements_of(self._down[w])))
         return self._ideals[w]
 
     def max_rank(self) -> int:

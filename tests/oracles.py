@@ -18,7 +18,11 @@ arithmetic.  Differential tests hold the library to the same results,
 witnesses and ``KernelError`` messages.  It also keeps the two refinement
 searches that ``klpoly.system_refinement`` replaced: the descent search
 over group generators for a parabolic quotient, and the per-generator
-candidate search over conjugation maps for twisted identities.  Last, it
+candidate search over conjugation maps for twisted identities, and that
+rule as it was when a refinement held a copy of each matching restricted
+to its ideal.  The polynomial ring operations that the library dropped,
+and its table keyed by (u, w) with that table's writers, are kept as
+references for the column tables.  Last, it
 keeps the group tabulation that ``coxeter.CoxeterSystem`` replaced: every
 Cayley edge realized from both ends, with every derived table built
 eagerly.
@@ -27,14 +31,16 @@ eagerly.
 from __future__ import annotations
 
 import copy
+import csv
+import io
 from functools import lru_cache
 
 import sympy
 
 from pircons import coxeter, hecke, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
-                            PolyTable, Refinement, _width_for, check_x,
-                            other_x)
+                            PolyTable, Refinement, _rule_columns, _width_for,
+                            check_x, down_matchings, is_calculating, other_x)
 from pircons.laurent import QPoly
 from pircons.matchings import MatchingError, PartialMatching, verify_spm
 
@@ -233,12 +239,148 @@ def embed(p: QPoly) -> HalfLaurent:
 
 
 # ---------------------------------------------------------------------------
+# Reference tables: the ring operations of QPoly that the library does not
+# use, and the table keyed by (u, w) that it stored before columns.
+# ---------------------------------------------------------------------------
+
+def add(a: QPoly, b: QPoly) -> QPoly:
+    a, b = a.coeffs(), b.coeffs()
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return QPoly(out)
+
+
+def neg(a: QPoly) -> QPoly:
+    return QPoly(-v for v in a.coeffs())
+
+
+def sub(a: QPoly, b: QPoly) -> QPoly:
+    return add(a, neg(b))
+
+
+def mul(a, b) -> QPoly:
+    """The product of two QPoly, or of a QPoly and an int."""
+    if isinstance(a, int):
+        a = QPoly((a,))
+    if isinstance(b, int):
+        b = QPoly((b,))
+    a, b = a.coeffs(), b.coeffs()
+    if not a or not b:
+        return QPoly.zero()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return QPoly(out)
+
+
+def power(a: QPoly, n: int) -> QPoly:
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = QPoly.one()
+    for _ in range(n):
+        result = mul(result, a)
+    return result
+
+
+def monomial(k: int, c: int = 1) -> QPoly:
+    """c q^k."""
+    return QPoly([0] * k + [c])
+
+
+def entries(table: PolyTable) -> dict:
+    """A table's entries keyed by comparable pair (u, w): column w zipped
+    with the ideal of w."""
+    ideal = table.poset.ideal_elements
+    return {(u, w): poly for w, col in enumerate(table.columns)
+            for u, poly in zip(ideal(w), col)}
+
+
+def pairs(table: PolyTable) -> list[tuple[int, int]]:
+    """The comparable pairs of a table's poset, sorted."""
+    return sorted(entries(table))
+
+
+def replaced(table: PolyTable, changes: dict) -> PolyTable:
+    """A new table with the entries at the pairs of ``changes`` replaced."""
+    got = entries(table)
+    got.update(changes)
+    return PolyTable.from_entries(table.poset, table.x, got)
+
+
+def nudged(table: PolyTable, pair: tuple[int, int],
+           delta: QPoly) -> PolyTable:
+    """A new table with ``delta`` added to the entry at ``pair``."""
+    return replaced(table, {pair: add(table.value(*pair), delta)})
+
+
+def keep_table(system, name: str, x: str, table: PolyTable) -> None:
+    """Put ``table`` in place of the system's kept R^x (``name`` is
+    "r_table") or P^x ("p_table"), after the verdicts taken on the genuine
+    tables.  A new R^x also drops the kept rule columns of R^x, so that the
+    rule checks read it."""
+    getattr(system, name)(x)
+    if name == "r_table":
+        system._kept[("r", x)] = table
+        system._kept.pop(("rule", x), None)
+    else:
+        ok, witness, _ = system._kept[("pkernel", x)]
+        system._kept[("pkernel", x)] = ok, witness, table
+
+
+class DictTable:
+    """A PolyTable as a dict keyed by comparable pair, with the value, pair
+    order and writers that the library had on that dict."""
+
+    def __init__(self, poset, x: str, got: dict | None = None):
+        self.poset, self.x, self.entries = poset, x, dict(got or {})
+
+    @classmethod
+    def of(cls, table: PolyTable) -> "DictTable":
+        return cls(table.poset, table.x, entries(table))
+
+    def table(self) -> PolyTable:
+        return PolyTable.from_entries(self.poset, self.x, self.entries)
+
+    def value(self, u: int, w: int) -> QPoly:
+        got = self.entries.get((u, w))
+        if got is not None:
+            return got
+        if not self.poset.leq(u, w):
+            return QPoly.zero()
+        raise KeyError(f"table has no entry for comparable pair ({u},{w})")
+
+    def pairs(self) -> list[tuple[int, int]]:
+        return sorted(self.entries)
+
+    def to_json(self) -> dict:
+        labs = self.poset.labels
+        return {"poset": self.poset.to_json(), "x": self.x,
+                "entries": [[labs[u], labs[w], self.entries[(u, w)].to_json()]
+                            for u, w in self.pairs()]}
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["u", "w", "coefficients"])
+        labs = self.poset.labels
+        for u, w in self.pairs():
+            coeffs = self.entries[(u, w)].coeffs()
+            writer.writerow([labs[u], labs[w], " ".join(map(str, coeffs))])
+        return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # Reference path: the object-arithmetic R recursion, kernel check and
 # inversion.
 # ---------------------------------------------------------------------------
 
 _ONE = QPoly((1,))
 _Q = QPoly((0, 1))
+_Q_MINUS_ONE = QPoly((-1, 1))
 
 
 def q_minus_one_minus_x(x: str) -> QPoly:
@@ -246,7 +388,7 @@ def q_minus_one_minus_x(x: str) -> QPoly:
     return _Q if check_x(x) == X_MINUS_ONE else QPoly((-1,))
 
 
-def _rhs_by_cases(M: PartialMatching, table: PolyTable,
+def _rhs_by_cases(M: PartialMatching, table: DictTable,
                   u: int, w: int, factor: QPoly) -> QPoly:
     """Right-hand side of the recursion at (u, w) driven by M; M(w) < w."""
     mu, mw = M(u), M(w)
@@ -254,8 +396,9 @@ def _rhs_by_cases(M: PartialMatching, table: PolyTable,
     if kind == "down":
         return table.value(mu, mw)
     if kind == "up":
-        return (_Q - _ONE) * table.value(u, mw) + _Q * table.value(mu, mw)
-    return factor * table.value(u, mw)
+        return add(mul(_Q_MINUS_ONE, table.value(u, mw)),
+                   mul(_Q, table.value(mu, mw)))
+    return mul(factor, table.value(u, mw))
 
 
 def r_polynomials(poset, refinement: Refinement, x: str) -> PolyTable:
@@ -263,7 +406,7 @@ def r_polynomials(poset, refinement: Refinement, x: str) -> PolyTable:
     QPoly product or sum per pair."""
     check_x(x)
     factor = q_minus_one_minus_x(x)
-    table = PolyTable(poset, x, {})
+    table = DictTable(poset, x)
     order = sorted(range(poset.n), key=lambda w: poset.rank[w])
     for w in order:
         table.entries[(w, w)] = _ONE
@@ -274,7 +417,7 @@ def r_polynomials(poset, refinement: Refinement, x: str) -> PolyTable:
             if u == w:
                 continue
             table.entries[(u, w)] = _rhs_by_cases(M, table, u, w, factor)
-    return table
+    return table.table()
 
 
 def check_pkernel(table: PolyTable):
@@ -306,7 +449,7 @@ def kls_polynomials(table: PolyTable) -> PolyTable:
     means the input was not a P-kernel and raises KernelError.
     """
     poset = table.poset
-    out = PolyTable(poset, table.x, {})
+    out = DictTable(poset, table.x)
     for v in range(poset.n):
         out.entries[(v, v)] = _ONE
         below = sorted((u for u in poset.ideal_elements(v) if u != v),
@@ -317,15 +460,15 @@ def kls_polynomials(table: PolyTable) -> PolyTable:
             for z in poset.elements_of(poset.interval_mask(u, v)):
                 if z == u:
                     continue
-                G = G + table.value(u, z) * out.entries[(z, v)]
-            P = -QPoly(c if 2 * k < gap else 0
-                       for k, c in enumerate(G.coeffs()))
-            if G != P.tilde(gap) - P:
+                G = add(G, mul(table.value(u, z), out.entries[(z, v)]))
+            P = neg(QPoly(c if 2 * k < gap else 0
+                          for k, c in enumerate(G.coeffs())))
+            if G != sub(P.tilde(gap), P):
                 raise KernelError(
                     f"not a P-kernel at pair ({poset.labels[u]!r}, "
                     f"{poset.labels[v]!r})", (u, v))
             out.entries[(u, v)] = P
-    return out
+    return out.table()
 
 
 def check_updown(matchings, table: PolyTable):
@@ -342,10 +485,10 @@ def check_updown(matchings, table: PolyTable):
                 if kw == "up":
                     rhs = table.value(M(u), mw)
                 elif kw == "down":
-                    rhs = (_Q - _ONE) * table.value(M(u), w) \
-                        + _Q * table.value(M(u), mw)
+                    rhs = add(mul(_Q_MINUS_ONE, table.value(M(u), w)),
+                              mul(_Q, table.value(M(u), mw)))
                 else:
-                    rhs = factor * table.value(M(u), w)
+                    rhs = mul(factor, table.value(M(u), w))
                 if lhs != rhs:
                     clause = {"up": "a'", "down": "b'", "fixed": "c'"}[kw]
                     return False, ("updown-" + clause, (mi, u, w))
@@ -624,10 +767,10 @@ def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
     else:
         v_lo, v_hi = (mv, v) if poset.lt(mv, v) else (v, mv)
         xv = QPoly((0, 1))
-    out = pz.value(v_lo, mw) + xv * pz.value(v_hi, mw)
+    out = add(pz.value(v_lo, mw), mul(xv, pz.value(v_hi, mw)))
     for u, m in _corrections(ctx, M, mw, x):
-        out = out - m * QPoly.monomial(poset.rank_gap(u, w) // 2) \
-            * pz.value(v, u)
+        out = sub(out, mul(monomial(poset.rank_gap(u, w) // 2, m),
+                           pz.value(v, u)))
     return out
 
 
@@ -712,6 +855,30 @@ def conjugation_refinement(tw, pick=min) -> Refinement:
                 f"no conjugation matching at {tw.poset.labels[w]}")
         matchings[w] = cands[pick(cands)]
     return Refinement(tw.poset, matchings)
+
+
+def is_strongly_calculating(M: PartialMatching, table: PolyTable):
+    """``klpoly.is_calculating`` at every z in the domain with M(z)
+    covered by z, on one packing of the table.  That check reads M only on
+    the ideal of z, where M agrees with its restriction to the ideal (an
+    SPM of it when M is a quasi SPM), so M is passed whole."""
+    poset = table.poset
+    packed = _rule_columns(table)
+    for z in M.domain:
+        if poset.covers(M(z), z):
+            ok, witness = is_calculating(M, table, z, packed)
+            if not ok:
+                return ok, witness
+    return True, None
+
+
+def restricted_refinement(poset, matchings) -> Refinement:
+    """``klpoly.system_refinement`` as it was when a refinement held copies:
+    at every non-minimal w, the first matching that takes w down,
+    restricted to the ideal of w."""
+    return Refinement(poset, {w: down_matchings(poset, matchings, w)[0]
+                              .restrict_to_ideal(w)
+                              for w in range(poset.n) if w != poset.bottom})
 
 
 def coxeter_tables(config: dict) -> dict:

@@ -15,7 +15,6 @@ from pircons.twisted import TwistedIdentities
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
                             PolyTable, kls_polynomials, lambda_refinement,
                             r_polynomials)
-from pircons.laurent import QPoly
 
 
 def run(argv):
@@ -33,11 +32,11 @@ def test_compute_matches_module_tables(tmp_path, groups):
         want_r = r_polynomials(quot.poset, ref, x)
         got_r = PolyTable.from_json(
             json.loads((out / f"r_{tag}.json").read_text()))
-        assert got_r.entries == want_r.entries and got_r.x == x
+        assert got_r.columns == want_r.columns and got_r.x == x
         want_p = kls_polynomials(want_r)
         got_p = PolyTable.from_json(
             json.loads((out / f"p_{tag}.json").read_text()))
-        assert got_p.entries == want_p.entries
+        assert got_p.columns == want_p.columns
 
 
 def test_compute_reruns_byte_identical(tmp_path):
@@ -103,9 +102,9 @@ def test_recursion_record_is_the_library_verdict():
         {"identity": "recursion", "instance": inst.name, "status": "pass"}]
     inst = cli.build_instance(config)
     ctx = inst.hecke_context
-    table = ctx.p_table(X_Q)
     pair = (ctx.poset.bottom, ctx.poset.top)
-    table.entries[pair] = table.entries[pair] + QPoly.monomial(0, 1)
+    oracles.keep_table(inst.system, "p_table", X_Q, oracles.nudged(
+        ctx.p_table(X_Q), pair, oracles.monomial(0)))
     ok, witness = oracles.verify_recursion(ctx, X_PARAMS)
     assert not ok
     assert cli.run_verification(inst, ["recursion"], X_PARAMS) == [
@@ -123,9 +122,9 @@ def test_kernel_record_is_the_library_verdict():
         "kind": "coxeter", "matrix": {"type": "B", "rank": 2}}})
     for x in X_PARAMS:
         assert inst.system.updown(x) == (True, None)
-    table = inst.system.r_table(X_Q)
     pair = (inst.poset.bottom, inst.poset.top)
-    table.entries[pair] = table.entries[pair] + QPoly.monomial(0, 1)
+    table = oracles.nudged(inst.system.r_table(X_Q), pair, oracles.monomial(0))
+    oracles.keep_table(inst.system, "r_table", X_Q, table)
     with pytest.raises(KernelError) as exc:
         oracles.kls_polynomials(table)
     witness = ("kernel", exc.value.pair)
@@ -151,9 +150,9 @@ def test_properties_record_is_the_kept_verdict():
     for x in X_PARAMS:
         assert inst.system.updown(x) == (True, None)
         assert inst.system.pkernel(x) == (True, None)
-    table = inst.system.r_table(X_Q)
     pair = (inst.poset.bottom, inst.poset.top)
-    table.entries[pair] = table.entries[pair] + QPoly.monomial(1, 1)
+    oracles.keep_table(inst.system, "r_table", X_Q, oracles.nudged(
+        inst.system.r_table(X_Q), pair, oracles.monomial(1)))
     witness = ("x-z-transform", pair)
     assert cli.run_verification(inst, ["properties"], X_PARAMS) == [
         {"identity": "properties", "instance": inst.name, "status": "fail",
@@ -176,7 +175,7 @@ def test_poset_instance_with_refinement(tmp_path, groups):
                 "--out", str(out)])
     assert code == 0
     got = PolyTable.from_json(json.loads((out / "r_q.json").read_text()))
-    assert got.entries == r_polynomials(quot.poset, ref, X_Q).entries
+    assert got.columns == r_polynomials(quot.poset, ref, X_Q).columns
 
 
 def test_unknown_check_is_config_error(capsys):
@@ -304,6 +303,9 @@ BAD_REFINEMENTS = {
                 "'a'"),
     "unknown-label": ({"zz": [1, 0, None], "b": [1, 0, None],
                        "c": [0, 2, 1]}, "'zz'"),
+    # a matching at b defined past the ideal of b, on c as well
+    "past-the-ideal": ({"b": [1, 0, 2], "c": [0, 2, 1]},
+                       "matching at 'b' is not defined on its lower ideal"),
     # the SPM witness names the element a, index 0, by its label
     "not-an-spm": ({"b": [1, 0, None], "c": [-1, 2, 1]},
                    "matching at 'c' is not an SPM: "

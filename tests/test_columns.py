@@ -3,19 +3,20 @@
 The rule checks (``check_updown``, ``is_calculating``, ``brenti_identity``),
 the kernel check, kernel inversion and the Hecke layer's iota images and P
 columns all read a table as its columns {u: R_{u,w}(2^B)}.  The columns must
-decode to the table's nonzero entries at every width those readers use, and
-a table missing a comparable pair must fail loudly in every reader instead
-of reading the pair as 0.
+decode to the table's nonzero entries at every width those readers use.  A
+table stores every comparable pair, so a dict missing one fails loudly when
+it is made a table instead of being read as 0.
 """
+
+import json
 
 import pytest
 
+import oracles
 from pircons import klpoly
 from pircons.klpoly import (X_PARAMS, PirconSystem, PolyTable,
-                            brenti_identity, check_pkernel, check_updown,
-                            is_calculating, kls_polynomials,
+                            brenti_identity, check_updown,
                             lambda_refinement)
-from pircons.laurent import QPoly
 
 
 @pytest.mark.parametrize("x", X_PARAMS)
@@ -27,7 +28,7 @@ def test_columns_are_the_decoded_entries(suite_contexts, x):
         for table in (ctx.r_table(x), ctx.p_table(x)):
             l1, top, terms = klpoly._norms(table)
             want = [{} for _ in range(poset.n)]
-            for (u, w), poly in table.entries.items():
+            for (u, w), poly in oracles.entries(table).items():
                 if poly:
                     want[w][u] = {k: c for k, c in
                                   enumerate(poly.coeffs()) if c}
@@ -43,34 +44,38 @@ def test_columns_are_the_decoded_entries(suite_contexts, x):
                                          if u in col], (key, w)
 
 
-def test_a_missing_pair_raises_in_every_reader(suite_quotients,
-                                               suite_contexts):
-    """One comparable pair dropped from a genuine R-table: each of the five
-    klpoly readers raises KeyError.  A3/H={s1} has generators with fixed
-    points, so ``brenti_identity`` packs the table too."""
-    key = "A3/H={s1}"
-    quot, ctx = suite_quotients[key], suite_contexts[key]
-    poset = quot.poset
+def test_a_missing_pair_raises_at_construction(suite_contexts):
+    """One comparable pair dropped from the entries of a genuine R-table:
+    making them a table raises KeyError naming the pair, from a dict and
+    from JSON.  An entry at an incomparable pair is refused too."""
+    ctx = suite_contexts["A3/H={s1}"]
+    poset = ctx.poset
     e, top = poset.bottom, poset.top
     M = ctx.system.refinement[top]
     for x in X_PARAMS:
+        genuine = ctx.r_table(x)
         for pair in ((e, top), (M(top), top)):
-            table = PolyTable(poset, x, ctx.r_table(x).entries)
-            del table.entries[pair]
-            for read in (lambda: check_updown(ctx.matchings, table),
-                         lambda: is_calculating(M, table, top),
-                         lambda: brenti_identity(quot, table),
-                         lambda: check_pkernel(table),
-                         lambda: kls_polynomials(table)):
-                with pytest.raises(KeyError, match="comparable pair"):
-                    read()
+            entries = oracles.entries(genuine)
+            del entries[pair]
+            with pytest.raises(KeyError, match="comparable pair"):
+                PolyTable.from_entries(poset, x, entries)
+            data = genuine.to_json()
+            labels = [poset.labels[i] for i in pair]
+            data["entries"] = [row for row in data["entries"]
+                               if row[:2] != labels]
+            with pytest.raises(KeyError, match="comparable pair"):
+                PolyTable.from_json(json.loads(json.dumps(data)), poset)
+        entries = oracles.entries(genuine)
+        entries[(top, e)] = entries[(e, top)]
+        with pytest.raises(ValueError, match="incomparable pair"):
+            PolyTable.from_entries(poset, x, entries)
 
 
 def test_a_table_alone_is_packed_afresh(suite_quotients):
     """A PirconSystem keeps the rule columns of its R-tables for its own
     up-down verdict and hands them to brenti_identity; a rule check given
-    only a table packs that table, so it sees an entry changed after the
-    system packed."""
+    only a table packs that table, so it sees a table with an entry
+    changed after the system packed."""
     quot = suite_quotients["A3/H={s1}"]
     rank = quot.poset.rank
     # u < su in the quotient, w fixed by s, u <= w
@@ -86,7 +91,7 @@ def test_a_table_alone_is_packed_afresh(suite_quotients):
         kept = system.rule_columns(x)
         assert system.rule_columns(x) is kept
         assert brenti_identity(quot, table, kept) == (True, None)
-        table.entries[(u, w)] = table.entries[(u, w)] + QPoly.monomial(0, 1)
+        table = oracles.nudged(table, (u, w), oracles.monomial(0))
         assert check_updown(system.matchings, table)[0] is False
         assert brenti_identity(quot, table)[0] is False
         assert system.updown(x) == (True, None)

@@ -12,6 +12,7 @@ plus a check of the diagonal, and packs nothing itself.
 
 import pytest
 
+import oracles
 from pircons import klpoly
 from pircons.klpoly import kls_polynomials
 from test_packed_kernel import huge_kernel, widths  # noqa: F401 (fixtures)
@@ -26,8 +27,8 @@ def factors(huge_kernel):
     """max L1(R), max |coeff(R)|, max |coeff(P)| and the largest ideal."""
     table, P = huge_kernel
     l1, top, terms = klpoly._norms(table)
-    assert l1 == largest(table.entries.values(), sum)
-    assert top == largest(table.entries.values(), max)
+    assert l1 == largest(oracles.entries(table).values(), sum)
+    assert top == largest(oracles.entries(table).values(), max)
     return l1, top, largest(P.values(), max), terms
 
 
@@ -43,7 +44,7 @@ def test_inversion_bound_grows_with_the_p_column(huge_kernel, widths,
     l1, _, pmax, terms = factors
     start = klpoly._width_for(terms * l1)
     assert pmax > 2 ** 69
-    assert kls_polynomials(table, _width=start).entries == P
+    assert oracles.entries(kls_polynomials(table, _width=start)) == P
     assert restarted(widths, start)
 
 
@@ -53,5 +54,5 @@ def test_inversion_bound_counts_the_pushes(huge_kernel, widths, factors):
     table, P = huge_kernel
     l1, _, pmax, _ = factors
     start = klpoly._width_for(l1 * pmax)
-    assert kls_polynomials(table, _width=start).entries == P
+    assert oracles.entries(kls_polynomials(table, _width=start)) == P
     assert restarted(widths, start)

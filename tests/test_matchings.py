@@ -86,6 +86,16 @@ def test_qspm_examples():
     assert verify_spm(spm)[0] and verify_qspm(spm)[0]
 
 
+def test_domain_mask_is_built_once(diamond):
+    assert PartialMatching(diamond, {0: 1, 1: 0, 2: 2}).domain_mask() == 0b111
+    assert PartialMatching(diamond, {}).domain_mask() == 0
+    chain = GradedPoset([str(i) for i in range(80)],
+                        [(i, i + 1) for i in range(79)])
+    m = PartialMatching.identity(chain)
+    assert m.domain_mask() == (1 << 80) - 1
+    assert m.domain_mask() is m.domain_mask()
+
+
 def test_qspm_requires_ideal_domain():
     P = chain(3)
     m = PartialMatching(P, {1: 2, 2: 1})

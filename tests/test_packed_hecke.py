@@ -294,10 +294,8 @@ def nudge(ctx, name, x, pair, delta):
     x, after the context has taken its verdicts on the genuine tables.  A
     nudge of R^x also drops the system's kept rule columns of R^x, so that
     the rule checks read the nudged table."""
-    table = getattr(ctx, name)(x)
-    table.entries[pair] = table.entries[pair] + delta
-    if name == "r_table":
-        del ctx.system._kept[("rule", x)]
+    oracles.keep_table(ctx.system, name, x,
+                       oracles.nudged(getattr(ctx, name)(x), pair, delta))
 
 
 def nudges(poset, pairs, top_degree):
@@ -307,7 +305,7 @@ def nudges(poset, pairs, top_degree):
         if u != w:
             for k in range(top_degree(poset.rank_gap(u, w)) + 1):
                 for sign in (1, -1):
-                    yield (u, w), QPoly.monomial(k, sign)
+                    yield (u, w), oracles.monomial(k, sign)
 
 
 def assert_same_witnesses(ctx):
@@ -331,7 +329,7 @@ def test_witnesses_of_corrupted_r_entries(suite_quotients):
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
-            pairs = base.r_table(x).pairs()
+            pairs = oracles.pairs(base.r_table(x))
             for pair, delta in nudges(base.poset, pairs, lambda gap: gap):
                 ctx = fresh_context(suite_quotients, key)
                 nudge(ctx, "r_table", x, pair, delta)
@@ -364,12 +362,13 @@ def test_an_r_entry_past_its_rank_gap_fails_the_transform(suite_quotients):
     system on that verdict."""
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
-        for u, w in base.r_table("q").pairs():
+        for u, w in oracles.pairs(base.r_table("q")):
             if u != w:
                 system = gated_system(suite_quotients, key)
-                table = system.r_table("q")
-                table.entries[(u, w)] = table.entries[(u, w)] + \
-                    QPoly.monomial(system.poset.rank_gap(u, w) + 1, 1)
+                table = oracles.nudged(system.r_table("q"), (u, w),
+                                       oracles.monomial(
+                                           system.poset.rank_gap(u, w) + 1))
+                oracles.keep_table(system, "r_table", "q", table)
                 witness = ("x-z-transform", (u, w))
                 assert verify_r_properties(system.r_table("-1"), table) \
                     == (False, witness), (key, u, w)
@@ -386,7 +385,7 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
-            pairs = base.p_table(x).pairs()
+            pairs = oracles.pairs(base.p_table(x))
             for pair, delta in nudges(base.poset, pairs,
                                       lambda gap: (gap - 1) // 2):
                 ctx = fresh_context(suite_quotients, key)
@@ -410,7 +409,7 @@ def nudged_contexts(suite_quotients, key, x, tables=tuple(TOP_DEGREES)):
     base = fresh_context(suite_quotients, key)
     for name in tables:
         top_degree = TOP_DEGREES[name]
-        pairs = getattr(base, name)(x).pairs()
+        pairs = oracles.pairs(getattr(base, name)(x))
         for pair, delta in nudges(base.poset, pairs, top_degree):
             ctx = fresh_context(suite_quotients, key)
             nudge(ctx, name, x, pair, delta)
@@ -628,16 +627,16 @@ def test_updown_on_corrupted_tables(contexts, data):
     ctx = contexts[data.draw(st.sampled_from(CORRUPTED_BASES))]
     x = data.draw(st.sampled_from(X_PARAMS))
     base = ctx.r_table(x)
-    entries = dict(base.entries)
+    entries = oracles.entries(base)
     for _ in range(data.draw(st.integers(1, 3))):
-        pair = data.draw(st.sampled_from(base.pairs()))
+        pair = data.draw(st.sampled_from(oracles.pairs(base)))
         if data.draw(st.booleans()):
             entries[pair] = QPoly(data.draw(polys))
         else:   # a one-coefficient nudge of the genuine entry
             k = data.draw(st.integers(0, base.poset.rank_gap(*pair) + 1))
             c = data.draw(st.sampled_from([-1, 1, 2 ** 70]))
-            entries[pair] = entries[pair] + QPoly.monomial(k, c)
-    table = PolyTable(base.poset, x, entries)
+            entries[pair] = oracles.add(entries[pair], oracles.monomial(k, c))
+    table = PolyTable.from_entries(base.poset, x, entries)
     assert check_updown(ctx.matchings, table) == \
         oracles.check_updown(ctx.matchings, table)
 
@@ -649,9 +648,8 @@ def test_updown_witness_for_each_clause(contexts):
     seen = set()
     for x in X_PARAMS:
         base = ctx.r_table(x)
-        for pair in base.pairs():
-            table = PolyTable(base.poset, x, dict(base.entries))
-            table.entries[pair] = table.entries[pair] + QPoly.monomial(1, 1)
+        for pair in oracles.pairs(base):
+            table = oracles.nudged(base, pair, oracles.monomial(1))
             got = check_updown(ctx.matchings, table)
             assert got == oracles.check_updown(ctx.matchings, table)
             if not got[0]:
@@ -661,17 +659,24 @@ def test_updown_witness_for_each_clause(contexts):
 
 def test_updown_width_covers_clause_b(contexts):
     """(q-1) R + q R' reaches 2 max |coeff|: with every coefficient at most
-    7, a width that fits only 7 would read -7 + 14q as -7 - 2q + q^2."""
+    7, a width that fits only 7 would read -7 + 14q as -7 - 2q + q^2.  At
+    u = e below s = M(e), and w above M(w) >= s, clause (b') reads
+    R_{s,w} = R_{s,M(w)} = 7 against R_{e,w} = -7 - 2q + q^2; R_{e,M(w)}
+    = 7 keeps clause (a') at (e, M(w)) true, as it reads R_{s,w}."""
     ctx = contexts["A3/H={-}"]
-    e = ctx.poset.bottom
+    poset = ctx.poset
+    e = poset.bottom
     M = next(M for M in ctx.matchings if M(e) != e)
     s = M(e)
+    w = next(w for w in M.domain
+             if M.kind(w) == "down" and M(w) != e and poset.leq(s, M(w)))
     base = ctx.r_table("q")
-    assert max(abs(c) for p in base.entries.values() for c in p.coeffs()) <= 7
-    entries = dict(base.entries)
-    entries[(e, e)] = entries[(s, s)] = entries[(s, e)] = QPoly([7])
-    entries[(e, s)] = QPoly([-7, -2, 1])
-    table = PolyTable(base.poset, "q", entries)
-    want = (False, ("updown-b'", (0, e, s)))
+    assert max(abs(c) for p in oracles.entries(base).values()
+               for c in p.coeffs()) <= 7
+    seven = QPoly([7])
+    table = oracles.replaced(base, {(s, w): seven, (s, M(w)): seven,
+                                    (e, M(w)): seven,
+                                    (e, w): QPoly([-7, -2, 1])})
+    want = (False, ("updown-b'", (0, e, w)))
     assert oracles.check_updown([M], table) == want
     assert check_updown([M], table) == want

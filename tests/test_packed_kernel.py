@@ -26,10 +26,10 @@ from test_refined_pircon_properties import generated_posets
 
 
 def outcome(fn, table, **kwargs):
-    """A comparable summary of one inversion: its entries, or the
+    """A comparable summary of one inversion: its columns, or the
     KernelError message and pair."""
     try:
-        return fn(table, **kwargs).entries
+        return fn(table, **kwargs).columns
     except KernelError as exc:
         return ("KernelError", str(exc), exc.pair)
 
@@ -41,7 +41,7 @@ def kernel_witness(table, inverse):
     for v in range(table.poset.n):
         if table.value(v, v) != QPoly.one():
             return ("kernel", (v, v))
-    return ("kernel", inverse[2]) if isinstance(inverse, tuple) else None
+    return ("kernel", inverse[2]) if inverse[0] == "KernelError" else None
 
 
 def assert_matches_reference(table):
@@ -59,7 +59,7 @@ def assert_matches_reference(table):
     assert outcome(kls_polynomials, table) == inverse
     assert ok == want_ok and witness == kernel_witness(table, inverse)
     if ok:
-        assert p.entries == inverse
+        assert p.columns == inverse
     else:
         assert p is None
         if witness[1][0] != witness[1][1]:
@@ -90,8 +90,8 @@ def test_every_suite_quotient(suite_contexts, x):
         table = ctx.r_table(x)
         ok, witness, p = check_pkernel(table)
         assert (ok, witness) == (True, None), key
-        assert kls_polynomials(table).entries == p.entries == \
-            oracles.kls_polynomials(table).entries, key
+        assert kls_polynomials(table).columns == p.columns == \
+            oracles.kls_polynomials(table).columns, key
 
 
 @pytest.mark.parametrize("x", X_PARAMS)
@@ -100,8 +100,8 @@ def test_twisted_identities(twisted2, twisted3, x):
         table = tw.klv_polynomials(x)
         ok, witness, p = check_pkernel(table)
         assert (ok, witness) == (True, None)
-        assert kls_polynomials(table).entries == p.entries == \
-            oracles.kls_polynomials(table).entries
+        assert kls_polynomials(table).columns == p.columns == \
+            oracles.kls_polynomials(table).columns
 
 
 def test_small_posets_with_their_refinements():
@@ -128,7 +128,7 @@ def test_a_negated_kernel_fails_on_its_diagonal(suite_contexts):
     the oracle sum accepts it; but a P-kernel has a unit diagonal."""
     table = suite_contexts["A2/H={-}"].r_table("q")
     negated = PolyTable(table.poset, "q",
-                        {pair: -p for pair, p in table.entries.items()})
+                        [map(oracles.neg, col) for col in table.columns])
     assert oracles.check_pkernel(negated) == (True, None)
     assert check_pkernel(negated) == (False, ("kernel", (0, 0)), None)
 
@@ -139,12 +139,10 @@ def single_nudges(table):
     """The table with one entry plus or minus q^k, for every comparable
     pair, the diagonal included, and every k up to its rank gap + 1."""
     poset = table.poset
-    for pair in table.pairs():
+    for pair in oracles.pairs(table):
         for k in range(poset.rank_gap(*pair) + 2):
             for c in (1, -1):
-                entries = dict(table.entries)
-                entries[pair] = entries[pair] + QPoly.monomial(k, c)
-                yield PolyTable(poset, table.x, entries)
+                yield oracles.nudged(table, pair, oracles.monomial(k, c))
 
 
 # The oracles are object arithmetic, about 0.05 s per nudged table on
@@ -202,23 +200,24 @@ def test_corrupted_tables(suite_contexts, twisted3, data):
     x = data.draw(st.sampled_from(X_PARAMS))
     base = twisted3.klv_polynomials(x) if key == "twisted3" else \
         suite_contexts[key].r_table(x)
-    entries = dict(base.entries)
+    entries = oracles.entries(base)
     for _ in range(data.draw(st.integers(1, 3))):
-        pair = data.draw(st.sampled_from(base.pairs()))
+        pair = data.draw(st.sampled_from(oracles.pairs(base)))
         if data.draw(st.booleans()):
             entries[pair] = QPoly(data.draw(coefficients))
         else:   # a one-coefficient nudge of the genuine entry
             k = data.draw(st.integers(0, base.poset.rank_gap(*pair) + 1))
             c = data.draw(st.sampled_from([-1, 1, 2 ** 70]))
-            entries[pair] = entries[pair] + QPoly.monomial(k, c)
-    assert_matches_reference(PolyTable(base.poset, x, entries))
+            entries[pair] = oracles.add(entries[pair], oracles.monomial(k, c))
+    assert_matches_reference(PolyTable.from_entries(base.poset, x, entries))
 
 
 def test_corrupted_witness_and_message(groups):
     quot = groups["A2"].quotient(set())
     P = quot.poset
     table = r_polynomials(P, klpoly.lambda_refinement(quot), "-1")
-    table.entries[(P.index("e"), P.index("1.2.1"))] = QPoly((1, 2, 3, 4))
+    table = oracles.replaced(
+        table, {(P.index("e"), P.index("1.2.1")): QPoly((1, 2, 3, 4))})
     ok, witness, _ = check_pkernel(table)
     with pytest.raises(KernelError, match=r"not a P-kernel at pair \('e', "
                                           r"'1\.2\.1'\)") as exc:
@@ -246,7 +245,7 @@ def kernel_of(poset, P):
         acc = P[(u, v)].tilde(poset.rank_gap(u, v))
         for z in poset.elements_of(poset.interval_mask(u, v)):
             if z != v:
-                acc = acc - R[(u, z)] * P[(z, v)]
+                acc = oracles.sub(acc, oracles.mul(R[(u, z)], P[(z, v)]))
         R[(u, v)] = acc
     return R
 
@@ -264,11 +263,11 @@ def huge_kernel():
             P[(u, v)] = QPoly.one() if u == v else QPoly(
                 rng.choice((-1, 1)) * (2 ** 70 + rng.getrandbits(71))
                 for _ in range((gap + 1) // 2))
-    return PolyTable(poset, "q", kernel_of(poset, P)), P
+    return PolyTable.from_entries(poset, "q", kernel_of(poset, P)), P
 
 
 def top_bits(table):
-    return max(abs(c).bit_length() for p in table.entries.values()
+    return max(abs(c).bit_length() for p in oracles.entries(table).values()
                for c in p.coeffs())
 
 
@@ -283,7 +282,7 @@ def test_width_is_derived_from_the_table(suite_contexts, huge_kernel,
     table, P = huge_kernel
     assert top_bits(table) > 140
     assert check_pkernel(table)[:2] == (True, None)
-    assert kls_polynomials(table).entries == P
+    assert oracles.entries(kls_polynomials(table)) == P
     # one pass each, no widening, and wide enough for the largest entry
     assert len(widths) == 2 and min(widths) > top_bits(table)
     assert_matches_reference(table)
@@ -292,7 +291,7 @@ def test_width_is_derived_from_the_table(suite_contexts, huge_kernel,
 @pytest.mark.parametrize("start", [2, 9, 64])
 def test_widening_from_a_narrow_start(huge_kernel, widths, start):
     table, P = huge_kernel
-    assert kls_polynomials(table, _width=start).entries == P
+    assert oracles.entries(kls_polynomials(table, _width=start)) == P
     assert widths[0] == start and len(widths) > 1
     assert widths == sorted(set(widths))
 
@@ -302,11 +301,10 @@ def test_huge_corrupted_entries(huge_kernel, suite_contexts):
     poset = table.poset
     e, w0 = poset.bottom, poset.top
     mid = next(u for u in range(poset.n) if poset.rank_gap(e, u) == 3)
-    for pair, delta in (((e, w0), QPoly.monomial(2, 2 ** 70)),
+    for pair, delta in (((e, w0), oracles.monomial(2, 2 ** 70)),
                         ((mid, w0), QPoly((-(2 ** 75), 1))),
-                        ((e, mid), QPoly.monomial(9, 2 ** 90))):
-        bad = PolyTable(poset, "q", dict(table.entries))
-        bad.entries[pair] = bad.entries[pair] + delta
+                        ((e, mid), oracles.monomial(9, 2 ** 90))):
+        bad = oracles.nudged(table, pair, delta)
         ok, witness, _ = check_pkernel(bad)
         with pytest.raises(KernelError) as exc:
             kls_polynomials(bad)
@@ -319,8 +317,7 @@ def test_huge_corrupted_entries(huge_kernel, suite_contexts):
             outcome(oracles.kls_polynomials, bad)
     # a genuine small table with a single 2^70 coefficient added
     base = suite_contexts["B2/H={-}"].r_table("-1")
-    bad = PolyTable(base.poset, "-1", dict(base.entries))
-    pair = max(bad.pairs(), key=lambda p: base.poset.rank_gap(*p))
-    bad.entries[pair] = bad.entries[pair] + QPoly.monomial(1, 2 ** 70)
+    pair = max(oracles.pairs(base), key=lambda p: base.poset.rank_gap(*p))
+    bad = oracles.nudged(base, pair, oracles.monomial(1, 2 ** 70))
     assert check_pkernel(bad)[0] is False
     assert_matches_reference(bad)

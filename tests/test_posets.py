@@ -149,3 +149,18 @@ def test_elements_of_ascending(mask):
     want = [i for i in range(n) if mask >> i & 1]
     assert chain(2).elements_of(mask) == want
     assert GradedPoset.elements_of(mask) == want
+
+
+def test_ideals_share_the_poset_ints(suite_quotients):
+    """Every ideal takes its elements from one tuple kept on the poset, so
+    an element above the small-int cache is one object in every ideal that
+    holds it, and the up-set is the mask of the elements above."""
+    from pircons import CoxeterSystem
+    P = CoxeterSystem({"type": "A", "rank": 5}).quotient({2}).poset
+    u, v = next((u, v) for u in range(257, P.n) for v in range(P.n)
+                if P.lt(u, v))
+    mine, above = P.ideal_elements(u), P.ideal_elements(v)
+    assert mine[-1] == u and u in above
+    assert mine[-1] is above[above.index(u)]
+    for x in range(P.n):
+        assert P.up_set(x) == sum(1 << y for y in range(P.n) if P.leq(x, y))

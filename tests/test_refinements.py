@@ -1,6 +1,7 @@
 """Refinements read off a pircon system by ``klpoly.system_refinement``,
-against the generator searches they replaced (``tests/oracles.py``), and
-the lemma that makes every restriction they take an SPM."""
+against the generator searches they replaced (``tests/oracles.py``) and the
+copies restricted to each ideal that they held before, and the lemma that
+makes every such restriction an SPM."""
 
 import re
 
@@ -8,9 +9,11 @@ import pytest
 
 import oracles
 from pircons import CoxeterSystem, TwistedIdentities
-from pircons.klpoly import down_matchings, lambda_refinement, \
-    system_refinement
-from pircons.matchings import lambda_partial, verify_spm
+from pircons.klpoly import (X_PARAMS, Refinement, down_matchings,
+                            lambda_refinement, r_polynomials,
+                            system_refinement)
+from pircons.matchings import PartialMatching, lambda_partial, verify_spm
+from pircons.posets import GradedPoset
 
 
 def test_lambda_refinement_matches_descent_search(suite_quotients):
@@ -65,3 +68,39 @@ def test_restriction_of_a_system_qspm_is_an_spm(suite_quotients, twisted2,
                 if P.covers(M(w), w):
                     assert verify_spm(M.restrict_to_ideal(w)) == \
                         (True, None), (name, M, w)
+
+
+def test_a_system_refinement_holds_the_system_matchings(suite_quotients):
+    """At every w the refinement holds the first system matching that takes
+    w down, the object itself.  It equals the refinement of restricted
+    copies under == and to_json, and gives the same R-tables at both x."""
+    systems = {name: (quot.poset, quot.lambda_matchings)
+               for name, quot in suite_quotients.items()}
+    for n in (1, 2, 3, 4):
+        tw = TwistedIdentities(n)
+        systems[f"twisted{n}"] = (tw.poset, tw.conjugation_qspms())
+    for name, (poset, matchings) in systems.items():
+        ref = system_refinement(poset, matchings)
+        for w in range(poset.n):
+            if w != poset.bottom:
+                assert ref[w] is down_matchings(poset, matchings, w)[0]
+        copies = oracles.restricted_refinement(poset, matchings)
+        assert ref == copies and copies == ref, name
+        assert ref.to_json() == copies.to_json(), name
+        for x in X_PARAMS:
+            assert r_polynomials(poset, ref, x) == \
+                r_polynomials(poset, copies, x), (name, x)
+
+
+def test_refinement_shape_errors_name_labels():
+    """A matching must be defined on the whole ideal of its element, and
+    may go past it, and must map the element to one it covers."""
+    chain = GradedPoset("abc", [(0, 1), (1, 2)])
+    swap = PartialMatching(chain, {0: 1, 1: 0, 2: 2})
+    down = PartialMatching(chain, {0: 0, 1: 2, 2: 1})
+    assert Refinement(chain, {1: swap, 2: down})[1] is swap
+    with pytest.raises(ValueError, match="matching at 'c' does not map it "
+                                         "to an element it covers"):
+        Refinement(chain, {1: swap, 2: swap})
+    with pytest.raises(ValueError, match="matching at 'c' is not defined"):
+        Refinement(chain, {1: swap, 2: PartialMatching(chain, {0: 1, 1: 0})})

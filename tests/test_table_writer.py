@@ -1,52 +1,71 @@
-"""Differential tests of ``PolyTable.to_json_text``, the table writer of
-``compute``, against ``json.dumps(table.to_json(), indent=1)``: equal text
-on every suite quotient and twisted identity, and on tables with zero
-polynomials, one element, no element and labels that need escaping."""
+"""Differential tests of the column tables and their writers.
+
+A ``PolyTable`` stores one column per element, aligned with its ideal, and
+its writers walk the rows in (u, w) order with one cursor per column.
+``oracles.DictTable`` is the table keyed by (u, w) that the library kept
+before, with its value, sorted pair order and writers.  Both must agree on
+the value of every pair, comparable or not, on the row order, and on the
+bytes of ``to_json_text`` (which must also equal ``json.dumps`` of
+``to_json``) and ``to_csv``.  This holds on every suite quotient and
+twisted identity, and on tables with zero polynomials, one element, no
+element and labels that need escaping.
+"""
 
 import json
+import tracemalloc
 
 import pytest
 
-from pircons.klpoly import X_PARAMS, PolyTable, kls_polynomials
+import oracles
+from pircons import CoxeterSystem, TwistedIdentities
+from pircons.klpoly import (X_PARAMS, PolyTable, kls_polynomials,
+                            lambda_refinement, r_polynomials)
 from pircons.laurent import QPoly
 from pircons.posets import GradedPoset
 
 
-def assert_same_text(table):
-    assert table.to_json_text() == json.dumps(table.to_json(), indent=1)
+def assert_matches_reference(table):
+    ref = oracles.DictTable.of(table)
+    n = table.poset.n
+    assert [table.value(u, w) for u in range(n) for w in range(n)] == \
+        [ref.value(u, w) for u in range(n) for w in range(n)]
+    assert [(u, w) for u, w, _ in table.rows()] == ref.pairs()
+    assert [poly for _, _, poly in table.rows()] == \
+        [ref.entries[pair] for pair in ref.pairs()]
+    assert table.to_json() == ref.to_json()
+    assert table.to_json_text() == json.dumps(ref.to_json(), indent=1)
+    assert table.to_csv() == ref.to_csv()
 
 
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_every_suite_quotient(suite_contexts, x):
     for ctx in suite_contexts.values():
-        assert_same_text(ctx.r_table(x))
-        assert_same_text(ctx.p_table(x))
+        assert_matches_reference(ctx.r_table(x))
+        assert_matches_reference(ctx.p_table(x))
 
 
 @pytest.mark.parametrize("x", X_PARAMS)
-def test_twisted_identities(twisted2, twisted3, x):
-    for tw in (twisted2, twisted3):
-        table = tw.klv_polynomials(x)
-        assert_same_text(table)
-        assert_same_text(kls_polynomials(table))
+def test_twisted_identities(x):
+    for n in (1, 2, 3, 4):
+        table = TwistedIdentities(n).klv_polynomials(x)
+        assert_matches_reference(table)
+        assert_matches_reference(kls_polynomials(table))
 
 
 def test_zero_polynomials_and_huge_coefficients(suite_contexts):
     base = suite_contexts["B3/H={-}"].r_table("q")
-    entries = dict(base.entries)
-    pairs = base.pairs()
-    for pair in pairs[::3]:
-        entries[pair] = QPoly.zero()
-    entries[pairs[1]] = QPoly((-(2 ** 90), 0, 3))
-    table = PolyTable(base.poset, "q", entries)
-    assert QPoly.zero() in table.entries.values()
-    assert_same_text(table)
+    pairs = oracles.pairs(base)
+    changes = {pair: QPoly.zero() for pair in pairs[::3]}
+    changes[pairs[1]] = QPoly((-(2 ** 90), 0, 3))
+    table = oracles.replaced(base, changes)
+    assert QPoly.zero() in oracles.entries(table).values()
+    assert_matches_reference(table)
 
 
 def test_one_element_and_empty_posets():
     one = GradedPoset(["e"], [])
-    assert_same_text(PolyTable(one, "-1", {(0, 0): QPoly.one()}))
-    assert_same_text(PolyTable(GradedPoset([], []), "q", {}))
+    assert_matches_reference(PolyTable(one, "-1", [(QPoly.one(),)]))
+    assert_matches_reference(PolyTable(GradedPoset([], []), "q", []))
 
 
 def test_labels_that_need_escaping():
@@ -54,8 +73,37 @@ def test_labels_that_need_escaping():
     chain = GradedPoset(labels, [(0, 1), (1, 2), (2, 3)])
     entries = {(u, w): QPoly([1] * (w - u + 1)) if u != 1 else QPoly.zero()
                for w in range(4) for u in range(w + 1)}
-    table = PolyTable(chain, "q", entries)
+    table = PolyTable.from_entries(chain, "q", entries)
+    assert_matches_reference(table)
     text = table.to_json_text()
-    assert text == json.dumps(table.to_json(), indent=1)
     assert text.isascii() and '\\"' in text and "\\u0001" in text
-    assert PolyTable.from_json(json.loads(text)).entries == entries
+    assert oracles.entries(PolyTable.from_json(json.loads(text))) == entries
+
+
+def test_columns_must_match_the_ideals():
+    chain = GradedPoset("ab", [(0, 1)])
+    one = QPoly.one()
+    for columns in ([(one,)], [(one,), (one,)], [(one,), (one, one, one)]):
+        with pytest.raises(ValueError, match="lower ideals"):
+            PolyTable(chain, "q", columns)
+
+
+def test_an_r_table_costs_under_16_bytes_a_pair():
+    """The R-table of A5/{s3} holds a tuple slot per comparable pair and
+    shares its polynomials: under 16 B a pair, traced, where a dict keyed
+    by (u, w) took about 100 B."""
+    quot = CoxeterSystem({"type": "A", "rank": 5}).quotient({2})
+    poset, ref = quot.poset, lambda_refinement(quot)
+    pairs = sum(poset.down_set(w).bit_count() for w in range(poset.n))
+    for w in range(poset.n):
+        poset.ideal_elements(w)   # the ideals belong to the poset
+    r_polynomials(poset, ref, "q")   # warm the decoding paths
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = r_polynomials(poset, ref, "q")
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.value(poset.bottom, poset.top)
+    assert cost < 16 * pairs, cost / pairs

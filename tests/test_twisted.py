@@ -60,7 +60,7 @@ def test_conjugation_matchings_verify(twisted3):
         if w == P.bottom:
             continue
         assert w in refinement.matchings
-        assert verify_spm(refinement[w]) == (True, None)
+        assert verify_spm(refinement[w].restrict_to_ideal(w)) == (True, None)
 
 
 def test_klv_diagonal_and_chain_values(twisted2):
