@@ -56,7 +56,6 @@ its own width; the writers walk the rows in (u, w) order.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from itertools import chain
@@ -64,8 +63,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .laurent import QPoly
-from .matchings import (PartialMatching, coherent, enumerate_spms,
-                        strictly_coherent, verify_qspm, verify_spm)
+from .matchings import (PairOrbits, PartialMatching, coherent,
+                        enumerate_spms, verify_qspm, verify_spm)
 from .posets import GradedPoset
 
 X_MINUS_ONE = "-1"
@@ -346,6 +345,7 @@ class PolyTable:
         return cls.from_entries(poset, data["x"], entries)
 
     def to_csv(self) -> str:
+        import csv   # only the CSV writer needs it; the CLI imports lean
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["u", "w", "coefficients"])
@@ -667,20 +667,43 @@ def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
         through ``tilde``, whose degree bound (1) has just checked.
     Clause (3) is Deodhar's x-z transform between the two R-tables, which
     ``HeckeContext`` requires through ``PirconSystem.properties``.
+
+    The clauses read only rho(u,w) and the two entries, and the tables
+    share one QPoly per distinct value, so each distinct triple is decided
+    once.  The witness is the failing pair first in (u, w) order.
     """
     if r_minus.x != X_MINUS_ONE or r_q.x != X_Q:
         raise ValueError("pass the x=-1 table first and the x=q table second")
-    rank = r_minus.poset.rank
-    for (u, w, minus), (_, _, plus) in zip(r_minus.rows(), r_q.rows()):
-        gap = rank[w] - rank[u]
-        if minus.degree() != gap:
-            return False, ("degree", (u, w))
-        if plus.eval_at_zero() != (-1) ** gap:
-            return False, ("constant-term", (u, w))
-        sign = (-1) ** gap
-        if plus.coeffs() != tuple(sign * c for c in minus.tilde(gap).coeffs()):
-            return False, ("x-z-transform", (u, w))
-    return True, None
+    poset = r_minus.poset
+    rank = poset.rank
+    # (gap, id(R^-1 entry), id(R^q entry)) -> failing clause or None; the
+    # tables hold their entries, so the ids stay valid during the scan
+    verdicts: dict[tuple[int, int, int], str | None] = {}
+    failed = None
+    for w, (minus_col, plus_col) in enumerate(zip(r_minus.columns,
+                                                   r_q.columns)):
+        top = rank[w]
+        for u, minus, plus in zip(poset.ideal_elements(w), minus_col,
+                                  plus_col):
+            key = (top - rank[u], id(minus), id(plus))
+            clause = verdicts.get(key, False)
+            if clause is False:
+                clause = verdicts[key] = _r_clause(key[0], minus, plus)
+            if clause is not None and (failed is None or (u, w) < failed[1]):
+                failed = (clause, (u, w))
+    return (True, None) if failed is None else (False, failed)
+
+
+def _r_clause(gap: int, minus: QPoly, plus: QPoly) -> str | None:
+    """The first clause of ``verify_r_properties`` that fails on one pair."""
+    if minus.degree() != gap:
+        return "degree"
+    sign = (-1) ** gap
+    if plus.eval_at_zero() != sign:
+        return "constant-term"
+    if plus.coeffs() != tuple(sign * c for c in minus.tilde(gap).coeffs()):
+        return "x-z-transform"
+    return None
 
 
 def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
@@ -784,16 +807,32 @@ def verify_pircon_system(poset: GradedPoset,
     (4) any two such M, N restrict to coherent SPMs of P_{<=w}.
 
     Condition (1) follows from (3): the restriction of a down-matching is an
-    SPM of the ideal (given (2), by ``system_refinement``'s lemma), which
-    is verified here pair by pair all the same.  Coherence is
-    checked strictly first; only when that fails is the full SPM pool of w
-    enumerated to search for a connecting chain.
+    SPM of the ideal (given (2), by ``system_refinement``'s lemma).  It is
+    verified here all the same, restriction by restriction, as the clause
+    ``restriction-not-spm``.  The clause cannot fail once (2) has passed;
+    it stays as the verdict's direct proof of (1), so that a restriction
+    that were no SPM would end in a witness instead of the MatchingError
+    of ``coherent``, which looks it up in the SPM pool of w, and its
+    ``verify_spm`` calls are the ones that the benchmark's traced
+    ``verify`` and ``twisted`` runs expect.
+
+    Coherence is decided strictly first, once per pair of system matchings:
+    a ``PairOrbits`` memo per (M, N) classifies each orbit of <M, N> once,
+    the first time an ideal that holds it is asked about.  By the same
+    lemma P_{<=w} is closed under every M with M(w) covered by w, so the
+    orbits of the restrictions of M and N to P_{<=w} are the orbits of
+    <M, N> that meet it.  Hence M and N are strictly coherent on P_{<=w}
+    exactly when m(orbit of w) is divisible by m(O) for every orbit O of
+    <M, N> that meets P_{<=w}.  The rule is the same for matchings of the
+    whole poset and for matchings of single ideals.  Only when it fails is
+    the full SPM pool of w enumerated to search for a connecting chain.
     """
     for mi, M in enumerate(matchings):
         ok, witness = verify_qspm(M)
         if not ok:
             return False, ("matching", (mi, witness))
 
+    pairs: dict[tuple[PartialMatching, PartialMatching], PairOrbits] = {}
     for w in range(poset.n):
         if w == poset.bottom:
             continue
@@ -806,13 +845,16 @@ def verify_pircon_system(poset: GradedPoset,
             if not ok:
                 return False, ("restriction-not-spm", (w, witness))
         pool = None
-        for i, Mr in enumerate(restricted):
-            for Nr in restricted[i + 1:]:
-                if Mr == Nr or strictly_coherent(Mr, Nr, w):
+        for i, M in enumerate(down):
+            for j in range(i + 1, len(down)):
+                key = (M, down[j])
+                if key not in pairs:
+                    pairs[key] = PairOrbits(*key)
+                if pairs[key].strictly_coherent(w):
                     continue
                 if pool is None:
                     pool = enumerate_spms(poset, w)
-                if not coherent(Mr, Nr, w, pool):
+                if not coherent(restricted[i], restricted[j], w, pool):
                     return False, ("incoherent", (w,))
     return True, None
 

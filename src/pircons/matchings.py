@@ -23,8 +23,7 @@ coherence conditions consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .posets import GradedPoset
 
@@ -333,8 +332,7 @@ def lambda_system(quot) -> list[PartialMatching]:
 # Orbits of a pair of matchings, their classification, and coherence.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     orbit: tuple[int, ...]
     shape: str            # "dihedral" | "chain_like"
     m_value: int
@@ -424,6 +422,49 @@ def strictly_coherent(M: PartialMatching, N: PartialMatching, w: int) -> bool:
         if top_m % rep.m_value:
             return False
     return True
+
+
+class PairOrbits:
+    """The orbits of the group generated by two quasi SPMs M and N of order
+    ideals, each classified by ``orbit_analysis`` once, when a verdict first
+    asks about an ideal that holds it, and kept.
+
+    ``strictly_coherent(w)`` is ``strictly_coherent(M, N, w)`` for every w
+    that both M and N take to an element it covers.  Then P_{<=w} is closed
+    under M and under N (the lemma in ``klpoly.system_refinement``), so
+    every orbit that meets P_{<=w} lies inside it, and these are exactly
+    the orbits of the two restrictions, with the same classification.  An
+    orbit is analysed in the order ``strictly_coherent`` analyses it (the
+    orbit of w, then by least element), so an unclassifiable orbit raises
+    the same error.
+    """
+
+    __slots__ = ("M", "N", "_m", "_by_m", "_done")
+
+    def __init__(self, M: PartialMatching, N: PartialMatching):
+        self.M, self.N = M, N
+        self._m: dict[int, int] = {}       # element -> m of its orbit
+        self._by_m: dict[int, int] = {}    # m(O) -> mask of those orbits
+        self._done = 0                     # mask of the classified elements
+
+    def strictly_coherent(self, w: int) -> bool:
+        ideal = self.M.poset.down_set(w)
+        missing = ideal & ~self._done
+        if missing:
+            for u in (w, *GradedPoset.elements_of(missing)):
+                if not self._done >> u & 1:
+                    self._add(orbit_analysis(self.M, self.N, u))
+        top_m = self._m[w]
+        return not any(top_m % m and mask & ideal
+                       for m, mask in self._by_m.items())
+
+    def _add(self, rep: OrbitReport) -> None:
+        mask = 0
+        for v in rep.orbit:
+            self._m[v] = rep.m_value
+            mask |= 1 << v
+        self._done |= mask
+        self._by_m[rep.m_value] = self._by_m.get(rep.m_value, 0) | mask
 
 
 def _coherence_component(pool: Sequence[PartialMatching], w: int,

@@ -22,10 +22,12 @@ candidate search over conjugation maps for twisted identities, and that
 rule as it was when a refinement held a copy of each matching restricted
 to its ideal.  The polynomial ring operations that the library dropped,
 and its table keyed by (u, w) with that table's writers, are kept as
-references for the column tables.  Last, it
+references for the column tables.  It
 keeps the group tabulation that ``coxeter.CoxeterSystem`` replaced: every
 Cayley edge realized from both ends, with every derived table built
-eagerly.
+eagerly.  Last, it keeps the two system checks as they were before their
+memos: ``verify_pircon_system`` deciding strict coherence afresh on the
+restrictions at every w, and ``verify_r_properties`` deciding every row.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
                             PolyTable, Refinement, _rule_columns, _width_for,
                             check_x, down_matchings, is_calculating, other_x)
 from pircons.laurent import QPoly
-from pircons.matchings import MatchingError, PartialMatching, verify_spm
+from pircons.matchings import (MatchingError, PartialMatching, coherent,
+                               enumerate_spms, strictly_coherent,
+                               verify_qspm, verify_spm)
 
 q = sympy.Symbol("q")
 
@@ -929,3 +933,51 @@ def coxeter_tables(config: dict) -> dict:
             "length": tuple(length), "word": tuple(word), "right": right,
             "_inv": inv, "left": left, "d_right": descents(right),
             "d_left": descents(left)}
+
+
+def verify_pircon_system(poset, matchings):
+    """``klpoly.verify_pircon_system`` with strict coherence decided by
+    ``strictly_coherent`` on the two restrictions, at every w and pair."""
+    for mi, M in enumerate(matchings):
+        ok, witness = verify_qspm(M)
+        if not ok:
+            return False, ("matching", (mi, witness))
+
+    for w in range(poset.n):
+        if w == poset.bottom:
+            continue
+        down = down_matchings(poset, matchings, w)
+        if not down:
+            return False, ("no-down-matching", w)
+        restricted = [M.restrict_to_ideal(w) for M in down]
+        for r in restricted:
+            ok, witness = verify_spm(r)
+            if not ok:
+                return False, ("restriction-not-spm", (w, witness))
+        pool = None
+        for i, Mr in enumerate(restricted):
+            for Nr in restricted[i + 1:]:
+                if Mr == Nr or strictly_coherent(Mr, Nr, w):
+                    continue
+                if pool is None:
+                    pool = enumerate_spms(poset, w)
+                if not coherent(Mr, Nr, w, pool):
+                    return False, ("incoherent", (w,))
+    return True, None
+
+
+def verify_r_properties(r_minus: PolyTable, r_q: PolyTable):
+    """``klpoly.verify_r_properties`` deciding every row in (u, w) order."""
+    if r_minus.x != X_MINUS_ONE or r_q.x != X_Q:
+        raise ValueError("pass the x=-1 table first and the x=q table second")
+    rank = r_minus.poset.rank
+    for (u, w, minus), (_, _, plus) in zip(r_minus.rows(), r_q.rows()):
+        gap = rank[w] - rank[u]
+        if minus.degree() != gap:
+            return False, ("degree", (u, w))
+        if plus.eval_at_zero() != (-1) ** gap:
+            return False, ("constant-term", (u, w))
+        sign = (-1) ** gap
+        if plus.coeffs() != tuple(sign * c for c in minus.tilde(gap).coeffs()):
+            return False, ("x-z-transform", (u, w))
+    return True, None
