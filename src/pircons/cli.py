@@ -221,8 +221,7 @@ def run_verification(inst: Instance, kinds, xs) -> list[dict]:
                 raise ConfigError("brenti needs a coxeter instance")
             for x in xs:
                 ok, witness = klpoly.brenti_identity(
-                    inst.quotient, inst.system.r_table(x),
-                    inst.system.rule_columns(x))
+                    inst.quotient, inst.system.r_table(x))
                 record(kind, ok, witness, detail=f"x={x}")
         elif kind == "system":
             ok, witness = inst.system.verdict
@@ -267,7 +266,7 @@ def _emit(config: dict, name: str, text: str) -> None:
 def _emit_table(config: dict, name: str, table: klpoly.PolyTable,
                 fmt: str) -> None:
     _emit(config, f"{name}.{fmt}", table.to_csv() if fmt == "csv"
-          else table.to_json_text() + "\n")
+          else table.to_json_text())
 
 
 def cmd_compute(config: dict) -> int:
@@ -384,9 +383,7 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--twisted-n", type=int, dest="twisted_n")
     p.add_argument("--poset-file", dest="poset_file")
     p.add_argument("--refinement-file", dest="refinement_file")
-    p.add_argument("--x", choices=["q", "-1", "both"])
     p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv", "dot"])
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -419,11 +416,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             and config["instance"].get("kind") == "coxeter":
         config["instance"]["H"] = args.H
 
-    for key in ("x", "out", "format"):
-        val = getattr(args, key)
-        if val is not None:
-            config[key] = val
-    for key in ("outputs", "verify", "element", "matching_file"):
+    for key in ("x", "out", "format", "outputs", "verify", "element",
+                "matching_file"):
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
@@ -460,11 +454,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compute", help="compute R/P tables and KL bases")
     _add_instance_flags(p)
+    p.add_argument("--x", choices=["q", "-1", "both"])
+    p.add_argument("--format", choices=["json", "csv"])
     p.add_argument("--outputs", type=lambda s: s.split(","),
                    help="comma list from r,p,klbasis (default r)")
 
     p = sub.add_parser("verify", help="run verification suites")
     _add_instance_flags(p)
+    p.add_argument("--x", choices=["q", "-1", "both"])
     p.add_argument("--checks", dest="verify", type=lambda s: s.split(","),
                    help=f"comma list from {','.join(VERIFY_KINDS)}")
 

@@ -362,14 +362,6 @@ class CoxeterSystem:
     def identity(self) -> int:
         return 0
 
-    def right_descents(self, w: int) -> frozenset[int]:
-        return frozenset(k for k in range(self.num_gens)
-                         if self.d_right[w] >> k & 1)
-
-    def left_descents(self, w: int) -> frozenset[int]:
-        return frozenset(k for k in range(self.num_gens)
-                         if self.d_left[w] >> k & 1)
-
     def product(self, u: int, v: int) -> int:
         for k in self.word[v]:
             u = self.right[u][k]
@@ -428,10 +420,6 @@ class CoxeterSystem:
     def label(self, w: int) -> str:
         word = self.lex_least_word(w)
         return "e" if not word else ".".join(str(k + 1) for k in word)
-
-    def longest_element(self) -> int:
-        top = max(range(self.size), key=lambda i: self.length[i])
-        return top
 
     # -- quotients ------------------------------------------------------------
 

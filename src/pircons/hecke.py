@@ -69,7 +69,7 @@ from typing import Mapping
 
 from .laurent import HalfLaurent
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
-                     _digits, _norms, _width_for, check_x, is_calculating,
+                     _digits, _width_for, check_x, is_calculating,
                      lambda_refinement, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
@@ -100,9 +100,6 @@ class ModuleVector:
 
     def coeff(self, u: int) -> HalfLaurent:
         return self.coeffs.get(u, HalfLaurent())
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):
@@ -195,15 +192,16 @@ class HeckeContext:
         # a KL element (input L1 at most n p_l1, which also bounds the C'
         # it is compared with) and a P recursion (two entries of column
         # M(w), and at most n mu-corrections, each |mu| <= p_l1).  The rule
-        # checks on R columns run at the system's own width.  Their bound
-        # 3 r_l1 would never bind here anyway: for n >= 3,
-        # n r_l1 p_l1 >= 3 r_l1, as p_l1 >= 1; for n <= 2, the R-entries
-        # are 1 and q - 1, so r_l1 <= 2, and the braid term is at least
-        # 3^2 (two distinct involutions have a product of order >= 2, and
-        # with one matching the term is its default 3^2).
+        # checks on R columns run at the width of the table's own
+        # ``rule_columns``.  Their bound 3 r_l1 would never bind here
+        # anyway: for n >= 3, n r_l1 p_l1 >= 3 r_l1, as p_l1 >= 1; for
+        # n <= 2, the R-entries are 1 and q - 1, so r_l1 <= 2, and the
+        # braid term is at least 3^2 (two distinct involutions have a
+        # product of order >= 2, and with one matching the term is its
+        # default 3^2).
         n = poset.n
-        self.r_l1 = max(_norms(self.r_table(x))[0] for x in X_PARAMS)
-        self.p_l1 = max(_norms(self.p_table(x))[0] for x in X_PARAMS)
+        self.r_l1 = max(self.r_table(x).norms[0] for x in X_PARAMS)
+        self.p_l1 = max(self.p_table(x).norms[0] for x in X_PARAMS)
         self.offset = 2 * (poset.max_rank() + 1)
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
@@ -446,7 +444,7 @@ def verify_duality(ctx: HeckeContext):
     linear, -I_lo[t] = (-1)^rho(t,hi) R_{t,lo}, and M(t) != t has rank
     rho(t) +- 1: that is ``is_calculating(M, R^x, hi)``, the R recursion
     driven by M (refinement independence, Brenti-Caselli-Marietti,
-    Adv. Math. 202, 2006), on the system's kept rule columns.  At t = hi
+    Adv. Math. 202, 2006), on the kept R-table's ``rule_columns``.  At t = hi
     it compares R_{hi,hi} with R_{lo,lo}, both 1 by the kernel verdict.
     No t outside the ideal of hi can fail, since ideal(hi) is closed under
     M.  Where M fixes u it is clause (c') of ``check_updown`` at u, part
@@ -489,13 +487,13 @@ def verify_duality(ctx: HeckeContext):
     poset = ctx.poset
     ctx.require(poset.n * ctx.r_l1 * ctx.p_l1)
     for x in X_PARAMS:
-        table, packed = ctx.r_table(x), ctx.system.rule_columns(x)
+        table = ctx.r_table(x)
         for u in range(poset.n):
             for mi, M in enumerate(ctx.matchings):
                 mu = M(u)
                 # fixed, or checked at mu
                 if mu > u and not is_calculating(
-                        M, table, mu if M.kind(u) == "up" else u, packed)[0]:
+                        M, table, mu if M.kind(u) == "up" else u)[0]:
                     return False, ("equivariance", (x, mi, u))
         for w in range(poset.n):
             cp = kl_element_cprime(ctx, w, x)

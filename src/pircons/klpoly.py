@@ -39,23 +39,25 @@ digits recover the coefficients.  The sums are pushed, not pulled: a
 column v keeps one int accumulator per element of its ideal, and each z
 adds its products into the accumulators of the u below it.  Packing is
 injective only on polynomials whose coefficients lie inside
-(-2^(B-1), 2^(B-1)).  The width B is therefore derived once from the table
-(ideal sizes, L1 norms and coefficient sizes).  The sums take products
-with the P they produce, so they can outgrow it: each sum asserts its
-coefficient bound against B before its digits are read, and a bound that
-does not fit restarts the inversion at a wider B.
+(-2^(B-1), 2^(B-1)).  The width B is therefore derived once from the
+table's ``norms`` (ideal sizes, L1 norms and coefficient sizes).  The sums
+take products with the P they produce, so they can outgrow it: each sum
+asserts its coefficient bound against B before its digits are read, and a
+bound that does not fit restarts the inversion at a wider B.
 
 A table stores one column per element w, a polynomial for every u in the
 ideal of w in ``ideal_elements`` order, zeros included; a dict missing a
 comparable pair raises KeyError when it is made a table.  One function
 packs a table: ``_columns(table, B)`` gives column w as {u: R_{u,w}(2^B)}
 over the nonzero entries, the shape of a Hecke module vector.  The rule
-checks, the interval sum and the Hecke layer read these columns, each at
-its own width; the writers walk the rows in (u, w) order.
+checks read ``table.rule_columns``, these columns at the rule width, packed
+on first use and kept with the table; the interval sum and the Hecke layer
+pack at their own widths.  The writers walk the rows in (u, w) order.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from itertools import chain
@@ -245,7 +247,11 @@ class PolyTable:
     """Triangular table of polynomials over the comparable pairs of a
     poset, stored by column: ``columns[w]`` is a tuple of QPoly aligned
     with ``poset.ideal_elements(w)``, zeros included, so the entry of a
-    pair u <= w sits at the number of elements of the ideal below u."""
+    pair u <= w sits at the number of elements of the ideal below u.
+
+    Two derived artifacts are computed on first use and kept with the
+    table: its ``norms`` and its ``rule_columns``, the packing that the
+    rule checks read."""
 
     def __init__(self, poset: GradedPoset, x: str,
                  columns: Sequence[Sequence[QPoly]]):
@@ -286,6 +292,30 @@ class PolyTable:
         return (self.poset is other.poset and self.x == other.x
                 and self.columns == other.columns)
 
+    @functools.cached_property
+    def norms(self) -> tuple[int, int, int]:
+        """Max L1 norm and max |coefficient| over the entries, and the most
+        terms an interval sum can have (the largest lower ideal).  The
+        entries are read once per distinct object: the tables built here
+        share one QPoly per distinct value."""
+        coeffs = [poly.coeffs() for poly in
+                  {id(p): p for p in chain.from_iterable(self.columns)}
+                  .values()]
+        l1 = max((sum(map(abs, c)) for c in coeffs), default=0)
+        top = max(map(abs, chain.from_iterable(coeffs)), default=0)
+        poset = self.poset
+        terms = max((poset.down_set(v).bit_count() for v in range(poset.n)),
+                    default=0)
+        return l1, top, terms
+
+    @functools.cached_property
+    def rule_columns(self) -> tuple[int, list[dict[int, int]]]:
+        """The least B with 3 max |coeff| < 2^(B-1), a bound on ``_cases``
+        of entries, and the table's ``_columns`` at B: what the rule checks
+        read.  Shared; callers must not modify it."""
+        width = _width_for(3 * self.norms[1])
+        return width, _columns(self, width)
+
     def rows(self) -> Iterator[tuple[int, int, QPoly]]:
         """(u, w, entry) over the comparable pairs, sorted by (u, w): u
         ascending, then each w >= u ascending.  A column lists its ideal in
@@ -305,7 +335,8 @@ class PolyTable:
                             for u, w, poly in self.rows()]}
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json(), indent=1)``, byte for byte.
+        """The file text of the table: ``json.dumps(self.to_json(),
+        indent=1)`` and a closing newline, byte for byte.
 
         With an indent, ``json.dumps`` runs the pure-Python encoder; here
         only the small poset header goes through it, and the fixed-shape
@@ -330,7 +361,7 @@ class PolyTable:
             parts += (sep,
                       f"  [\n   {labs[u]},\n   {labs[w]},\n   {text}\n  ]")
             sep = ",\n"
-        parts.append("[]\n}" if sep == "[\n" else "\n ]\n}")
+        parts.append("[]\n}\n" if sep == "[\n" else "\n ]\n}\n")
         return "".join(parts)
 
     @classmethod
@@ -400,19 +431,18 @@ def r_polynomials(poset: GradedPoset, refinement: Refinement,
     return PolyTable(poset, x, columns)
 
 
-def is_calculating(M: PartialMatching, table: PolyTable, w: int,
-                   _packed: tuple | None = None):
+def is_calculating(M: PartialMatching, table: PolyTable, w: int):
     """Does the recursion hold at w when driven by M instead of M_w?
 
-    Requires M(w) covered by w.  Checks every u < w on packed columns and
-    returns (True, None) or (False, ("not-calculating", (u, w))).
-    ``_packed`` is ``_rule_columns(table)``, when the caller has it.
+    Requires M(w) covered by w.  Checks every u < w on the table's
+    ``rule_columns`` and returns (True, None) or
+    (False, ("not-calculating", (u, w))).
     """
     poset = table.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("is_calculating needs a matching with M(w) < w")
-    width, cols = _packed or _rule_columns(table)
+    width, cols = table.rule_columns
     cases = _cases(width, table.x)
     col, below = cols[w], cols[mw]
     for u in poset.ideal_elements(w):
@@ -426,8 +456,7 @@ def is_calculating(M: PartialMatching, table: PolyTable, w: int,
 # Up-down symmetry, the kernel condition and kernel inversion.
 # ---------------------------------------------------------------------------
 
-def check_updown(matchings: Sequence[PartialMatching], table: PolyTable,
-                 _packed: tuple | None = None):
+def check_updown(matchings: Sequence[PartialMatching], table: PolyTable):
     """The flipped recursion, clauses (a'), (b'), (c'), on every matching.
 
     For all M and all pairs u, w in M's domain with M(u) above u:
@@ -435,12 +464,11 @@ def check_updown(matchings: Sequence[PartialMatching], table: PolyTable,
       (b') M(w) below w:  R_{u,w} = (q-1) R_{M(u),w} + q R_{M(u),M(w)}
       (c') M(w) fixed:    R_{u,w} = (q-1-x) R_{M(u),w}
     that is, ``_cases`` of the mirrored kind of w, chosen once per w, on
-    packed columns (incomparable pairs read as 0).  Clause (c') is the
-    substance; (a') and (b') follow from the recursion for strongly
-    calculating matchings but are cheap to verify outright.
-    ``_packed`` is ``_rule_columns(table)``, when the caller has it.
+    the table's ``rule_columns`` (incomparable pairs read as 0).  Clause
+    (c') is the substance; (a') and (b') follow from the recursion for
+    strongly calculating matchings but are cheap to verify outright.
     """
-    width, cols = _packed or _rule_columns(table)
+    width, cols = table.rule_columns
     cases = _cases(width, table.x)
     mirrored = {"up": cases["down"], "down": cases["up"],
                 "fixed": cases["fixed"]}
@@ -469,13 +497,6 @@ def _cases(width: int, x: str) -> dict[str, Callable[[int, int], int]]:
             "up": lambda a, b: (a << width) - a + (b << width),
             "fixed": (lambda a, b: a << width) if x == X_MINUS_ONE
             else (lambda a, b: -a)}
-
-
-def _rule_columns(table: PolyTable) -> tuple[int, list[dict[int, int]]]:
-    """The least B with 3 max |coeff| < 2^(B-1), a bound on ``_cases`` of
-    entries, and the table's ``_columns`` at B."""
-    width = _width_for(3 * _norms(table)[1])
-    return width, _columns(table, width)
 
 
 def _columns(table: PolyTable, width: int) -> list[dict[int, int]]:
@@ -524,18 +545,6 @@ def _digits(value: int, width: int, low: int = 0) -> dict[int, int]:
         value = (value - d) >> width
         low += 1
     return digits
-
-
-def _norms(table: PolyTable) -> tuple[int, int, int]:
-    """Max L1 norm and max |coefficient| over the entries, and the most
-    terms an interval sum can have (the largest lower ideal)."""
-    coeffs = [poly.coeffs() for poly in chain.from_iterable(table.columns)]
-    l1 = max((sum(map(abs, c)) for c in coeffs), default=0)
-    top = max(map(abs, chain.from_iterable(coeffs)), default=0)
-    poset = table.poset
-    terms = max((poset.down_set(v).bit_count() for v in range(poset.n)),
-                default=0)
-    return l1, top, terms
 
 
 def check_pkernel(table: PolyTable):
@@ -594,7 +603,7 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     """
     poset = table.poset
     rank = poset.rank
-    l1, top, terms = _norms(table)
+    l1, top, terms = table.norms
 
     def run(width: int) -> PolyTable | int:
         """The inversion at ``width``, or the bound that did not fit."""
@@ -706,11 +715,10 @@ def _r_clause(gap: int, minus: QPoly, plus: QPoly) -> str | None:
     return None
 
 
-def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
+def brenti_identity(quot, table: PolyTable):
     """R_{u,w} = (q-1-x) R_{su,w} whenever u < su stays in the quotient and
     w < sw leaves it; scanned exhaustively over qualifying (s, u, w).  This
-    is the fixed case of ``_cases``, on packed columns: ``_packed`` when
-    the caller has ``_rule_columns(table)``, else packed here.
+    is the fixed case of ``_cases``, on the table's ``rule_columns``.
     """
     rank = quot.poset.rank
     cols = None
@@ -719,7 +727,7 @@ def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
         ups = [(u, su) for u, su in enumerate(images) if rank[su] > rank[u]]
         fixed = [w for w, sw in enumerate(images) if sw == w]
         if fixed and cols is None:   # full groups have no fixed points
-            width, cols = _packed or _rule_columns(table)
+            width, cols = table.rule_columns
             case = _cases(width, table.x)["fixed"]
         for u, su in ups:
             for w in fixed:
@@ -735,16 +743,15 @@ def brenti_identity(quot, table: PolyTable, _packed: tuple | None = None):
 class PirconSystem:
     """A pircon, a family of quasi SPMs of order ideals and a refinement
     read off it.  The constructor stores these, without duplicate matchings;
-    ``verdict``, ``r_table(x)``, its ``rule_columns(x)``, the
-    (ok, witness) pairs ``updown(x)`` and ``pkernel(x)``, and
-    ``properties``, ``verify_r_properties`` of the two R-tables, are
-    computed on first use and kept.  The rule checks of one job read the
-    kept columns (``updown`` and, passed by the caller,
-    ``brenti_identity`` and the duality suite's ``is_calculating``); a
-    check called with only a table packs it afresh.  The kernel verdict is
-    kernel inversion, so once it has run at x its P^x table is kept too,
-    as ``p_table(x)``; a job that needs no verdict calls
-    ``kls_polynomials`` and holds its P-table only while it needs it."""
+    ``verdict``, ``r_table(x)``, the (ok, witness) pairs ``updown(x)`` and
+    ``pkernel(x)``, and ``properties``, ``verify_r_properties`` of the two
+    R-tables, are computed on first use and kept.  A kept R-table keeps its
+    own norms and ``rule_columns``, so the rule checks of one job
+    (``updown``, ``brenti_identity`` and the duality suite's
+    ``is_calculating``) pack it once.  The kernel verdict is kernel
+    inversion, so once it has run at x its P^x table is kept too, as
+    ``p_table(x)``; a job that needs no verdict calls ``kls_polynomials``
+    and holds its P-table only while it needs it."""
 
     def __init__(self, poset: GradedPoset,
                  matchings: Sequence[PartialMatching],
@@ -773,15 +780,9 @@ class PirconSystem:
         return self._once(("r", check_x(x)), lambda: r_polynomials(
             self.poset, self.refinement, x))
 
-    def rule_columns(self, x: str) -> tuple[int, list[dict[int, int]]]:
-        """``_rule_columns`` of the R^x table; shared, callers must not
-        modify it."""
-        return self._once(("rule", check_x(x)),
-                          lambda: _rule_columns(self.r_table(x)))
-
     def updown(self, x: str):
         return self._once(("updown", x), lambda: check_updown(
-            self.matchings, self.r_table(x), self.rule_columns(x)))
+            self.matchings, self.r_table(x)))
 
     def pkernel(self, x: str):
         return self._kernel(x)[:2]

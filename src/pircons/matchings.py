@@ -72,9 +72,6 @@ class PartialMatching:
             return "fixed"
         return "up" if self.poset.rank[y] > self.poset.rank[x] else "down"
 
-    def fixed_points(self) -> list[int]:
-        return [x for x in self.domain if self.mapping[x] == x]
-
     def domain_mask(self) -> int:
         """Bitmask of the domain, built on first use and kept."""
         if self._mask is None:
@@ -290,16 +287,12 @@ def enumerate_spms(poset: GradedPoset, w: int | None = None,
             sorted(results, key=lambda m: tuple(m[x] for x in sorted(m)))]
 
 
-def has_spm(poset: GradedPoset, w: int) -> bool:
-    return bool(enumerate_spms(poset, w, find_one=True))
-
-
 def verify_pircon(poset: GradedPoset):
     """Every non-minimal element's lower ideal admits at least one SPM."""
     for x in range(poset.n):
         if x == poset.bottom:
             continue
-        if not has_spm(poset, x):
+        if not enumerate_spms(poset, x, find_one=True):
             return False, ("no-spm", x)
     return True, None
 

@@ -41,7 +41,7 @@ import sympy
 
 from pircons import coxeter, hecke, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
-                            PolyTable, Refinement, _rule_columns, _width_for,
+                            PolyTable, Refinement, _width_for,
                             check_x, down_matchings, is_calculating, other_x)
 from pircons.laurent import QPoly
 from pircons.matchings import (MatchingError, PartialMatching, coherent,
@@ -116,7 +116,7 @@ def classical_r(system):
             return sympy.Integer(1)
         if not bruhat_leq(system, u, w):
             return sympy.Integer(0)
-        s = min(system.left_descents(w))
+        s = (system.d_left[w] & -system.d_left[w]).bit_length() - 1
         sw = system.left[w][s]
         su = system.left[u][s]
         if system.length[su] < system.length[u]:
@@ -324,12 +324,11 @@ def nudged(table: PolyTable, pair: tuple[int, int],
 def keep_table(system, name: str, x: str, table: PolyTable) -> None:
     """Put ``table`` in place of the system's kept R^x (``name`` is
     "r_table") or P^x ("p_table"), after the verdicts taken on the genuine
-    tables.  A new R^x also drops the kept rule columns of R^x, so that the
-    rule checks read it."""
+    tables.  A new R^x brings its own rule columns, so the rule checks
+    read it."""
     getattr(system, name)(x)
     if name == "r_table":
         system._kept[("r", x)] = table
-        system._kept.pop(("rule", x), None)
     else:
         ok, witness, _ = system._kept[("pkernel", x)]
         system._kept[("pkernel", x)] = ok, witness, table
@@ -863,14 +862,13 @@ def conjugation_refinement(tw, pick=min) -> Refinement:
 
 def is_strongly_calculating(M: PartialMatching, table: PolyTable):
     """``klpoly.is_calculating`` at every z in the domain with M(z)
-    covered by z, on one packing of the table.  That check reads M only on
-    the ideal of z, where M agrees with its restriction to the ideal (an
-    SPM of it when M is a quasi SPM), so M is passed whole."""
+    covered by z, on the table's one ``rule_columns``.  That check reads M
+    only on the ideal of z, where M agrees with its restriction to the
+    ideal (an SPM of it when M is a quasi SPM), so M is passed whole."""
     poset = table.poset
-    packed = _rule_columns(table)
     for z in M.domain:
         if poset.covers(M(z), z):
-            ok, witness = is_calculating(M, table, z, packed)
+            ok, witness = is_calculating(M, table, z)
             if not ok:
                 return ok, witness
     return True, None

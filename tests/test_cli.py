@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import re
@@ -55,6 +56,45 @@ def test_compute_csv(tmp_path):
                 "--x", "q", "--format", "csv", "--out", str(out)]) == 0
     text = (out / "r_q.csv").read_text()
     assert text.splitlines()[0] == "u,w,coefficients"
+
+
+def test_compute_emits_the_table_text_itself(tmp_path, monkeypatch):
+    """The JSON writer's text is the file text: _emit gets that very
+    string, with no copy made to add the newline."""
+    made, emitted = [], []
+    to_json_text, emit = PolyTable.to_json_text, cli._emit
+
+    def made_text(table):
+        made.append(to_json_text(table))
+        return made[-1]
+
+    def emitted_text(config, name, text):
+        emitted.append(text)
+        emit(config, name, text)
+
+    monkeypatch.setattr(PolyTable, "to_json_text", made_text)
+    monkeypatch.setattr(cli, "_emit", emitted_text)
+    assert run(["compute", "--type", "A", "--rank", "2", "--H", "2",
+                "--x", "both", "--out", str(tmp_path)]) == 0
+    assert len(made) == len(emitted) == 2
+    assert all(a is b for a, b in zip(made, emitted))
+    assert (tmp_path / "r_q.json").read_text() == made[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--type", "A", "--rank", "2", "--format", "csv",
+     "--checks", "lifting"],
+    ["compute", "--type", "A", "--rank", "2", "--format", "dot"],
+    ["enumerate-spm", "--type", "A", "--rank", "2", "--x", "q"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv, capsys):
+    """Each subcommand offers only the flags it reads: argparse refuses
+    the others with exit 2 and a usage line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_verify_twisted_passes(tmp_path):
@@ -497,17 +537,34 @@ def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
                       "lambda_system": 1, "conjugation_qspms": 0}
 
 
-def test_verify_packs_each_r_table_once_for_the_rule_checks(tmp_path,
-                                                          monkeypatch):
-    """check_updown and brenti_identity read the system's packing of each
-    R-table: one _rule_columns call per x.  The generators of A3/H={s1}
-    fix elements, so brenti_identity reads the columns too."""
-    counts = spy_calls(monkeypatch, ("_rule_columns", "check_updown",
-                                     "brenti_identity"))
+def test_verify_derives_each_table_norms_and_rule_packing_once(
+        tmp_path, monkeypatch):
+    """In one verify job, the norms of each table (the two R-tables for
+    the rule checks, kernel inversion and the context, the two P-tables
+    for the context) are computed once, and each R-table is packed once
+    for check_updown, brenti_identity and is_calculating.  The generators
+    of A3/H={s1} fix elements, so brenti_identity reads the packing too."""
+    derived = {"norms": [], "rule_columns": []}
+    for name, tables in derived.items():
+        build = getattr(PolyTable, name).func
+
+        def counted(table, _build=build, _tables=tables):
+            _tables.append(table)
+            return _build(table)
+
+        spied = functools.cached_property(counted)
+        spied.__set_name__(PolyTable, name)
+        monkeypatch.setattr(PolyTable, name, spied)
+    counts = spy_calls(monkeypatch, ("check_updown", "brenti_identity",
+                                     "is_calculating"))
     assert run(["verify", "--type", "A", "--rank", "3", "--H", "1",
                 "--out", str(tmp_path)]) == 0
-    assert (counts["_rule_columns"], counts["check_updown"],
-            counts["brenti_identity"]) == (2, 2, 2)
+    assert counts["check_updown"] == counts["brenti_identity"] == 2
+    assert counts["is_calculating"] > 0
+    norms, packed = derived["norms"], derived["rule_columns"]
+    assert len(set(map(id, norms))) == len(norms) == 4
+    assert len(set(map(id, packed))) == len(packed) == 2
+    assert sorted(t.x for t in packed) == sorted(X_PARAMS)
 
 
 def test_verify_packs_each_r_table_once_at_the_kernel_width(tmp_path,
@@ -519,7 +576,7 @@ def test_verify_packs_each_r_table_once_at_the_kernel_width(tmp_path,
     real = klpoly._columns
 
     def spy(table, width):
-        l1, top, terms = klpoly._norms(table)
+        l1, top, terms = table.norms
         if width == klpoly._width_for(terms * l1 * top):
             kernel.append(table.x)
         return real(table, width)

@@ -26,13 +26,14 @@ def test_columns_are_the_decoded_entries(suite_contexts, x):
     for key, ctx in suite_contexts.items():
         poset = ctx.poset
         for table in (ctx.r_table(x), ctx.p_table(x)):
-            l1, top, terms = klpoly._norms(table)
+            l1, top, terms = table.norms
             want = [{} for _ in range(poset.n)]
             for (u, w), poly in oracles.entries(table).items():
                 if poly:
                     want[w][u] = {k: c for k, c in
                                   enumerate(poly.coeffs()) if c}
-            for width in (klpoly._width_for(3 * top),
+            assert table.rule_columns[0] == klpoly._width_for(3 * top)
+            for width in (table.rule_columns[0],
                           klpoly._width_for(terms * l1 * top),
                           2 * ctx.width):
                 cols = klpoly._columns(table, width)
@@ -71,11 +72,11 @@ def test_a_missing_pair_raises_at_construction(suite_contexts):
             PolyTable.from_entries(poset, x, entries)
 
 
-def test_a_table_alone_is_packed_afresh(suite_quotients):
-    """A PirconSystem keeps the rule columns of its R-tables for its own
-    up-down verdict and hands them to brenti_identity; a rule check given
-    only a table packs that table, so it sees a table with an entry
-    changed after the system packed."""
+def test_a_table_keeps_its_own_rule_columns(suite_quotients):
+    """A table packs its rule columns once and keeps them, so the system's
+    up-down verdict and brenti_identity read one packing of its R-table;
+    a table with an entry changed is a new table with its own packing,
+    which the rule checks read, while the system keeps its verdict."""
     quot = suite_quotients["A3/H={s1}"]
     rank = quot.poset.rank
     # u < su in the quotient, w fixed by s, u <= w
@@ -88,9 +89,10 @@ def test_a_table_alone_is_packed_afresh(suite_quotients):
                               lambda_refinement(quot))
         table = system.r_table(x)
         assert system.updown(x) == (True, None)
-        kept = system.rule_columns(x)
-        assert system.rule_columns(x) is kept
-        assert brenti_identity(quot, table, kept) == (True, None)
+        # the verdict packed the table, and the table kept the packing
+        kept = vars(table)["rule_columns"]
+        assert brenti_identity(quot, table) == (True, None)
+        assert table.rule_columns is kept
         table = oracles.nudged(table, (u, w), oracles.monomial(0))
         assert check_updown(system.matchings, table)[0] is False
         assert brenti_identity(quot, table)[0] is False

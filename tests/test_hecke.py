@@ -193,7 +193,7 @@ def test_cprime_triangularity(suite_contexts):
             vec = ctx.decode(kl_element_cprime(ctx, w, x))
             lead = vec.coeff(w)
             assert lead == HalfLaurent.half_power(-P.rank[w])
-            assert all(P.leq(v, w) for v in vec.support())
+            assert all(P.leq(v, w) for v in vec.coeffs)
 
 
 def test_duality_small_instances(suite_contexts):

@@ -26,7 +26,7 @@ def largest(polys, measure):
 def factors(huge_kernel):
     """max L1(R), max |coeff(R)|, max |coeff(P)| and the largest ideal."""
     table, P = huge_kernel
-    l1, top, terms = klpoly._norms(table)
+    l1, top, terms = table.norms
     assert l1 == largest(oracles.entries(table).values(), sum)
     assert top == largest(oracles.entries(table).values(), max)
     return l1, top, largest(P.values(), max), terms

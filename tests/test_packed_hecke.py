@@ -292,8 +292,8 @@ def fresh_context(suite_quotients, key):
 def nudge(ctx, name, x, pair, delta):
     """Add delta to the entry at pair of the context's table ``name`` at
     x, after the context has taken its verdicts on the genuine tables.  A
-    nudge of R^x also drops the system's kept rule columns of R^x, so that
-    the rule checks read the nudged table."""
+    nudged R^x is a new table with its own rule columns, which the rule
+    checks read."""
     oracles.keep_table(ctx.system, name, x,
                        oracles.nudged(getattr(ctx, name)(x), pair, delta))
 
@@ -471,12 +471,12 @@ def test_equivariance_is_the_rule_on_columns(suite_quotients, key):
     seen = set()
     for x in X_PARAMS:
         for ctx in nudged_contexts(suite_quotients, key, x, ("r_table",)):
-            table, packed = ctx.r_table(x), ctx.system.rule_columns(x)
+            table = ctx.r_table(x)
             for M in ctx.matchings:
                 for u in range(ctx.poset.n):
                     if M(u) != u:
                         hi = M(u) if M.kind(u) == "up" else u
-                        rule = is_calculating(M, table, hi, packed)[0]
+                        rule = is_calculating(M, table, hi)[0]
                         assert oracles.equivariance(ctx, M, u, x) == rule
                         seen.add(rule)
     assert seen == {True, False}
@@ -581,7 +581,7 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
 def test_duality_reuses_images(groups, monkeypatch):
     """verify_duality applies iota only to C'^x_w, once per (x, w): 2n = 48
     calls on A3/H={} (24 elements, 3 matchings).  Equivariance is
-    is_calculating on the system's rule columns of R^x, with no iota, and
+    is_calculating on the rule columns of the system's R^x, with no iota, and
     nothing applies T_M."""
     ctx = context_for_quotient(groups["A3"].quotient(set()))
     n, k = ctx.poset.n, len(ctx.matchings)

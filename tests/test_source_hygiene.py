@@ -1,0 +1,61 @@
+"""Every module of the package (its ``__init__`` aside, which re-exports),
+of the tests and of the demos uses each name it imports.
+
+A name counts as used when the module reads it anywhere outside its import
+statements: as a name, as the root of an attribute, or inside an
+annotation written as a string.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "pircons").glob("*.py")
+     if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+    + list((ROOT / "demos").glob("*.py")))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= used_names(ast.parse(ann.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = sorted((line, name) for name, line
+                    in imported_names(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -6,9 +6,9 @@ its writers walk the rows in (u, w) order with one cursor per column.
 before, with its value, sorted pair order and writers.  Both must agree on
 the value of every pair, comparable or not, on the row order, and on the
 bytes of ``to_json_text`` (which must also equal ``json.dumps`` of
-``to_json``) and ``to_csv``.  This holds on every suite quotient and
-twisted identity, and on tables with zero polynomials, one element, no
-element and labels that need escaping.
+``to_json`` and a newline, the file text) and ``to_csv``.  This holds on
+every suite quotient and twisted identity, and on tables with zero
+polynomials, one element, no element and labels that need escaping.
 """
 
 import json
@@ -33,7 +33,7 @@ def assert_matches_reference(table):
     assert [poly for _, _, poly in table.rows()] == \
         [ref.entries[pair] for pair in ref.pairs()]
     assert table.to_json() == ref.to_json()
-    assert table.to_json_text() == json.dumps(ref.to_json(), indent=1)
+    assert table.to_json_text() == json.dumps(ref.to_json(), indent=1) + "\n"
     assert table.to_csv() == ref.to_csv()
 
 
