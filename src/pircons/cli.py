@@ -4,10 +4,13 @@ Subcommands: ``compute``, ``verify``, ``enumerate-spm``, ``export-dot``.
 An instance is exactly one of: a Coxeter matrix plus a generator subset H,
 a twisted-identity index n, or an external poset file (with a refinement
 file where tables are needed).  All fields can come from a JSON config file
-(--config) and every field is overridable by a flag.
+(--config) and every field is overridable by a flag; a command accepts only
+the config fields it reads (COMMAND_FIELDS).  ``compute`` with both x's and
+no KL basis builds the x = q tables in a forked child (``forked``).
 
-Exit codes: 0 success, 2 malformed config (a bad H, or a malformed poset,
-refinement or matching file: see README), 3 unsupported group,
+Exit codes: 0 success, 2 malformed config (a bad H, a field the command
+does not read, or a malformed poset, refinement or matching file: see
+README), 3 unsupported group,
 4 group size bound exceeded, 1 other errors; a failing verification exits
 with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
 files are written atomically (temp file + rename).
@@ -32,6 +35,12 @@ VERIFY_KINDS = ("updown", "pkernel", "system", "dircon", "duality",
 VERIFY_EXIT_CODES = {kind: 10 + i for i, kind in enumerate(VERIFY_KINDS)}
 
 COMPUTE_OUTPUTS = ("r", "p", "klbasis")
+
+# The config fields each command reads, besides "instance" and "out"
+COMMAND_FIELDS = {"compute": ("x", "format", "outputs"),
+                  "verify": ("x", "verify"),
+                  "enumerate-spm": ("element",),
+                  "export-dot": ("matching_file",)}
 
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
@@ -283,30 +292,53 @@ def cmd_compute(config: dict) -> int:
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("compute supports formats json and csv")
-    for x in xs:
-        tag = _x_tag(x)
-        if "r" in outputs:
-            _emit_table(config, f"r_{tag}", inst.system.r_table(x), fmt)
-        if "p" in outputs:
-            # a job with a context reads the context's P-tables; otherwise
-            # the P-table lives only for its own emit (bind it to no local),
-            # so the x = -1 one is built without the x = q one alive
-            _emit_table(config, f"p_{tag}",
-                        inst.hecke_context.p_table(x) if "klbasis" in outputs
-                        else klpoly.kls_polynomials(inst.system.r_table(x)),
-                        fmt)
-        if "klbasis" in outputs:
-            ctx = inst.hecke_context
-            doc = {"x": x, "C": {}, "Cprime": {}}
-            for w in range(inst.poset.n):
-                lab = inst.poset.labels[w]
-                doc["C"][lab] = ctx.decode(hecke.kl_element_c(ctx, w, x)) \
-                    .to_json(inst.poset)
-                doc["Cprime"][lab] = ctx.decode(
-                    hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
-            _emit(config, f"klbasis_{tag}.json",
-                  json.dumps(doc, indent=1) + "\n")
+    # Two x's and no context: a forked child builds the second x's tables.
+    # When it fails, the parent builds them itself, as with one x.
+    half = None
+    if len(xs) == 2 and "klbasis" not in outputs:
+        from .forked import ForkedHalf   # only these jobs need it
+        try:
+            half = ForkedHalf(inst.system, xs[1],
+                              [n for n in ("r", "p") if n in outputs])
+        except OSError:
+            pass
+    try:
+        for x in xs:
+            tables = half.tables() if half and x == half.x else None
+            if tables is None:
+                _compute_x(config, inst, x, outputs, fmt)
+            for name, table in tables or ():
+                _emit_table(config, f"{name}_{_x_tag(x)}", table, fmt)
+    finally:
+        if half:
+            half.close()
     return 0
+
+
+def _compute_x(config: dict, inst: Instance, x: str, outputs: list[str],
+               fmt: str) -> None:
+    tag = _x_tag(x)
+    if "r" in outputs:
+        _emit_table(config, f"r_{tag}", inst.system.r_table(x), fmt)
+    if "p" in outputs:
+        # a job with a context reads the context's P-tables; otherwise
+        # the P-table lives only for its own emit (bind it to no local),
+        # so the x = -1 one is built without the x = q one alive
+        _emit_table(config, f"p_{tag}",
+                    inst.hecke_context.p_table(x) if "klbasis" in outputs
+                    else klpoly.kls_polynomials(inst.system.r_table(x)),
+                    fmt)
+    if "klbasis" in outputs:
+        ctx = inst.hecke_context
+        doc = {"x": x, "C": {}, "Cprime": {}}
+        for w in range(inst.poset.n):
+            lab = inst.poset.labels[w]
+            doc["C"][lab] = ctx.decode(hecke.kl_element_c(ctx, w, x)) \
+                .to_json(inst.poset)
+            doc["Cprime"][lab] = ctx.decode(
+                hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
+        _emit(config, f"klbasis_{tag}.json",
+              json.dumps(doc, indent=1) + "\n")
 
 
 # Default check lists: the properties that are theorems for each instance
@@ -393,6 +425,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
+    fields = ("out", *COMMAND_FIELDS[args.command])
+    for key in config:
+        if key != "instance" and key not in fields:
+            raise ConfigError(
+                f"{args.command} does not read config field {key!r}")
 
     picked = [bool(args.type), args.twisted_n is not None,
               bool(args.poset_file)]
@@ -416,9 +453,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             and config["instance"].get("kind") == "coxeter":
         config["instance"]["H"] = args.H
 
-    for key in ("x", "out", "format", "outputs", "verify", "element",
-                "matching_file"):
-        val = getattr(args, key, None)
+    for key in fields:
+        val = getattr(args, key)
         if val is not None:
             config[key] = val
     if "instance" not in config:

@@ -1,4 +1,5 @@
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pircons import (CoxeterSystem, GradedPoset, TwistedIdentities,
-                     context_for_quotient)
+                     context_for_quotient, klpoly)
 
 GROUP_CONFIGS = [
     ("A2", {"type": "A", "rank": 2}),
@@ -82,3 +83,31 @@ def refinement_dependent_poset():
     return GradedPoset("abcdefgh",
                        [(0, 1), (0, 2), (1, 3), (1, 4),
                         (3, 5), (3, 6), (4, 6), (6, 7)])
+
+
+@pytest.fixture
+def table_builds(monkeypatch, tmp_path):
+    """Log every table that ``klpoly.r_polynomials`` and
+    ``klpoly.kls_polynomials`` build, also in a child forked from this
+    process, to a file opened for appending.  Returns the reader of the
+    log: sorted (built in this process, function name, x) triples."""
+    log = tmp_path / "table_builds.log"
+    here = os.getpid()
+    for name in ("r_polynomials", "kls_polynomials"):
+        original = getattr(klpoly, name)
+
+        def logged(*args, _name=name, _original=original, **kwargs):
+            table = _original(*args, **kwargs)
+            with open(log, "a") as handle:
+                handle.write(f"{int(os.getpid() == here)} {_name} "
+                             f"{table.x}\n")
+            return table
+
+        monkeypatch.setattr(klpoly, name, logged)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return sorted((flag == "1", name, x)
+                      for flag, name, x in map(str.split, lines))
+
+    return read

@@ -604,12 +604,17 @@ def test_compute_r_and_klbasis_share_the_r_tables(tmp_path, monkeypatch):
     assert counts["r_polynomials"] == 2 and counts["HeckeContext"] == 1
 
 
-def test_compute_tables_build_no_context(tmp_path, monkeypatch):
+def test_compute_tables_build_no_context(tmp_path, monkeypatch,
+                                         table_builds):
     counts = spy_calls(monkeypatch, SPIED)
     assert run(["compute", "--type", "A", "--rank", "3", "--x", "both",
                 "--outputs", "r,p", "--out", str(tmp_path)]) == 0
     assert counts["HeckeContext"] == 0 and counts["check_pkernel"] == 0
-    assert counts["r_polynomials"] == 2 and counts["kls_polynomials"] == 2
+    # one R- and one P-table per x, the x = q pair in the forked child
+    assert table_builds() == [
+        (False, "kls_polynomials", X_Q), (False, "r_polynomials", X_Q),
+        (True, "kls_polynomials", X_MINUS_ONE),
+        (True, "r_polynomials", X_MINUS_ONE)]
 
 
 def test_compute_p_for_one_x_builds_one_r_table(tmp_path, monkeypatch):
@@ -680,6 +685,36 @@ def test_config_field_types_are_config_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "5").exists()
+
+
+FOREIGN_FIELDS = [
+    ("verify", {"format": "csv"}, ["--checks", "lifting"], "format"),
+    ("enumerate-spm", {"x": "q"}, [], "x"),
+    ("export-dot", {"outputs": ["r"]}, [], "outputs"),
+    ("compute", {"verify": ["lifting"]}, ["--x", "q"], "verify"),
+    ("compute", {"element": "e"}, [], "element"),
+    ("verify", {"matching_file": "m.json"}, [], "matching_file"),
+    ("compute", {"comment": "job"}, [], "comment"),
+]
+
+
+@pytest.mark.parametrize("command,fields,flags,field", FOREIGN_FIELDS,
+                         ids=[f"{c}-{f}" for c, _, _, f in FOREIGN_FIELDS])
+def test_config_fields_a_command_does_not_read_are_refused(
+        tmp_path, capsys, command, fields, flags, field):
+    """As with flags, a command refuses the config fields it does not
+    read: exit 2 and one line naming the field and the command."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2}},
+        **fields}))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), *flags,
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {command} does not read config field " \
+        f"{field!r}\n"
+    assert not out.exists()
 
 
 BAD_PRODUCTS = [({"type": "product"}, "'factors' list"),
