@@ -6,11 +6,12 @@ a twisted-identity index n, or an external poset file (with a refinement
 file where tables are needed).  All fields can come from a JSON config file
 (--config) and every field is overridable by a flag; a command accepts only
 the config fields it reads (COMMAND_FIELDS).  ``compute`` with both x's and
-no KL basis builds the x = q tables in a forked child (``forked``).
+no KL basis makes the x = q file texts in a forked child (``forked``); the
+parent writes every file through ``_emit``, and makes those not received.
 
 Exit codes: 0 success, 2 malformed config (a bad H, a field the command
-does not read, or a malformed poset, refinement or matching file: see
-README), 3 unsupported group,
+or the instance kind does not read, or a malformed poset, refinement or
+matching file: see README), 3 unsupported group,
 4 group size bound exceeded, 1 other errors; a failing verification exits
 with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
 files are written atomically (temp file + rename).
@@ -41,6 +42,15 @@ COMMAND_FIELDS = {"compute": ("x", "format", "outputs"),
                   "verify": ("x", "verify"),
                   "enumerate-spm": ("element",),
                   "export-dot": ("matching_file",)}
+
+# The instance-object fields each kind reads, besides "kind"
+INSTANCE_FIELDS = {"coxeter": ("matrix", "H"), "twisted": ("n",),
+                   "poset": ("poset_file", "refinement_file")}
+# The instance flags each kind reads.  The first one gives a new instance;
+# each flag sets its field (type, rank and m: of the matrix).
+INSTANCE_FLAGS = {"coxeter": ("type", "rank", "m", "H"),
+                  "twisted": ("twisted_n",),
+                  "poset": ("poset_file", "refinement_file")}
 
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
@@ -131,6 +141,11 @@ def build_instance(config: dict) -> Instance:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("config needs an 'instance' object with a 'kind'")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in INSTANCE_FIELDS:
+        raise ConfigError(f"unknown instance kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in INSTANCE_FIELDS[kind]:
+            raise ConfigError(f"a {kind} instance does not read field {key!r}")
     if kind == "coxeter":
         matrix = spec.get("matrix")
         if not isinstance(matrix, dict):
@@ -186,7 +201,6 @@ def build_instance(config: dict) -> Instance:
                 refinement)
 
         return Instance("poset", poset, os.path.basename(path), given_system)
-    raise ConfigError(f"unknown instance kind {kind!r}")
 
 
 def _x_list(value: str | None) -> list[str]:
@@ -272,10 +286,14 @@ def _emit(config: dict, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(config: dict, name: str, table: klpoly.PolyTable,
-                fmt: str) -> None:
-    _emit(config, f"{name}.{fmt}", table.to_csv() if fmt == "csv"
-          else table.to_json_text())
+def _emit_all(config: dict, texts) -> list[str]:
+    """_emit each (name, text), each gone before the next is made."""
+    names = []
+    for name, text in texts:
+        _emit(config, name, text)
+        del text
+        names.append(name)
+    return names
 
 
 def cmd_compute(config: dict) -> int:
@@ -292,42 +310,44 @@ def cmd_compute(config: dict) -> int:
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError("compute supports formats json and csv")
-    # Two x's and no context: a forked child builds the second x's tables.
-    # When it fails, the parent builds them itself, as with one x.
+    # Two x's and no context: a forked child makes the second x's files
+    # from the system built here.  The parent writes them as they arrive,
+    # and makes itself whatever the child did not send.
     half = None
     if len(xs) == 2 and "klbasis" not in outputs:
         from .forked import ForkedHalf   # only these jobs need it
+        inst.system   # built once, before the fork, for both halves
         try:
-            half = ForkedHalf(inst.system, xs[1],
-                              [n for n in ("r", "p") if n in outputs])
+            half = ForkedHalf(_compute_x(inst, xs[1], outputs, fmt))
         except OSError:
             pass
     try:
         for x in xs:
-            tables = half.tables() if half and x == half.x else None
-            if tables is None:
-                _compute_x(config, inst, x, outputs, fmt)
-            for name, table in tables or ():
-                _emit_table(config, f"{name}_{_x_tag(x)}", table, fmt)
+            sent = _emit_all(config, half) if half and x == xs[1] else []
+            rest = [o for o in outputs
+                    if f"{o}_{_x_tag(x)}.{fmt}" not in sent]
+            _emit_all(config, _compute_x(inst, x, rest, fmt))
     finally:
         if half:
             half.close()
     return 0
 
 
-def _compute_x(config: dict, inst: Instance, x: str, outputs: list[str],
-               fmt: str) -> None:
+def _compute_x(inst: Instance, x: str, outputs: list[str], fmt: str):
+    """(file name, text) of each output of one x, in file order.  Each
+    table is built only once the text before it has been taken."""
     tag = _x_tag(x)
+    text = klpoly.PolyTable.to_csv if fmt == "csv" \
+        else klpoly.PolyTable.to_json_text
     if "r" in outputs:
-        _emit_table(config, f"r_{tag}", inst.system.r_table(x), fmt)
+        yield f"r_{tag}.{fmt}", text(inst.system.r_table(x))
     if "p" in outputs:
         # a job with a context reads the context's P-tables; otherwise
-        # the P-table lives only for its own emit (bind it to no local),
+        # the P-table lives only for its own text (bind it to no local),
         # so the x = -1 one is built without the x = q one alive
-        _emit_table(config, f"p_{tag}",
-                    inst.hecke_context.p_table(x) if "klbasis" in outputs
-                    else klpoly.kls_polynomials(inst.system.r_table(x)),
-                    fmt)
+        yield f"p_{tag}.{fmt}", text(
+            inst.hecke_context.p_table(x) if "klbasis" in outputs
+            else klpoly.kls_polynomials(inst.system.r_table(x)))
     if "klbasis" in outputs:
         ctx = inst.hecke_context
         doc = {"x": x, "C": {}, "Cprime": {}}
@@ -337,8 +357,7 @@ def _compute_x(config: dict, inst: Instance, x: str, outputs: list[str],
                 .to_json(inst.poset)
             doc["Cprime"][lab] = ctx.decode(
                 hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
-        _emit(config, f"klbasis_{tag}.json",
-              json.dumps(doc, indent=1) + "\n")
+        yield f"klbasis_{tag}.json", json.dumps(doc, indent=1) + "\n"
 
 
 # Default check lists: the properties that are theorems for each instance
@@ -431,27 +450,28 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"{args.command} does not read config field {key!r}")
 
-    picked = [bool(args.type), args.twisted_n is not None,
-              bool(args.poset_file)]
-    if sum(picked) > 1:
+    given = {key: getattr(args, key) for keys in INSTANCE_FLAGS.values()
+             for key in keys if getattr(args, key) is not None}
+    picked = [k for k, keys in INSTANCE_FLAGS.items() if keys[0] in given]
+    if len(picked) > 1:
         raise ConfigError(
             "give exactly one of --type, --twisted-n, --poset-file")
-    if args.type:
-        matrix = {"type": args.type}
-        if args.rank is not None:
-            matrix["rank"] = args.rank
-        if args.m is not None:
-            matrix["m"] = args.m
-        config["instance"] = {"kind": "coxeter", "matrix": matrix,
-                              "H": args.H or ""}
-    elif args.twisted_n is not None:
-        config["instance"] = {"kind": "twisted", "n": args.twisted_n}
-    elif args.poset_file:
-        config["instance"] = {"kind": "poset", "poset_file": args.poset_file,
-                              "refinement_file": args.refinement_file}
-    elif args.H is not None and isinstance(config.get("instance"), dict) \
-            and config["instance"].get("kind") == "coxeter":
-        config["instance"]["H"] = args.H
+    if picked:
+        config["instance"] = {"kind": picked[0]}
+    instance = config.get("instance")
+    kind = instance.get("kind") if isinstance(instance, dict) else None
+    if isinstance(kind, str) and kind in INSTANCE_FLAGS:
+        for key, val in given.items():
+            if key not in INSTANCE_FLAGS[kind]:
+                raise ConfigError(f"a {kind} instance does not read "
+                                  f"--{key.replace('_', '-')}")
+            owner = instance
+            if key in ("type", "rank", "m"):
+                owner = instance.setdefault("matrix", {})
+                if not isinstance(owner, dict):
+                    raise ConfigError("coxeter instance needs a 'matrix' "
+                                      "object")
+            owner["n" if key == "twisted_n" else key] = val
 
     for key in fields:
         val = getattr(args, key)

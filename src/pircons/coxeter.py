@@ -233,25 +233,29 @@ def _require(config: dict, field: str) -> int:
     return value
 
 
+# Each type's realization and the one matrix field it reads besides "type"
+_TYPES = {"A": (_TypeA, "rank"), "B": (_TypeB, "rank"), "D": (_TypeD, "rank"),
+          "I2": (_Dihedral, "m"), "product": (_Product, "factors")}
+
+
 def _realization(config: dict):
     kind = config.get("type")
-    if kind == "A":
-        return _TypeA(_require(config, "rank"))
-    if kind == "B":
-        return _TypeB(_require(config, "rank"))
-    if kind == "D":
-        return _TypeD(_require(config, "rank"))
-    if kind == "I2":
-        return _Dihedral(_require(config, "m"))
-    if kind == "product":
-        factors = config.get("factors")
-        if not isinstance(factors, list):
-            raise CoxeterError("type 'product' needs a 'factors' list")
-        for f in factors:
-            if not isinstance(f, dict):
-                raise CoxeterError(f"product factor {f!r} is not an object")
-        return _Product([_realization(f) for f in factors])
-    raise CoxeterError(f"unsupported Coxeter matrix type {kind!r}")
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise CoxeterError(f"unsupported Coxeter matrix type {kind!r}")
+    real, field = _TYPES[kind]
+    for key in config:
+        if key not in ("type", field):
+            raise CoxeterError(
+                f"type {kind!r} does not read matrix field {key!r}")
+    if kind != "product":
+        return real(_require(config, field))
+    factors = config.get("factors")
+    if not isinstance(factors, list):
+        raise CoxeterError("type 'product' needs a 'factors' list")
+    for f in factors:
+        if not isinstance(f, dict):
+            raise CoxeterError(f"product factor {f!r} is not an object")
+    return real([_realization(f) for f in factors])
 
 
 # ---------------------------------------------------------------------------

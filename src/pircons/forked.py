@@ -1,31 +1,29 @@
-"""The tables of one x, built in a forked child while the parent builds the
-other x: ``compute --x both`` without a KL basis.  Neither build reads the
-other's tables, so the two run at once.
+"""The (name, text) pairs of an iterable, made in a forked child while the
+parent works on: ``compute --x both`` without a KL basis makes its x = q
+file texts here while the parent makes x = -1.
 
-The child sends the columns of each table, as coefficient tuples, in one
-``marshal`` blob through a pipe, and leaves by ``os._exit``: it writes no
-output and never returns to its caller.  The CLI runs no threads, so the
-fork is safe there.
+The child makes all of its texts before it sends any, so it never waits on
+the pipe while the parent is busy.  It then sends one ``marshal`` record per
+pair and leaves by ``os._exit``, writing no output.  The parent reads one
+record at a time.  A child that fails or is killed sends none, or only its
+first ones whole.  A traced run sees only the parent's spans.  The CLI runs
+no threads, so the fork is safe there.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from itertools import chain
-
-from . import klpoly
-from .laurent import QPoly
+import signal
+from typing import Iterable, Iterator
 
 
 class ForkedHalf:
-    """A child that builds the tables ``names`` (from "r" and "p") of
-    ``system`` at x.  ``tables`` reads them and reaps the child; ``close``
-    kills and reaps a child still running."""
+    """A child that makes the (name, text) pairs of ``texts``.  Iterating
+    gives the pairs it sent whole, in order; ``close`` kills and reaps the
+    child, done or not."""
 
-    def __init__(self, system: klpoly.PirconSystem, x: str,
-                 names: list[str]):
-        self.x, self.names, self.poset = x, names, system.poset
+    def __init__(self, texts: Iterable[tuple[str, str]]):
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -39,47 +37,23 @@ class ForkedHalf:
                 # with its own read end closed, the child's write fails
                 # instead of blocking when the parent is gone
                 os.close(read)
-                built = {"r": system.r_table(x)}
-                if "p" in names:
-                    built["p"] = klpoly.kls_polynomials(built["r"])
-                blob = marshal.dumps(
-                    [[list(map(QPoly.coeffs, col))
-                      for col in built[name].columns] for name in names])
                 with os.fdopen(write, "wb") as pipe:
-                    pipe.write(blob)
+                    for record in list(texts):   # all made before any sent
+                        marshal.dump(record, pipe)
                 code = 0
             finally:
                 os._exit(code)
         os.close(write)
         self.pipe = os.fdopen(read, "rb")
 
-    def tables(self) -> list[tuple[str, klpoly.PolyTable]] | None:
-        """(name, table) in the order asked, each table with one shared
-        QPoly per distinct value; None when the child failed, was killed or
-        sent short data."""
-        blob = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        self.close()
-        if status:
-            return None
+    def __iter__(self) -> Iterator[tuple[str, str]]:
         try:
-            tables = []
-            for name, columns in zip(self.names, marshal.loads(blob),
-                                     strict=True):
-                polys = {c: QPoly(c)
-                         for c in set(chain.from_iterable(columns))}
-                tables.append((name, klpoly.PolyTable(
-                    self.poset, self.x,
-                    [tuple(map(polys.__getitem__, col)) for col in columns])))
-            return tables
+            while True:
+                yield marshal.load(self.pipe)
         except (EOFError, ValueError, TypeError):
-            return None
+            return   # the end of the pipe, or a record cut short
 
     def close(self) -> None:
-        if self.pid is not None:
-            import signal   # only a parent whose own half failed needs it
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
         self.pipe.close()

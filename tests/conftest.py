@@ -85,25 +85,24 @@ def refinement_dependent_poset():
                         (3, 5), (3, 6), (4, 6), (6, 7)])
 
 
-@pytest.fixture
-def table_builds(monkeypatch, tmp_path):
-    """Log every table that ``klpoly.r_polynomials`` and
-    ``klpoly.kls_polynomials`` build, also in a child forked from this
-    process, to a file opened for appending.  Returns the reader of the
-    log: sorted (built in this process, function name, x) triples."""
-    log = tmp_path / "table_builds.log"
+def _logged_calls(monkeypatch, log, owner, names, table_of):
+    """Log each call of the functions ``names`` of ``owner``, also in a
+    child forked from this process, to a file opened for appending.
+    Returns the reader of the log: sorted (called in this process,
+    function name, x of the table that ``table_of(args, result)`` picks)
+    triples."""
     here = os.getpid()
-    for name in ("r_polynomials", "kls_polynomials"):
-        original = getattr(klpoly, name)
+    for name in names:
+        original = getattr(owner, name)
 
         def logged(*args, _name=name, _original=original, **kwargs):
-            table = _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
             with open(log, "a") as handle:
                 handle.write(f"{int(os.getpid() == here)} {_name} "
-                             f"{table.x}\n")
-            return table
+                             f"{table_of(args, result).x}\n")
+            return result
 
-        monkeypatch.setattr(klpoly, name, logged)
+        monkeypatch.setattr(owner, name, logged)
 
     def read():
         lines = log.read_text().splitlines() if log.exists() else []
@@ -111,3 +110,21 @@ def table_builds(monkeypatch, tmp_path):
                       for flag, name, x in map(str.split, lines))
 
     return read
+
+
+@pytest.fixture
+def table_builds(monkeypatch, tmp_path):
+    """The log of every table that ``klpoly.r_polynomials`` and
+    ``klpoly.kls_polynomials`` build (see ``_logged_calls``)."""
+    return _logged_calls(monkeypatch, tmp_path / "table_builds.log", klpoly,
+                         ("r_polynomials", "kls_polynomials"),
+                         lambda args, table: table)
+
+
+@pytest.fixture
+def table_formats(monkeypatch, tmp_path):
+    """The log of every table that ``PolyTable.to_json_text`` and
+    ``PolyTable.to_csv`` format (see ``_logged_calls``)."""
+    return _logged_calls(monkeypatch, tmp_path / "table_formats.log",
+                         klpoly.PolyTable, ("to_json_text", "to_csv"),
+                         lambda args, text: args[0])

@@ -75,8 +75,8 @@ def test_compute_emits_the_table_text_itself(tmp_path, monkeypatch):
     monkeypatch.setattr(PolyTable, "to_json_text", made_text)
     monkeypatch.setattr(cli, "_emit", emitted_text)
     assert run(["compute", "--type", "A", "--rank", "2", "--H", "2",
-                "--x", "both", "--out", str(tmp_path)]) == 0
-    assert len(made) == len(emitted) == 2
+                "--x", "q", "--out", str(tmp_path)]) == 0
+    assert len(made) == len(emitted) == 1
     assert all(a is b for a, b in zip(made, emitted))
     assert (tmp_path / "r_q.json").read_text() == made[-1]
 
@@ -717,6 +717,55 @@ def test_config_fields_a_command_does_not_read_are_refused(
     assert not out.exists()
 
 
+UNREAD_INSTANCE_INPUTS = [
+    ({"kind": "twisted", "n": 2, "H": [1], "poset_file": "nope.json"}, [],
+     "config error: a twisted instance does not read field 'H'"),
+    ({"kind": "coxeter",
+      "matrix": {"type": "A", "rank": 2, "m": 7, "factors": 3}}, [],
+     "coxeter error: type 'A' does not read matrix field 'm'"),
+    (None, ["--twisted-n", "2", "--H", "1"],
+     "config error: a twisted instance does not read --H"),
+    (None, ["--type", "A", "--rank", "2", "--refinement-file", "nope.json"],
+     "config error: a coxeter instance does not read --refinement-file"),
+    (None, ["--twisted-n", "2", "--rank", "3"],
+     "config error: a twisted instance does not read --rank"),
+    (None, ["--type", "A", "--rank", "2", "--m", "9"],
+     "coxeter error: type 'A' does not read matrix field 'm'"),
+]
+
+
+@pytest.mark.parametrize("instance,flags,line", UNREAD_INSTANCE_INPUTS)
+def test_instance_fields_and_flags_the_instance_does_not_read_are_refused(
+        tmp_path, capsys, instance, flags, line):
+    """An instance field or flag that the instance's kind does not read is
+    a config error, and a matrix field that its type does not read is a
+    coxeter error: one line naming it, and no output."""
+    if instance is not None:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"instance": instance}))
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = run(["compute", *flags, "--out", str(out)])
+    assert code == (cli.EXIT_CONFIG if line.startswith("config")
+                    else cli.EXIT_UNSUPPORTED)
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_instance_flags_set_fields_of_a_config_instance(tmp_path):
+    """A flag of the config instance's kind sets its field, as --H does:
+    --rank over an A2 config gives the A3 job."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"instance": {
+        "kind": "coxeter", "matrix": {"type": "A", "rank": 2}, "H": [2]}}))
+    got, want = tmp_path / "got", tmp_path / "want"
+    assert run(["compute", "--config", str(cfg), "--rank", "3", "--H", "1",
+                "--out", str(got)]) == 0
+    assert run(["compute", "--type", "A", "--rank", "3", "--H", "1",
+                "--out", str(want)]) == 0
+    assert (got / "r_q.json").read_text() == (want / "r_q.json").read_text()
+
+
 BAD_PRODUCTS = [({"type": "product"}, "'factors' list"),
                 ({"type": "product", "factors": [5]}, "factor 5 "),
                 ({"type": "product",
@@ -743,11 +792,13 @@ FUZZ_BASES = [
     {"instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2},
                   "H": [1]}},
     {"instance": {"kind": "twisted", "n": 1}},
+    {"instance": {"kind": "poset", "poset_file": "nope.json"}},
 ]
 # (path to the owning object, field); a missing owner is created
 FUZZ_FIELDS = [((), "x"), ((), "format"), ((), "outputs"), ((), "verify"),
                ((), "out"), ((), "element"), ((), "matching_file"),
                (("instance",), "kind"), (("instance",), "H"),
+               (("instance",), "matrix"),
                (("instance",), "n"), (("instance",), "poset_file"),
                (("instance",), "refinement_file"),
                (("instance", "matrix"), "type"),
@@ -792,3 +843,17 @@ def test_fuzzed_config_ends_with_a_documented_exit(base, command, changes):
         code = cli.main([command, "--config", "job.json"])
     assert code in DOCUMENTED_EXITS
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    # a field that the instance's kind, or the matrix's type, does not read
+    # is refused, unless a command field was refused first (exit 2 too)
+    instance, kind = config["instance"], config["instance"].get("kind")
+    if isinstance(kind, str) and kind in cli.INSTANCE_FIELDS:
+        if set(instance) - {"kind", *cli.INSTANCE_FIELDS[kind]}:
+            assert code == cli.EXIT_CONFIG, err.getvalue()
+            assert err.getvalue().startswith("config error:")
+        elif kind == "coxeter" and isinstance(instance.get("matrix"), dict):
+            matrix = instance["matrix"]
+            mtype = matrix.get("type")
+            if isinstance(mtype, str) and mtype in coxeter._TYPES and \
+                    set(matrix) - {"type", coxeter._TYPES[mtype][1]}:
+                assert code == cli.EXIT_CONFIG or \
+                    "does not read matrix field" in err.getvalue()

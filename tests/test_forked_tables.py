@@ -1,9 +1,10 @@
-"""`compute --x both` builds the x = q tables in a forked child.
+"""`compute --x both` makes the x = q files in a forked child.
 
-The job's files, bytes and stdout lines equal those of a `--x -1` run and a
-`--x q` run made one after the other, and when the child fails, the parent
-builds x = q itself, with the errors, exit codes and files of an in-process
-build.  No child outlives a job.
+The child sends the finished x = q file texts, and the parent writes every
+file.  The job's files, bytes and stdout lines equal those of a `--x -1` run
+and a `--x q` run made one after the other.  When the child fails, the
+parent makes what the child did not send, with the errors, exit codes and
+files of an in-process build.  No child outlives a job.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import os
 import signal
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -131,16 +133,18 @@ def test_a_failing_x_q_kernel_fails_the_job_as_in_process(
     assert (True, "r_polynomials", X_Q) in table_builds()
 
 
-@pytest.mark.parametrize("failure", ["sigkill", "short-data"])
+@pytest.mark.parametrize("failure", ["sigkill", "first-record"])
 def test_a_lost_child_is_replaced_by_an_in_process_build(
-        tmp_path, monkeypatch, table_builds, failure):
-    """A child killed by SIGKILL, or one whose data comes up short: the
-    parent builds x = q itself, with byte-identical files."""
-    want_dir = tmp_path / "want"
-    assert run([*A3_JOB, "--out", str(want_dir)])[0] == 0
-    parent = os.getpid()
+        tmp_path, monkeypatch, table_formats, failure):
+    """A child killed by SIGKILL while it builds, or once it has sent r_q:
+    the parent writes what arrived and makes the rest itself.  Files and
+    stdout equal those of the two single-x jobs, so no path line is
+    printed twice."""
+    single = tmp_path / "single"
+    want = "".join(run([*A3_JOB[:-3], x, "--outputs", "r,p", "--out",
+                        str(single)])[1] for x in (X_MINUS_ONE, X_Q))
     if failure == "sigkill":
-        real = klpoly.r_polynomials
+        parent, real = os.getpid(), klpoly.r_polynomials
 
         def dying(*args):
             if in_child(parent):
@@ -149,16 +153,37 @@ def test_a_lost_child_is_replaced_by_an_in_process_build(
 
         monkeypatch.setattr(klpoly, "r_polynomials", dying)
     else:
+        def dump_then_die(record, pipe):
+            marshal.dump(record, pipe)
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
         monkeypatch.setattr(forked, "marshal", types.SimpleNamespace(
-            dumps=lambda obj: marshal.dumps(obj)[:-5], loads=marshal.loads))
-    got_dir = tmp_path / "got"
-    code, _, err = run([*A3_JOB, "--out", str(got_dir)])
+            dump=dump_then_die, load=marshal.load))
+    single_formats = Counter(table_formats())
+    both = tmp_path / "both"
+    code, out, err = run([*A3_JOB, "--out", str(both)])
     assert (code, err) == (0, "")
-    assert files(got_dir) == files(want_dir)
-    # the parent built x = q itself this time
-    assert [(here, name) for here, name, x in table_builds()
-            if x == X_Q and here] == [(True, "kls_polynomials"),
-                                      (True, "r_polynomials")]
+    assert out.replace(str(both), "") == want.replace(str(single), "")
+    assert files(both) == files(single)
+    # the child formats both x = q tables or none; the parent formats its
+    # own two and the x = q ones that did not arrive: p_q, or both
+    child = 0 if failure == "sigkill" else 2
+    assert Counter(table_formats()) - single_formats == Counter({
+        (False, "to_json_text", X_Q): child,
+        (True, "to_json_text", X_Q): 2 - child // 2,
+        (True, "to_json_text", X_MINUS_ONE): 2})
+
+
+@pytest.mark.parametrize("fmt, formatter", [("json", "to_json_text"),
+                                            ("csv", "to_csv")])
+def test_the_parent_formats_only_its_own_tables(tmp_path, table_formats,
+                                                fmt, formatter):
+    """On success the child formats the x = q tables, and the parent only
+    the x = -1 ones."""
+    assert run([*A3_JOB, "--format", fmt, "--out", str(tmp_path)])[0] == 0
+    assert table_formats() == [(False, formatter, X_Q)] * 2 + \
+        [(True, formatter, X_MINUS_ONE)] * 2
 
 
 def test_a_failing_parent_kills_its_child_and_fails_as_in_process(

@@ -24,7 +24,10 @@ import run as bench_run  # noqa: E402
 COMPUTE = ["compute", "--x", "both", "--outputs", "r,p"]
 JOBS = {
     "tables": [[*COMPUTE, "--type", "B", "--rank", "3", "--H", "1"],
-               [*COMPUTE, "--type", "A", "--rank", "4", "--H", "2"]],
+               [*COMPUTE, "--type", "A", "--rank", "4", "--H", "2"],
+               # the child's CSV texts pass the emitted-bytes check too
+               [*COMPUTE, "--type", "A", "--rank", "3", "--H", "2",
+                "--format", "csv"]],
     "verify": [["verify", "--type", "A", "--rank", "3"],
                ["verify", "--type", "D", "--rank", "4", "--H", "1"]],
     # twisted 2 is too small for a strict-coherence check to fire
