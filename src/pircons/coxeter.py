@@ -4,20 +4,28 @@ Supported realizations: type A_n as permutations of [n+1] in one-line
 notation, B_n as signed permutations, D_n as even-signed permutations,
 I2(m) as the dihedral group of order 2m, and direct products of these.
 A realization supplies only its identity, right multiplication by a
-generator and its Coxeter matrix.  The whole group is tabulated by
-breadth-first closure under right multiplication, with one realization
-call per edge of the Cayley graph, |W| r / 2 in all: at a frontier element
-w, a generator s whose image is still unknown is an ascent, and w s, when
-new, gets w as its image under s and s as a right descent (Bjorner-Brenti,
-GTM 231, ch. 1-2).  The right table, lengths and right descents are built
-eagerly.  The inverse, left-multiplication, left-descent and word tables
-are built on first use and kept: w^-1 is the word of w read backwards
-along its parent chain in the closure, s w = (w^-1 s)^-1, and the left
-descents of w are the right descents of w^-1.  The tables give O(1)
-length, descent, inverse and generator-multiplication queries; the
-trade-off is a configurable size bound (PIRCONS_MAX_GROUP_SIZE, default
-50000).  The orders of the products s_i s_j are checked against the
-Coxeter matrix.
+generator and its Coxeter matrix.  Elements are numbered by length, then
+by representation.  Type A is read off lexicographic ranks with no
+realization call (Bjorner-Brenti, GTM 231, ch. 1): the rank of w among
+``itertools.permutations`` is sum c_i (n-1-i)!, for the Lehmer code
+c_i = #{j > i : w_j < w_i}; the length is sum c_i, and k is a right descent
+exactly when c_k > c_(k+1).  Right multiplication by s_k changes only
+(c_k, c_(k+1)), to (c_(k+1) + 1, c_k) on an ascent and (c_(k+1), c_k - 1)
+on a descent, so it permutes every block of (n-k)! consecutive ranks the
+same way; the numbering is the stable sort of the ranks by length.  Every
+other type, products with type-A factors too, is tabulated by breadth-first
+closure under right multiplication, one realization call per Cayley edge,
+|W| r / 2 in all: at a frontier element w, a generator s whose image is
+still unknown is an ascent, and w s, when new, gets w as its image under s
+and s as a right descent (Bjorner-Brenti, ch. 1-2).  The right table,
+lengths and right descents are built eagerly; the index, inverse,
+left-multiplication, left-descent and word tables on first use.  w^-1
+walks down right descents (w <- w s and u <- u s at the lowest right
+descent s of w, from u = e), s w = (w^-1 s)^-1, and the left descents of
+w are the right descents of w^-1.  The tables give O(1) length, descent,
+inverse and generator-multiplication queries; the trade-off is a
+configurable size bound (PIRCONS_MAX_GROUP_SIZE, default 50000).  The
+orders of the products s_i s_j are checked against the Coxeter matrix.
 
 Generators are 0-indexed internally and rendered 1-based in labels, so the
 element with lexicographically least reduced word s2*s1 is labelled "2.1".
@@ -43,6 +51,8 @@ so each down-set is the union of one mask already built and its image
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -90,6 +100,40 @@ class _TypeA:
         v = list(w)
         v[k], v[k + 1] = v[k + 1], v[k]
         return tuple(v)
+
+    def tabulate(self):
+        """``elements``, ``length``, ``right`` and ``d_right`` from ranks."""
+        n = self.n_points
+        # Length and right descents of each rank, by Lehmer digit from last
+        length, desc = [0], [0]
+        for i in range(n - 2, -1, -1):
+            sub = len(length) // (n - 1 - i)  # ranks per value of c_(i+1)
+            prev = desc
+            length = [c + l for c in range(n - i) for l in length]
+            desc = [d | 1 << i if c > j else d
+                    for c in range(n - i) for j in range(n - 1 - i)
+                    for d in prev[j * sub:(j + 1) * sub]]
+        order = sorted(range(len(length)), key=length.__getitem__)
+        pos = sorted(range(len(order)), key=order.__getitem__)  # inverse
+
+        def rank_map(k):
+            # s_k on one block of (n-k)! ranks: each (c_k, c_(k+1)) pair
+            # owns m consecutive ranks, moved together.
+            size, m = n - k, math.factorial(n - k - 2)
+            block = []
+            for a, b in itertools.product(range(size), range(size - 1)):
+                a, b = (b + 1, a) if a <= b else (b, a - 1)
+                start = (a * (size - 1) + b) * m
+                block.extend(range(start, start + m))
+            return [o + x for o in range(0, len(pos), len(block))
+                    for x in block]
+
+        # One generator's rank map at a time, freed once its column is made.
+        cols = [list(map(pos.__getitem__, map(rank_map(k).__getitem__, order)))
+                for k in range(self.rank)]
+        perms = list(itertools.permutations(range(1, n + 1)))
+        return (tuple(map(perms.__getitem__, order)), tuple(sorted(length)),
+                tuple(zip(*cols)), tuple(map(desc.__getitem__, order)))
 
     def m_entry(self, i, j):
         if i == j:
@@ -262,82 +306,84 @@ def _realization(config: dict):
 # The tabulated group.
 # ---------------------------------------------------------------------------
 
+def _closure(real, bound: int):
+    """``elements``, ``index``, ``length``, ``right`` and ``d_right`` by
+    breadth-first closure, layer by layer of length."""
+    r = real.rank
+    ident = real.identity()
+    elements = [ident]
+    index = {ident: 0}
+    length = [0]
+    right = [[None] * r]
+    d_right = [0]
+    frontier = [0]
+    while frontier:
+        # Deterministic layer order: sort new elements by representation.
+        nxt = {}
+        for i in frontier:
+            w = elements[i]
+            for k, known in enumerate(right[i]):
+                if known is None:
+                    img = real.right(w, k)
+                    if img in index:
+                        raise CoxeterError(
+                            "realization is not length-additive: "
+                            f"{w!r} * s{k + 1} is already tabulated")
+                    nxt.setdefault(img, []).append((i, k))
+        if len(elements) + len(nxt) > bound:
+            raise SizeBoundError(f"group exceeds size bound {bound}")
+        layer = sorted(nxt)
+        for img in layer:
+            edges = nxt[img]
+            j = len(elements)
+            index[img] = j
+            elements.append(img)
+            length.append(length[edges[0][0]] + 1)
+            row = [None] * r
+            bits = 0
+            for i, k in edges:
+                right[i][k] = j
+                row[k] = i
+                bits |= 1 << k
+            right.append(row)
+            d_right.append(bits)
+        frontier = [index[img] for img in layer]
+    return (tuple(elements), index, tuple(length), tuple(map(tuple, right)),
+            tuple(d_right))
+
+
 class CoxeterSystem:
     """A finite Coxeter system with a complete element table.
 
-    Built eagerly: ``elements`` (sorted by representation within each
-    length), ``index``, ``length``, ``right`` and ``d_right``, from one
-    realization call per Cayley edge; an ascent whose image is already
-    tabulated raises ``CoxeterError``, since such a realization is not
-    length-additive.  Built on first use and kept: ``_inv``, ``left``,
-    ``d_left`` and ``word``.  ``inverse(w)`` walks the parent chain of w
-    alone and builds no table.
+    Built eagerly: ``elements``, ``length``, ``right`` and ``d_right``,
+    for type A from its ranks, else by the closure, which keeps ``index``
+    and refuses a realization that is not length-additive (an ascent whose
+    image is already tabulated).  Built on first use and kept: ``index``
+    (type A), ``_inv``, ``left``, ``d_left`` and ``word``.
     """
 
     def __init__(self, config: dict):
         self.config = dict(config)
         real = _realization(config)
         bound = size_bound()
-        # A group of rank r has at least 2^r elements; refuse a huge rank
-        # before the rank-by-rank matrix is built.
-        if real.rank >= bound.bit_length():
+        # A group of rank r has at least 2^r elements, and type A has
+        # (r+1)!; refuse a huge group before anything is built.
+        if real.rank >= bound.bit_length() or isinstance(real, _TypeA) \
+                and math.factorial(real.n_points) > bound:
             raise SizeBoundError(f"group exceeds size bound {bound}")
-        self.num_gens = real.rank
+        self.num_gens = r = real.rank
         self.matrix = tuple(tuple(real.m_entry(i, j)
                                   for j in range(real.rank))
                             for i in range(real.rank))
-
-        # Breadth-first closure by length, one realization call per edge of
-        # the Cayley graph: an unknown right[w][k] at a frontier element is
-        # an ascent, and its image's k-th entry is w, a right descent.
-        r = self.num_gens
-        ident = real.identity()
-        elements = [ident]
-        index = {ident: 0}
-        length = [0]
-        parent = [(0, -1)]
-        right = [[None] * r]
-        d_right = [0]
-        frontier = [0]
-        while frontier:
-            # Deterministic layer order: sort new elements by representation.
-            nxt = {}
-            for i in frontier:
-                w = elements[i]
-                for k, known in enumerate(right[i]):
-                    if known is None:
-                        img = real.right(w, k)
-                        if img in index:
-                            raise CoxeterError(
-                                "realization is not length-additive: "
-                                f"{w!r} * s{k + 1} is already tabulated")
-                        nxt.setdefault(img, []).append((i, k))
-            if len(elements) + len(nxt) > bound:
-                raise SizeBoundError(f"group exceeds size bound {bound}")
-            layer = sorted(nxt)
-            for img in layer:
-                edges = nxt[img]
-                j = len(elements)
-                index[img] = j
-                elements.append(img)
-                length.append(length[edges[0][0]] + 1)
-                parent.append(edges[0])
-                row = [None] * r
-                bits = 0
-                for i, k in edges:
-                    right[i][k] = j
-                    row[k] = i
-                    bits |= 1 << k
-                right.append(row)
-                d_right.append(bits)
-            frontier = [index[img] for img in layer]
-        self.elements = tuple(elements)
-        self.index = index
-        self.length = tuple(length)
-        self.right = tuple(map(tuple, right))
-        self.d_right = tuple(d_right)
-        self._parent = parent
-        self._lexwords: list[tuple[int, ...] | None] = [None] * len(elements)
+        if isinstance(real, _TypeA):
+            self.elements, self.length, self.right, self.d_right = \
+                real.tabulate()
+        else:
+            (self.elements, self.index, self.length, self.right,
+             self.d_right) = _closure(real, bound)
+        self._lexwords: list[tuple[int, ...] | None] = [None] * self.size
+        # the lowest set bit of each descent mask, for ``inverse``
+        self._lowest = tuple((d & -d).bit_length() - 1 for d in range(1 << r))
 
         for i in range(self.num_gens):
             for j in range(i + 1, self.num_gens):
@@ -348,10 +394,9 @@ class CoxeterSystem:
                         f"matrix says {self.matrix[i][j]}")
 
     def _order_of_product(self, i: int, j: int) -> int:
-        e = self.index[self.elements[0]]
-        x = self.right[self.right[e][i]][j]
+        x = self.right[self.right[0][i]][j]
         k = 1
-        while x != e:
+        while x:
             x = self.right[self.right[x][i]][j]
             k += 1
         return k
@@ -372,14 +417,21 @@ class CoxeterSystem:
         return u
 
     def inverse(self, w: int) -> int:
-        """w^-1, the word of w read backwards along its parent chain."""
+        """w^-1: while w is not e, w <- w s and u <- u s at the lowest right
+        descent s of w, from u = e."""
+        right, d_right, lowest = self.right, self.d_right, self._lowest
         u = 0
         while w:
-            w, k = self._parent[w]
-            u = self.right[u][k]
+            k = lowest[d_right[w]]
+            w, u = right[w][k], right[u][k]
         return u
 
     # -- tables derived on first use and kept ---------------------------------
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """The number of each element."""
+        return {w: i for i, w in enumerate(self.elements)}
 
     @functools.cached_property
     def _inv(self) -> tuple[int, ...]:
@@ -401,10 +453,12 @@ class CoxeterSystem:
 
     @functools.cached_property
     def word(self) -> tuple[tuple[int, ...], ...]:
-        """A reduced word of each element: its parent's word and the
-        generator of the edge it was found by."""
+        """A reduced word of each element: w != e extends the word of its
+        least-numbered lower neighbour w s_k, the closure's first edge."""
+        gens = range(self.num_gens)
         word: list[tuple[int, ...]] = [()]
-        for i, k in self._parent[1:]:
+        for row in self.right[1:]:
+            i, k = min(zip(row, gens))
             word.append(word[i] + (k,))
         return tuple(word)
 

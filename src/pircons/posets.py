@@ -26,7 +26,9 @@ class GradedPoset:
                  "_label_index")
 
     def __init__(self, labels: Sequence[str],
-                 cover_pairs: Iterable[tuple[int, int]]):
+                 cover_pairs: Iterable[tuple[int, int]], *,
+                 _down_sets: Sequence[int] | None = None):
+        # _down_sets: the down-set masks, from ``from_comparability`` alone
         labels = tuple(str(x) for x in labels)
         n = len(labels)
         if len(set(labels)) != n:
@@ -95,12 +97,14 @@ class GradedPoset:
         self.rank = tuple(rank)
 
         order = sorted(range(n), key=lambda i: rank[i])
-        down_sets = [0] * n
-        for y in order:
-            m = 1 << y
-            for x in down[y]:
-                m |= down_sets[x]
-            down_sets[y] = m
+        down_sets = _down_sets
+        if down_sets is None:
+            down_sets = [0] * n
+            for y in order:
+                m = 1 << y
+                for x in down[y]:
+                    m |= down_sets[x]
+                down_sets[y] = m
         up_sets = [0] * n
         for y in reversed(order):
             m = 1 << y
@@ -276,6 +280,7 @@ def from_comparability(labels: Sequence[str],
     Covers are recovered by transitive reduction, so this is the right
     constructor for subsets of a larger order, e.g. parabolic quotients or
     twisted identities, whose covers may not be covers of the ambient order.
+    The poset keeps ``below_masks`` as its down-sets.
     """
     strict_below = [below_masks[y] & ~(1 << y) for y in range(len(labels))]
     covers = []
@@ -285,4 +290,4 @@ def from_comparability(labels: Sequence[str],
         for z in GradedPoset.elements_of(cand):
             lower |= strict_below[z]
         covers.extend((x, y) for x in GradedPoset.elements_of(cand & ~lower))
-    return GradedPoset(labels, covers)
+    return GradedPoset(labels, covers, _down_sets=below_masks)

@@ -49,10 +49,10 @@ def _double_factorial(k: int) -> int:
 class TwistedIdentities:
     """The twisted-identity pircon of S_(2n).
 
-    The host S_(2n) is tabulated, but only its right table and inverses
-    are read: each conjugate theta(s_i) g s_i of an orbit element g is
-    s (g s_i) = ((g s_i)^-1 s)^-1 with s = theta(s_i), two parent-chain
-    walks, so the host builds no left-multiplication table.
+    The host S_(2n) is tabulated from its lexicographic ranks, and only
+    its eager tables are read: each conjugate theta(s_i) g s_i of an orbit
+    element g is s (g s_i) = ((g s_i)^-1 s)^-1 with s = theta(s_i), two
+    walks down right descents, so the host builds no derived table.
     """
 
     def __init__(self, n: int):

@@ -280,18 +280,19 @@ def test_size_bound_exit(monkeypatch):
 
 
 def test_twisted_host_past_the_bound_is_refused(monkeypatch, capsys):
-    """S_10 has 3628800 elements; its tabulation stops at the default bound
-    of 50000, having realized at most r edges per element it kept."""
+    """S_10 has 3628800 elements, past the default bound of 50000; it is
+    refused by its order, with no realization call.  So is A8."""
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     calls = []
     right = coxeter._TypeA.right
     monkeypatch.setattr(coxeter._TypeA, "right",
                         lambda self, w, k: calls.append(k) or
                         right(self, w, k))
-    assert run(["compute", "--twisted-n", "5"]) == cli.EXIT_SIZE_BOUND
-    assert capsys.readouterr().err == \
-        "coxeter error: group exceeds size bound 50000\n"
-    assert 0 < len(calls) <= DEFAULT_SIZE_BOUND * 9
+    for argv in (["--twisted-n", "5"], ["--type", "A", "--rank", "8"]):
+        assert run(["compute", *argv]) == cli.EXIT_SIZE_BOUND
+        assert capsys.readouterr().err == \
+            f"coxeter error: group exceeds size bound {DEFAULT_SIZE_BOUND}\n"
+    assert calls == []
 
 
 def test_size_bound_exit_follows_the_error_type(monkeypatch):

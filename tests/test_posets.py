@@ -137,6 +137,23 @@ def test_from_comparability_recovers_covers(suite_quotients, twisted3,
         assert again.down_covers == P.down_covers
 
 
+def test_handed_down_sets_equal_the_rebuilt_ones(suite_quotients, twisted2,
+                                                 twisted3, twisted4):
+    """``from_comparability`` hands its masks to the poset; the poset built
+    from its covers alone rebuilds the same down-sets, up-sets and ranks."""
+    from pircons import CoxeterSystem
+    from pircons.twisted import TwistedIdentities
+    posets = [quot.poset for quot in suite_quotients.values()]
+    posets += [CoxeterSystem({"type": "A", "rank": 5}).quotient(()).poset]
+    posets += [t.poset for t in (TwistedIdentities(1), twisted2, twisted3,
+                                 twisted4)]
+    for P in posets:
+        rebuilt = GradedPoset(P.labels, [(x, y) for x in range(P.n)
+                                         for y in P.up_covers[x]])
+        assert rebuilt._down == P._down, P
+        assert rebuilt._up == P._up and rebuilt.rank == P.rank, P
+
+
 def test_empty_poset():
     P = GradedPoset((), ())
     assert P.n == 0 and P.bottom is None

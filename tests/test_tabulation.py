@@ -1,10 +1,13 @@
 """The group tabulation against the eager reference closure.
 
-``CoxeterSystem`` realizes each edge of the Cayley graph once and builds
-its inverse, left-multiplication, left-descent and word tables on first
+``CoxeterSystem`` reads type A off lexicographic ranks, realizes each edge
+of the Cayley graph of any other type once, and builds its inverse,
+left-multiplication, left-descent, word and (type A) index tables on first
 use; ``oracles.coxeter_tables`` realizes every edge from both ends and
 builds every table eagerly.  Every table must agree.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -21,7 +24,7 @@ TABLES = ("elements", "index", "length", "word", "right", "_inv", "left",
 DERIVED = ("left", "d_left", "_inv", "word")
 
 ORACLE_CONFIGS = {
-    **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 6)},
+    **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 7)},
     **{f"B{r}": {"type": "B", "rank": r} for r in range(2, 6)},
     "D4": {"type": "D", "rank": 4},
     "D5": {"type": "D", "rank": 5},
@@ -58,7 +61,8 @@ def test_s8_tables_match_the_eager_closure(s8):
 
 def spy_right(monkeypatch):
     counts = {"right": 0}
-    for cls in (coxeter._TypeA, coxeter._TypeB, coxeter._TypeD):
+    for cls in (coxeter._TypeA, coxeter._TypeB, coxeter._TypeD,
+                coxeter._Dihedral):
         original = cls.right
 
         def counted(self, w, k, _original=original):
@@ -70,15 +74,20 @@ def spy_right(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, calls", [
-    ({"type": "A", "rank": 3}, 36),
+    ({"type": "A", "rank": 3}, 0),
     ({"type": "B", "rank": 3}, 72),
     ({"type": "D", "rank": 4}, 384),
+    (DERIVED_EXTRA["A2xB2xI2(5)"], 1440),
 ])
 def test_one_realization_call_per_edge(monkeypatch, cfg, calls):
-    """|W| r / 2 calls: one per edge of the Cayley graph."""
+    """Type A is read off lexicographic ranks with no call; every other
+    type, a product's type-A factor included, makes |W| r / 2 calls, one
+    per edge of the Cayley graph."""
     counts = spy_right(monkeypatch)
     W = CoxeterSystem(cfg)
-    assert counts["right"] == calls == W.size * W.num_gens // 2
+    assert counts["right"] == calls
+    if cfg["type"] != "A":
+        assert calls == W.size * W.num_gens // 2
     for name in DERIVED:
         getattr(W, name)
     assert counts["right"] == calls
@@ -92,14 +101,38 @@ def test_derived_tables_are_built_on_first_use():
 
 def test_twisted_build_reads_no_derived_table():
     host = TwistedIdentities(3).host
-    assert not set(DERIVED) & set(host.__dict__)
+    assert not (set(DERIVED) | {"index"}) & set(host.__dict__)
+
+
+def test_type_a_is_refused_by_its_order(monkeypatch):
+    """|A5| = 720: refused one element short of it, with no call."""
+    counts = spy_right(monkeypatch)
+    monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, "719")
+    with pytest.raises(coxeter.SizeBoundError):
+        CoxeterSystem({"type": "A", "rank": 5})
+    monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, "720")
+    assert CoxeterSystem({"type": "A", "rank": 5}).size == 720
+    assert counts["right"] == 0
+
+
+def test_a7_traced_peak():
+    """The S_8 tabulation peaks under 17 MiB traced (19.7 MiB with the
+    closure)."""
+    tracemalloc.start()
+    try:
+        W = CoxeterSystem({"type": "A", "rank": 7})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.size == 40320
+    assert peak < 17 * 2 ** 20
 
 
 def test_realization_that_is_not_length_additive(monkeypatch):
     """An ascent whose image is already tabulated is refused."""
-    original = coxeter._TypeA.right
-    monkeypatch.setattr(coxeter._TypeA, "right",
+    original = coxeter._TypeB.right
+    monkeypatch.setattr(coxeter._TypeB, "right",
                         lambda self, w, k: w if k == 1 else
                         original(self, w, k))
     with pytest.raises(CoxeterError, match="not length-additive"):
-        CoxeterSystem({"type": "A", "rank": 2})
+        CoxeterSystem({"type": "B", "rank": 2})
