@@ -15,14 +15,14 @@ and kernel inversion then yields the parabolic P^x-polynomials.
 """
 
 from pircons import (CoxeterSystem, X_PARAMS, check_pkernel, check_updown,
-                     lambda_partial, lambda_refinement, r_polynomials)
+                     lambda_refinement, r_polynomials)
 
 W = CoxeterSystem({"type": "B", "rank": 3})
 quot = W.quotient({1, 2})            # H = {s2, s3}
 P = quot.poset
 print(f"W^H has {P.n} elements, top rank {P.max_rank()}")
 
-matchings = [lambda_partial(quot, s) for s in range(W.num_gens)]
+matchings = quot.lambda_matchings   # lambda_s for each s, without repeats
 refinement = lambda_refinement(quot)
 
 for x in X_PARAMS:

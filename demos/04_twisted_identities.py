@@ -18,8 +18,8 @@ for n in (2, 3):
 
 T = TwistedIdentities(3)
 P = T.poset
-r = T.klv_polynomials(KLV_R)
-qtab = T.klv_polynomials(KLV_Q)
+r = T.system.r_table(KLV_R)        # the system's tables at x = q and -1
+qtab = T.system.r_table(KLV_Q)
 e = P.bottom
 top = P.top
 print("\nKLV values against the maximal twisted identity", P.labels[top])

@@ -15,13 +15,13 @@ script replays against the direct construction.  Module vectors are packed
 ints; ``ctx.decode`` turns one into readable Laurent coefficients.
 """
 
-from pircons import (CoxeterSystem, X_PARAMS, context_for_quotient,
+from pircons import (CoxeterSystem, HeckeContext, X_PARAMS,
                      cprime_recursion, kl_element_c, kl_element_cprime,
                      verify_duality, verify_hecke_relations)
 
 W = CoxeterSystem({"type": "A", "rank": 2})
 quot = W.quotient({1})                   # the chain e < s1 < s2.s1
-ctx = context_for_quotient(quot)
+ctx = HeckeContext(quot.poset, quot.system)   # checks the quotient's system
 P = ctx.poset
 
 for x in X_PARAMS:

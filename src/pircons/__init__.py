@@ -15,10 +15,9 @@ from .coxeter import (CoxeterError, CoxeterSystem, ParabolicQuotient,
                       SizeBoundError)
 from .matchings import (MatchingError, OrbitClassificationError, OrbitReport,
                         PartialMatching, check_lifting, coherent,
-                        enumerate_spms, is_dircon, lambda_partial,
-                        lambda_system, orbit_analysis, orbit_partition,
-                        strictly_coherent, verify_pircon, verify_qspm,
-                        verify_spm)
+                        enumerate_spms, is_dircon, orbit_analysis,
+                        orbit_partition, strictly_coherent, verify_pircon,
+                        verify_qspm, verify_spm)
 from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                      brenti_identity, check_pkernel, check_updown,
@@ -27,10 +26,9 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      refinement_independence, system_refinement,
                      verify_pircon_system, verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
-                    characterize, context_for_quotient, cprime_recursion,
-                    iota, kl_element_c, kl_element_cprime, p_recursion,
-                    t_action, verify_duality, verify_hecke_relations,
-                    verify_recursion)
+                    characterize, cprime_recursion, iota, kl_element_c,
+                    kl_element_cprime, p_recursion, t_action, verify_duality,
+                    verify_hecke_relations, verify_recursion)
 from .twisted import TwistedIdentities
 
 __all__ = [name for name in dir() if not name.startswith("_")]

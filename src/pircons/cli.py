@@ -14,7 +14,8 @@ or the instance kind does not read, or a malformed poset, refinement or
 matching file: see README), 3 unsupported group,
 4 group size bound exceeded, 1 other errors; a failing verification exits
 with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
-files are written atomically (temp file + rename).
+files are written atomically (temp file + rename), with mode 0o666 less
+the umask.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 
 from . import hecke, klpoly, matchings, twisted
 from .coxeter import CoxeterError, CoxeterSystem, SizeBoundError
@@ -62,9 +62,12 @@ class ConfigError(ValueError):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to a new file beside path, then rename it onto path.
+    The file is created with mode 0o666, so the umask applies to it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -150,16 +153,13 @@ def build_instance(config: dict) -> Instance:
         matrix = spec.get("matrix")
         if not isinstance(matrix, dict):
             raise ConfigError("coxeter instance needs a 'matrix' object")
-        system = CoxeterSystem(matrix)
-        H = _parse_generators(spec.get("H"), system.num_gens)
-        quot = system.quotient(H)
+        group = CoxeterSystem(matrix)
+        H = _parse_generators(spec.get("H"), group.num_gens)
+        quot = group.quotient(H)
         hh = ",".join(f"s{h + 1}" for h in sorted(H)) or "empty"
         name = f"{matrix.get('type')}{matrix.get('rank', matrix.get('m'))}" \
                f"/H={hh}"
-        return Instance("coxeter", quot.poset, name,
-                        lambda: klpoly.PirconSystem(
-                            quot.poset, quot.lambda_matchings,
-                            klpoly.lambda_refinement(quot)),
+        return Instance("coxeter", quot.poset, name, lambda: quot.system,
                         quotient=quot)
     if kind == "twisted":
         n = spec.get("n")

@@ -4,9 +4,11 @@ Supported realizations: type A_n as permutations of [n+1] in one-line
 notation, B_n as signed permutations, D_n as even-signed permutations,
 I2(m) as the dihedral group of order 2m, and direct products of these.
 A realization supplies only its identity, right multiplication by a
-generator and its Coxeter matrix.  Elements are numbered by length, then
-by representation.  Type A is read off lexicographic ranks with no
-realization call (Bjorner-Brenti, GTM 231, ch. 1): the rank of w among
+generator, its Coxeter matrix and its order; a group whose order is past
+the size bound is refused before anything is built.  Elements are
+numbered by length, then by representation.  Type A is read off
+lexicographic ranks with no realization call (Bjorner-Brenti, GTM 231,
+ch. 1): the rank of w among
 ``itertools.permutations`` is sum c_i (n-1-i)!, for the Lehmer code
 c_i = #{j > i : w_j < w_i}; the length is sum c_i, and k is a right descent
 exactly when c_k > c_(k+1).  Right multiplication by s_k changes only
@@ -56,7 +58,7 @@ import math
 import os
 from typing import Iterable, Sequence
 
-from . import matchings
+from . import klpoly, matchings
 from .posets import from_comparability, lifted_down_sets
 
 DEFAULT_SIZE_BOUND = 50000
@@ -83,7 +85,7 @@ def size_bound() -> int:
 
 # ---------------------------------------------------------------------------
 # Concrete realizations.  Each provides the identity element, the right
-# multiplication by a generator, and the Coxeter matrix.
+# multiplication by a generator, the Coxeter matrix and the group order.
 # ---------------------------------------------------------------------------
 
 class _TypeA:
@@ -92,6 +94,9 @@ class _TypeA:
             raise CoxeterError("type A needs rank >= 1")
         self.rank = rank
         self.n_points = rank + 1
+
+    def order(self):
+        return math.factorial(self.n_points)
 
     def identity(self):
         return tuple(range(1, self.n_points + 1))
@@ -147,6 +152,9 @@ class _TypeB:
             raise CoxeterError("type B needs rank >= 1")
         self.rank = rank
 
+    def order(self):
+        return 2 ** self.rank * math.factorial(self.rank)
+
     def identity(self):
         return tuple(range(1, self.rank + 1))
 
@@ -171,6 +179,9 @@ class _TypeD:
         if rank < 2:
             raise CoxeterError("type D needs rank >= 2")
         self.rank = rank
+
+    def order(self):
+        return 2 ** (self.rank - 1) * math.factorial(self.rank)
 
     def identity(self):
         return tuple(range(1, self.rank + 1))
@@ -209,6 +220,9 @@ class _Dihedral:
         self.m = m
         self.rank = 2
 
+    def order(self):
+        return 2 * self.m
+
     def identity(self):
         return (0, None)
 
@@ -244,6 +258,9 @@ class _Product:
         for f in factors:
             self._offsets.append(off)
             off += f.rank
+
+    def order(self):
+        return math.prod(f.order() for f in self.factors)
 
     def _locate(self, k):
         for idx in range(len(self.factors) - 1, -1, -1):
@@ -306,9 +323,10 @@ def _realization(config: dict):
 # The tabulated group.
 # ---------------------------------------------------------------------------
 
-def _closure(real, bound: int):
-    """``elements``, ``index``, ``length``, ``right`` and ``d_right`` by
-    breadth-first closure, layer by layer of length."""
+def _closure(real):
+    """``elements``, ``length``, ``right`` and ``d_right`` by breadth-first
+    closure, layer by layer of length.  Raises CoxeterError when the
+    closure does not end with the realization's order."""
     r = real.rank
     ident = real.identity()
     elements = [ident]
@@ -330,8 +348,6 @@ def _closure(real, bound: int):
                             "realization is not length-additive: "
                             f"{w!r} * s{k + 1} is already tabulated")
                     nxt.setdefault(img, []).append((i, k))
-        if len(elements) + len(nxt) > bound:
-            raise SizeBoundError(f"group exceeds size bound {bound}")
         layer = sorted(nxt)
         for img in layer:
             edges = nxt[img]
@@ -348,39 +364,39 @@ def _closure(real, bound: int):
             right.append(row)
             d_right.append(bits)
         frontier = [index[img] for img in layer]
-    return (tuple(elements), index, tuple(length), tuple(map(tuple, right)),
+    if len(elements) != real.order():
+        raise CoxeterError(f"closure reached {len(elements)} elements, "
+                           f"not the order {real.order()}")
+    return (tuple(elements), tuple(length), tuple(map(tuple, right)),
             tuple(d_right))
 
 
 class CoxeterSystem:
     """A finite Coxeter system with a complete element table.
 
-    Built eagerly: ``elements``, ``length``, ``right`` and ``d_right``,
-    for type A from its ranks, else by the closure, which keeps ``index``
-    and refuses a realization that is not length-additive (an ascent whose
-    image is already tabulated).  Built on first use and kept: ``index``
-    (type A), ``_inv``, ``left``, ``d_left`` and ``word``.
+    A group whose order is past the size bound is refused first.  Built
+    eagerly: ``elements``, ``length``, ``right`` and ``d_right``, for
+    type A from its ranks, else by the closure, which refuses a
+    realization that is not length-additive (an ascent whose image is
+    already tabulated).  Built on first use and kept: ``index``, ``_inv``,
+    ``left``, ``d_left`` and ``word``.
     """
 
     def __init__(self, config: dict):
         self.config = dict(config)
         real = _realization(config)
         bound = size_bound()
-        # A group of rank r has at least 2^r elements, and type A has
-        # (r+1)!; refuse a huge group before anything is built.
-        if real.rank >= bound.bit_length() or isinstance(real, _TypeA) \
-                and math.factorial(real.n_points) > bound:
+        # Refused by its order before anything is built.  A group of rank
+        # r has at least 2^r elements, so a rank past the bound's bit
+        # length is refused without multiplying out its order.
+        if real.rank >= bound.bit_length() or real.order() > bound:
             raise SizeBoundError(f"group exceeds size bound {bound}")
         self.num_gens = r = real.rank
         self.matrix = tuple(tuple(real.m_entry(i, j)
                                   for j in range(real.rank))
                             for i in range(real.rank))
-        if isinstance(real, _TypeA):
-            self.elements, self.length, self.right, self.d_right = \
-                real.tabulate()
-        else:
-            (self.elements, self.index, self.length, self.right,
-             self.d_right) = _closure(real, bound)
+        self.elements, self.length, self.right, self.d_right = \
+            real.tabulate() if isinstance(real, _TypeA) else _closure(real)
         self._lexwords: list[tuple[int, ...] | None] = [None] * self.size
         # the lowest set bit of each descent mask, for ``inverse``
         self._lowest = tuple((d & -d).bit_length() - 1 for d in range(1 << r))
@@ -491,34 +507,36 @@ class CoxeterSystem:
 class ParabolicQuotient:
     """Minimal coset representatives W^H as a graded poset under Bruhat order.
 
-    Poset element i corresponds to group element reps[i]; ranks coincide with
-    Coxeter length (asserted), and covers are recomputed inside the quotient.
+    Poset element i corresponds to group element reps[i] of ``group``;
+    ranks coincide with Coxeter length (asserted), and covers are
+    recomputed inside the quotient.  Its pircon ``system`` is built on
+    first use and kept.
     """
 
-    def __init__(self, system: CoxeterSystem, H: Iterable[int]):
+    def __init__(self, group: CoxeterSystem, H: Iterable[int]):
         H = frozenset(int(h) for h in H)
         for h in H:
-            if not 0 <= h < system.num_gens:
+            if not 0 <= h < group.num_gens:
                 raise CoxeterError(f"H contains invalid generator {h}")
-        self.system = system
+        self.group = group
         self.H = H
-        reps = [w for w in range(system.size)
-                if all(not (system.d_right[w] >> h & 1) for h in H)]
-        reps.sort(key=lambda w: (system.length[w], system.lex_least_word(w)))
+        reps = [w for w in range(group.size)
+                if all(not (group.d_right[w] >> h & 1) for h in H)]
+        reps.sort(key=lambda w: (group.length[w], group.lex_least_word(w)))
         self.reps = tuple(reps)
         self.rep_index = {w: i for i, w in enumerate(reps)}
 
         # images[s][i]: the poset index of lambda_s(reps[i])
         self.images = tuple(
-            tuple(self.rep_index.get(system.left[w][s], i)
+            tuple(self.rep_index.get(group.left[w][s], i)
                   for i, w in enumerate(reps))
-            for s in range(system.num_gens))
-        masks = lifted_down_sets([system.length[w] for w in reps],
+            for s in range(group.num_gens))
+        masks = lifted_down_sets([group.length[w] for w in reps],
                                  self.images)
-        labels = [system.label(w) for w in reps]
+        labels = [group.label(w) for w in reps]
         self.poset = from_comparability(labels, masks)
         for i, w in enumerate(reps):
-            if self.poset.rank[i] != system.length[w]:
+            if self.poset.rank[i] != group.length[w]:
                 raise CoxeterError(
                     "quotient poset rank disagrees with Coxeter length")
 
@@ -526,11 +544,32 @@ class ParabolicQuotient:
     def n(self) -> int:
         return len(self.reps)
 
+    def lambda_matching(self, s: int) -> matchings.PartialMatching:
+        """The matching u -> su restricted to W^H: u maps to su when su
+        stays in the quotient and is fixed otherwise.  A quasi SPM of the
+        whole quotient poset; it validates itself and raises MatchingError
+        on failure, which would signal a construction bug."""
+        out = matchings.PartialMatching(self.poset,
+                                        dict(enumerate(self.images[s])))
+        ok, witness = matchings.verify_qspm(out)
+        if not ok:
+            raise matchings.MatchingError(
+                f"lambda matching for s{s + 1} failed validation: {witness}")
+        return out
+
     @functools.cached_property
     def lambda_matchings(self) -> tuple[matchings.PartialMatching, ...]:
-        """``matchings.lambda_system`` of the quotient, its pircon system,
-        built on first use and kept."""
-        return tuple(matchings.lambda_system(self))
+        """The distinct ``lambda_matching(s)``, in order of s, built on
+        first use and kept: the matchings of the quotient's system."""
+        return tuple(dict.fromkeys(map(self.lambda_matching,
+                                       range(self.group.num_gens))))
+
+    @functools.cached_property
+    def system(self) -> klpoly.PirconSystem:
+        """The left multiplication matchings with the canonical refinement
+        ``klpoly.lambda_refinement``, built on first use and kept."""
+        return klpoly.PirconSystem(self.poset, self.lambda_matchings,
+                                   klpoly.lambda_refinement(self))
 
     def __repr__(self) -> str:
         hh = "{" + ",".join(f"s{h + 1}" for h in sorted(self.H)) + "}"

@@ -69,8 +69,7 @@ from typing import Mapping
 
 from .laurent import HalfLaurent
 from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
-                     _digits, _width_for, check_x, is_calculating,
-                     lambda_refinement, other_x)
+                     _digits, _width_for, check_x, is_calculating, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -628,13 +627,3 @@ def characterize(ctx: HeckeContext, D: Vector, w: int, x: str) -> bool:
         raise AssertionError(
             "characterization conditions hold but D differs from C'^x_w")
     return True
-
-
-# ---------------------------------------------------------------------------
-# Instance builder for parabolic quotients.
-# ---------------------------------------------------------------------------
-
-def context_for_quotient(quot) -> HeckeContext:
-    """HeckeContext of W^H with the left multiplication partial matchings."""
-    return HeckeContext(quot.poset, PirconSystem(
-        quot.poset, quot.lambda_matchings, lambda_refinement(quot)))

@@ -298,30 +298,6 @@ def verify_pircon(poset: GradedPoset):
 
 
 # ---------------------------------------------------------------------------
-# Left multiplication partial matchings of a parabolic quotient.
-# ---------------------------------------------------------------------------
-
-def lambda_partial(quot, s: int) -> PartialMatching:
-    """The matching u -> su restricted to W^H: u maps to su when su stays in
-    the quotient and is fixed otherwise.  A quasi SPM of the whole quotient
-    poset; it validates itself and raises on failure, which would signal a
-    construction bug."""
-    out = PartialMatching(quot.poset, dict(enumerate(quot.images[s])))
-    ok, witness = verify_qspm(out)
-    if not ok:
-        raise MatchingError(
-            f"lambda matching for s{s + 1} failed validation: {witness}")
-    return out
-
-
-def lambda_system(quot) -> list[PartialMatching]:
-    """The distinct whole-poset matchings lambda_partial(quot, s), in order
-    of s: the pircon system of a parabolic quotient."""
-    return list(dict.fromkeys(lambda_partial(quot, s)
-                              for s in range(quot.system.num_gens)))
-
-
-# ---------------------------------------------------------------------------
 # Orbits of a pair of matchings, their classification, and coherence.
 # ---------------------------------------------------------------------------
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 import functools
 
 from .coxeter import CoxeterSystem
-from .hecke import HeckeContext
-from .klpoly import PirconSystem, PolyTable, Refinement, X_MINUS_ONE, X_Q, \
+from .klpoly import PirconSystem, Refinement, X_MINUS_ONE, X_Q, \
     system_refinement
 from .matchings import PartialMatching, verify_pircon, verify_qspm
 from .posets import from_comparability, lifted_down_sets
@@ -95,55 +94,33 @@ class TwistedIdentities:
         if not ok:
             raise AssertionError(f"twisted poset is not a pircon: {witness}")
 
-    # -- conjugation matchings ---------------------------------------------
-
-    def conjugation_images(self, i: int) -> dict[int, int]:
-        """u -> theta(s_i) u s_i on the whole set, as poset indices.
-
-        The generator index i is 0-based; theta swaps it with 2n-2-i.
-        """
-        return dict(enumerate(self.images[i]))
-
-    def conjugation_qspm(self, i: int) -> PartialMatching | None:
-        """The conjugation map as a quasi SPM of the whole poset, or None
-        when it violates the axioms."""
-        m = PartialMatching(self.poset, self.conjugation_images(i))
-        ok, _ = verify_qspm(m)
-        return m if ok else None
-
-    def conjugation_qspms(self) -> list[PartialMatching]:
-        """The distinct conjugation quasi SPMs of the whole poset, in order
-        of the generator: the pircon system of the twisted identities."""
-        found = (self.conjugation_qspm(i) for i in range(self.host.num_gens))
-        return list(dict.fromkeys(m for m in found if m is not None))
+    # -- the pircon system ----------------------------------------------------
 
     @functools.cached_property
-    def _qspms(self) -> tuple[PartialMatching, ...]:
-        return tuple(self.conjugation_qspms())
+    def matchings(self) -> tuple[PartialMatching, ...]:
+        """The distinct conjugation maps u -> theta(s_i) u s_i that are
+        quasi SPMs of the whole poset, in order of the 0-based generator i
+        (theta swaps it with 2n-2-i), built on first use and kept: the
+        matchings of the system."""
+        found = (PartialMatching(self.poset, dict(enumerate(images)))
+                 for images in self.images)
+        return tuple(dict.fromkeys(m for m in found if verify_qspm(m)[0]))
 
     def conjugation_refinement(self) -> Refinement:
         """``system_refinement`` on the conjugation quasi SPMs: at every
         non-minimal element, the conjugation matching of the smallest
         generator that takes it down."""
-        return system_refinement(self.poset, self._qspms)
+        return system_refinement(self.poset, self.matchings)
 
     @functools.cached_property
     def system(self) -> PirconSystem:
         """The conjugation quasi SPMs with the canonical conjugation
-        refinement, built on first use and kept, as are the matchings
-        that both read."""
-        return PirconSystem(self.poset, self._qspms,
+        refinement, built on first use and kept.  Its R^q-table holds the
+        KLV R-polynomials and its R^(-1)-table the KLV Q-polynomials; any
+        conjugation refinement gives the same tables because the poset is
+        a dircon."""
+        return PirconSystem(self.poset, self.matchings,
                             self.conjugation_refinement())
-
-    def klv_polynomials(self, x: str) -> PolyTable:
-        """The R^q-table (KLV R-polynomials) or R^(-1)-table (KLV
-        Q-polynomials); any conjugation refinement gives the same family
-        because the poset is a dircon."""
-        return self.system.r_table(x)
-
-    def hecke_context(self) -> HeckeContext:
-        """Hecke module over the conjugation quasi SPMs of the whole poset."""
-        return HeckeContext(self.poset, self.system)
 
     def __repr__(self) -> str:
         return f"TwistedIdentities(n={self.n}, {self.poset.n} elements)"

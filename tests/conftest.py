@@ -7,8 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pircons import (CoxeterSystem, GradedPoset, TwistedIdentities,
-                     context_for_quotient, klpoly)
+from pircons import (CoxeterSystem, GradedPoset, HeckeContext,
+                     TwistedIdentities, klpoly)
 
 GROUP_CONFIGS = [
     ("A2", {"type": "A", "rank": 2}),
@@ -42,10 +42,11 @@ def suite_quotients(groups):
 
 @pytest.fixture(scope="session")
 def suite_contexts(suite_quotients):
-    """HeckeContexts for the whole quotient suite.  Construction already
-    verifies the pircon-system axioms, up-down symmetry and the kernel
-    identity for both parameters."""
-    return {name: context_for_quotient(quot)
+    """HeckeContexts for the whole quotient suite, on each quotient's kept
+    system.  Construction already verifies the pircon-system axioms,
+    up-down symmetry and the kernel identity for both parameters.  A test
+    that swaps a kept table works on a system of its own."""
+    return {name: HeckeContext(quot.poset, quot.system)
             for name, quot in suite_quotients.items()}
 
 
@@ -66,7 +67,7 @@ def twisted4():
 
 @pytest.fixture(scope="session")
 def twisted2_context(twisted2):
-    return twisted2.hecke_context()
+    return HeckeContext(twisted2.poset, twisted2.system)
 
 
 # Frozen search results (see the poset generator in test_matchings):

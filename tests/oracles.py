@@ -41,7 +41,7 @@ import sympy
 
 from pircons import coxeter, hecke, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
-                            PolyTable, Refinement, _width_for,
+                            PirconSystem, PolyTable, Refinement, _width_for,
                             check_x, down_matchings, is_calculating, other_x)
 from pircons.laurent import QPoly
 from pircons.matchings import (MatchingError, PartialMatching, coherent,
@@ -321,11 +321,21 @@ def nudged(table: PolyTable, pair: tuple[int, int],
     return replaced(table, {pair: add(table.value(*pair), delta)})
 
 
+def private_system(source) -> PirconSystem:
+    """A system of its own with the matchings and refinement of
+    ``source.system`` (a quotient's or twisted identities'), and nothing
+    kept yet: the system to swap tables on, so that the source's kept
+    system, which other tests read, stays genuine."""
+    return PirconSystem(source.poset, source.system.matchings,
+                        source.system.refinement)
+
+
 def keep_table(system, name: str, x: str, table: PolyTable) -> None:
     """Put ``table`` in place of the system's kept R^x (``name`` is
     "r_table") or P^x ("p_table"), after the verdicts taken on the genuine
     tables.  A new R^x brings its own rule columns, so the rule checks
-    read it."""
+    read it.  ``system`` must be one no other test reads, such as a
+    ``private_system``."""
     getattr(system, name)(x)
     if name == "r_table":
         system._kept[("r", x)] = table
@@ -804,14 +814,14 @@ def lambda_refinement(quot, pick=min) -> Refinement:
     the default takes the smallest, giving the canonical refinement.
     """
     poset = quot.poset
-    system = quot.system
+    group = quot.group
 
     def choose(w: int) -> PartialMatching:
         cands = []
-        for s in range(system.num_gens):
-            sw = system.left[quot.reps[w]][s]
+        for s in range(group.num_gens):
+            sw = group.left[quot.reps[w]][s]
             if sw in quot.rep_index and \
-                    system.length[sw] < system.length[quot.reps[w]]:
+                    group.length[sw] < group.length[quot.reps[w]]:
                 cands.append(s)
         if not cands:
             raise ValueError(f"no descent inside the quotient at {w}")
@@ -842,8 +852,7 @@ def _ideal_matching(tw, images: dict[int, int],
 def conjugation_refinement(tw, pick=min) -> Refinement:
     """One valid conjugation matching per non-minimal element of the
     twisted identities ``tw``."""
-    images = [tw.conjugation_images(i)
-              for i in range(tw.host.num_gens)]
+    images = [dict(enumerate(images)) for images in tw.images]
     matchings = {}
     for w in range(tw.poset.n):
         if w == tw.poset.bottom:

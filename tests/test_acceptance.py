@@ -19,8 +19,7 @@ from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                             lambda_refinement, other_x, r_polynomials,
                             refinement_independence, verify_r_properties)
 from pircons.laurent import QPoly
-from pircons.matchings import (check_lifting, enumerate_spms,
-                               lambda_partial, orbit_partition)
+from pircons.matchings import check_lifting, enumerate_spms, orbit_partition
 
 CHAIN_QUOTIENTS = [("A2", frozenset({1})), ("A3", frozenset({1, 2})),
                    ("I2(5)", frozenset({0}))]
@@ -36,11 +35,6 @@ class Budget:
         assert elapsed < self.seconds, \
             f"{label} took {elapsed:.1f}s, budget {self.seconds}s"
         print(f"PASS {label} ({elapsed:.2f}s)")
-
-
-def twisted_system(T):
-    return [m for i in range(T.host.num_gens)
-            for m in [T.conjugation_qspm(i)] if m is not None]
 
 
 def test_criterion_01_chain_formula(groups):
@@ -99,14 +93,14 @@ def test_criterion_04_updown(suite_quotients, suite_contexts,
     budget = Budget(60.0)
     for name, ctx in suite_contexts.items():
         quot = suite_quotients[name]
-        S = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
+        S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         for x in X_PARAMS:
             ok, witness = check_updown(S, ctx.r_table(x))
             assert ok, (name, x, witness)
     for T in (twisted2, twisted3):
-        S = twisted_system(T)
+        S = T.matchings
         for x in X_PARAMS:
-            ok, witness = check_updown(S, T.klv_polynomials(x))
+            ok, witness = check_updown(S, T.system.r_table(x))
             assert ok, (T, x, witness)
     budget.done("criterion 4: up-down symmetry incl. twisted n=2,3")
 
@@ -117,7 +111,7 @@ def test_criterion_05_pkernel(suite_quotients, suite_contexts,
     results = []
     for name, ctx in suite_contexts.items():
         quot = suite_quotients[name]
-        S = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
+        S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         for x in X_PARAMS:
             table = ctx.r_table(x)
             ud = check_updown(S, table)[0]
@@ -125,9 +119,9 @@ def test_criterion_05_pkernel(suite_quotients, suite_contexts,
             assert pk, (name, x, witness)
             results.append((ud, pk))
     for T in (twisted2, twisted3):
-        S = twisted_system(T)
+        S = T.matchings
         for x in X_PARAMS:
-            table = T.klv_polynomials(x)
+            table = T.system.r_table(x)
             ud = check_updown(S, table)[0]
             pk, witness, _ = check_pkernel(table)
             assert pk, (T, x, witness)
@@ -243,7 +237,7 @@ def test_criterion_11_structural_lemmas(suite_quotients, twisted2, twisted3):
     checked_matchings = 0
     checked_pairs = 0
     for name, quot in suite_quotients.items():
-        S = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
+        S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         ref = (lambda_refinement(quot)
                if quot.poset.n > 1 else None)
         pool = list(S)
@@ -260,7 +254,7 @@ def test_criterion_11_structural_lemmas(suite_quotients, twisted2, twisted3):
                 assert covered == list(range(quot.poset.n))
                 checked_pairs += 1
     for T in (twisted2, twisted3):
-        S = twisted_system(T)
+        S = T.matchings
         for m in S:
             assert check_lifting(m)[0]
             checked_matchings += 1

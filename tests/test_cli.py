@@ -2,7 +2,9 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
+import stat
 import tempfile
 
 import pytest
@@ -20,6 +22,36 @@ from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    """Output files are created with mode 0o666 less the umask."""
+    for mask in (0o022, 0o077, 0o002):
+        out = tmp_path / f"{mask:o}"
+        old = os.umask(mask)
+        try:
+            assert run(["compute", "--type", "A", "--rank", "2",
+                        "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in out.iterdir()}
+        assert modes == {"r_q.json": 0o666 & ~mask,
+                         "r_minus1.json": 0o666 & ~mask}
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    """A write that fails, in the text or in the rename, leaves the
+    directory as it was: no temporary file and no target."""
+    out = tmp_path / "out"
+    with pytest.raises(TypeError):
+        cli._atomic_write(str(out / "r_q.json"), None)
+    assert list(out.iterdir()) == []
+    (out / "taken").mkdir()
+    (out / "taken" / "inside").write_text("")
+    with pytest.raises(OSError):
+        cli._atomic_write(str(out / "taken"), "text")
+    assert [p.name for p in out.iterdir()] == ["taken"]
 
 
 def test_compute_matches_module_tables(tmp_path, groups):
@@ -279,17 +311,27 @@ def test_size_bound_exit(monkeypatch):
         cli.EXIT_SIZE_BOUND
 
 
-def test_twisted_host_past_the_bound_is_refused(monkeypatch, capsys):
-    """S_10 has 3628800 elements, past the default bound of 50000; it is
-    refused by its order, with no realization call.  So is A8."""
+def test_twisted_host_past_the_bound_is_refused(tmp_path, monkeypatch,
+                                                capsys):
+    """Every group past the default bound of 50000 is refused by its order,
+    with no realization call: S_10 (the host of --twisted-n 5, 10!
+    elements), A8, B9 (2^9 9!), D9 (2^8 9!), I2(30000) (60000) and the
+    product of B5 and A5 (3840 * 720)."""
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     calls = []
-    right = coxeter._TypeA.right
-    monkeypatch.setattr(coxeter._TypeA, "right",
-                        lambda self, w, k: calls.append(k) or
-                        right(self, w, k))
-    for argv in (["--twisted-n", "5"], ["--type", "A", "--rank", "8"]):
-        assert run(["compute", *argv]) == cli.EXIT_SIZE_BOUND
+    for cls in (coxeter._TypeA, coxeter._TypeB, coxeter._TypeD,
+                coxeter._Dihedral):
+        monkeypatch.setattr(cls, "right", lambda self, w, k: calls.append(k))
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps({"instance": {
+        "kind": "coxeter", "matrix": {"type": "product", "factors": [
+            {"type": "B", "rank": 5}, {"type": "A", "rank": 5}]}}}))
+    for argv in (["--twisted-n", "5"], ["--type", "A", "--rank", "8"],
+                 ["--type", "B", "--rank", "9"],
+                 ["--type", "D", "--rank", "9"],
+                 ["--type", "I2", "--m", "30000"],
+                 ["--config", str(product)]):
+        assert run(["compute", *argv]) == cli.EXIT_SIZE_BOUND, argv
         assert capsys.readouterr().err == \
             f"coxeter error: group exceeds size bound {DEFAULT_SIZE_BOUND}\n"
     assert calls == []
@@ -442,8 +484,7 @@ def test_export_dot(tmp_path, groups):
 
     # with a matching file highlighting the pair
     quot = groups["A2"].quotient({1})
-    from pircons.matchings import lambda_partial
-    m = lambda_partial(quot, 1)
+    m = quot.lambda_matching(1)
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(m.to_json()))
     assert run(["export-dot", "--type", "A", "--rank", "2", "--H", "2",
@@ -484,41 +525,29 @@ def test_klbasis_output(tmp_path):
 
 
 def spy_calls(monkeypatch, names):
-    """Count calls of klpoly functions (and of the matchings functions it
-    imports), in every namespace that binds them, constructions of
-    HeckeContext and builds of the system matchings (``lambda_system`` and
-    ``TwistedIdentities.conjugation_qspms``)."""
-    counts = dict.fromkeys(names, 0)
-    counts["HeckeContext"] = 0
-    for owner, name in ((matchings, "lambda_system"),
-                        (TwistedIdentities, "conjugation_qspms")):
-        counts[name] = 0
+    """Count calls of the klpoly functions ``names`` and of
+    ``lambda_refinement``, in every namespace that binds them, calls of
+    ``TwistedIdentities.conjugation_refinement``, and constructions of
+    ``PirconSystem`` and ``HeckeContext``."""
+    counts = {}
+
+    def spy(owner, name, key):
+        counts[key] = 0
         original = getattr(owner, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
 
-        for module in (owner, klpoly, hecke, cli):
+        for module in (owner, matchings, klpoly, hecke, coxeter, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    for name in names:
-        original = getattr(klpoly, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in (matchings, klpoly, hecke):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    init = hecke.HeckeContext.__init__
-
-    def counted_init(self, *args, **kwargs):
-        counts["HeckeContext"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(hecke.HeckeContext, "__init__", counted_init)
+    for name in (*names, "lambda_refinement"):
+        spy(klpoly, name, name)
+    spy(TwistedIdentities, "conjugation_refinement", "conjugation_refinement")
+    spy(klpoly.PirconSystem, "__init__", "PirconSystem")
+    spy(hecke.HeckeContext, "__init__", "HeckeContext")
     return counts
 
 
@@ -535,7 +564,8 @@ def test_verify_builds_each_artifact_once(tmp_path, monkeypatch):
     assert counts == {"r_polynomials": 2, "check_pkernel": 2,
                       "check_updown": 2, "kls_polynomials": 2,
                       "verify_pircon_system": 1, "HeckeContext": 1,
-                      "lambda_system": 1, "conjugation_qspms": 0}
+                      "PirconSystem": 1, "lambda_refinement": 1,
+                      "conjugation_refinement": 0}
 
 
 def test_verify_derives_each_table_norms_and_rule_packing_once(
@@ -595,7 +625,22 @@ def test_verify_twisted_builds_the_system_matchings_once(tmp_path,
     assert counts == {"r_polynomials": 2, "check_pkernel": 2,
                       "check_updown": 2, "kls_polynomials": 2,
                       "verify_pircon_system": 1, "HeckeContext": 1,
-                      "lambda_system": 0, "conjugation_qspms": 1}
+                      "PirconSystem": 1, "lambda_refinement": 0,
+                      "conjugation_refinement": 1}
+
+
+@pytest.mark.parametrize("argv, refinement", [
+    (["--type", "B", "--rank", "3", "--H", "2"], "lambda_refinement"),
+    (["--twisted-n", "3"], "conjugation_refinement")])
+def test_each_compute_job_builds_one_system(tmp_path, monkeypatch, argv,
+                                            refinement):
+    """The instance's kept system serves both x's, the forked half too."""
+    counts = spy_calls(monkeypatch, ())
+    assert run(["compute", *argv, "--x", "both", "--outputs", "r,p",
+                "--out", str(tmp_path)]) == 0
+    assert counts["PirconSystem"] == counts[refinement] == 1
+    assert counts["lambda_refinement"] + \
+        counts["conjugation_refinement"] == 1
 
 
 def test_compute_r_and_klbasis_share_the_r_tables(tmp_path, monkeypatch):

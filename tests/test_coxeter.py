@@ -48,12 +48,13 @@ def test_size_bound(monkeypatch):
 
 def test_huge_rank_is_refused_before_the_matrix(monkeypatch):
     """A rank-r group has at least 2^r elements, so a rank past the bound's
-    bit length is refused before the rank-by-rank matrix is built."""
+    bit length is refused before the rank-by-rank matrix is built, and
+    without multiplying out its order (10^9! would never finish)."""
     monkeypatch.delenv(SIZE_BOUND_ENV, raising=False)
     entries = []
     monkeypatch.setattr(coxeter._TypeA, "m_entry",
                         lambda self, i, j: entries.append((i, j)) or 2)
-    for rank in (16, 17):
+    for rank in (16, 17, 10 ** 9):
         with pytest.raises(SizeBoundError, match="size bound 50000"):
             CoxeterSystem({"type": "A", "rank": rank})
     assert not entries

@@ -12,8 +12,7 @@ from pircons.klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                             r_polynomials, refinement_independence,
                             verify_pircon_system, verify_r_properties)
 from pircons.laurent import QPoly
-from pircons.matchings import (PartialMatching, enumerate_spms,
-                               lambda_partial)
+from pircons.matchings import PartialMatching, enumerate_spms
 
 
 def test_x_plumbing():
@@ -83,7 +82,7 @@ def test_refinement_matchings_are_calculating(groups):
 
 def test_all_spms_calculating_on_dircon(twisted2):
     for x in X_PARAMS:
-        table = twisted2.klv_polynomials(x)
+        table = twisted2.system.r_table(x)
         for w in range(twisted2.poset.n):
             if w == twisted2.poset.bottom:
                 continue
@@ -133,7 +132,7 @@ def test_updown_on_chain_quasi_spm(groups):
     quot = groups["A2"].quotient({1})
     P = quot.poset
     table = r_polynomials(P, lambda_refinement(quot), X_Q)
-    lam2 = lambda_partial(quot, 1)  # fixes e; pairs s1 with s2.s1
+    lam2 = quot.lambda_matching(1)  # fixes e; pairs s1 with s2.s1
     assert check_updown([lam2], table) == (True, None)
 
 
@@ -143,7 +142,7 @@ def test_updown_witness_on_corrupted_table(groups):
     table = r_polynomials(P, lambda_refinement(quot), X_Q)
     table = oracles.replaced(
         table, {(P.index("1"), P.index("2.1")): QPoly((7,))})
-    S = [lambda_partial(quot, s) for s in range(2)]
+    S = [quot.lambda_matching(s) for s in range(2)]
     assert check_updown(S, table) == \
         (False, ("updown-c'", (0, P.index("e"), P.index("2.1"))))
 
@@ -370,7 +369,7 @@ def test_brenti_identity_scan(groups, suite_contexts):
 def test_lambda_systems_verify(groups):
     for name, H in (("A2", set()), ("B2", {1}), ("I2(5)", set())):
         quot = groups[name].quotient(H)
-        S = [lambda_partial(quot, s) for s in range(quot.system.num_gens)]
+        S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         assert verify_pircon_system(quot.poset, S) == (True, None)
         system = PirconSystem(quot.poset, S, lambda_refinement(quot))
         assert system.verdict == (True, None)
@@ -381,7 +380,7 @@ def test_lambda_systems_verify(groups):
 
 def test_system_missing_down_matching(groups):
     quot = groups["A2"].quotient(set())
-    S = [lambda_partial(quot, 0)]   # s1 alone cannot take s2 down
+    S = [quot.lambda_matching(0)]   # s1 alone cannot take s2 down
     ok, witness = verify_pircon_system(quot.poset, S)
     assert not ok and witness[0] == "no-down-matching"
     system = PirconSystem(quot.poset, S, lambda_refinement(quot))

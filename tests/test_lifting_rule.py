@@ -21,7 +21,7 @@ def test_quotient_masks_match_the_oracle(suite_quotients):
     quotients["D4/H={s2}"] = CoxeterSystem(
         {"type": "D", "rank": 4}).quotient({1})
     for quot in quotients.values():
-        _assert_restricted_bruhat(quot.poset, quot.system, quot.reps)
+        _assert_restricted_bruhat(quot.poset, quot.group, quot.reps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -44,7 +44,7 @@ def test_every_lowering_map_gives_the_same_mask(twisted4, groups):
     full = groups["A3"].quotient(())
     for inst, host_length, elements in (
             (twisted4, twisted4.host.length, twisted4.elements),
-            (full, full.system.length, full.reps)):
+            (full, full.group.length, full.reps)):
         poset = inst.poset
         length = [host_length[g] for g in elements]
         for w in range(poset.n):

@@ -2,10 +2,9 @@ import pytest
 
 from pircons.matchings import (MatchingError, OrbitClassificationError,
                                PartialMatching, check_lifting, coherent,
-                               enumerate_spms, is_dircon, lambda_partial,
-                               orbit_analysis, orbit_partition,
-                               strictly_coherent, verify_pircon, verify_qspm,
-                               verify_spm)
+                               enumerate_spms, is_dircon, orbit_analysis,
+                               orbit_partition, strictly_coherent,
+                               verify_pircon, verify_qspm, verify_spm)
 from pircons.posets import GradedPoset
 
 
@@ -160,18 +159,18 @@ def test_lambda_partial_examples(groups):
     W = groups["A2"]
     quot = W.quotient({1})          # chain e < s1 < s2.s1
     P = quot.poset
-    lam2 = lambda_partial(quot, 1)  # s2: e fixed, s1 <-> s2.s1
+    lam2 = quot.lambda_matching(1)  # s2: e fixed, s1 <-> s2.s1
     assert lam2.mapping == {P.index("e"): P.index("e"),
                             P.index("1"): P.index("2.1"),
                             P.index("2.1"): P.index("1")}
-    lam1 = lambda_partial(quot, 0)  # s1: e <-> s1, s2.s1 fixed
+    lam1 = quot.lambda_matching(0)  # s1: e <-> s1, s2.s1 fixed
     assert lam1.mapping == {P.index("e"): P.index("1"),
                             P.index("1"): P.index("e"),
                             P.index("2.1"): P.index("2.1")}
     # H empty: plain left multiplication, no fixed points
     full = W.quotient(set())
     for s in range(2):
-        lam = lambda_partial(full, s)
+        lam = full.lambda_matching(s)
         assert all(lam(x) != x for x in lam.mapping)
 
 
@@ -218,7 +217,7 @@ def test_strictly_coherent_self(groups):
     quot = W.quotient(set())
     top = quot.poset.index("1.2.1")
     for s in range(2):
-        m = lambda_partial(quot, s).restrict_to_ideal(top)
+        m = quot.lambda_matching(s).restrict_to_ideal(top)
         assert strictly_coherent(m, m, top)
 
 
@@ -258,7 +257,7 @@ def test_coherent(groups):
     quot = W.quotient(set())
     top = quot.poset.index("1.2.1")
     pool = enumerate_spms(quot.poset, top)
-    lam1, lam2 = (lambda_partial(quot, s).restrict_to_ideal(top)
+    lam1, lam2 = (quot.lambda_matching(s).restrict_to_ideal(top)
                   for s in range(2))
     assert coherent(lam1, lam1, top, pool)
     assert strictly_coherent(lam1, lam2, top)

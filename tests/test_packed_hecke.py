@@ -21,19 +21,24 @@ import oracles
 from oracles import HalfLaurent, ModuleVector, embed, pack, widened
 from pircons import TwistedIdentities, hecke, klpoly
 from pircons.hecke import (HeckeContext, OffsetError, WidthError,
-                           characterize, context_for_quotient,
-                           cprime_recursion, iota, kl_element_c,
-                           kl_element_cprime, p_recursion, t_action)
-from pircons.klpoly import (X_PARAMS, KernelError, PirconSystem, PolyTable,
-                            check_pkernel, check_updown, is_calculating,
-                            kls_polynomials, lambda_refinement,
+                           characterize, cprime_recursion, iota,
+                           kl_element_c, kl_element_cprime, p_recursion,
+                           t_action)
+from pircons.klpoly import (X_PARAMS, KernelError, PolyTable, check_pkernel,
+                            check_updown, is_calculating, kls_polynomials,
+                            lambda_refinement, r_polynomials,
                             verify_r_properties)
 from pircons.laurent import QPoly
 
 
+def context_of(source):
+    """The context of a quotient's or twisted identities' kept system."""
+    return HeckeContext(source.poset, source.system)
+
+
 @pytest.fixture(scope="module")
 def twisted3_context(twisted3):
-    return twisted3.hecke_context()
+    return context_of(twisted3)
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +253,8 @@ def test_the_width_fits_the_largest_bound_of_a_check(contexts, twisted4):
     rule checks are packed at the system's own width, and their bound
     3 max L1(R) never binds (the comment at the derivation proves it).  On
     every suite context and on twisted 1-4."""
-    every = {**contexts, "twisted1": TwistedIdentities(1).hecke_context(),
-             "twisted4": twisted4.hecke_context()}
+    every = {**contexts, "twisted1": context_of(TwistedIdentities(1)),
+             "twisted4": context_of(twisted4)}
     for key, ctx in every.items():
         n, r, p = ctx.poset.n, ctx.r_l1, ctx.p_l1
         assert ctx.width == klpoly._width_for(max(
@@ -283,10 +288,13 @@ WITNESS_KEYS = ["A2/H={-}", "B2/H={s1}", "I2(5)/H={-}"]
 
 
 def fresh_context(suite_quotients, key):
-    """A context of its own, with no packed images or columns yet."""
+    """A context of its own, on a system of its own, with no packed images
+    or columns yet: its tables can be swapped without touching the
+    session's kept systems."""
     if key == "twisted2":
-        return TwistedIdentities(2).hecke_context()
-    return context_for_quotient(suite_quotients[key])
+        return context_of(TwistedIdentities(2))
+    quot = suite_quotients[key]
+    return HeckeContext(quot.poset, oracles.private_system(quot))
 
 
 def nudge(ctx, name, x, pair, delta):
@@ -320,11 +328,12 @@ def assert_same_witnesses(ctx):
     return got
 
 
-def test_witnesses_of_corrupted_r_entries(suite_quotients):
+def test_witnesses_of_corrupted_r_entries(suite_quotients, suite_contexts):
     """One R entry nudged by +-q^k after the context's verdicts are taken:
     the duality suite fails where the object path's clauses fail, with the
     same witness, and always at equivariance, the recursion driven by a
-    matching that takes the entry's column down."""
+    matching that takes the entry's column down.  The nudges leave the
+    session's contexts and their quotients' kept systems as they were."""
     seen = set()
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
@@ -337,18 +346,20 @@ def test_witnesses_of_corrupted_r_entries(suite_quotients):
                 assert duality[0] is False, (key, x, pair, delta)
                 seen.add(duality[1][0])
     assert seen == {"equivariance"}
+    for key in WITNESS_KEYS:
+        quot, ctx = suite_quotients[key], suite_contexts[key]
+        assert ctx.system is quot.system
+        for x in X_PARAMS:
+            assert ctx.r_table(x) == r_polynomials(
+                quot.poset, lambda_refinement(quot), x)
 
 
 def gated_system(suite_quotients, key):
     """A fresh system of the context at key, with its system, up-down and
     kernel verdicts taken on the genuine tables and kept, and no
     properties verdict yet."""
-    if key == "twisted2":
-        system = TwistedIdentities(2).system
-    else:
-        quot = suite_quotients[key]
-        system = PirconSystem(quot.poset, quot.lambda_matchings,
-                              lambda_refinement(quot))
+    system = TwistedIdentities(2).system if key == "twisted2" else \
+        oracles.private_system(suite_quotients[key])
     assert system.verdict[0]
     for x in X_PARAMS:
         assert system.updown(x)[0] and system.pkernel(x)[0]
@@ -543,7 +554,7 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
     cprime_recursion and p_recursion are each called once, per (M, w, x):
     the recursion is checked once, on the whole P column, not one v at a
     time, and no T_M is applied."""
-    ctx = context_for_quotient(groups["A3"].quotient(set()))
+    ctx = context_of(groups["A3"].quotient(set()))
     entered = []
     real = hecke._correction_domain
 
@@ -583,7 +594,7 @@ def test_duality_reuses_images(groups, monkeypatch):
     calls on A3/H={} (24 elements, 3 matchings).  Equivariance is
     is_calculating on the rule columns of the system's R^x, with no iota, and
     nothing applies T_M."""
-    ctx = context_for_quotient(groups["A3"].quotient(set()))
+    ctx = context_of(groups["A3"].quotient(set()))
     n, k = ctx.poset.n, len(ctx.matchings)
     assert (n, k) == (24, 3)
     counts = {"iota": 0, "t_action": 0}
@@ -606,8 +617,8 @@ def updown_cases(contexts, twisted3):
         for x in X_PARAMS:
             yield key, ctx.matchings, ctx.r_table(x)
     for x in X_PARAMS:
-        yield "twisted3-klv", twisted3.conjugation_qspms(), \
-            twisted3.klv_polynomials(x)
+        yield "twisted3-klv", twisted3.matchings, \
+            twisted3.system.r_table(x)
 
 
 def test_updown_on_every_context(contexts, twisted3):

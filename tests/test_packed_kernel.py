@@ -97,7 +97,7 @@ def test_every_suite_quotient(suite_contexts, x):
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_twisted_identities(twisted2, twisted3, x):
     for tw in (twisted2, twisted3):
-        table = tw.klv_polynomials(x)
+        table = tw.system.r_table(x)
         ok, witness, p = check_pkernel(table)
         assert (ok, witness) == (True, None)
         assert kls_polynomials(table).columns == p.columns == \
@@ -160,7 +160,7 @@ def nudge_bases(suite_contexts, twisted2, twisted3,
         for key, ctx in suite_contexts.items():
             yield key, ctx.r_table(x)
         for tw in (twisted2, twisted3):
-            yield f"twisted{tw.n}", tw.klv_polynomials(x)
+            yield f"twisted{tw.n}", tw.system.r_table(x)
         for ref in all_refinements(refinement_dependent_poset):
             yield "refinement-dependent", r_polynomials(
                 refinement_dependent_poset, ref, x)
@@ -198,7 +198,7 @@ coefficients = st.lists(st.integers(-3, 3) | st.integers(-2 ** 80, 2 ** 80),
 def test_corrupted_tables(suite_contexts, twisted3, data):
     key = data.draw(st.sampled_from(CORRUPTED_BASES + ["twisted3"]))
     x = data.draw(st.sampled_from(X_PARAMS))
-    base = twisted3.klv_polynomials(x) if key == "twisted3" else \
+    base = twisted3.system.r_table(x) if key == "twisted3" else \
         suite_contexts[key].r_table(x)
     entries = oracles.entries(base)
     for _ in range(data.draw(st.integers(1, 3))):

@@ -12,7 +12,7 @@ from pircons import CoxeterSystem, TwistedIdentities
 from pircons.klpoly import (X_PARAMS, Refinement, down_matchings,
                             lambda_refinement, r_polynomials,
                             system_refinement)
-from pircons.matchings import PartialMatching, lambda_partial, verify_spm
+from pircons.matchings import PartialMatching, verify_spm
 from pircons.posets import GradedPoset
 
 
@@ -30,7 +30,7 @@ def test_conjugation_refinement_matches_candidate_search(request, n):
 
 def test_down_matchings_in_list_order(groups):
     quot = groups["A2"].quotient(set())
-    S = [lambda_partial(quot, s) for s in (1, 0)]
+    S = [quot.lambda_matching(s) for s in (1, 0)]
     top = quot.poset.top
     assert down_matchings(quot.poset, S, top) == S
     assert down_matchings(quot.poset, S, quot.poset.bottom) == []
@@ -39,7 +39,7 @@ def test_down_matchings_in_list_order(groups):
 def test_element_without_down_matching_is_named(groups):
     quot = groups["A2"].quotient(set())
     poset = quot.poset
-    S = [lambda_partial(quot, 0)]   # s1 alone cannot take s2 down
+    S = [quot.lambda_matching(0)]   # s1 alone cannot take s2 down
     missing = [w for w in range(poset.n) if w != poset.bottom
                and not down_matchings(poset, S, w)]
     assert missing
@@ -60,7 +60,7 @@ def test_restriction_of_a_system_qspm_is_an_spm(suite_quotients, twisted2,
         systems[name] = CoxeterSystem(cfg).quotient(H).lambda_matchings
     for n, tw in enumerate((TwistedIdentities(1), twisted2, twisted3,
                             twisted4), start=1):
-        systems[f"twisted{n}"] = tw.conjugation_qspms()
+        systems[f"twisted{n}"] = tw.matchings
     for name, matchings in systems.items():
         for M in matchings:
             P = M.poset
@@ -78,7 +78,7 @@ def test_a_system_refinement_holds_the_system_matchings(suite_quotients):
                for name, quot in suite_quotients.items()}
     for n in (1, 2, 3, 4):
         tw = TwistedIdentities(n)
-        systems[f"twisted{n}"] = (tw.poset, tw.conjugation_qspms())
+        systems[f"twisted{n}"] = (tw.poset, tw.matchings)
     for name, (poset, matchings) in systems.items():
         ref = system_refinement(poset, matchings)
         for w in range(poset.n):

@@ -15,8 +15,7 @@ from pircons import CoxeterSystem, TwistedIdentities
 from pircons.klpoly import (X_MINUS_ONE, X_Q, Refinement, down_matchings,
                             lambda_refinement, verify_pircon_system,
                             verify_r_properties)
-from pircons.matchings import (PairOrbits, enumerate_spms, lambda_partial,
-                               strictly_coherent)
+from pircons.matchings import PairOrbits, enumerate_spms, strictly_coherent
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +121,7 @@ def test_failing_systems(groups, non_dircon_poset):
     assert not ok and witness[0] == "incoherent"
 
     quot = groups["A2"].quotient(set())
-    alone = [lambda_partial(quot, 0)]
+    alone = [quot.lambda_matching(0)]
     check_system(quot.poset, alone)
     ok, witness = verify_pircon_system(quot.poset, alone)
     assert not ok and witness[0] == "no-down-matching"

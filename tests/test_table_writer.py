@@ -47,7 +47,7 @@ def test_every_suite_quotient(suite_contexts, x):
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_twisted_identities(x):
     for n in (1, 2, 3, 4):
-        table = TwistedIdentities(n).klv_polynomials(x)
+        table = TwistedIdentities(n).system.r_table(x)
         assert_matches_reference(table)
         assert_matches_reference(kls_polynomials(table))
 

@@ -1,10 +1,10 @@
 """The group tabulation against the eager reference closure.
 
 ``CoxeterSystem`` reads type A off lexicographic ranks, realizes each edge
-of the Cayley graph of any other type once, and builds its inverse,
-left-multiplication, left-descent, word and (type A) index tables on first
-use; ``oracles.coxeter_tables`` realizes every edge from both ends and
-builds every table eagerly.  Every table must agree.
+of the Cayley graph of any other type once, and builds its index, inverse,
+left-multiplication, left-descent and word tables on first use;
+``oracles.coxeter_tables`` realizes every edge from both ends and builds
+every table eagerly.  Every table must agree.
 """
 
 import tracemalloc
@@ -21,7 +21,7 @@ from test_coxeter import DERIVED_EXTRA
 
 TABLES = ("elements", "index", "length", "word", "right", "_inv", "left",
           "d_right", "d_left")
-DERIVED = ("left", "d_left", "_inv", "word")
+DERIVED = ("index", "left", "d_left", "_inv", "word")
 
 ORACLE_CONFIGS = {
     **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 7)},
@@ -101,18 +101,36 @@ def test_derived_tables_are_built_on_first_use():
 
 def test_twisted_build_reads_no_derived_table():
     host = TwistedIdentities(3).host
-    assert not (set(DERIVED) | {"index"}) & set(host.__dict__)
+    assert not set(DERIVED) & set(host.__dict__)
+
+
+ORDERS = [({"type": "A", "rank": 5}, 720), ({"type": "B", "rank": 3}, 48),
+          ({"type": "D", "rank": 4}, 192), ({"type": "I2", "m": 7}, 14),
+          (DERIVED_EXTRA["A2xB2xI2(5)"], 6 * 8 * 10)]
 
 
 def test_type_a_is_refused_by_its_order(monkeypatch):
-    """|A5| = 720: refused one element short of it, with no call."""
+    """Every type is refused by its order one element short of it, with
+    no realization call, and built at it: |A5| = 6!, |B3| = 2^3 3!,
+    |D4| = 2^3 4!, |I2(7)| = 14, and a product has the product of its
+    factors' orders."""
     counts = spy_right(monkeypatch)
-    monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, "719")
-    with pytest.raises(coxeter.SizeBoundError):
-        CoxeterSystem({"type": "A", "rank": 5})
-    monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, "720")
-    assert CoxeterSystem({"type": "A", "rank": 5}).size == 720
-    assert counts["right"] == 0
+    for cfg, order in ORDERS:
+        counts["right"] = 0
+        monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, str(order - 1))
+        with pytest.raises(coxeter.SizeBoundError):
+            CoxeterSystem(cfg)
+        assert counts["right"] == 0, cfg
+        monkeypatch.setenv(coxeter.SIZE_BOUND_ENV, str(order))
+        assert CoxeterSystem(cfg).size == order, cfg
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_closure_that_misses_the_order_is_refused(monkeypatch, off):
+    """The closure must end with exactly the realization's order."""
+    monkeypatch.setattr(coxeter._TypeB, "order", lambda self: 48 + off)
+    with pytest.raises(CoxeterError, match="closure reached 48 elements"):
+        CoxeterSystem({"type": "B", "rank": 3})
 
 
 def test_a7_traced_peak():

@@ -1,12 +1,19 @@
 import pytest
 
 import oracles
+from pircons.hecke import HeckeContext
 from pircons.klpoly import (X_PARAMS, check_pkernel, check_updown,
                             refinement_independence)
 from pircons.laurent import QPoly
-from pircons.matchings import is_dircon, orbit_partition, verify_qspm, \
-    verify_spm
+from pircons.matchings import PartialMatching, is_dircon, orbit_partition, \
+    verify_qspm, verify_spm
 from pircons.twisted import KLV_Q, KLV_R, TwistedIdentities
+
+
+def conjugation_maps(T):
+    """{i: u -> theta(s_i) u s_i as a matching of the whole poset}."""
+    return {i: PartialMatching(T.poset, dict(enumerate(images)))
+            for i, images in enumerate(T.images)}
 
 
 def test_counts():
@@ -36,16 +43,15 @@ def test_n3_structure(twisted3):
 
 
 def test_conjugation_involution(twisted2):
-    for i in range(twisted2.host.num_gens):
-        images = twisted2.conjugation_images(i)
-        for u, v in images.items():
-            assert images[v] == u
+    for m in conjugation_maps(twisted2).values():
+        for u, v in m.mapping.items():
+            assert m(v) == u
 
 
 def test_conjugation_fixed_points(twisted2):
     host = twisted2.host
     for i in range(host.num_gens):
-        images = twisted2.conjugation_images(i)
+        images = conjugation_maps(twisted2)[i].mapping
         ti = 2 * twisted2.n - 2 - i   # theta(s_i) = s_(2n-2-i), 0-based
         for u, v in images.items():
             g = twisted2.elements[u]
@@ -65,11 +71,11 @@ def test_conjugation_matchings_verify(twisted3):
 
 def test_klv_diagonal_and_chain_values(twisted2):
     for x in X_PARAMS:
-        table = twisted2.klv_polynomials(x)
+        table = twisted2.system.r_table(x)
         for w in range(3):
             assert table.value(w, w) == QPoly.one()
-    r = twisted2.klv_polynomials(KLV_R)     # the R-family sits at x = q
-    qtab = twisted2.klv_polynomials(KLV_Q)  # the Q-family at x = -1
+    r = twisted2.system.r_table(KLV_R)     # the R-family sits at x = q
+    qtab = twisted2.system.r_table(KLV_Q)  # the Q-family at x = -1
     assert r.value(0, 2) == QPoly((1, -1))
     assert qtab.value(0, 2) == QPoly((0, -1, 1))
 
@@ -85,11 +91,10 @@ def test_klv_refinement_independence(twisted2):
 @pytest.mark.parametrize("n", [2, 3])
 def test_updown_and_kernel(request, n):
     T = request.getfixturevalue(f"twisted{n}")
-    S = [m for i in range(T.host.num_gens)
-         for m in [T.conjugation_qspm(i)] if m is not None]
+    S = T.matchings
     assert S
     for x in X_PARAMS:
-        table = T.klv_polynomials(x)
+        table = T.system.r_table(x)
         assert check_updown(S, table) == (True, None)
         assert check_pkernel(table)[:2] == (True, None)
 
@@ -105,8 +110,8 @@ def test_orbit_m_values(twisted3):
     generator indices and {1, 2} for distant ones; the orbit of a fixed
     point of one matching is chain-like."""
     T = twisted3
-    qspms = {i: T.conjugation_qspm(i) for i in range(T.host.num_gens)}
-    qspms = {i: m for i, m in qspms.items() if m is not None}
+    qspms = {i: m for i, m in conjugation_maps(T).items()
+             if verify_qspm(m)[0]}
     for i, M in qspms.items():
         for j, N in qspms.items():
             if i >= j or M == N:
@@ -122,13 +127,13 @@ def test_orbit_m_values(twisted3):
 
 
 def test_whole_poset_conjugation_qspms(twisted3):
-    count = 0
-    for i in range(twisted3.host.num_gens):
-        m = twisted3.conjugation_qspm(i)
-        if m is not None:
-            assert verify_qspm(m) == (True, None)
-            count += 1
-    assert count >= 1
+    """The system's matchings are the distinct conjugation maps that are
+    quasi SPMs of the whole poset, in order of the generator."""
+    qspms = [m for m in conjugation_maps(twisted3).values()
+             if verify_qspm(m) == (True, None)]
+    assert qspms
+    assert twisted3.matchings == tuple(dict.fromkeys(qspms))
+    assert twisted3.system.matchings == twisted3.matchings
 
 
 def test_labels_are_one_line(twisted3):
@@ -149,7 +154,7 @@ def test_tables_and_context_share_one_refinement(monkeypatch):
     monkeypatch.setattr(TwistedIdentities, "conjugation_refinement",
                         lambda self, *a: calls.append(1) or build(self, *a))
     T = TwistedIdentities(2)
-    T.klv_polynomials(KLV_R)
-    T.klv_polynomials(KLV_Q)
-    T.hecke_context()
+    T.system.r_table(KLV_R)
+    T.system.r_table(KLV_Q)
+    HeckeContext(T.poset, T.system)
     assert len(calls) == 1
