@@ -157,9 +157,8 @@ def build_instance(config: dict) -> Instance:
         H = _parse_generators(spec.get("H"), group.num_gens)
         quot = group.quotient(H)
         hh = ",".join(f"s{h + 1}" for h in sorted(H)) or "empty"
-        name = f"{matrix.get('type')}{matrix.get('rank', matrix.get('m'))}" \
-               f"/H={hh}"
-        return Instance("coxeter", quot.poset, name, lambda: quot.system,
+        return Instance("coxeter", quot.poset,
+                        f"{_matrix_name(matrix)}/H={hh}", lambda: quot.system,
                         quotient=quot)
     if kind == "twisted":
         n = spec.get("n")
@@ -211,8 +210,19 @@ def _x_list(value: str | None) -> list[str]:
     raise ConfigError(f"x must be 'q', '-1' or 'both', got {value!r}")
 
 
-def _x_tag(x: str) -> str:
-    return "q" if x == X_Q else "minus1"
+def _matrix_name(matrix: dict) -> str:
+    """Type and rank (or m), as in A1 or I23; a product joins the names of
+    its factors with x, as in A1xI23."""
+    if matrix["type"] == "product":
+        return "x".join(map(_matrix_name, matrix["factors"]))
+    return f"{matrix['type']}{matrix.get('rank', matrix.get('m'))}"
+
+
+def _output_name(output: str, x: str, fmt: str) -> str:
+    """The file that ``compute`` writes one output of one x to; klbasis is
+    always JSON."""
+    tag = "q" if x == X_Q else "minus1"
+    return f"{output}_{tag}.{'json' if output == 'klbasis' else fmt}"
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def cmd_compute(config: dict) -> int:
         for x in xs:
             sent = _emit_all(config, half) if half and x == xs[1] else []
             rest = [o for o in outputs
-                    if f"{o}_{_x_tag(x)}.{fmt}" not in sent]
+                    if _output_name(o, x, fmt) not in sent]
             _emit_all(config, _compute_x(inst, x, rest, fmt))
     finally:
         if half:
@@ -336,17 +346,16 @@ def cmd_compute(config: dict) -> int:
 def _compute_x(inst: Instance, x: str, outputs: list[str], fmt: str):
     """(file name, text) of each output of one x, in file order.  Each
     table is built only once the text before it has been taken."""
-    tag = _x_tag(x)
     text = klpoly.PolyTable.to_csv if fmt == "csv" \
         else klpoly.PolyTable.to_json_text
     if "r" in outputs:
-        yield f"r_{tag}.{fmt}", text(inst.system.r_table(x))
+        yield _output_name("r", x, fmt), text(inst.system.r_table(x))
     if "p" in outputs:
         # a job with a context reads the context's P-tables; otherwise
         # the P-table lives only for its own text (bind it to no local),
         # so the x = -1 one is built without the x = q one alive
-        yield f"p_{tag}.{fmt}", text(
-            inst.hecke_context.p_table(x) if "klbasis" in outputs
+        yield _output_name("p", x, fmt), text(
+            inst.hecke_context.system.p_table(x) if "klbasis" in outputs
             else klpoly.kls_polynomials(inst.system.r_table(x)))
     if "klbasis" in outputs:
         ctx = inst.hecke_context
@@ -357,7 +366,7 @@ def _compute_x(inst: Instance, x: str, outputs: list[str], fmt: str):
                 .to_json(inst.poset)
             doc["Cprime"][lab] = ctx.decode(
                 hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
-        yield f"klbasis_{tag}.json", json.dumps(doc, indent=1) + "\n"
+        yield _output_name("klbasis", x, fmt), json.dumps(doc, indent=1) + "\n"
 
 
 # Default check lists: the properties that are theorems for each instance

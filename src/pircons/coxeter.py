@@ -20,7 +20,7 @@ closure under right multiplication, one realization call per Cayley edge,
 |W| r / 2 in all: at a frontier element w, a generator s whose image is
 still unknown is an ascent, and w s, when new, gets w as its image under s
 and s as a right descent (Bjorner-Brenti, ch. 1-2).  The right table,
-lengths and right descents are built eagerly; the index, inverse,
+lengths and right descents are built eagerly; the inverse,
 left-multiplication, left-descent and word tables on first use.  w^-1
 walks down right descents (w <- w s and u <- u s at the lowest right
 descent s of w, from u = e), s w = (w^-1 s)^-1, and the left descents of
@@ -378,8 +378,8 @@ class CoxeterSystem:
     eagerly: ``elements``, ``length``, ``right`` and ``d_right``, for
     type A from its ranks, else by the closure, which refuses a
     realization that is not length-additive (an ascent whose image is
-    already tabulated).  Built on first use and kept: ``index``, ``_inv``,
-    ``left``, ``d_left`` and ``word``.
+    already tabulated).  Built on first use and kept: ``_inv``, ``left``,
+    ``d_left`` and ``word``.
     """
 
     def __init__(self, config: dict):
@@ -443,11 +443,6 @@ class CoxeterSystem:
         return u
 
     # -- tables derived on first use and kept ---------------------------------
-
-    @functools.cached_property
-    def index(self) -> dict:
-        """The number of each element."""
-        return {w: i for i, w in enumerate(self.elements)}
 
     @functools.cached_property
     def _inv(self) -> tuple[int, ...]:

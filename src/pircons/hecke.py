@@ -20,8 +20,10 @@ mu(u, w) is the coefficient of q^((rho(u,w)-1)/2) in P^z_{u,w}, zero when
 the rank gap is even or u = w.  The recursion cross-check against the
 directly constructed basis validates the convention executably.
 
-Hecke-algebra elements are never materialized; only compositions of the
-generator action T_M act on module vectors, in the relation suite.
+Hecke-algebra elements are never materialized; only the generator action
+T_M (``t_action``, the one evaluator of the three-case rule here) acts on
+module vectors: composed, in the relation suite, and as T_M + 1, in the
+recursion.
 
 A module vector is a dict {u: c} over the nonzero coefficients, each packed
 at the context's width B and offset K: sum_h a_h q^(h/2) is stored as the
@@ -55,9 +57,10 @@ the differential reference in ``tests/oracles.py``.
 The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
 basis images are the columns of R^x, signed, and P^z is kept as its
 columns, which are C'-elements up to a shift.  ``p_recursion`` builds a
-whole P column, and ``verify_recursion`` compares it, shifted, with the
-kept one.  Its mu-corrections are computed once per (M, M(w), x) and kept
-on the context.  This module evaluates no identity of the R-tables alone:
+whole P column as T_M + 1 applied to column M(w), less its mu-corrections,
+and ``verify_recursion`` compares it, shifted, with the kept one.  The
+mu-corrections are computed once per (M, M(w), x) and kept on the
+context.  This module evaluates no identity of the R-tables alone:
 the context requires the system's verdicts on them, and the duality
 suite's one table clause is ``klpoly.is_calculating``.
 """
@@ -68,8 +71,8 @@ import math
 from typing import Mapping
 
 from .laurent import HalfLaurent
-from .klpoly import (PirconSystem, PolyTable, X_PARAMS, X_Q, _columns,
-                     _digits, _width_for, check_x, is_calculating, other_x)
+from .klpoly import (PirconSystem, X_PARAMS, X_Q, _columns, _digits,
+                     _width_for, check_x, is_calculating, other_x)
 from .matchings import PartialMatching
 from .posets import GradedPoset
 
@@ -147,9 +150,10 @@ class HeckeContext:
     P-tables it reads (each P-table built by the system's kernel verdict),
     the permutation orders of matching pairs, the packing (``width`` B and
     ``offset`` K, see the module docstring), and caches filled on use:
-    each matching's images and kinds, the packed iota basis images and P
-    columns per x, and the mu-corrections of the recursions.  The packed
-    caches belong to the width: ``_set_width`` starts them empty.
+    the packed iota basis images and P columns per x, and the
+    mu-corrections of the recursions.  Matchings, tables and verdicts are
+    read from ``system``.  The packed caches belong to the width:
+    ``_set_width`` starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, its up-down or kernel verdict for
@@ -199,14 +203,13 @@ class HeckeContext:
         # product of order >= 2, and with one matching the term is its
         # default 3^2).
         n = poset.n
-        self.r_l1 = max(self.r_table(x).norms[0] for x in X_PARAMS)
-        self.p_l1 = max(self.p_table(x).norms[0] for x in X_PARAMS)
+        self.r_l1 = max(system.r_table(x).norms[0] for x in X_PARAMS)
+        self.p_l1 = max(system.p_table(x).norms[0] for x in X_PARAMS)
         self.offset = 2 * (poset.max_rank() + 1)
         self._set_width(_width_for(max(
             3 ** max(self.m_orders.values(), default=2),
             n * self.r_l1 * self.p_l1,
             self.p_l1 * (2 + n * self.p_l1))))
-        self._moves: dict[PartialMatching, list[tuple[int, str]]] = {}
         self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
 
     def _set_width(self, width: int) -> None:
@@ -221,16 +224,6 @@ class HeckeContext:
         packed coefficients decode and compare faithfully."""
         if bound >= self._limit:
             raise WidthError(bound)
-
-    @property
-    def matchings(self) -> tuple[PartialMatching, ...]:
-        return self.system.matchings
-
-    def r_table(self, x: str) -> PolyTable:
-        return self.system.r_table(x)
-
-    def p_table(self, x: str) -> PolyTable:
-        return self.system.p_table(x)
 
     # -- decoding at the edges ------------------------------------------
 
@@ -249,7 +242,7 @@ class HeckeContext:
         x = check_x(x)
         cols = self._packed_p.get(x)
         if cols is None:
-            cols = self._packed_p[x] = _columns(self.p_table(x),
+            cols = self._packed_p[x] = _columns(self.system.p_table(x),
                                                 2 * self.width)
         return cols
 
@@ -263,7 +256,8 @@ class HeckeContext:
         gap = self.poset.rank_gap(u, w)
         if gap % 2 == 0:
             return 0
-        return self.p_table(other_x(x)).value(u, w).coeff((gap - 1) // 2)
+        return self.system.p_table(other_x(x)).value(u, w) \
+            .coeff((gap - 1) // 2)
 
 
 def _shift_down(v: Vector, bits: int) -> Vector:
@@ -287,34 +281,26 @@ def _reflect(digits: Mapping[int, int], width: int, top: int) -> int:
 # Generator actions.
 # ---------------------------------------------------------------------------
 
-def _moves(ctx: HeckeContext, M: PartialMatching) -> list[tuple[int, str]]:
-    """(M(u), M.kind(u)) for every u, computed once per matching and kept
-    on the context."""
-    moves = ctx._moves.get(M)
-    if moves is None:
-        moves = ctx._moves[M] = [(M(u), M.kind(u))
-                                 for u in range(ctx.poset.n)]
-    return moves
-
-
 def t_action(ctx: HeckeContext, M: PartialMatching, v: Vector,
              x: str) -> Vector:
     """T_M acting in the x-structure, extended linearly: q c is c shifted
     left by 2B.  A coefficient at most triples.  This asserts no bound:
-    the caller keeps the result valid (the relation suite asserts 3^m for
-    m composed actions through ``ctx.require``), and an overflowed
-    coefficient decodes wrongly without an error."""
+    the caller keeps the result valid (through ``ctx.require``, the
+    relation suite asserts 3^m for m composed actions and p_recursion the
+    bound of its column), and an overflowed coefficient decodes wrongly
+    without an error."""
     q = 2 * ctx.width
-    moves = _moves(ctx, M)
     fixed_q = x == X_Q
+    kind_of, image = M.kind, M.mapping
     out: Vector = {}
     get = out.get
     for u, c in v.items():
-        mu, kind = moves[u]
+        kind = kind_of(u)
         if kind == "up":
+            mu = image[u]
             out[mu] = get(mu, 0) + c
         elif kind == "down":
-            qc = c << q
+            mu, qc = image[u], c << q
             out[mu] = get(mu, 0) + qc
             out[u] = get(u, 0) + qc - c
         else:
@@ -327,8 +313,9 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
     m(M, N) for every pair, checked on every basis vector.  Both sides of
     a relation of length m stay below 3^m."""
     n, one, q = ctx.poset.n, ctx.one, 2 * ctx.width
+    matchings = ctx.system.matchings
     ctx.require(9)
-    for mi, M in enumerate(ctx.matchings):
+    for mi, M in enumerate(matchings):
         for u in range(n):
             tv = t_action(ctx, M, {u: one}, x)
             lhs = t_action(ctx, M, tv, x)
@@ -338,7 +325,7 @@ def verify_hecke_relations(ctx: HeckeContext, x: str):
                 return False, ("quadratic", (mi, u))
     for (i, j), m in ctx.m_orders.items():
         ctx.require(3 ** m)
-        M, N = ctx.matchings[i], ctx.matchings[j]
+        M, N = matchings[i], matchings[j]
         for u in range(n):
             lhs = {u: one}
             rhs = {u: one}
@@ -363,7 +350,8 @@ def _iota_basis(ctx: HeckeContext, x: str) -> list[Vector]:
         rank = ctx.poset.rank
         images = ctx._iota_basis[x] = [
             {u: -c if (rank[v] - rank[u]) % 2 else c for u, c in col.items()}
-            for v, col in enumerate(_columns(ctx.r_table(x), 2 * ctx.width))]
+            for v, col in enumerate(_columns(ctx.system.r_table(x),
+                                             2 * ctx.width))]
     return images
 
 
@@ -406,7 +394,8 @@ def kl_element_c(ctx: HeckeContext, w: int, x: str) -> Vector:
     poset, width = ctx.poset, ctx.width
     top = ctx.offset + poset.rank[w]
     out = {}
-    for v, poly in zip(poset.ideal_elements(w), ctx.p_table(x).columns[w]):
+    for v, poly in zip(poset.ideal_elements(w),
+                       ctx.system.p_table(x).columns[w]):
         coeffs = poly.coeffs()
         if coeffs:
             c = _reflect({2 * k: a for k, a in enumerate(coeffs)}, width,
@@ -486,9 +475,9 @@ def verify_duality(ctx: HeckeContext):
     poset = ctx.poset
     ctx.require(poset.n * ctx.r_l1 * ctx.p_l1)
     for x in X_PARAMS:
-        table = ctx.r_table(x)
+        table = ctx.system.r_table(x)
         for u in range(poset.n):
-            for mi, M in enumerate(ctx.matchings):
+            for mi, M in enumerate(ctx.system.matchings):
                 mu = M(u)
                 # fixed, or checked at mu
                 if mu > u and not is_calculating(
@@ -514,16 +503,12 @@ def _corrections(ctx: HeckeContext, M: PartialMatching, mw: int,
     key = (M, mw, x)
     got = ctx._corrections.get(key)
     if got is None:
-        terms = [(u, m) for u in _correction_domain(ctx, M, mw, x)
-                 if (m := ctx.mu(u, mw, x))]
+        terms = [(u, m) for u in ctx.poset.ideal_elements(mw)
+                 if ((kind := M.kind(u)) == "down"
+                     or (kind == "fixed" and x == X_Q))
+                 and (m := ctx.mu(u, mw, x))]
         got = ctx._corrections[key] = (terms, sum(abs(m) for _, m in terms))
     return got
-
-
-def _correction_domain(ctx: HeckeContext, M: PartialMatching, mw: int,
-                       x: str) -> list[int]:
-    return [u for u in ctx.poset.ideal_elements(mw)
-            if (kind := M.kind(u)) == "down" or (kind == "fixed" and x == X_Q)]
 
 
 def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
@@ -532,14 +517,9 @@ def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
     C'^x_w = C'_M . C'^x_{M(w)} - sum_u mu(u, M(w)) C'^x_u: the
     ``p_recursion`` column at half-exponent -rho(w), the shift
     kl_element_cprime applies to the kept column.  With P = P^z and
-    C'_M = q^(-1/2) (T_M + 1), the coefficient of m_t in
-    C'_M . C'^x_{M(w)} is q^(-rho(w)/2) times a value of column M(w):
-
-        P_{M(t)} + q P_t    when M moves t down,
-        P_t + q P_{M(t)}    when M moves t up,
-        (x + 1) P_t         when M fixes t,
-
-    p_recursion's three cases, and mu(u, M(w)) C'^x_u is
+    C'_M = q^(-1/2) (T_M + 1), C'_M . C'^x_{M(w)} is q^(-rho(w)/2) times
+    (T_M + 1) applied to column M(w) of P, which is how p_recursion
+    builds it, through ``t_action``; mu(u, M(w)) C'^x_u is
     q^(-rho(w)/2) mu q^(rho(u,w)/2) P_{.,u}, its corrections.  So the
     coefficients stay below the bound that p_recursion asserts.
     """
@@ -550,36 +530,29 @@ def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
 def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
                 x: str) -> Vector:
     """Right-hand side of the polynomial-level recursion
-    P^z_{v,w} = P^z_{v',M(w)} + x_v P^z_{v'',M(w)}
-                - sum_u mu(u, M(w)) q^(rho(u,w)/2) P^z_{v,u}
-    for every v <= w, where v' and v'' are the lower and upper of
-    {v, M(v)} and x_v is x when M fixes v and q otherwise: the whole
-    column, packed like ``ctx.packed_p(z)[w]``, nonzero entries only.  Its
-    coefficients stay below max L1(P) (2 + sum |mu|), which is asserted
-    once for the column."""
+    P^z_{.,w} = (T_M + 1) P^z_{.,M(w)}
+                - sum_u mu(u, M(w)) q^(rho(u,w)/2) P^z_{.,u},
+    with T_M the x-action (``t_action``) on column M(w) as a module
+    vector.  Entry by entry, P^z_{v,w} = P^z_{v',M(w)} + x_v P^z_{v'',M(w)}
+    minus the corrections, where v' and v'' are the lower and upper of
+    {v, M(v)} and x_v is x when M fixes v and q otherwise.  The result is
+    the whole column, packed like ``ctx.packed_p(z)[w]``, nonzero entries
+    only.  Its coefficients stay below max L1(P) (2 + sum |mu|), which is
+    asserted once for the column."""
     poset = ctx.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("p_recursion needs M(w) covered by w")
     terms, weight = _corrections(ctx, M, mw, x)
     ctx.require(ctx.p_l1 * (2 + weight))
-    width, q = ctx.width, 2 * ctx.width
     cols = ctx.packed_p(other_x(x))
-    get = cols[mw].get
-    out: Vector = {}
-    for v in poset.ideal_elements(w):
-        kind = M.kind(v)
-        if kind == "fixed":
-            p = get(v, 0)
-            out[v] = p + (p << q) if x == X_Q else 0
-        elif kind == "down":
-            out[v] = get(M(v), 0) + (get(v, 0) << q)
-        else:
-            out[v] = get(v, 0) + (get(M(v), 0) << q)
+    out = t_action(ctx, M, cols[mw], x)
+    for v, p in cols[mw].items():
+        out[v] = out.get(v, 0) + p
     for u, m in terms:
-        shift = width * poset.rank_gap(u, w)
+        shift = ctx.width * poset.rank_gap(u, w)
         for v, p in cols[u].items():
-            out[v] -= m * p << shift
+            out[v] = out.get(v, 0) - (m * p << shift)
     return {v: c for v, c in out.items() if c}
 
 

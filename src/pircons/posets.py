@@ -123,9 +123,6 @@ class GradedPoset:
     def n(self) -> int:
         return len(self.labels)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def index(self, label: str) -> int:
         return self._label_index[label]
 

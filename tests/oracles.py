@@ -617,7 +617,7 @@ def cprime_generator_action(ctx, M, v, x: str) -> ModuleVector:
 def verify_hecke_relations(ctx, x: str):
     """Quadratic and braid relations on every basis vector."""
     n = ctx.poset.n
-    for mi, M in enumerate(ctx.matchings):
+    for mi, M in enumerate(ctx.system.matchings):
         for u in range(n):
             v = ModuleVector.basis(u)
             tv = t_action(ctx, M, v, x)
@@ -626,7 +626,7 @@ def verify_hecke_relations(ctx, x: str):
             if lhs != rhs:
                 return False, ("quadratic", (mi, u))
     for (i, j), m in ctx.m_orders.items():
-        M, N = ctx.matchings[i], ctx.matchings[j]
+        M, N = ctx.system.matchings[i], ctx.system.matchings[j]
         for u in range(n):
             lhs = ModuleVector.basis(u)
             rhs = ModuleVector.basis(u)
@@ -641,7 +641,7 @@ def verify_hecke_relations(ctx, x: str):
 @lru_cache(maxsize=None)
 def _iota_basis(ctx, x: str) -> list:
     poset = ctx.poset
-    table = ctx.r_table(x)
+    table = ctx.system.r_table(x)
     images = []
     for v in range(poset.n):
         coeffs = {}
@@ -675,7 +675,7 @@ def kl_element_c(ctx, w: int, x: str) -> ModuleVector:
     """C^x_w = q^(rho(w)/2) sum_v (-1)^(rho(v,w)) q^(-rho(v))
     bar(P^x_{v,w}) m_v."""
     poset = ctx.poset
-    table = ctx.p_table(x)
+    table = ctx.system.p_table(x)
     return ModuleVector({
         v: embed(table.value(v, w)).bar().scale((-1) ** poset.rank_gap(v, w))
         .shift(poset.rank[w] - 2 * poset.rank[v])
@@ -685,7 +685,7 @@ def kl_element_c(ctx, w: int, x: str) -> ModuleVector:
 def kl_element_cprime(ctx, w: int, x: str) -> ModuleVector:
     """C'^x_w = q^(-rho(w)/2) sum_v P^z_{v,w} m_v."""
     poset = ctx.poset
-    table = ctx.p_table(other_x(x))
+    table = ctx.system.p_table(other_x(x))
     return ModuleVector({v: embed(table.value(v, w)).shift(-poset.rank[w])
                          for v in poset.ideal_elements(w)})
 
@@ -730,7 +730,7 @@ def verify_duality(ctx):
     n = ctx.poset.n
     for x in X_PARAMS:
         for u in range(n):
-            for mi, M in enumerate(ctx.matchings):
+            for mi, M in enumerate(ctx.system.matchings):
                 if M(u) != u and not equivariance(ctx, M, u, x):
                     return False, ("equivariance", (x, mi, u))
         for w in range(n):
@@ -772,7 +772,7 @@ def p_recursion(ctx, v: int, w: int, M, x: str) -> QPoly:
         raise ValueError("p_recursion needs M(w) covered by w")
     if not poset.leq(v, w):
         raise ValueError("p_recursion needs v <= w")
-    pz = ctx.p_table(other_x(x))
+    pz = ctx.system.p_table(other_x(x))
     mv = M(v)
     if mv == v:
         v_lo = v_hi = v
@@ -793,7 +793,7 @@ def verify_recursion(ctx, xs):
     (False, witness)."""
     poset = ctx.poset
     for x in xs:
-        pz = ctx.p_table(other_x(x))
+        pz = ctx.system.p_table(other_x(x))
         for w in range(poset.n):
             if w == poset.bottom:
                 continue
@@ -936,10 +936,9 @@ def coxeter_tables(config: dict) -> dict:
                          if length[table[i][k]] < length[i])
                      for i in range(n))
 
-    return {"elements": tuple(elements), "index": index,
-            "length": tuple(length), "word": tuple(word), "right": right,
-            "_inv": inv, "left": left, "d_right": descents(right),
-            "d_left": descents(left)}
+    return {"elements": tuple(elements), "length": tuple(length),
+            "word": tuple(word), "right": right, "_inv": inv, "left": left,
+            "d_right": descents(right), "d_left": descents(left)}
 
 
 def verify_pircon_system(poset, matchings):

@@ -58,7 +58,7 @@ def test_criterion_02_r_properties(suite_contexts):
     budget = Budget(30.0)
     for name, ctx in suite_contexts.items():
         ok, witness = verify_r_properties(
-            ctx.r_table(X_MINUS_ONE), ctx.r_table(X_Q))
+            ctx.system.r_table(X_MINUS_ONE), ctx.system.r_table(X_Q))
         assert ok, (name, witness)
     budget.done("criterion 2: R-properties on all 28 quotient instances")
 
@@ -95,7 +95,7 @@ def test_criterion_04_updown(suite_quotients, suite_contexts,
         quot = suite_quotients[name]
         S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         for x in X_PARAMS:
-            ok, witness = check_updown(S, ctx.r_table(x))
+            ok, witness = check_updown(S, ctx.system.r_table(x))
             assert ok, (name, x, witness)
     for T in (twisted2, twisted3):
         S = T.matchings
@@ -113,7 +113,7 @@ def test_criterion_05_pkernel(suite_quotients, suite_contexts,
         quot = suite_quotients[name]
         S = [quot.lambda_matching(s) for s in range(quot.group.num_gens)]
         for x in X_PARAMS:
-            table = ctx.r_table(x)
+            table = ctx.system.r_table(x)
             ud = check_updown(S, table)[0]
             pk, witness, _ = check_pkernel(table)
             assert pk, (name, x, witness)
@@ -136,7 +136,7 @@ def test_criterion_06_kls_inversion(groups, suite_contexts):
     for name, ctx in suite_contexts.items():
         P = ctx.poset
         for x in X_PARAMS:
-            r, p = ctx.r_table(x), ctx.p_table(x)
+            r, p = ctx.system.r_table(x), ctx.system.p_table(x)
             for (u, v), poly in oracles.entries(p).items():
                 gap = P.rank_gap(u, v)
                 if u != v and poly:
@@ -154,12 +154,12 @@ def test_criterion_06_kls_inversion(groups, suite_contexts):
         ctx = suite_contexts[f"{name}/H={{-}}"]
         full = system.quotient(set())
         for x in X_PARAMS:
-            for (u, w), poly in oracles.entries(ctx.p_table(x)).items():
+            for (u, w), poly in oracles.entries(ctx.system.p_table(x)).items():
                 want = oracle[(full.reps[u], full.reps[w])]
                 assert sympy.expand(qpoly_expr(poly) - want) == 0
     ctx = suite_contexts["A3/H={-}"]
     P = ctx.poset
-    got = ctx.p_table(X_Q).value(P.index("e"), P.index("2.1.3.2"))
+    got = ctx.system.p_table(X_Q).value(P.index("e"), P.index("2.1.3.2"))
     assert got == QPoly((1, 1))
     budget.done("criterion 6: KLS inversion + classical oracle, P[e,3412]=1+q")
 
@@ -169,7 +169,7 @@ def test_criterion_07_brenti(suite_quotients, suite_contexts):
     for name, ctx in suite_contexts.items():
         quot = suite_quotients[name]
         for x in X_PARAMS:
-            ok, witness = brenti_identity(quot, ctx.r_table(x))
+            ok, witness = brenti_identity(quot, ctx.system.r_table(x))
             assert ok, (name, x, witness)
     budget.done("criterion 7: Brenti identity, exhaustive scan")
 

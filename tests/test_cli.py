@@ -176,7 +176,7 @@ def test_recursion_record_is_the_library_verdict():
     ctx = inst.hecke_context
     pair = (ctx.poset.bottom, ctx.poset.top)
     oracles.keep_table(inst.system, "p_table", X_Q, oracles.nudged(
-        ctx.p_table(X_Q), pair, oracles.monomial(0)))
+        ctx.system.p_table(X_Q), pair, oracles.monomial(0)))
     ok, witness = oracles.verify_recursion(ctx, X_PARAMS)
     assert not ok
     assert cli.run_verification(inst, ["recursion"], X_PARAMS) == [
@@ -280,6 +280,19 @@ def test_unknown_element_is_config_error(tmp_path, capsys):
     assert err.startswith("config error:") and "'zz'" in err and \
         err.count("\n") == 1
     assert not out.exists()
+
+
+def test_product_instance_is_named_by_its_factors(tmp_path):
+    """A product instance's name joins its factors' names, each named as
+    one matrix is, with x; every report record carries it."""
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"instance": {
+        "kind": "coxeter", "H": [1], "matrix": {"type": "product", "factors": [
+            {"type": "A", "rank": 1}, {"type": "I2", "m": 3}]}}}))
+    out = tmp_path / "out"
+    assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    records = json.loads((out / "verify_report.json").read_text())
+    assert records and {r["instance"] for r in records} == {"A1xI23/H=s1"}
 
 
 def test_unsupported_type_exit(capsys):

@@ -25,7 +25,7 @@ def test_columns_are_the_decoded_entries(suite_contexts, x):
     kernel check and of its context's Hecke layer (2B)."""
     for key, ctx in suite_contexts.items():
         poset = ctx.poset
-        for table in (ctx.r_table(x), ctx.p_table(x)):
+        for table in (ctx.system.r_table(x), ctx.system.p_table(x)):
             l1, top, terms = table.norms
             want = [{} for _ in range(poset.n)]
             for (u, w), poly in oracles.entries(table).items():
@@ -54,7 +54,7 @@ def test_a_missing_pair_raises_at_construction(suite_contexts):
     e, top = poset.bottom, poset.top
     M = ctx.system.refinement[top]
     for x in X_PARAMS:
-        genuine = ctx.r_table(x)
+        genuine = ctx.system.r_table(x)
         for pair in ((e, top), (M(top), top)):
             entries = oracles.entries(genuine)
             del entries[pair]

@@ -56,7 +56,7 @@ def test_t_action_cases(chain_ctx):
     ctx = chain_ctx
     P = ctx.poset
     e, s1, top = P.index("e"), P.index("1"), P.index("2.1")
-    lam2 = next(M for M in ctx.matchings if M(e) == e)   # fixes e
+    lam2 = next(M for M in ctx.system.matchings if M(e) == e)   # fixes e
     # up: m_{s1} -> m_{top}
     assert t_action(ctx, lam2, basis(ctx, s1), X_Q) == basis(ctx, top)
     # down: m_top -> q m_{s1} + (q-1) m_top
@@ -73,7 +73,7 @@ def test_t_action_cases(chain_ctx):
 def test_quadratic_relation_by_cases(chain_ctx):
     ctx = chain_ctx
     for x in X_PARAMS:
-        for M in ctx.matchings:
+        for M in ctx.system.matchings:
             for u in range(ctx.poset.n):
                 v = ModuleVector.basis(u)
                 tv = t_action(ctx, M, basis(ctx, u), x)
@@ -86,7 +86,7 @@ def test_t_inverse_roundtrip(chain_ctx):
     ctx = chain_ctx
     t, t_inverse = oracles.t_action, oracles.t_inverse_action
     for x in X_PARAMS:
-        for M in ctx.matchings:
+        for M in ctx.system.matchings:
             for u in range(ctx.poset.n):
                 v = ModuleVector.basis(u)
                 assert t_inverse(ctx, M, t(ctx, M, v, x), x) == v
@@ -98,11 +98,11 @@ def test_t_inverse_fixed_point_scalar(chain_ctx):
     P = ctx.poset
     e = P.index("e")
     m_e = ModuleVector.basis(e)
-    lam2 = next(M for M in ctx.matchings if M(e) == e)
+    lam2 = next(M for M in ctx.system.matchings if M(e) == e)
     got = oracles.t_inverse_action(ctx, lam2, m_e, X_MINUS_ONE)
     assert got == ModuleVector({e: -1 * ONE})
     # bottom matched up: q^(-1) m_{M(e)} + (q^(-1) - 1) m_e
-    lam1 = next(M for M in ctx.matchings if M(e) != e)
+    lam1 = next(M for M in ctx.system.matchings if M(e) != e)
     got = oracles.t_inverse_action(ctx, lam1, m_e, X_Q)
     assert got == ModuleVector({lam1(e): QBAR, e: QBAR - ONE})
 
@@ -208,7 +208,7 @@ def test_thm_4_8_2_formula(chain_ctx):
     P = ctx.poset
     j = oracles.j_map
     for x in X_PARAMS:
-        table = ctx.r_table(x)
+        table = ctx.system.r_table(x)
         for w in range(P.n):
             jm = j(ctx, ModuleVector.basis(w))
             got = decoded(ctx, iota(ctx, pack(ctx, jm), x))
@@ -238,7 +238,7 @@ def test_cprime_recursion_rank1(chain_ctx):
     ctx = chain_ctx
     P = ctx.poset
     s1 = P.index("1")
-    M = next(M for M in ctx.matchings if M(s1) == P.bottom)
+    M = next(M for M in ctx.system.matchings if M(s1) == P.bottom)
     for x in X_PARAMS:
         got = cprime_recursion(ctx, s1, M, x)
         assert got == kl_element_cprime(ctx, s1, x)
@@ -262,7 +262,7 @@ def test_cprime_recursion_requires_down(chain_ctx):
     ctx = chain_ctx
     P = ctx.poset
     e = P.index("e")
-    M = ctx.matchings[0]
+    M = ctx.system.matchings[0]
     with pytest.raises(ValueError):
         cprime_recursion(ctx, e, M, X_Q)
 
@@ -289,7 +289,7 @@ def test_p_recursion_chain(chain_ctx):
             assert column == ctx.packed_p(z)[top]
             for v in P.ideal_elements(top):
                 assert polynomial(ctx, column.get(v, 0)) == \
-                    embed(ctx.p_table(z).value(v, top))
+                    embed(ctx.system.p_table(z).value(v, top))
 
 
 def test_characterize(chain_ctx):

@@ -115,13 +115,13 @@ def test_strongly_calculating(groups, suite_contexts):
         if not key.startswith(("A2/", "A3/")):
             continue
         for x in X_PARAMS:
-            table = ctx.r_table(x)
-            for M in ctx.matchings:
+            table = ctx.system.r_table(x)
+            for M in ctx.system.matchings:
                 assert oracles.is_strongly_calculating(M, table) == \
                     (True, None), key
     # identity involution: no z with M(z) covered by z, vacuously true
     quot = groups["A2"].quotient(set())
-    table = suite_contexts["A2/H={-}"].r_table(X_Q)
+    table = suite_contexts["A2/H={-}"].system.r_table(X_Q)
     ident = PartialMatching.identity(quot.poset)
     assert oracles.is_strongly_calculating(ident, table) == (True, None)
 
@@ -159,9 +159,9 @@ def test_updown_whole_witness_per_clause(suite_contexts, x, pair, want):
     ctx = suite_contexts["A3/H={s1}"]
     P = ctx.poset
     key = (P.index(pair[0]), P.index(pair[1]))
-    table = oracles.nudged(ctx.r_table(x), key, oracles.monomial(1))
+    table = oracles.nudged(ctx.system.r_table(x), key, oracles.monomial(1))
     clause, (mi, u, w) = want
-    assert check_updown(ctx.matchings, table) == \
+    assert check_updown(ctx.system.matchings, table) == \
         (False, (clause, (mi, P.index(u), P.index(w))))
 
 
@@ -226,23 +226,23 @@ def test_kls_spec_values(groups, suite_contexts):
     P = quot.poset
     e, top = P.index("e"), P.index("2.1")
     ctx = suite_contexts["A2/H={s2}"]
-    assert ctx.p_table(X_MINUS_ONE).value(e, top) == QPoly.one()
-    assert ctx.p_table(X_Q).value(e, top) == QPoly.zero()
+    assert ctx.system.p_table(X_MINUS_ONE).value(e, top) == QPoly.one()
+    assert ctx.system.p_table(X_Q).value(e, top) == QPoly.zero()
 
     ctx3 = suite_contexts["A3/H={-}"]
     P3 = ctx3.poset
     e3, w = P3.index("e"), P3.index("2.1.3.2")
     for x in X_PARAMS:
-        assert ctx3.p_table(x).value(e3, w) == QPoly((1, 1))
+        assert ctx3.system.p_table(x).value(e3, w) == QPoly((1, 1))
 
 
 def test_kls_against_sympy_inversion(suite_contexts):
     for key in ("B2/H={-}", "A2/H={s1}", "I2(5)/H={s2}"):
         ctx = suite_contexts[key]
         for x in X_PARAMS:
-            table = ctx.r_table(x)
+            table = ctx.system.r_table(x)
             oracle = table_inversion(table)
-            mine = ctx.p_table(x)
+            mine = ctx.system.p_table(x)
             for (u, w), poly in oracles.entries(mine).items():
                 assert sympy.expand(qpoly_expr(poly) - oracle[(u, w)]) == 0
 
@@ -261,7 +261,7 @@ def test_kls_degree_bound(suite_contexts):
     for key in ("A3/H={-}", "B3/H={s1}"):
         ctx = suite_contexts[key]
         for x in X_PARAMS:
-            p = ctx.p_table(x)
+            p = ctx.system.p_table(x)
             for (u, w), poly in oracles.entries(p).items():
                 if u != w and poly:
                     assert 2 * poly.degree() < p.poset.rank_gap(u, w)
@@ -297,8 +297,8 @@ def test_parabolic_vs_classical_coset_identities(groups, suite_contexts,
     quot = W.quotient(set(H))
     members = _parabolic_subgroup(W, H)
     w_long = max(members, key=lambda g: W.length[g])
-    p_q = ctx.p_table(X_Q)
-    p_minus = ctx.p_table(X_MINUS_ONE)
+    p_q = ctx.system.p_table(X_Q)
+    p_minus = ctx.system.p_table(X_MINUS_ONE)
     for (u, w), poly in oracles.entries(p_q).items():
         gu, gw = quot.reps[u], quot.reps[w]
         alt = sum((-1) ** W.length[v] * oracle.get((W.product(gu, v), gw), 0)
@@ -318,7 +318,7 @@ def test_classical_kl_oracle(groups, suite_contexts):
         quot_poset = ctx.poset
         full = system.quotient(set())
         for x in X_PARAMS:
-            mine = ctx.p_table(x)
+            mine = ctx.system.p_table(x)
             for (u, w), poly in oracles.entries(mine).items():
                 gu, gw = full.reps[u], full.reps[w]
                 assert sympy.expand(qpoly_expr(poly) - oracle[(gu, gw)]) == 0
@@ -328,7 +328,7 @@ def test_classical_kl_oracle(groups, suite_contexts):
 
 def test_r_properties_chain_instances(suite_contexts):
     ctx = suite_contexts["A2/H={s2}"]
-    r_minus, r_q = ctx.r_table(X_MINUS_ONE), ctx.r_table(X_Q)
+    r_minus, r_q = ctx.system.r_table(X_MINUS_ONE), ctx.system.r_table(X_Q)
     assert verify_r_properties(r_minus, r_q) == (True, None)
     P = ctx.poset
     e, s1 = P.index("e"), P.index("1")
@@ -354,12 +354,12 @@ def test_brenti_identity_scan(groups, suite_contexts):
     quot = groups["A2"].quotient({1})
     ctx = suite_contexts["A2/H={s2}"]
     for x in X_PARAMS:
-        assert brenti_identity(quot, ctx.r_table(x)) == (True, None)
+        assert brenti_identity(quot, ctx.system.r_table(x)) == (True, None)
     # corrupting one entry that participates in a qualifying triple fails
     P = quot.poset
     for x in X_PARAMS:
-        bad = oracles.replaced(
-            ctx.r_table(x), {(P.index("1"), P.index("2.1")): QPoly((3,))})
+        bad = oracles.replaced(ctx.system.r_table(x),
+                               {(P.index("1"), P.index("2.1")): QPoly((3,))})
         assert brenti_identity(quot, bad) == \
             (False, ("brenti", (0, P.index("e"), P.index("2.1"))))
 
@@ -430,7 +430,7 @@ def test_twisted_all_spm_refinements_agree(twisted2):
 
 def test_table_json_and_csv(suite_contexts):
     ctx = suite_contexts["A2/H={s2}"]
-    table = ctx.r_table(X_Q)
+    table = ctx.system.r_table(X_Q)
     data = table.to_json()
     again = PolyTable.from_json(data)
     assert again.columns == table.columns and again.x == table.x

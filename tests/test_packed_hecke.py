@@ -26,7 +26,7 @@ from pircons.hecke import (HeckeContext, OffsetError, WidthError,
                            t_action)
 from pircons.klpoly import (X_PARAMS, KernelError, PolyTable, check_pkernel,
                             check_updown, is_calculating, kls_polynomials,
-                            lambda_refinement, r_polynomials,
+                            lambda_refinement, other_x, r_polynomials,
                             verify_r_properties)
 from pircons.laurent import QPoly
 
@@ -174,7 +174,7 @@ def test_packed_ops_on_every_context(contexts, x):
             vectors = [{u: ctx.one}, iota(ctx, {u: ctx.one}, x)]
             for v in vectors:
                 ref = ModuleVector.lift(ctx.decode(v))
-                for M in ctx.matchings:
+                for M in ctx.system.matchings:
                     assert decoded(ctx, t_action(ctx, M, v, x)) == \
                         oracles.t_action(ctx, M, ref, x), (key, u)
             assert decoded(ctx, kl_element_c(ctx, u, x)) == \
@@ -193,7 +193,7 @@ def test_packed_ops_on_random_vectors(contexts, data):
     needs (iota has its own random test)."""
     ctx = contexts[data.draw(st.sampled_from(RANDOM_KEYS))]
     x = data.draw(st.sampled_from(X_PARAMS))
-    M = data.draw(st.sampled_from(ctx.matchings))
+    M = data.draw(st.sampled_from(ctx.system.matchings))
     v = random_vector(data, ctx)
     # T_M at most triples a coefficient
     assert widened(ctx, lambda c, pv: t_action(c, M, pv, x), v, 3) == \
@@ -302,8 +302,9 @@ def nudge(ctx, name, x, pair, delta):
     x, after the context has taken its verdicts on the genuine tables.  A
     nudged R^x is a new table with its own rule columns, which the rule
     checks read."""
-    oracles.keep_table(ctx.system, name, x,
-                       oracles.nudged(getattr(ctx, name)(x), pair, delta))
+    system = ctx.system
+    oracles.keep_table(system, name, x,
+                       oracles.nudged(getattr(system, name)(x), pair, delta))
 
 
 def nudges(poset, pairs, top_degree):
@@ -338,7 +339,7 @@ def test_witnesses_of_corrupted_r_entries(suite_quotients, suite_contexts):
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
-            pairs = oracles.pairs(base.r_table(x))
+            pairs = oracles.pairs(base.system.r_table(x))
             for pair, delta in nudges(base.poset, pairs, lambda gap: gap):
                 ctx = fresh_context(suite_quotients, key)
                 nudge(ctx, "r_table", x, pair, delta)
@@ -350,7 +351,7 @@ def test_witnesses_of_corrupted_r_entries(suite_quotients, suite_contexts):
         quot, ctx = suite_quotients[key], suite_contexts[key]
         assert ctx.system is quot.system
         for x in X_PARAMS:
-            assert ctx.r_table(x) == r_polynomials(
+            assert ctx.system.r_table(x) == r_polynomials(
                 quot.poset, lambda_refinement(quot), x)
 
 
@@ -373,7 +374,7 @@ def test_an_r_entry_past_its_rank_gap_fails_the_transform(suite_quotients):
     system on that verdict."""
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
-        for u, w in oracles.pairs(base.r_table("q")):
+        for u, w in oracles.pairs(base.system.r_table("q")):
             if u != w:
                 system = gated_system(suite_quotients, key)
                 table = oracles.nudged(system.r_table("q"), (u, w),
@@ -396,7 +397,7 @@ def test_witnesses_of_corrupted_p_entries(suite_quotients):
     for key in WITNESS_KEYS + ["twisted2"]:
         base = fresh_context(suite_quotients, key)
         for x in X_PARAMS:
-            pairs = oracles.pairs(base.p_table(x))
+            pairs = oracles.pairs(base.system.p_table(x))
             for pair, delta in nudges(base.poset, pairs,
                                       lambda gap: (gap - 1) // 2):
                 ctx = fresh_context(suite_quotients, key)
@@ -420,7 +421,7 @@ def nudged_contexts(suite_quotients, key, x, tables=tuple(TOP_DEGREES)):
     base = fresh_context(suite_quotients, key)
     for name in tables:
         top_degree = TOP_DEGREES[name]
-        pairs = oracles.pairs(getattr(base, name)(x))
+        pairs = oracles.pairs(getattr(base.system, name)(x))
         for pair, delta in nudges(base.poset, pairs, top_degree):
             ctx = fresh_context(suite_quotients, key)
             nudge(ctx, name, x, pair, delta)
@@ -445,7 +446,7 @@ def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
     for x in X_PARAMS:
         for ctx in nudged_contexts(suite_quotients, key, x):
             n = ctx.poset.n
-            table = ctx.r_table(x)
+            table = ctx.system.r_table(x)
             involution = all(
                 oracles.iota(ctx, oracles.iota(ctx, m, x), x) == m
                 for m in map(ModuleVector.basis, range(n)))
@@ -453,14 +454,14 @@ def test_dropped_duality_clauses_are_the_kernel_checks(suite_quotients, key):
             fixes_c = all(oracles.iota(ctx, c, x) == c for c in (
                 oracles.kl_element_c(ctx, w, x) for w in range(n)))
             try:
-                inverse = kls_polynomials(table) == ctx.p_table(x)
+                inverse = kls_polynomials(table) == ctx.system.p_table(x)
             except KernelError:
                 inverse = False
             assert fixes_c == inverse
             conjugates = all(oracles.iota_j_conjugation(ctx, u, y)
                              for y in X_PARAMS for u in range(n))
-            properties = verify_r_properties(ctx.r_table("-1"),
-                                             ctx.r_table("q"))[0]
+            properties = verify_r_properties(ctx.system.r_table("-1"),
+                                             ctx.system.r_table("q"))[0]
             assert conjugates or not properties
             seen.add((involution, fixes_c, conjugates, properties))
     # genuine tables pass all four; an R nudge fails all four; a P nudge
@@ -482,8 +483,8 @@ def test_equivariance_is_the_rule_on_columns(suite_quotients, key):
     seen = set()
     for x in X_PARAMS:
         for ctx in nudged_contexts(suite_quotients, key, x, ("r_table",)):
-            table = ctx.r_table(x)
-            for M in ctx.matchings:
+            table = ctx.system.r_table(x)
+            for M in ctx.system.matchings:
                 for u in range(ctx.poset.n):
                     if M(u) != u:
                         hi = M(u) if M.kind(u) == "up" else u
@@ -503,7 +504,7 @@ def test_twisted_equivariance_holds_on_every_context(contexts):
     quotient and of twisted 2 and 3."""
     for key, ctx in contexts.items():
         for x in X_PARAMS:
-            for M in ctx.matchings:
+            for M in ctx.system.matchings:
                 for u in range(ctx.poset.n):
                     assert oracles.twisted_equivariance(ctx, M, u, x), \
                         (key, x, u)
@@ -550,13 +551,13 @@ def test_p_recursion_on_every_context(contexts, x):
 
 
 def test_corrections_once_per_matching_and_target(groups, monkeypatch):
-    """During the recursion check the corrections are computed once, and
-    cprime_recursion and p_recursion are each called once, per (M, w, x):
-    the recursion is checked once, on the whole P column, not one v at a
-    time, and no T_M is applied."""
+    """During the recursion check the corrections, cprime_recursion,
+    p_recursion and T_M are each called once per (M, w, x): the recursion
+    is checked once, on the whole P column, not one v at a time, and T_M
+    acts once, in the x-structure, on the P^z column of M(w)."""
     ctx = context_of(groups["A3"].quotient(set()))
     entered = []
-    real = hecke._correction_domain
+    real = hecke._corrections
 
     def spy(ctx, M, mw, x):
         entered.append((M, mw, x))
@@ -575,7 +576,7 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
         actions.append(args)
         return real_t(*args)
 
-    monkeypatch.setattr(hecke, "_correction_domain", spy)
+    monkeypatch.setattr(hecke, "_corrections", spy)
     monkeypatch.setattr(hecke, "t_action", count_t)
     assert hecke.verify_recursion(ctx, X_PARAMS) == (True, None)
     poset = ctx.poset
@@ -586,7 +587,13 @@ def test_corrections_once_per_matching_and_target(groups, monkeypatch):
     for name, seen in calls.items():
         assert len(seen) == len(set(seen)) == len(expected), name
         assert set(seen) == expected, name
-    assert actions == []
+    # each action's vector is a kept P^z column, named by its element
+    column_of = {(x, id(col)): u for x in X_PARAMS
+                 for u, col in enumerate(ctx.packed_p(other_x(x)))}
+    acted = [(M, column_of[x, id(v)], x) for c, M, v, x in actions
+             if c is ctx]
+    assert len(acted) == len(set(acted)) == len(actions) == len(expected)
+    assert set(acted) == set(entered)
 
 
 def test_duality_reuses_images(groups, monkeypatch):
@@ -595,7 +602,7 @@ def test_duality_reuses_images(groups, monkeypatch):
     is_calculating on the rule columns of the system's R^x, with no iota, and
     nothing applies T_M."""
     ctx = context_of(groups["A3"].quotient(set()))
-    n, k = ctx.poset.n, len(ctx.matchings)
+    n, k = ctx.poset.n, len(ctx.system.matchings)
     assert (n, k) == (24, 3)
     counts = {"iota": 0, "t_action": 0}
     for name in counts:
@@ -615,7 +622,7 @@ def test_duality_reuses_images(groups, monkeypatch):
 def updown_cases(contexts, twisted3):
     for key, ctx in contexts.items():
         for x in X_PARAMS:
-            yield key, ctx.matchings, ctx.r_table(x)
+            yield key, ctx.system.matchings, ctx.system.r_table(x)
     for x in X_PARAMS:
         yield "twisted3-klv", twisted3.matchings, \
             twisted3.system.r_table(x)
@@ -637,7 +644,7 @@ polys = st.lists(st.integers(-3, 3) | HUGE, max_size=6)
 def test_updown_on_corrupted_tables(contexts, data):
     ctx = contexts[data.draw(st.sampled_from(CORRUPTED_BASES))]
     x = data.draw(st.sampled_from(X_PARAMS))
-    base = ctx.r_table(x)
+    base = ctx.system.r_table(x)
     entries = oracles.entries(base)
     for _ in range(data.draw(st.integers(1, 3))):
         pair = data.draw(st.sampled_from(oracles.pairs(base)))
@@ -648,8 +655,8 @@ def test_updown_on_corrupted_tables(contexts, data):
             c = data.draw(st.sampled_from([-1, 1, 2 ** 70]))
             entries[pair] = oracles.add(entries[pair], oracles.monomial(k, c))
     table = PolyTable.from_entries(base.poset, x, entries)
-    assert check_updown(ctx.matchings, table) == \
-        oracles.check_updown(ctx.matchings, table)
+    assert check_updown(ctx.system.matchings, table) == \
+        oracles.check_updown(ctx.system.matchings, table)
 
 
 def test_updown_witness_for_each_clause(contexts):
@@ -658,11 +665,11 @@ def test_updown_witness_for_each_clause(contexts):
     ctx = contexts["A3/H={s1}"]
     seen = set()
     for x in X_PARAMS:
-        base = ctx.r_table(x)
+        base = ctx.system.r_table(x)
         for pair in oracles.pairs(base):
             table = oracles.nudged(base, pair, oracles.monomial(1))
-            got = check_updown(ctx.matchings, table)
-            assert got == oracles.check_updown(ctx.matchings, table)
+            got = check_updown(ctx.system.matchings, table)
+            assert got == oracles.check_updown(ctx.system.matchings, table)
             if not got[0]:
                 seen.add(got[1][0])
     assert seen == {"updown-a'", "updown-b'", "updown-c'"}
@@ -677,11 +684,11 @@ def test_updown_width_covers_clause_b(contexts):
     ctx = contexts["A3/H={-}"]
     poset = ctx.poset
     e = poset.bottom
-    M = next(M for M in ctx.matchings if M(e) != e)
+    M = next(M for M in ctx.system.matchings if M(e) != e)
     s = M(e)
     w = next(w for w in M.domain
              if M.kind(w) == "down" and M(w) != e and poset.leq(s, M(w)))
-    base = ctx.r_table("q")
+    base = ctx.system.r_table("q")
     assert max(abs(c) for p in oracles.entries(base).values()
                for c in p.coeffs()) <= 7
     seven = QPoly([7])

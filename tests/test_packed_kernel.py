@@ -87,7 +87,7 @@ def widths(monkeypatch):
 @pytest.mark.parametrize("x", X_PARAMS)
 def test_every_suite_quotient(suite_contexts, x):
     for key, ctx in suite_contexts.items():
-        table = ctx.r_table(x)
+        table = ctx.system.r_table(x)
         ok, witness, p = check_pkernel(table)
         assert (ok, witness) == (True, None), key
         assert kls_polynomials(table).columns == p.columns == \
@@ -126,7 +126,7 @@ def test_refinement_dependent_pircon(refinement_dependent_poset):
 def test_a_negated_kernel_fails_on_its_diagonal(suite_contexts):
     """-R satisfies the kernel sum, as (-R) bar(-R) = R bar(R) = delta, so
     the oracle sum accepts it; but a P-kernel has a unit diagonal."""
-    table = suite_contexts["A2/H={-}"].r_table("q")
+    table = suite_contexts["A2/H={-}"].system.r_table("q")
     negated = PolyTable(table.poset, "q",
                         [map(oracles.neg, col) for col in table.columns])
     assert oracles.check_pkernel(negated) == (True, None)
@@ -158,7 +158,7 @@ def nudge_bases(suite_contexts, twisted2, twisted3,
     and every refinement of the refinement-dependent pircon."""
     for x in X_PARAMS:
         for key, ctx in suite_contexts.items():
-            yield key, ctx.r_table(x)
+            yield key, ctx.system.r_table(x)
         for tw in (twisted2, twisted3):
             yield f"twisted{tw.n}", tw.system.r_table(x)
         for ref in all_refinements(refinement_dependent_poset):
@@ -199,7 +199,7 @@ def test_corrupted_tables(suite_contexts, twisted3, data):
     key = data.draw(st.sampled_from(CORRUPTED_BASES + ["twisted3"]))
     x = data.draw(st.sampled_from(X_PARAMS))
     base = twisted3.system.r_table(x) if key == "twisted3" else \
-        suite_contexts[key].r_table(x)
+        suite_contexts[key].system.r_table(x)
     entries = oracles.entries(base)
     for _ in range(data.draw(st.integers(1, 3))):
         pair = data.draw(st.sampled_from(oracles.pairs(base)))
@@ -273,7 +273,7 @@ def top_bits(table):
 
 def test_width_is_derived_from_the_table(suite_contexts, huge_kernel,
                                          widths):
-    small = suite_contexts["A3/H={-}"].r_table("q")
+    small = suite_contexts["A3/H={-}"].system.r_table("q")
     check_pkernel(small)
     kls_polynomials(small)
     assert len(widths) == 2 and max(widths) < 40
@@ -316,7 +316,7 @@ def test_huge_corrupted_entries(huge_kernel, suite_contexts):
         assert outcome(kls_polynomials, bad, _width=3) == \
             outcome(oracles.kls_polynomials, bad)
     # a genuine small table with a single 2^70 coefficient added
-    base = suite_contexts["B2/H={-}"].r_table("-1")
+    base = suite_contexts["B2/H={-}"].system.r_table("-1")
     pair = max(oracles.pairs(base), key=lambda p: base.poset.rank_gap(*p))
     bad = oracles.nudged(base, pair, oracles.monomial(1, 2 ** 70))
     assert check_pkernel(bad)[0] is False

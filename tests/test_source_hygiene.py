@@ -1,9 +1,12 @@
 """Every module of the package (its ``__init__`` aside, which re-exports),
-of the tests and of the demos uses each name it imports.
+of the tests and of the demos uses each name it imports, and the package
+uses every private function, method and class it defines.
 
 A name counts as used when the module reads it anywhere outside its import
 statements: as a name, as the root of an attribute, or inside an
-annotation written as a string.
+annotation written as a string.  A private definition (a name with one
+leading underscore, dunders aside) counts as used when some module of the
+package reads it as a name or an attribute, or imports it.
 """
 
 import ast
@@ -12,9 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "pircons").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "pircons").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "demos").glob("*.py")))
 
@@ -59,3 +62,21 @@ def test_every_import_is_used(path):
     unused = sorted((line, name) for name, line
                     in imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_definition_is_used():
+    defined, used = [], set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [d for d in defined if d[2] not in used]
+    assert not unused, f"private definitions nothing reads: {unused}"

@@ -1,7 +1,7 @@
 """The group tabulation against the eager reference closure.
 
 ``CoxeterSystem`` reads type A off lexicographic ranks, realizes each edge
-of the Cayley graph of any other type once, and builds its index, inverse,
+of the Cayley graph of any other type once, and builds its inverse,
 left-multiplication, left-descent and word tables on first use;
 ``oracles.coxeter_tables`` realizes every edge from both ends and builds
 every table eagerly.  Every table must agree.
@@ -19,9 +19,9 @@ from pircons.twisted import TwistedIdentities
 from conftest import GROUP_CONFIGS
 from test_coxeter import DERIVED_EXTRA
 
-TABLES = ("elements", "index", "length", "word", "right", "_inv", "left",
-          "d_right", "d_left")
-DERIVED = ("index", "left", "d_left", "_inv", "word")
+TABLES = ("elements", "length", "word", "right", "_inv", "left", "d_right",
+          "d_left")
+DERIVED = ("left", "d_left", "_inv", "word")
 
 ORACLE_CONFIGS = {
     **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 7)},
