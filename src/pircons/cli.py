@@ -126,9 +126,14 @@ def _parse_generators(value, num_gens: int) -> frozenset[int]:
 
 
 def _load_json(path: str, shape: str, valid) -> object:
-    """The JSON document in path; valid() must accept it as ``shape``."""
-    with open(path) as handle:
-        data = json.load(handle)
+    """The JSON document in path; valid() must accept it as ``shape``.  A
+    file that is not UTF-8 JSON is a ConfigError naming the path; a file
+    that cannot be opened raises OSError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     if not valid(data):
         raise ConfigError(f"{path} must hold {shape}")
     return data
@@ -449,10 +454,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 def _merge_config(args: argparse.Namespace) -> dict:
     config: dict = {}
     if args.config:
-        with open(args.config) as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise ConfigError("config file must hold a JSON object")
+        config = _load_json(args.config, "a JSON object",
+                            lambda d: isinstance(d, dict))
     fields = ("out", *COMMAND_FIELDS[args.command])
     for key in config:
         if key != "instance" and key not in fields:
@@ -553,8 +556,7 @@ def main(argv=None) -> int:
         print(f"coxeter error: {exc}", file=sys.stderr)
         return EXIT_SIZE_BOUND if isinstance(exc, SizeBoundError) \
             else EXIT_UNSUPPORTED
-    except (PosetError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (PosetError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

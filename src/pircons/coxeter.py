@@ -38,8 +38,8 @@ Conventions per type:
   k >= 1 the adjacent transpositions; m(s0, s1) = 4.
 * D_n: generator 0 is the swap-and-negate of the first two positions,
   which commutes with generator 1 and braids with generator 2.
-* I2(m): two generators with m(s0, s1) = m; elements are kept as reduced
-  normal forms (length, first letter).
+* I2(m): two generators with m(s0, s1) = m, acting on Z/m: s_k is
+  i -> k - i, and an element i -> a i + b (a = +-1) is kept as (a, b).
 
 Bruhat order on a parabolic quotient W^H is read off its generator maps,
 tabulated once as image lists: lambda_s sends u to s u when s u stays in W^H
@@ -207,12 +207,8 @@ class _TypeD:
 
 
 class _Dihedral:
-    """I2(m) elements as reduced normal forms (length, first letter).
-
-    The identity is (0, None) and the longest element (m, None); every other
-    element is the alternating word of the given length starting with the
-    given letter.
-    """
+    """I2(m) acting on Z/m: an element is the map i -> a i + b, kept as
+    (a, b) with a = +-1 and b mod m, and s_k is i -> k - i."""
 
     def __init__(self, m: int):
         if m < 2:
@@ -224,24 +220,11 @@ class _Dihedral:
         return 2 * self.m
 
     def identity(self):
-        return (0, None)
-
-    def _last(self, length, first):
-        return first if length % 2 == 1 else 1 - first
+        return (1, 0)
 
     def right(self, w, k):
-        length, first = w
-        m = self.m
-        if length == 0:
-            return (1, k)
-        if length == m:
-            # Remove the final letter from the word written to end with k.
-            last = 1 - k
-            first = last if (m - 1) % 2 == 1 else 1 - last
-            return (m - 1, first)
-        if self._last(length, first) == k:
-            return (length - 1, first) if length > 1 else (0, None)
-        return (length + 1, first) if length + 1 < m else (m, None)
+        a, b = w
+        return (-a, (a * k + b) % self.m)
 
     def m_entry(self, i, j):
         return 1 if i == j else self.m

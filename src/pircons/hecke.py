@@ -58,9 +58,9 @@ The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
 basis images are the columns of R^x, signed, and P^z is kept as its
 columns, which are C'-elements up to a shift.  ``p_recursion`` builds a
 whole P column as T_M + 1 applied to column M(w), less its mu-corrections,
-and ``verify_recursion`` compares it, shifted, with the kept one.  The
-mu-corrections are computed once per (M, M(w), x) and kept on the
-context.  This module evaluates no identity of the R-tables alone:
+read off column M(w) of the system's P^z table, and ``verify_recursion``
+compares it, shifted, with the kept one.  This module evaluates no
+identity of the R-tables alone:
 the context requires the system's verdicts on them, and the duality
 suite's one table clause is ``klpoly.is_calculating``.
 """
@@ -150,10 +150,9 @@ class HeckeContext:
     P-tables it reads (each P-table built by the system's kernel verdict),
     the permutation orders of matching pairs, the packing (``width`` B and
     ``offset`` K, see the module docstring), and caches filled on use:
-    the packed iota basis images and P columns per x, and the
-    mu-corrections of the recursions.  Matchings, tables and verdicts are
-    read from ``system``.  The packed caches belong to the width:
-    ``_set_width`` starts them empty.
+    the packed iota basis images and P columns per x.  Matchings, tables
+    and verdicts are read from ``system``.  The packed caches belong to
+    the width: ``_set_width`` starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, its up-down or kernel verdict for
@@ -210,7 +209,6 @@ class HeckeContext:
             3 ** max(self.m_orders.values(), default=2),
             n * self.r_l1 * self.p_l1,
             self.p_l1 * (2 + n * self.p_l1))))
-        self._corrections: dict[tuple, tuple[list[tuple[int, int]], int]] = {}
 
     def _set_width(self, width: int) -> None:
         self.width = width
@@ -245,19 +243,6 @@ class HeckeContext:
             cols = self._packed_p[x] = _columns(self.system.p_table(x),
                                                 2 * self.width)
         return cols
-
-    # -- mu-coefficients ---------------------------------------------------
-
-    def mu(self, u: int, w: int, x: str) -> int:
-        """Leading coefficient of P^z_{u,w} at degree (rho(u,w)-1)/2;
-        zero for even rank gaps, u = w, or incomparable pairs."""
-        if u == w or not self.poset.leq(u, w):
-            return 0
-        gap = self.poset.rank_gap(u, w)
-        if gap % 2 == 0:
-            return 0
-        return self.system.p_table(other_x(x)).value(u, w) \
-            .coeff((gap - 1) // 2)
 
 
 def _shift_down(v: Vector, bits: int) -> Vector:
@@ -494,23 +479,6 @@ def verify_duality(ctx: HeckeContext):
 # Recursion and characterization.
 # ---------------------------------------------------------------------------
 
-def _corrections(ctx: HeckeContext, M: PartialMatching, mw: int,
-                 x: str) -> tuple[list[tuple[int, int]], int]:
-    """The correction terms [(u, mu(u, M(w)))] with mu nonzero, over the u
-    <= M(w) with M(u) <= u when x = q (strictly below when x = -1), and
-    the sum of their |mu|; computed once per (M, M(w), x) and kept on the
-    context."""
-    key = (M, mw, x)
-    got = ctx._corrections.get(key)
-    if got is None:
-        terms = [(u, m) for u in ctx.poset.ideal_elements(mw)
-                 if ((kind := M.kind(u)) == "down"
-                     or (kind == "fixed" and x == X_Q))
-                 and (m := ctx.mu(u, mw, x))]
-        got = ctx._corrections[key] = (terms, sum(abs(m) for _, m in terms))
-    return got
-
-
 def cprime_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
                      x: str) -> Vector:
     """Right-hand side of
@@ -537,15 +505,29 @@ def p_recursion(ctx: HeckeContext, w: int, M: PartialMatching,
     minus the corrections, where v' and v'' are the lower and upper of
     {v, M(v)} and x_v is x when M fixes v and q otherwise.  The result is
     the whole column, packed like ``ctx.packed_p(z)[w]``, nonzero entries
-    only.  Its coefficients stay below max L1(P) (2 + sum |mu|), which is
-    asserted once for the column."""
+    only.
+
+    The corrections run over the u <= M(w) at an odd rank gap that M moves
+    down, or that M fixes when x = q, and mu(u, M(w)) is the coefficient
+    of q^((gap-1)/2) in P^z_{u,M(w)} (the module docstring's convention),
+    read off column M(w) of the system's P^z table.  The coefficients stay
+    below max L1(P) (2 + sum |mu|), which is asserted once for the
+    column."""
     poset = ctx.poset
     mw = M(w)
     if not poset.covers(mw, w):
         raise ValueError("p_recursion needs M(w) covered by w")
-    terms, weight = _corrections(ctx, M, mw, x)
-    ctx.require(ctx.p_l1 * (2 + weight))
-    cols = ctx.packed_p(other_x(x))
+    z, rank, fixed_too = other_x(x), poset.rank, x == X_Q
+    terms = []
+    for u, poly in zip(poset.ideal_elements(mw),
+                       ctx.system.p_table(z).columns[mw]):
+        gap = rank[mw] - rank[u]
+        if gap % 2 and ((kind := M.kind(u)) == "down"
+                        or (fixed_too and kind == "fixed")):
+            if m := poly.coeff((gap - 1) // 2):
+                terms.append((u, m))
+    ctx.require(ctx.p_l1 * (2 + sum(abs(m) for _, m in terms)))
+    cols = ctx.packed_p(z)
     out = t_action(ctx, M, cols[mw], x)
     for v, p in cols[mw].items():
         out[v] = out.get(v, 0) + p

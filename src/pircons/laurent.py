@@ -23,6 +23,27 @@ import math
 from typing import Iterable, Mapping
 
 
+def _format(terms: Iterable[tuple[int, str]]) -> str:
+    """The sum of nonzero (coefficient, monomial) terms, highest first,
+    with "" the monomial 1: each term written c*e, or e alone for c = +-1,
+    and joined by its sign; "0" when there are none."""
+    out = ""
+    for c, e in terms:
+        if not e:
+            t = str(c)
+        elif c in (1, -1):
+            t = e if c == 1 else f"-{e}"
+        else:
+            t = f"{c}*{e}"
+        if not out:
+            out = t
+        elif t.startswith("-"):
+            out += f" - {t[1:]}"
+        else:
+            out += f" + {t}"
+    return out or "0"
+
+
 class HalfLaurent:
     """An integer Laurent polynomial in q^(1/2), as read off a packed
     module-vector coefficient: for printing, JSON and equality."""
@@ -61,26 +82,13 @@ class HalfLaurent:
         return bool(self._coeffs)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for h in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[h]
+        def monomial(h):
             if h == 0:
-                t = str(c)
-            else:
-                e = f"q^({h}/2)" if h % 2 else (f"q^{h // 2}" if h != 2 else "q")
-                if c == 1:
-                    t = e
-                elif c == -1:
-                    t = f"-{e}"
-                else:
-                    t = f"{c}*{e}"
-            terms.append(t)
-        s = terms[0]
-        for t in terms[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
+                return ""
+            if h % 2:
+                return f"q^({h}/2)"
+            return "q" if h == 2 else f"q^{h // 2}"
+        return _format((c, monomial(h)) for h, c in reversed(self.items()))
 
     # -- serialization ---------------------------------------------------
 
@@ -153,23 +161,9 @@ class QPoly:
         return bool(self._coeffs)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        terms = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                t = str(c)
-            else:
-                e = "q" if k == 1 else f"q^{k}"
-                t = e if c == 1 else (f"-{e}" if c == -1 else f"{c}*{e}")
-            terms.append(t)
-        s = terms[0]
-        for t in terms[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
+        return _format((c, "" if k == 0 else "q" if k == 1 else f"q^{k}")
+                       for k, c in reversed(list(enumerate(self._coeffs)))
+                       if c)
 
     # -- serialization ---------------------------------------------------------
 

@@ -383,14 +383,10 @@ def _restrict_for(m: PartialMatching, w: int) -> PartialMatching:
 
 
 def strictly_coherent(M: PartialMatching, N: PartialMatching, w: int) -> bool:
-    """m(O) divides m of the orbit of w, for every orbit O on P_{<=w}."""
-    Mr = _restrict_for(M, w)
-    Nr = _restrict_for(N, w)
-    top_m = orbit_analysis(Mr, Nr, w).m_value
-    for rep in orbit_partition(Mr, Nr, Mr.domain):
-        if top_m % rep.m_value:
-            return False
-    return True
+    """m(O) divides m of the orbit of w, for every orbit O on P_{<=w}, of
+    the restrictions of M and N to P_{<=w}: each orbit classified once."""
+    return PairOrbits(_restrict_for(M, w),
+                      _restrict_for(N, w)).strictly_coherent(w)
 
 
 class PairOrbits:
@@ -398,14 +394,14 @@ class PairOrbits:
     ideals, each classified by ``orbit_analysis`` once, when a verdict first
     asks about an ideal that holds it, and kept.
 
-    ``strictly_coherent(w)`` is ``strictly_coherent(M, N, w)`` for every w
-    that both M and N take to an element it covers.  Then P_{<=w} is closed
-    under M and under N (the lemma in ``klpoly.system_refinement``), so
-    every orbit that meets P_{<=w} lies inside it, and these are exactly
-    the orbits of the two restrictions, with the same classification.  An
-    orbit is analysed in the order ``strictly_coherent`` analyses it (the
-    orbit of w, then by least element), so an unclassifiable orbit raises
-    the same error.
+    ``strictly_coherent(w)`` decides whether m(O) divides m of the orbit
+    of w for every orbit O that meets P_{<=w}, analysing the orbit of w,
+    then the others by least element.  For every w that both M and N take
+    to an element it covers, that is ``strictly_coherent(M, N, w)``: then
+    P_{<=w} is closed under M and under N (the lemma in
+    ``klpoly.system_refinement``), so every orbit that meets P_{<=w} lies
+    inside it, and these are exactly the orbits of the two restrictions,
+    with the same classification.
     """
 
     __slots__ = ("M", "N", "_m", "_by_m", "_done")

@@ -27,7 +27,9 @@ keeps the group tabulation that ``coxeter.CoxeterSystem`` replaced: every
 Cayley edge realized from both ends, with every derived table built
 eagerly.  Last, it keeps the two system checks as they were before their
 memos: ``verify_pircon_system`` deciding strict coherence afresh on the
-restrictions at every w, and ``verify_r_properties`` deciding every row.
+restrictions at every w, with ``strictly_coherent`` as it was before it
+classified each orbit once, and ``verify_r_properties`` deciding every
+row.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
                             check_x, down_matchings, is_calculating, other_x)
 from pircons.laurent import QPoly
 from pircons.matchings import (MatchingError, PartialMatching, coherent,
-                               enumerate_spms, strictly_coherent,
-                               verify_qspm, verify_spm)
+                               enumerate_spms, orbit_analysis,
+                               orbit_partition, verify_qspm, verify_spm)
 
 q = sympy.Symbol("q")
 
@@ -740,13 +742,25 @@ def verify_duality(ctx):
     return True, None
 
 
+def mu(ctx, u: int, w: int, x: str) -> int:
+    """The coefficient of q^((rho(u,w)-1)/2) in P^z_{u,w}; zero for even
+    rank gaps, u = w, or incomparable pairs."""
+    poset = ctx.poset
+    if u == w or not poset.leq(u, w):
+        return 0
+    gap = poset.rank_gap(u, w)
+    if gap % 2 == 0:
+        return 0
+    return ctx.system.p_table(other_x(x)).value(u, w).coeff((gap - 1) // 2)
+
+
 def _corrections(ctx, M, mw: int, x: str) -> list:
     """[(u, mu(u, M(w)))] with mu nonzero, recomputed on every call."""
     out = []
     for u in ctx.poset.ideal_elements(mw):
         kind = M.kind(u)
         if kind == "down" or (kind == "fixed" and x == X_Q):
-            m = ctx.mu(u, mw, x)
+            m = mu(ctx, u, mw, x)
             if m:
                 out.append((u, m))
     return out
@@ -939,6 +953,15 @@ def coxeter_tables(config: dict) -> dict:
     return {"elements": tuple(elements), "length": tuple(length),
             "word": tuple(word), "right": right, "_inv": inv, "left": left,
             "d_right": descents(right), "d_left": descents(left)}
+
+
+def strictly_coherent(M, N, w: int) -> bool:
+    """``matchings.strictly_coherent`` on restrictions to P_{<=w}, as it was
+    before it classified each orbit once: the orbit of w alone, then every
+    orbit of the partition."""
+    top_m = orbit_analysis(M, N, w).m_value
+    return all(top_m % rep.m_value == 0
+               for rep in orbit_partition(M, N, M.domain))
 
 
 def verify_pircon_system(poset, matchings):

@@ -392,6 +392,42 @@ def test_malformed_refinement_and_matching_files(tmp_path, capsys, groups):
     assert len(err) == 2 and all(e.startswith("config error:") for e in err)
 
 
+UNREADABLE_FILES = {
+    "not-json": b"elements: [a, b]\n",
+    "cut-short": b'{"elements": ["a", "b"], "cov',
+    "not-utf8": b'{"elements": ["\xff"], "covers": []}',
+}
+
+
+@pytest.mark.parametrize("field", ["config", "poset", "refinement",
+                                   "matching"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE_FILES))
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, groups,
+                                               field, case):
+    """Every input file goes through one loader: one that is not UTF-8
+    JSON exits 2 with one line naming the file; a missing one exits 1."""
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(json.dumps(groups["A2"].quotient({1}).poset
+                                     .to_json()))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_FILES[case])
+    out = str(tmp_path / "out")
+    argv = {"config": ["compute", "--config", str(bad)],
+            "poset": ["export-dot", "--poset-file", str(bad)],
+            "refinement": ["compute", "--poset-file", str(poset_file),
+                           "--refinement-file", str(bad)],
+            "matching": ["export-dot", "--poset-file", str(poset_file),
+                         "--matching-file", str(bad)]}[field]
+    assert run([*argv, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and err.count("\n") == 1
+    bad.unlink()
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 CHAIN3 = {"elements": ["a", "b", "c"], "covers": [[0, 1], [1, 2]]}
 BAD_REFINEMENTS = {
     # an entry at the minimal element, whose image is not even an element

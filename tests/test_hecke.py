@@ -226,12 +226,13 @@ def test_mu_values(suite_contexts):
     e = P.index("e")
     s1 = P.index("1")
     w3412 = P.index("2.1.3.2")
+    mu = oracles.mu
     for x in X_PARAMS:
-        assert ctx.mu(s1, P.index("1.2"), x) == 1     # gap 1, P = 1
-        assert ctx.mu(e, P.index("1.2"), x) == 0      # gap 2
-        assert ctx.mu(e, w3412, x) == 0               # gap 4 even
-        assert ctx.mu(w3412, w3412, x) == 0
-        assert ctx.mu(w3412, e, x) == 0               # incomparable order
+        assert mu(ctx, s1, P.index("1.2"), x) == 1     # gap 1, P = 1
+        assert mu(ctx, e, P.index("1.2"), x) == 0      # gap 2
+        assert mu(ctx, e, w3412, x) == 0               # gap 4 even
+        assert mu(ctx, w3412, w3412, x) == 0
+        assert mu(ctx, w3412, e, x) == 0               # incomparable order
 
 
 def test_cprime_recursion_rank1(chain_ctx):

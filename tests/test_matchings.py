@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+from pircons import matchings
 from pircons.matchings import (MatchingError, OrbitClassificationError,
                                PartialMatching, check_lifting, coherent,
                                enumerate_spms, is_dircon, orbit_analysis,
@@ -238,6 +240,31 @@ def test_strictly_coherent_failure():
     low = orbit_analysis(M, N, 0)
     assert low.m_value == 2
     assert not strictly_coherent(M, N, 4)
+
+
+def test_strictly_coherent_classifies_each_orbit_once(groups, monkeypatch,
+                                                     two_matching_poset):
+    """strictly_coherent analyses each orbit of P_{<=w} once, the orbit of
+    w included, and agrees with the two-pass reference."""
+    cases = [two_matching_poset[1:] + (8,)]
+    P = groups["A3"].quotient({1}).poset
+    for w in range(P.n):
+        pool = enumerate_spms(P, w)
+        cases += [(M, N, w) for M in pool for N in pool]
+    counted = []
+    real = matchings.orbit_analysis
+
+    def spy(M, N, u):
+        counted.append(u)
+        return real(M, N, u)
+
+    monkeypatch.setattr(matchings, "orbit_analysis", spy)
+    for M, N, w in cases:
+        orbits = orbit_partition(M, N, M.poset.ideal_elements(w))
+        want = oracles.strictly_coherent(M, N, w)
+        counted.clear()
+        assert strictly_coherent(M, N, w) == want, (M, N, w)
+        assert len(counted) == len(orbits), (M, N, w)
 
 
 def test_classification_failure_raises():

@@ -1,7 +1,7 @@
 """The pircon-system verdict and the R-property check against the
-reference paths in ``oracles``: the per-pair orbit memo against
-``strictly_coherent`` on the restrictions, and the one-decision-per-triple
-property check against the per-row scan."""
+reference paths in ``oracles``: the per-pair orbit memo against the
+reference ``strictly_coherent`` on the restrictions, and the
+one-decision-per-triple property check against the per-row scan."""
 
 import os
 import subprocess
@@ -15,7 +15,7 @@ from pircons import CoxeterSystem, TwistedIdentities
 from pircons.klpoly import (X_MINUS_ONE, X_Q, Refinement, down_matchings,
                             lambda_refinement, verify_pircon_system,
                             verify_r_properties)
-from pircons.matchings import PairOrbits, enumerate_spms, strictly_coherent
+from pircons.matchings import PairOrbits, enumerate_spms
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def check_rule(poset, matchings):
         down = down_matchings(poset, matchings, w)
         for i, M in enumerate(down):
             for N in down[i + 1:]:
-                wants.setdefault((M, N), {})[w] = strictly_coherent(
+                wants.setdefault((M, N), {})[w] = oracles.strictly_coherent(
                     M.restrict_to_ideal(w), N.restrict_to_ideal(w), w)
     for (M, N), by_w in wants.items():
         for order in (sorted(by_w), sorted(by_w, reverse=True)):
