@@ -23,8 +23,8 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      brenti_identity, check_pkernel, check_updown,
                      down_matchings, is_calculating, kls_polynomials,
                      lambda_refinement, other_x, r_polynomials,
-                     refinement_independence, system_refinement,
-                     verify_pircon_system, verify_r_properties)
+                     system_refinement, verify_pircon_system,
+                     verify_r_properties)
 from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
                     characterize, cprime_recursion, iota, kl_element_c,
                     kl_element_cprime, p_recursion, t_action, verify_duality,

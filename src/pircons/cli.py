@@ -127,12 +127,15 @@ def _parse_generators(value, num_gens: int) -> frozenset[int]:
 
 def _load_json(path: str, shape: str, valid) -> object:
     """The JSON document in path; valid() must accept it as ``shape``.  A
-    file that is not UTF-8 JSON is a ConfigError naming the path; a file
-    that cannot be opened raises OSError."""
+    file that is not UTF-8 JSON, or that the decoder refuses (nested past
+    its recursion limit, an integer past Python's digit limit), is a
+    ConfigError naming the path; a file that cannot be opened raises
+    OSError."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
     if not valid(data):
         raise ConfigError(f"{path} must hold {shape}")

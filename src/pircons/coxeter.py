@@ -20,14 +20,16 @@ closure under right multiplication, one realization call per Cayley edge,
 |W| r / 2 in all: at a frontier element w, a generator s whose image is
 still unknown is an ascent, and w s, when new, gets w as its image under s
 and s as a right descent (Bjorner-Brenti, ch. 1-2).  The right table,
-lengths and right descents are built eagerly; the inverse,
-left-multiplication, left-descent and word tables on first use.  w^-1
-walks down right descents (w <- w s and u <- u s at the lowest right
-descent s of w, from u = e), s w = (w^-1 s)^-1, and the left descents of
-w are the right descents of w^-1.  The tables give O(1) length, descent,
-inverse and generator-multiplication queries; the trade-off is a
-configurable size bound (PIRCONS_MAX_GROUP_SIZE, default 50000).  The
-orders of the products s_i s_j are checked against the Coxeter matrix.
+lengths and right descents are built eagerly, and they are all the group
+keeps.  One walk reads the rest: from g, step g <- g s and u <- u s at the
+lowest right descent s of g until g = e.  Then u = g^-1, and since the
+lowest right descent of g is the lowest left descent of g^-1, the
+generators stepped by, in order, are the lex-least reduced word of g^-1;
+the label of w is the walk of w^-1.  The tables give O(1) length, descent
+and right-multiplication queries, and an inverse in l(w) steps; the
+trade-off is a configurable size bound (PIRCONS_MAX_GROUP_SIZE, default
+50000).  The orders of the products s_i s_j are checked against the
+Coxeter matrix.
 
 Generators are 0-indexed internally and rendered 1-based in labels, so the
 element with lexicographically least reduced word s2*s1 is labelled "2.1".
@@ -43,11 +45,13 @@ Conventions per type:
 
 Bruhat order on a parabolic quotient W^H is read off its generator maps,
 tabulated once as image lists: lambda_s sends u to s u when s u stays in W^H
-and fixes u otherwise.  When lambda_s takes w down, Deodhar's lemma and the
-Bruhat lifting property (Bjorner-Brenti, GTM 231, sections 2.2 and 2.5)
-split the lower interval inside W^H as [e,w] = [e,sw] + lambda_s([e,sw]),
-so each down-set is the union of one mask already built and its image
-(``posets.lifted_down_sets``).
+and fixes u otherwise.  s u is in W^H exactly when u^-1 s is the inverse
+of a rep, so lambda_s is read off the right table at the reps' inverses,
+with no left multiplication.  When lambda_s takes w down, Deodhar's lemma
+and the Bruhat lifting property (Bjorner-Brenti, GTM 231, sections 2.2
+and 2.5) split the lower interval inside W^H as
+[e,w] = [e,sw] + lambda_s([e,sw]), so each down-set is the union of one
+mask already built and its image (``posets.lifted_down_sets``).
 """
 
 from __future__ import annotations
@@ -358,11 +362,11 @@ class CoxeterSystem:
     """A finite Coxeter system with a complete element table.
 
     A group whose order is past the size bound is refused first.  Built
-    eagerly: ``elements``, ``length``, ``right`` and ``d_right``, for
-    type A from its ranks, else by the closure, which refuses a
-    realization that is not length-additive (an ascent whose image is
-    already tabulated).  Built on first use and kept: ``_inv``, ``left``,
-    ``d_left`` and ``word``.
+    eagerly, and the only tables kept: ``elements``, ``length``, ``right``
+    and ``d_right``, for type A from its ranks, else by the closure, which
+    refuses a realization that is not length-additive (an ascent whose
+    image is already tabulated).  Inverses and lex-least words are read
+    off one walk down right descents.
     """
 
     def __init__(self, config: dict):
@@ -380,8 +384,7 @@ class CoxeterSystem:
                             for i in range(real.rank))
         self.elements, self.length, self.right, self.d_right = \
             real.tabulate() if isinstance(real, _TypeA) else _closure(real)
-        self._lexwords: list[tuple[int, ...] | None] = [None] * self.size
-        # the lowest set bit of each descent mask, for ``inverse``
+        # the lowest set bit of each descent mask, for ``_walk``
         self._lowest = tuple((d & -d).bit_length() - 1 for d in range(1 << r))
 
         for i in range(self.num_gens):
@@ -410,68 +413,23 @@ class CoxeterSystem:
     def identity(self) -> int:
         return 0
 
-    def product(self, u: int, v: int) -> int:
-        for k in self.word[v]:
-            u = self.right[u][k]
-        return u
+    def _walk(self, g: int) -> tuple[int, tuple[int, ...]]:
+        """(g^-1, the lex-least reduced word of g^-1): while g is not e,
+        g <- g s and u <- u s at the lowest right descent s of g, from
+        u = e.  The lowest right descent of g is the lowest left descent
+        of g^-1, so the generators stepped by, in order, are the greedy
+        lex-least word of g^-1."""
+        right, d_right, lowest = self.right, self.d_right, self._lowest
+        u, word = 0, []
+        while g:
+            k = lowest[d_right[g]]
+            g, u = right[g][k], right[u][k]
+            word.append(k)
+        return u, tuple(word)
 
     def inverse(self, w: int) -> int:
-        """w^-1: while w is not e, w <- w s and u <- u s at the lowest right
-        descent s of w, from u = e."""
-        right, d_right, lowest = self.right, self.d_right, self._lowest
-        u = 0
-        while w:
-            k = lowest[d_right[w]]
-            w, u = right[w][k], right[u][k]
-        return u
-
-    # -- tables derived on first use and kept ---------------------------------
-
-    @functools.cached_property
-    def _inv(self) -> tuple[int, ...]:
-        return tuple(self.inverse(w) for w in range(self.size))
-
-    @functools.cached_property
-    def left(self) -> tuple[tuple[int, ...], ...]:
-        """left[w][k] = s_k w = (w^-1 s_k)^-1."""
-        inv, right = self._inv, self.right
-        return tuple(tuple(inv[j] for j in right[inv[w]])
-                     for w in range(self.size))
-
-    @functools.cached_property
-    def d_left(self) -> tuple[int, ...]:
-        """Left descents as bit masks: those of w are the right descents
-        of w^-1."""
-        inv, d_right = self._inv, self.d_right
-        return tuple(d_right[inv[w]] for w in range(self.size))
-
-    @functools.cached_property
-    def word(self) -> tuple[tuple[int, ...], ...]:
-        """A reduced word of each element: w != e extends the word of its
-        least-numbered lower neighbour w s_k, the closure's first edge."""
-        gens = range(self.num_gens)
-        word: list[tuple[int, ...]] = [()]
-        for row in self.right[1:]:
-            i, k = min(zip(row, gens))
-            word.append(word[i] + (k,))
-        return tuple(word)
-
-    def lex_least_word(self, w: int) -> tuple[int, ...]:
-        """Lexicographically least reduced word, built greedily from D_L."""
-        if self._lexwords[w] is None:
-            out = []
-            x = w
-            while self.length[x]:
-                s = min(k for k in range(self.num_gens)
-                        if self.d_left[x] >> k & 1)
-                out.append(s)
-                x = self.left[x][s]
-            self._lexwords[w] = tuple(out)
-        return self._lexwords[w]
-
-    def label(self, w: int) -> str:
-        word = self.lex_least_word(w)
-        return "e" if not word else ".".join(str(k + 1) for k in word)
+        """w^-1, in l(w) steps of the walk."""
+        return self._walk(w)[0]
 
     # -- quotients ------------------------------------------------------------
 
@@ -498,23 +456,32 @@ class ParabolicQuotient:
                 raise CoxeterError(f"H contains invalid generator {h}")
         self.group = group
         self.H = H
-        reps = [w for w in range(group.size)
-                if all(not (group.d_right[w] >> h & 1) for h in H)]
-        reps.sort(key=lambda w: (group.length[w], group.lex_least_word(w)))
-        self.reps = tuple(reps)
-        self.rep_index = {w: i for i, w in enumerate(reps)}
-
-        # images[s][i]: the poset index of lambda_s(reps[i])
+        walk, length, right = group._walk, group.length, group.right
+        h_mask = sum(1 << h for h in H)
+        # each rep w with its lex-least word and w^-1, by two walks: the
+        # word of w is the walk of w^-1
+        found = []
+        for w, d in enumerate(group.d_right):
+            if not d & h_mask:
+                inv = walk(w)[0]
+                found.append((length[w], walk(inv)[1], w, inv))
+        found.sort()
+        _, words, self.reps, inverses = zip(*found)
+        # s w is in W^H exactly when w^-1 s is the inverse of a rep, and
+        # then images[s][i], the poset index of lambda_s(reps[i]), is that
+        # rep's; otherwise lambda_s fixes reps[i].
+        by_inverse = {inv: i for i, inv in enumerate(inverses)}
         self.images = tuple(
-            tuple(self.rep_index.get(group.left[w][s], i)
-                  for i, w in enumerate(reps))
+            tuple(by_inverse.get(right[inv][s], i)
+                  for i, inv in enumerate(inverses))
             for s in range(group.num_gens))
-        masks = lifted_down_sets([group.length[w] for w in reps],
+        masks = lifted_down_sets([length[w] for w in self.reps],
                                  self.images)
-        labels = [group.label(w) for w in reps]
+        labels = [".".join(str(k + 1) for k in word) or "e"
+                  for word in words]
         self.poset = from_comparability(labels, masks)
-        for i, w in enumerate(reps):
-            if self.poset.rank[i] != group.length[w]:
+        for i, w in enumerate(self.reps):
+            if self.poset.rank[i] != length[w]:
                 raise CoxeterError(
                     "quotient poset rank disagrees with Coxeter length")
 

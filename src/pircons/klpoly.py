@@ -859,17 +859,3 @@ def verify_pircon_system(poset: GradedPoset,
                     return False, ("incoherent", (w,))
     return True, None
 
-
-def refinement_independence(poset: GradedPoset,
-                            refinements: Sequence[Refinement], x: str):
-    """All listed refinements produce identical R^x tables."""
-    if not refinements:
-        raise ValueError("need at least one refinement")
-    first = r_polynomials(poset, refinements[0], x)
-    for i, ref in enumerate(refinements[1:], start=1):
-        other = r_polynomials(poset, ref, x)
-        if other != first:
-            bad = next((u, w) for (u, w, a), (_, _, b)
-                       in zip(first.rows(), other.rows()) if a != b)
-            return False, ("refinement-dependent", (i, [bad]))
-    return True, None

@@ -20,16 +20,20 @@ searches that ``klpoly.system_refinement`` replaced: the descent search
 over group generators for a parabolic quotient, and the per-generator
 candidate search over conjugation maps for twisted identities, and that
 rule as it was when a refinement held a copy of each matching restricted
-to its ideal.  The polynomial ring operations that the library dropped,
-and its table keyed by (u, w) with that table's writers, are kept as
-references for the column tables.  It
-keeps the group tabulation that ``coxeter.CoxeterSystem`` replaced: every
-Cayley edge realized from both ends, with every derived table built
-eagerly.  Last, it keeps the two system checks as they were before their
-memos: ``verify_pircon_system`` deciding strict coherence afresh on the
-restrictions at every w, with ``strictly_coherent`` as it was before it
-classified each orbit once, and ``verify_r_properties`` deciding every
-row.
+to its ideal.  ``refinement_independence``, which the library no longer
+exports, compares the library's R tables under several refinements.  The
+polynomial ring operations that the library dropped, and its table keyed
+by (u, w) with that table's writers, are kept as references for the
+column tables.  It keeps the group tabulation that
+``coxeter.CoxeterSystem`` replaced: every Cayley edge realized from both
+ends, with every derived table built eagerly, among them the inverse,
+left-multiplication, left-descent and word tables that the group no longer
+keeps; products, lex-least words and a parabolic quotient's reps, lambda
+images and labels are read off them.  Last, it keeps the two system
+checks as they were before their memos: ``verify_pircon_system``
+deciding strict coherence afresh on the restrictions at every w, with
+``strictly_coherent`` as it was before it classified each orbit once, and
+``verify_r_properties`` deciding every row.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from functools import lru_cache
 
 import sympy
 
-from pircons import coxeter, hecke, laurent
+from pircons import coxeter, hecke, klpoly, laurent
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, KernelError,
                             PirconSystem, PolyTable, Refinement, _width_for,
                             check_x, down_matchings, is_calculating, other_x)
@@ -110,7 +114,10 @@ def bruhat_leq(system, u: int, w: int) -> bool:
 
 def classical_r(system):
     """Classical R-polynomials of a finite Coxeter group, by the textbook
-    left-descent recursion; no matchings involved anywhere."""
+    left-descent recursion on the eager tables; no matchings involved
+    anywhere."""
+    tables = group_tables(system)
+    left, d_left = tables["left"], tables["d_left"]
 
     @lru_cache(maxsize=None)
     def R(u: int, w: int) -> sympy.Expr:
@@ -118,9 +125,9 @@ def classical_r(system):
             return sympy.Integer(1)
         if not bruhat_leq(system, u, w):
             return sympy.Integer(0)
-        s = (system.d_left[w] & -system.d_left[w]).bit_length() - 1
-        sw = system.left[w][s]
-        su = system.left[u][s]
+        s = (d_left[w] & -d_left[w]).bit_length() - 1
+        sw = left[w][s]
+        su = left[u][s]
         if system.length[su] < system.length[u]:
             return R(su, sw)
         return sympy.expand((q - 1) * R(u, sw) + q * R(su, sw))
@@ -829,12 +836,14 @@ def lambda_refinement(quot, pick=min) -> Refinement:
     """
     poset = quot.poset
     group = quot.group
+    left = group_tables(group)["left"]
+    in_quotient = set(quot.reps)
 
     def choose(w: int) -> PartialMatching:
         cands = []
         for s in range(group.num_gens):
-            sw = group.left[quot.reps[w]][s]
-            if sw in quot.rep_index and \
+            sw = left[quot.reps[w]][s]
+            if sw in in_quotient and \
                     group.length[sw] < group.length[quot.reps[w]]:
                 cands.append(s)
         if not cands:
@@ -850,6 +859,23 @@ def lambda_refinement(quot, pick=min) -> Refinement:
 
     return Refinement(poset, {w: choose(w) for w in range(poset.n)
                               if w != poset.bottom})
+
+
+def refinement_independence(poset, refinements, x: str):
+    """Whether all listed refinements give the library identical R^x
+    tables: (True, None), or (False, ("refinement-dependent", (i, [pair])))
+    at the first refinement i and pair (u, w) that differ from the
+    first."""
+    if not refinements:
+        raise ValueError("need at least one refinement")
+    first = klpoly.r_polynomials(poset, refinements[0], x)
+    for i, ref in enumerate(refinements[1:], start=1):
+        other = klpoly.r_polynomials(poset, ref, x)
+        if other != first:
+            bad = next((u, w) for (u, w, a), (_, _, b)
+                       in zip(first.rows(), other.rows()) if a != b)
+            return False, ("refinement-dependent", (i, [bad]))
+    return True, None
 
 
 def _ideal_matching(tw, images: dict[int, int],
@@ -953,6 +979,54 @@ def coxeter_tables(config: dict) -> dict:
     return {"elements": tuple(elements), "length": tuple(length),
             "word": tuple(word), "right": right, "_inv": inv, "left": left,
             "d_right": descents(right), "d_left": descents(left)}
+
+
+@lru_cache(maxsize=None)
+def group_tables(group) -> dict:
+    """``coxeter_tables`` of a tabulated ``CoxeterSystem``, built once per
+    group.  The numbering is the group's (``test_tabulation``), so the
+    inverse, left, left-descent and word tables index its elements."""
+    return coxeter_tables(group.config)
+
+
+def group_product(group, u: int, v: int) -> int:
+    """u v: u multiplied on the right by each letter of the eager word of
+    v."""
+    for k in group_tables(group)["word"][v]:
+        u = group.right[u][k]
+    return u
+
+
+def lex_least_word(tables: dict, w: int) -> tuple[int, ...]:
+    """The lexicographically least reduced word of w in ``coxeter_tables``
+    output, built greedily: the lowest left descent s of w, then that of
+    s w."""
+    word = []
+    while tables["length"][w]:
+        d = tables["d_left"][w]
+        s = (d & -d).bit_length() - 1
+        word.append(s)
+        w = tables["left"][w][s]
+    return tuple(word)
+
+
+def quotient_maps(tables: dict, H) -> tuple:
+    """``ParabolicQuotient``'s reps, lambda images and labels from the eager
+    tables: the elements with no right descent in H, sorted by length and
+    lex-least word; lambda_s(w) is s w, read off the left table, when s w
+    is a rep, else w; the label is the lex-least word, 1-based."""
+    h_mask = sum(1 << h for h in H)
+    reps = sorted((w for w, d in enumerate(tables["d_right"])
+                   if not d & h_mask),
+                  key=lambda w: (tables["length"][w],
+                                 lex_least_word(tables, w)))
+    index = {w: i for i, w in enumerate(reps)}
+    images = tuple(tuple(index.get(tables["left"][w][s], i)
+                         for i, w in enumerate(reps))
+                   for s in range(len(tables["right"][0])))
+    labels = tuple(".".join(str(k + 1) for k in lex_least_word(tables, w))
+                   or "e" for w in reps)
+    return tuple(reps), images, labels
 
 
 def strictly_coherent(M, N, w: int) -> bool:

@@ -10,14 +10,14 @@ import sympy
 
 import oracles
 from oracles import (HalfLaurent, ModuleVector, chain_r_value, classical_kl,
-                     embed, pack, qpoly_expr)
+                     embed, pack, qpoly_expr, refinement_independence)
 from pircons.hecke import (characterize, cprime_recursion, kl_element_cprime,
                            p_recursion, verify_duality,
                            verify_hecke_relations)
 from pircons.klpoly import (X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                             brenti_identity, check_pkernel, check_updown,
                             lambda_refinement, other_x, r_polynomials,
-                            refinement_independence, verify_r_properties)
+                            verify_r_properties)
 from pircons.laurent import QPoly
 from pircons.matchings import check_lifting, enumerate_spms, orbit_partition
 

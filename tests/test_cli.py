@@ -396,6 +396,10 @@ UNREADABLE_FILES = {
     "not-json": b"elements: [a, b]\n",
     "cut-short": b'{"elements": ["a", "b"], "cov',
     "not-utf8": b'{"elements": ["\xff"], "covers": []}',
+    # past the decoder's recursion limit
+    "too-deep": b"[" * 200000,
+    # past Python's 4,300-digit limit on integer literals
+    "huge-int": b'{"elements": [' + b"1" * 5000 + b'], "covers": []}',
 }
 
 
@@ -405,7 +409,9 @@ UNREADABLE_FILES = {
 def test_unreadable_input_file_is_config_error(tmp_path, capsys, groups,
                                                field, case):
     """Every input file goes through one loader: one that is not UTF-8
-    JSON exits 2 with one line naming the file; a missing one exits 1."""
+    JSON, or that the decoder refuses for its depth or for an integer's
+    length, exits 2 with one line naming the file; a missing one exits
+    1."""
     poset_file = tmp_path / "p.json"
     poset_file.write_text(json.dumps(groups["A2"].quotient({1}).poset
                                      .to_json()))

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import group_product, group_tables
 from pircons import coxeter
 from pircons.coxeter import (CoxeterError, CoxeterSystem, SIZE_BOUND_ENV,
                              SizeBoundError)
@@ -65,37 +66,49 @@ def test_coxeter_matrix_matches_orders(groups):
     assert W.matrix[0][1] == 4 and W.matrix[1][2] == 3 and W.matrix[0][2] == 2
 
 
+def _left(W, w, s):
+    """s w = (w^-1 s)^-1, from the group's right table and inverse."""
+    return W.inverse(W.right[W.inverse(w)][s])
+
+
+def _label(W, w):
+    """The label of group element w, read off the full quotient."""
+    full = W.quotient(())
+    return full.poset.labels[full.reps.index(w)]
+
+
 def test_mult_gen(groups):
     W = groups["A2"]
     e = W.identity
-    s1 = W.left[e][0]
+    s1 = _left(W, e, 0)
     assert W.length[s1] == 1
-    assert W.left[s1][0] == e
-    s2s1 = W.left[W.right[e][0]][1]
-    assert W.label(s2s1) == "2.1"
+    assert _left(W, s1, 0) == e
+    s2s1 = _left(W, W.right[e][0], 1)
+    assert _label(W, s2s1) == "2.1"
     # (s2 s1) * s1 = s2
-    assert W.label(W.right[s2s1][0]) == "2"
+    assert _label(W, W.right[s2s1][0]) == "2"
 
 
 def test_length_changes_by_one(groups):
     W = groups["A3"]
     for w in range(W.size):
         for s in range(W.num_gens):
-            for table in (W.left, W.right):
-                assert abs(W.length[table[w][s]] - W.length[w]) == 1
+            for sw in (_left(W, w, s), W.right[w][s]):
+                assert abs(W.length[sw] - W.length[w]) == 1
 
 
 def test_nonidentity_has_left_descent(groups):
+    """The left descents of w are the right descents of w^-1."""
     for W in groups.values():
         for w in range(W.size):
             if w != W.identity:
-                assert W.d_left[w]
+                assert W.d_right[W.inverse(w)]
 
 
 def _subword_leq(W, u, w):
     """Subword-property oracle: u <= w iff some subsequence of a reduced
     word of w multiplies to u with the right length."""
-    word = W.word[w]
+    word = group_tables(W)["word"][w]
     target_len = W.length[u]
     for picks in itertools.combinations(range(len(word)), target_len):
         g = W.identity
@@ -109,15 +122,16 @@ def _subword_leq(W, u, w):
 def _bruhat(W):
     """u <= w on group elements, read off the full quotient's poset."""
     full = W.quotient(())
-    return lambda u, w: full.poset.leq(full.rep_index[u], full.rep_index[w])
+    index = {g: i for i, g in enumerate(full.reps)}
+    return lambda u, w: full.poset.leq(index[u], index[w])
 
 
 def test_bruhat_examples(groups):
     W = groups["A2"]
     leq = _bruhat(W)
-    s1 = W.left[W.identity][0]
-    s2 = W.left[W.identity][1]
-    s2s1 = W.left[s1][1]
+    s1 = _left(W, W.identity, 0)
+    s2 = _left(W, W.identity, 1)
+    s2s1 = _left(W, s1, 1)
     for w in range(W.size):
         assert leq(W.identity, w)
     assert not leq(s1, s2)
@@ -168,12 +182,10 @@ def test_quotient_restriction_of_full_order(groups):
     """The full Bruhat poset restricted to W^H equals the quotient poset."""
     W = groups["A3"]
     quot = W.quotient({0})
-    full = W.quotient(set())
+    leq = _bruhat(W)
     for i in range(quot.n):
         for j in range(quot.n):
-            gi, gj = quot.reps[i], quot.reps[j]
-            assert quot.poset.leq(i, j) == full.poset.leq(
-                full.rep_index[gi], full.rep_index[gj])
+            assert quot.poset.leq(i, j) == leq(quot.reps[i], quot.reps[j])
 
 
 def test_lower_intervals(groups):
@@ -194,20 +206,23 @@ def test_lower_intervals(groups):
 def test_inverse_product_words(groups):
     W = groups["B2"]
     for u in range(W.size):
-        assert W.product(u, W.inverse(u)) == W.identity
+        assert group_product(W, u, W.inverse(u)) == W.identity
         for v in range(W.size):
-            uv = W.product(u, v)
+            uv = group_product(W, u, v)
             assert W.length[uv] <= W.length[u] + W.length[v]
 
 
 def test_lex_least_words(groups):
+    """The walk from w0 = s1 s2 s1 steps by its lex-least word, and the
+    labels are those words."""
     W = groups["A2"]
     w0 = max(range(W.size), key=W.length.__getitem__)
-    assert W.lex_least_word(w0) == (0, 1, 0)
-    assert W.label(W.identity) == "e"
+    assert W._walk(W.inverse(w0))[1] == (0, 1, 0)
+    assert _label(W, w0) == "1.2.1"
+    assert _label(W, W.identity) == "e"
 
 
-# -- tables derived from the right table ------------------------------------
+# -- queries read off the right table -----------------------------------------
 
 DERIVED_EXTRA = {
     "D4": {"type": "D", "rank": 4},
@@ -224,17 +239,20 @@ def derived_groups(groups):
 
 
 def test_left_table_is_left_multiplication(derived_groups):
+    """(w^-1 s_k)^-1, read off the right table by two walks, is the
+    product s_k w."""
     for name, W in derived_groups.items():
         gens = W.right[W.identity]
         for w in range(W.size):
             for k in range(W.num_gens):
-                assert W.left[w][k] == W.product(gens[k], w), (name, w, k)
+                assert _left(W, w, k) == group_product(W, gens[k], w), \
+                    (name, w, k)
 
 
 def test_inverse_table(derived_groups):
     for name, W in derived_groups.items():
         for w in range(W.size):
-            assert W.product(W.inverse(w), w) == W.identity, (name, w)
+            assert group_product(W, W.inverse(w), w) == W.identity, (name, w)
 
 
 def test_type_a_left_multiplication_swaps_values(groups):
@@ -246,4 +264,4 @@ def test_type_a_left_multiplication_swaps_values(groups):
                 a, b = k + 1, k + 2
                 want = tuple(b if x == a else a if x == b else x
                              for x in perm)
-                assert W.elements[W.left[w][k]] == want, (name, perm, k)
+                assert W.elements[_left(W, w, k)] == want, (name, perm, k)

@@ -2,14 +2,14 @@ import pytest
 import sympy
 
 import oracles
-from oracles import chain_r_value, classical_kl, qpoly_expr, table_inversion
+from oracles import (chain_r_value, classical_kl, group_product, qpoly_expr,
+                     refinement_independence, table_inversion)
 from pircons.hecke import HeckeContext
 from pircons.klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                             X_MINUS_ONE, X_PARAMS, X_Q, all_refinements,
                             brenti_identity, check_pkernel, check_updown,
                             is_calculating, kls_polynomials,
-                            lambda_refinement, other_x,
-                            r_polynomials, refinement_independence,
+                            lambda_refinement, other_x, r_polynomials,
                             verify_pircon_system, verify_r_properties)
 from pircons.laurent import QPoly
 from pircons.matchings import PartialMatching, enumerate_spms
@@ -301,11 +301,12 @@ def test_parabolic_vs_classical_coset_identities(groups, suite_contexts,
     p_minus = ctx.system.p_table(X_MINUS_ONE)
     for (u, w), poly in oracles.entries(p_q).items():
         gu, gw = quot.reps[u], quot.reps[w]
-        alt = sum((-1) ** W.length[v] * oracle.get((W.product(gu, v), gw), 0)
+        alt = sum((-1) ** W.length[v]
+                  * oracle.get((group_product(W, gu, v), gw), 0)
                   for v in members)
         assert sympy.expand(qpoly_expr(poly) - alt) == 0
         translated = oracle.get(
-            (W.product(gu, w_long), W.product(gw, w_long)), 0)
+            (group_product(W, gu, w_long), group_product(W, gw, w_long)), 0)
         assert sympy.expand(
             qpoly_expr(p_minus.value(u, w)) - translated) == 0
 

@@ -1,6 +1,7 @@
 """Every module of the package (its ``__init__`` aside, which re-exports),
-of the tests and of the demos uses each name it imports, and the package
-uses every private function, method and class it defines.
+of the tests and of the demos uses each name it imports, the package uses
+every private function, method and class it defines, and the package, a
+demo or the benchmark reads every public one.
 
 A name counts as used when the module reads it anywhere outside its import
 statements: as a name, as the root of an attribute, or inside an
@@ -80,3 +81,34 @@ def test_every_private_definition_is_used():
                 used.add(node.name)
     unused = [d for d in defined if d[2] not in used]
     assert not unused, f"private definitions nothing reads: {unused}"
+
+
+# Public definitions that no built-in path reads: ``hecke.characterize``
+# stays, because acceptance criterion 10 checks the characterization of the
+# C' basis with it (``test_acceptance``).
+READ_BY_TESTS_ONLY = {("hecke.py", "characterize")}
+
+
+def test_every_public_definition_is_read():
+    """Every public function, class and method of the package is read, by
+    the rule above, by the package, a demo or the benchmark.  The
+    package's ``__init__`` only re-exports, so its imports read nothing."""
+    readers = [p for p in PACKAGE if p.name != "__init__.py"] \
+        + sorted((ROOT / "demos").glob("*.py")) \
+        + sorted((ROOT / "bench").glob("*.py"))
+    defined, used = [], set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if path in PACKAGE and not node.name.startswith("_"):
+                    defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unread = [d for d in defined if d[2] not in used
+              and (d[0], d[2]) not in READ_BY_TESTS_ONLY]
+    assert not unread, f"public definitions nothing reads: {unread}"

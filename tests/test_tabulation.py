@@ -1,17 +1,24 @@
-"""The group tabulation against the eager reference closure.
+"""The group tabulation and its quotients against the eager reference
+closure.
 
 ``CoxeterSystem`` reads type A off lexicographic ranks, realizes each edge
-of the Cayley graph of any other type once, and builds its inverse,
-left-multiplication, left-descent and word tables on first use;
-``oracles.coxeter_tables`` realizes every edge from both ends and builds
-every table eagerly.  Every table must agree.
+of the Cayley graph of any other type once, and keeps only its element,
+length, right and right-descent tables; it reads inverses and lex-least
+words off one walk down right descents.  ``oracles.coxeter_tables``
+realizes every edge from both ends and builds every table eagerly,
+inverse, left-multiplication, left-descent and word tables too.  The kept
+tables must agree, the walk must give the reference inverse and the
+lex-least word read off the reference left table, and each parabolic
+quotient must have the reps, lambda images and labels that the reference
+left table gives.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
 
-from oracles import coxeter_tables
+from oracles import coxeter_tables, lex_least_word, quotient_maps
 from pircons import coxeter
 from pircons.coxeter import CoxeterError, CoxeterSystem
 from pircons.twisted import TwistedIdentities
@@ -19,9 +26,7 @@ from pircons.twisted import TwistedIdentities
 from conftest import GROUP_CONFIGS
 from test_coxeter import DERIVED_EXTRA
 
-TABLES = ("elements", "length", "word", "right", "_inv", "left", "d_right",
-          "d_left")
-DERIVED = ("left", "d_left", "_inv", "word")
+TABLES = ("elements", "length", "right", "d_right")
 
 ORACLE_CONFIGS = {
     **{f"A{r}": {"type": "A", "rank": r} for r in range(1, 7)},
@@ -37,8 +42,9 @@ ORACLE_CONFIGS = {
 def assert_tables_match(W, want):
     for name in TABLES:
         assert getattr(W, name) == want[name], name
-    for w in range(W.size):
-        assert W.inverse(w) == want["_inv"][w], w
+    for w, inv in enumerate(want["_inv"]):
+        assert W._walk(w) == (inv, lex_least_word(want, inv)), w
+        assert W.inverse(w) == inv, w
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -88,20 +94,54 @@ def test_one_realization_call_per_edge(monkeypatch, cfg, calls):
     assert counts["right"] == calls
     if cfg["type"] != "A":
         assert calls == W.size * W.num_gens // 2
-    for name in DERIVED:
-        getattr(W, name)
+    W.quotient(())
     assert counts["right"] == calls
 
 
+def subsets(r):
+    return [H for k in range(r + 1)
+            for H in itertools.combinations(range(r), k)]
+
+
 def test_derived_tables_are_built_on_first_use():
+    """A quotient's system is built on first use and kept on the
+    quotient; the group keeps its eager tables and nothing more, so
+    building every quotient of B3 and its system adds no attribute to
+    the group."""
     W = CoxeterSystem({"type": "B", "rank": 3})
-    assert not set(DERIVED) & set(W.__dict__)
-    assert W.left is W.left and "left" in W.__dict__
+    kept = dict(W.__dict__)
+    for H in subsets(W.num_gens):
+        quot = W.quotient(H)
+        assert "system" not in quot.__dict__
+        assert quot.system is quot.system and "system" in quot.__dict__
+    assert W.__dict__ == kept
 
 
 def test_twisted_build_reads_no_derived_table():
+    """Building the twisted identities of S_6 adds no attribute to the
+    host group."""
     host = TwistedIdentities(3).host
-    assert not set(DERIVED) & set(host.__dict__)
+    assert host.__dict__.keys() == \
+        CoxeterSystem({"type": "A", "rank": 5}).__dict__.keys()
+
+
+# Each H of a group of at most 1,000 elements, and these H of the larger.
+LARGE_H = ((), (0,), (1, 2), (0, 2, 3))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_quotients_match_the_eager_left_table(name):
+    """Reps, lambda images and labels of each quotient equal those read
+    off the reference left table and its lex-least words."""
+    cfg = ORACLE_CONFIGS[name]
+    W, want = CoxeterSystem(cfg), coxeter_tables(cfg)
+    every = subsets(W.num_gens)
+    for H in every if W.size <= 1000 else [H for H in LARGE_H if H in every]:
+        quot = W.quotient(H)
+        reps, images, labels = quotient_maps(want, H)
+        assert quot.reps == reps, (name, H)
+        assert quot.images == images, (name, H)
+        assert quot.poset.labels == labels, (name, H)
 
 
 ORDERS = [({"type": "A", "rank": 5}, 720), ({"type": "B", "rank": 3}, 48),

@@ -1,9 +1,9 @@
 import pytest
 
 import oracles
+from oracles import refinement_independence
 from pircons.hecke import HeckeContext
-from pircons.klpoly import (X_PARAMS, check_pkernel, check_updown,
-                            refinement_independence)
+from pircons.klpoly import X_PARAMS, check_pkernel, check_updown
 from pircons.laurent import QPoly
 from pircons.matchings import PartialMatching, is_dircon, orbit_partition, \
     verify_qspm, verify_spm
@@ -50,12 +50,13 @@ def test_conjugation_involution(twisted2):
 
 def test_conjugation_fixed_points(twisted2):
     host = twisted2.host
+    left = oracles.group_tables(host)["left"]
     for i in range(host.num_gens):
         images = conjugation_maps(twisted2)[i].mapping
         ti = 2 * twisted2.n - 2 - i   # theta(s_i) = s_(2n-2-i), 0-based
         for u, v in images.items():
             g = twisted2.elements[u]
-            conj = host.left[host.right[g][i]][ti]
+            conj = left[host.right[g][i]][ti]
             assert (conj == g) == (u == v)
 
 
