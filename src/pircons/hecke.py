@@ -150,9 +150,10 @@ class HeckeContext:
     P-tables it reads (each P-table built by the system's kernel verdict),
     the permutation orders of matching pairs, the packing (``width`` B and
     ``offset`` K, see the module docstring), and caches filled on use:
-    the packed iota basis images and P columns per x.  Matchings, tables
-    and verdicts are read from ``system``.  The packed caches belong to
-    the width: ``_set_width`` starts them empty.
+    the packed iota basis images and P columns per x, and iota's barred
+    input coefficients.  Matchings, tables and verdicts are read from
+    ``system``.  The packed caches belong to the width: ``_set_width``
+    starts them empty.
 
     Construction requires matchings defined on the whole poset and raises
     ValueError when the system's verdict, its up-down or kernel verdict for
@@ -215,6 +216,8 @@ class HeckeContext:
         self.one = 1 << width * self.offset     # the packed scalar 1
         self._limit = 1 << (width - 1)
         self._iota_basis: dict[str, list[Vector]] = {}
+        # iota's barred coefficients: c -> (top half-exponent, int, L1)
+        self._barred: dict[int, tuple[int, int, int]] = {}
         self._packed_p: dict[str, list[Vector]] = {}
 
     def require(self, bound: int) -> None:
@@ -351,17 +354,27 @@ def iota(ctx: HeckeContext, v: Vector, x: str) -> Vector:
     (at least 0), and added into one dict; an exact shift right by t B
     returns the sums to offset K.  The output's coefficients are below
     sum_u L1(c_u) * max L1(R), which is asserted before any product is
-    formed: WidthError when it reaches 2^(B-1).
+    formed: WidthError when it reaches 2^(B-1).  Vectors repeat few
+    coefficient values, so (t_u, b_u, L1(c_u)), a function of c_u at the
+    context's width and offset, is kept on the context per packed value.
     """
     width, offset, rank = ctx.width, ctx.offset, ctx.poset.rank
-    terms = [(u, _digits(c, width, -offset)) for u, c in v.items()]
-    ctx.require(ctx.r_l1 * sum(abs(a) for _, d in terms for a in d.values()))
-    tops = [max(d) for _, d in terms]
-    top = max([0] + tops)
+    barred = ctx._barred
+    terms = []
+    for u, c in v.items():
+        got = barred.get(c)
+        if got is None:
+            d = _digits(c, width, -offset)
+            t = max(d)
+            got = barred[c] = (t, sum(a << width * (t - h)
+                                      for h, a in d.items()),
+                               sum(map(abs, d.values())))
+        terms.append((u, got))
+    ctx.require(ctx.r_l1 * sum(got[2] for _, got in terms))
+    top = max([0] + [got[0] for _, got in terms])
     images = _iota_basis(ctx, x)
     out = [0] * ctx.poset.n
-    for (u, d), t in zip(terms, tops):
-        b = sum(a << width * (t - h) for h, a in d.items())
+    for u, (t, b, _) in terms:
         # the product's half-exponents, shifted to offset K + top
         shift = width * (offset + top - t - 2 * rank[u])
         for w, r in images[u].items():

@@ -53,6 +53,14 @@ over the nonzero entries, the shape of a Hecke module vector.  The rule
 checks read ``table.rule_columns``, these columns at the rule width, packed
 on first use and kept with the table; the interval sum and the Hecke layer
 pack at their own widths.  The writers walk the rows in (u, w) order.
+
+Tables hold few distinct polynomials among many pairs (126 distinct R^-1
+entries among 27,905 pairs on A5/{s3}), and the tables built here share one
+QPoly per distinct value.  So the per-value work is done once per distinct
+entry object, keyed by its id, which stays valid as the table holds the
+object: ``_columns`` packs each once, and the writers format each once.
+Kernel inversion decodes each distinct (G[u], rank gap) once, which is
+exact because the decode is a function of that pair at a fixed width.
 """
 
 from __future__ import annotations
@@ -341,25 +349,30 @@ class PolyTable:
         With an indent, ``json.dumps`` runs the pure-Python encoder; here
         only the small poset header goes through it, and the fixed-shape
         entries are formatted directly: labels by the C string encoder,
-        coefficients by ``str``.
+        coefficients by ``str``.  No string is built per entry: the text
+        that opens an entry and names u is made once per element, the
+        text that names w once per element, and the coefficients with the
+        entry's close once per distinct entry object, keyed by its id (the
+        table holds its entries).  An entry is then four references into
+        the parts list, and one join makes the text.
         """
         head = json.dumps({"poset": self.poset.to_json(), "x": self.x},
                           indent=1)
         labs = [encode_basestring_ascii(lab) for lab in self.poset.labels]
-        # tables repeat few distinct polynomials: format each once
-        texts = {(): "[]"}
+        opens = ["  [\n   " + lab + ",\n   " for lab in labs]
+        seconds = [lab + ",\n   " for lab in labs]
+        texts = {}
         # head ends with the "\n}" that closes the object; one join of the
         # parts makes the text without an intermediate copy
         parts = [head[:-2], ',\n "entries": ']
         sep = "[\n"
         for u, w, poly in self.rows():
-            coeffs = poly.coeffs()
-            text = texts.get(coeffs)
+            text = texts.get(id(poly))
             if text is None:
-                text = texts[coeffs] = \
-                    "[\n    " + ",\n    ".join(map(str, coeffs)) + "\n   ]"
-            parts += (sep,
-                      f"  [\n   {labs[u]},\n   {labs[w]},\n   {text}\n  ]")
+                coeffs = ",\n    ".join(map(str, poly.coeffs()))
+                text = texts[id(poly)] = ("[\n    " + coeffs + "\n   ]"
+                                          if coeffs else "[]") + "\n  ]"
+            parts += (sep, opens[u], seconds[w], text)
             sep = ",\n"
         parts.append("[]\n}\n" if sep == "[\n" else "\n ]\n}\n")
         return "".join(parts)
@@ -376,14 +389,20 @@ class PolyTable:
         return cls.from_entries(poset, data["x"], entries)
 
     def to_csv(self) -> str:
+        """The CSV text of the table, one row per pair; the coefficient
+        text is formatted once per distinct entry object, keyed by its id
+        as in ``to_json_text``."""
         import csv   # only the CSV writer needs it; the CLI imports lean
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["u", "w", "coefficients"])
         labs = self.poset.labels
+        texts = {}
         for u, w, poly in self.rows():
-            writer.writerow([labs[u], labs[w],
-                             " ".join(map(str, poly.coeffs()))])
+            text = texts.get(id(poly))
+            if text is None:
+                text = texts[id(poly)] = " ".join(map(str, poly.coeffs()))
+            writer.writerow((labs[u], labs[w], text))
         return buf.getvalue()
 
 
@@ -502,15 +521,20 @@ def _cases(width: int, x: str) -> dict[str, Callable[[int, int], int]]:
 def _columns(table: PolyTable, width: int) -> list[dict[int, int]]:
     """The table packed at q = 2^width, by column: for every w the dict
     {u: R_{u,w}(2^width)} over the u <= w with R_{u,w} != 0, in ideal
-    order, read off ``table.columns[w]`` zipped with the ideal of w."""
+    order, read off ``table.columns[w]`` zipped with the ideal of w.
+
+    Each distinct nonzero entry object is packed once, into a dict keyed
+    by its id that lives for the call; the table holds its entries, so the
+    ids stay valid.  A zero entry has no key and is left out."""
     ideal = table.poset.ideal_elements
+    distinct = {id(p): p for p in chain.from_iterable(table.columns)}
+    packed = {key: _pack(p.coeffs(), width)
+              for key, p in distinct.items() if p}
     cols = []
     for w, column in enumerate(table.columns):
-        col = {}
-        for u, poly in zip(ideal(w), column):
-            if poly:
-                col[u] = _pack(poly.coeffs(), width)
-        cols.append(col)
+        cols.append({u: value for u, value in
+                     zip(ideal(w), map(packed.get, map(id, column)))
+                     if value is not None})
     return cols
 
 
@@ -600,6 +624,15 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
     place of the P factor; a pair whose bound does not fit restarts the
     inversion at a wider B, the only rerun at a wider width in the library.
     ``_width`` overrides the starting width, for tests of the restart.
+
+    Each distinct (G[u], rho(u,v)) is decoded once per run.  At a fixed B
+    the digits, and so P_{u,v} and the check of its high part, are a
+    function of that pair alone, so a memo from it to (P_{u,v}, its max
+    |coeff|, P_{u,v}(2^B)) is exact: a decode that fails raises before it
+    is kept, so a kept key never fails, and the first failing pair and its
+    message are those of decoding every pair.  The bound is asserted
+    before the memo is read.  A P_{u,v} = 1, most of the pushes at x = -1,
+    adds column u of R with no multiply.
     """
     poset = table.poset
     rank = poset.rank
@@ -614,8 +647,37 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
         for z, col in enumerate(cols):
             for u in col:
                 supports[u] |= 1 << z
-        columns = []
         polys = {}   # P-tables repeat few polynomials: build each once
+
+        def decode(g: int, gap: int, u: int, v: int):
+            """P_{u,v}, its max |coeff| and P_{u,v}(2^B) from G[u], or
+            KernelError at (u, v) when the high part of G[u] is not
+            tilde(P); a function of (g, gap) alone at this width."""
+            half_gap = (gap + 1) // 2
+            # low digits d_k of G[u] give P = -sum d_k q^k; the rest
+            # is the high part of G, which must be tilde(P)
+            low = []
+            tilde = 0
+            rest = g
+            for _ in range(half_gap):
+                d = rest & digit
+                if d >= half:
+                    d -= digit + 1
+                low.append(-d)
+                tilde = (tilde << width) - d
+                rest = (rest - d) >> width
+            if rest != tilde << width * (gap + 1 - 2 * half_gap):
+                raise KernelError(
+                    f"not a P-kernel at pair ({poset.labels[u]!r}, "
+                    f"{poset.labels[v]!r})", (u, v))
+            key = tuple(low)
+            if key not in polys:
+                polys[key] = (QPoly(low), max(map(abs, low)))
+            return *polys[key], (rest << width * half_gap) - g
+
+        columns = []
+        # per rank gap, G[u] -> (P_{u,v}, max |coeff|, P_{u,v}(2^B))
+        decoded = [{} for _ in range(poset.max_rank() + 1)]
         for v in range(poset.n):
             ideal = poset.ideal_elements(v)
             col = {v: _ONE}
@@ -624,41 +686,27 @@ def kls_polynomials(table: PolyTable, _width: int | None = None) -> PolyTable:
                 G[u] += r
             pushed = 1 << v
             pmax = 1
-            below = sorted((u for u in ideal if u != v),
-                           key=lambda u: -rank[u])
-            for u in below:
+            # descending rank, stable within a rank; v alone comes first
+            below = sorted(ideal, key=rank.__getitem__, reverse=True)
+            for u in below[1:]:
                 bound = (supports[u] & pushed).bit_count() * l1 * pmax
                 if bound >= half:
                     return bound
+                g = G[u]
                 gap = rank[v] - rank[u]
-                half_gap = (gap + 1) // 2
-                # low digits d_k of G[u] give P = -sum d_k q^k; the rest
-                # is the high part of G, which must be tilde(P)
-                low = []
-                tilde = 0
-                rest = g = G[u]
-                for _ in range(half_gap):
-                    d = rest & digit
-                    if d >= half:
-                        d -= digit + 1
-                    low.append(-d)
-                    tilde = (tilde << width) - d
-                    rest = (rest - d) >> width
-                if rest != tilde << width * (gap + 1 - 2 * half_gap):
-                    raise KernelError(
-                        f"not a P-kernel at pair ({poset.labels[u]!r}, "
-                        f"{poset.labels[v]!r})", (u, v))
-                key = tuple(low)
-                got = polys.get(key)
+                got = decoded[gap].get(g)
                 if got is None:
-                    got = polys[key] = (QPoly(low), max(map(abs, low)))
-                col[u] = got[0]
-                packed = (rest << width * half_gap) - g
+                    got = decoded[gap][g] = decode(g, gap, u, v)
+                col[u], top_p, packed = got
                 if packed:
-                    pmax = max(pmax, got[1])
+                    pmax = max(pmax, top_p)
                     pushed |= 1 << u
-                    for w, r in cols[u].items():
-                        G[w] += r * packed
+                    if packed == 1:   # P_{u,v} = 1: adds, no multiply
+                        for w, r in cols[u].items():
+                            G[w] += r
+                    else:
+                        for w, r in cols[u].items():
+                            G[w] += r * packed
             columns.append(tuple(map(col.__getitem__, ideal)))
         return PolyTable(poset, table.x, columns)
 

@@ -92,6 +92,29 @@ def test_iota_of_zero(contexts):
         assert iota(ctx, {}, x) == {}
 
 
+def test_iota_keeps_each_barred_coefficient(suite_quotients):
+    """A vector that repeats three coefficients maps to the oracle's iota
+    at both x, and the context keeps one barred entry per distinct packed
+    coefficient: its top half-exponent, its barred int and its L1 norm.
+    ``_set_width`` empties them, and the next iota refills them."""
+    ctx = fresh_context(suite_quotients, "B3/H={s2}")
+    cycle = [HalfLaurent({0: 1}), HalfLaurent({1: -1}), HalfLaurent({-1: 1})]
+    v = ModuleVector({u: cycle[u % 3] for u in range(ctx.poset.n)})
+    packed = pack(ctx, v)
+    for x in X_PARAMS:
+        assert decoded(ctx, iota(ctx, packed, x)) == oracles.iota(ctx, v, x)
+    assert set(ctx._barred) == set(packed.values())
+    assert len(ctx._barred) == 3
+    for c, (t, b, l1) in ctx._barred.items():
+        digits = klpoly._digits(c, ctx.width, -ctx.offset)
+        assert t == max(digits) and l1 == sum(map(abs, digits.values()))
+        assert b == sum(a << ctx.width * (t - h) for h, a in digits.items())
+    before = iota(ctx, packed, "q")
+    ctx._set_width(ctx.width)
+    assert ctx._barred == {}
+    assert iota(ctx, packed, "q") == before and len(ctx._barred) == 3
+
+
 HUGE = st.integers(-2 ** 80, 2 ** 80)
 coefficients = st.integers(-3, 3).filter(bool) | HUGE.filter(bool)
 laurents = st.dictionaries(st.integers(-12, 12), coefficients,

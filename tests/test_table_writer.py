@@ -107,3 +107,21 @@ def test_an_r_table_costs_under_16_bytes_a_pair():
         tracemalloc.stop()
     assert table.value(poset.bottom, poset.top)
     assert cost < 16 * pairs, cost / pairs
+
+
+def test_the_json_writer_peaks_under_1_6_times_its_text():
+    """``to_json_text`` builds no string per entry, only four references
+    to texts made once per element or distinct entry: on the A5/{s3} R^q
+    table its traced peak stays under 1.6 times the text it returns, where
+    a string per entry took about 2.7 times."""
+    quot = CoxeterSystem({"type": "A", "rank": 5}).quotient({2})
+    table = r_polynomials(quot.poset, lambda_refinement(quot), "q")
+    table.to_json_text()   # the up-sets belong to the poset
+    tracemalloc.start()
+    try:
+        text = table.to_json_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.isascii()
+    assert peak < 1.6 * len(text), peak / len(text)
