@@ -12,7 +12,8 @@ C^x_w and C'^x_w.  The key dualities:
 
 and C'^x_w is computable by a recursion with mu-coefficients, which this
 script replays against the direct construction.  Module vectors are packed
-ints; ``ctx.decode`` turns one into readable Laurent coefficients.
+ints; ``ctx.decode`` turns one into a dict of readable Laurent
+coefficients.
 """
 
 from pircons import (CoxeterSystem, HeckeContext, X_PARAMS,
@@ -28,11 +29,18 @@ for x in X_PARAMS:
     print(f"Hecke relations (x = {x}):", verify_hecke_relations(ctx, x))
 print("duality suite:", verify_duality(ctx))
 
+
+def show(v):
+    """A packed module vector as sum_u (c_u)*m[u]."""
+    return " + ".join(f"({c})*m[{u}]"
+                      for u, c in sorted(ctx.decode(v).items())) or "0"
+
+
 top = P.index("2.1")
 for x in X_PARAMS:
     print(f"\nx = {x}")
-    print("  C [top] =", ctx.decode(kl_element_c(ctx, top, x)))
-    print("  C'[top] =", ctx.decode(kl_element_cprime(ctx, top, x)))
+    print("  C [top] =", show(kl_element_c(ctx, top, x)))
+    print("  C'[top] =", show(kl_element_cprime(ctx, top, x)))
     for M in ctx.system.down_matchings(top):
         rhs = cprime_recursion(ctx, top, M, x)
         print("  recursion reproduces C':",

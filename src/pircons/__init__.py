@@ -25,9 +25,9 @@ from .klpoly import (KernelError, PirconSystem, PolyTable, Refinement,
                      lambda_refinement, other_x, r_polynomials,
                      system_refinement, verify_pircon_system,
                      verify_r_properties)
-from .hecke import (HeckeContext, ModuleVector, OffsetError, WidthError,
-                    characterize, cprime_recursion, iota, kl_element_c,
-                    kl_element_cprime, p_recursion, t_action, verify_duality,
+from .hecke import (HeckeContext, OffsetError, WidthError, characterize,
+                    cprime_recursion, iota, kl_element_c, kl_element_cprime,
+                    p_recursion, t_action, verify_duality,
                     verify_hecke_relations, verify_recursion)
 from .twisted import TwistedIdentities
 

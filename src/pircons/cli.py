@@ -10,8 +10,9 @@ no KL basis makes the x = q file texts in a forked child (``forked``); the
 parent writes every file through ``_emit``, and makes those not received.
 
 Exit codes: 0 success, 2 malformed config (a bad H, a field the command
-or the instance kind does not read, or a malformed poset, refinement or
-matching file: see README), 3 unsupported group,
+or the instance kind does not read, a value it does not know, or a poset,
+refinement or matching file that is malformed or describes no graded
+poset, refinement or matching: see README), 3 unsupported group,
 4 group size bound exceeded, 1 other errors; a failing verification exits
 with the code of the first failing class (see VERIFY_EXIT_CODES).  Output
 files are written atomically (temp file + rename), with mode 0o666 less
@@ -29,7 +30,7 @@ import sys
 from . import hecke, klpoly, matchings, twisted
 from .coxeter import CoxeterError, CoxeterSystem, SizeBoundError
 from .klpoly import X_PARAMS, X_Q
-from .posets import GradedPoset, PosetError
+from .posets import GradedPoset
 
 VERIFY_KINDS = ("updown", "pkernel", "system", "dircon", "duality",
                 "recursion", "properties", "brenti", "lifting")
@@ -125,21 +126,22 @@ def _parse_generators(value, num_gens: int) -> frozenset[int]:
     return H
 
 
-def _load_json(path: str, shape: str, valid) -> object:
-    """The JSON document in path; valid() must accept it as ``shape``.  A
-    file that is not UTF-8 JSON, or that the decoder refuses (nested past
-    its recursion limit, an integer past Python's digit limit), is a
+def _load_json(path: str, shape: str, valid, build=lambda data: data):
+    """build() of the JSON document in path; valid() must accept it as
+    ``shape``.  A file that is not UTF-8 JSON, or that the decoder refuses
+    (nested past its recursion limit, an integer past Python's digit
+    limit), or whose document build() refuses with a ValueError, is a
     ConfigError naming the path; a file that cannot be opened raises
     OSError."""
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            if valid(data):
+                return build(data)
+        # the decoder's errors and build()'s refusals are ValueErrors
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if not valid(data):
-        raise ConfigError(f"{path} must hold {shape}")
-    return data
+    raise ConfigError(f"{path} must hold {shape}")
 
 
 def _index_list(value) -> bool:
@@ -179,25 +181,23 @@ def build_instance(config: dict) -> Instance:
         path = spec.get("poset_file")
         if not path:
             raise ConfigError("poset instance needs 'poset_file'")
-        poset = GradedPoset.from_json(_load_json(
+        poset = _load_json(
             path, "an object with an 'elements' list and a 'covers' list "
             "of [lower, upper] index pairs",
             lambda d: isinstance(d, dict)
             and isinstance(d.get("elements"), list)
             and isinstance(d.get("covers"), list)
             and all(isinstance(c, list) and len(c) == 2
-                    and all(map(_is_index, c)) for c in d["covers"])))
+                    and all(map(_is_index, c)) for c in d["covers"]),
+            GradedPoset.from_json)
         refinement = None
         ref_path = spec.get("refinement_file")
         if ref_path:
-            data = _load_json(
+            refinement = _load_json(
                 ref_path, "an object mapping labels to image lists",
                 lambda d: isinstance(d, dict)
-                and all(map(_index_list, d.values())))
-            try:
-                refinement = klpoly.Refinement.from_json(poset, data)
-            except ValueError as exc:
-                raise ConfigError(f"{ref_path}: {exc}") from None
+                and all(map(_index_list, d.values())),
+                functools.partial(klpoly.Refinement.from_json, poset))
 
         def given_system() -> klpoly.PirconSystem:
             if refinement is None:
@@ -322,12 +322,7 @@ def cmd_compute(config: dict) -> int:
               file=sys.stderr)
     xs = _x_list(config.get("x"))
     outputs = config.get("outputs") or ["r"]
-    for name in outputs:
-        if name not in COMPUTE_OUTPUTS:
-            raise ConfigError(f"unknown output {name!r}")
     fmt = config.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError("compute supports formats json and csv")
     # Two x's and no context: a forked child makes the second x's files
     # from the system built here.  The parent writes them as they arrive,
     # and makes itself whatever the child did not send.
@@ -366,14 +361,14 @@ def _compute_x(inst: Instance, x: str, outputs: list[str], fmt: str):
             inst.hecke_context.system.p_table(x) if "klbasis" in outputs
             else klpoly.kls_polynomials(inst.system.r_table(x)))
     if "klbasis" in outputs:
-        ctx = inst.hecke_context
+        ctx, labels = inst.hecke_context, inst.poset.labels
         doc = {"x": x, "C": {}, "Cprime": {}}
-        for w in range(inst.poset.n):
-            lab = inst.poset.labels[w]
-            doc["C"][lab] = ctx.decode(hecke.kl_element_c(ctx, w, x)) \
-                .to_json(inst.poset)
-            doc["Cprime"][lab] = ctx.decode(
-                hecke.kl_element_cprime(ctx, w, x)).to_json(inst.poset)
+        for w, lab in enumerate(labels):
+            for key, v in (("C", hecke.kl_element_c(ctx, w, x)),
+                           ("Cprime", hecke.kl_element_cprime(ctx, w, x))):
+                doc[key][lab] = {"coeffs": [
+                    [labels[u], c.to_json()]
+                    for u, c in sorted(ctx.decode(v).items())]}
         yield _output_name("klbasis", x, fmt), json.dumps(doc, indent=1) + "\n"
 
 
@@ -393,9 +388,6 @@ def cmd_verify(config: dict) -> int:
     inst = build_instance(config)
     xs = _x_list(config.get("x"))
     kinds = config.get("verify") or DEFAULT_CHECKS[inst.kind]
-    for kind in kinds:
-        if kind not in VERIFY_KINDS:
-            raise ConfigError(f"unknown verification {kind!r}")
     reports = run_verification(inst, kinds, xs)
     _emit(config, "verify_report.json", json.dumps(reports, indent=1) + "\n")
     for rec in reports:
@@ -420,20 +412,26 @@ def cmd_enumerate_spm(config: dict) -> int:
     return 0
 
 
+def _matching(poset: GradedPoset, data: dict) -> matchings.PartialMatching:
+    """A matching file's involution, with one entry per element."""
+    matching = matchings.PartialMatching.from_json(data, poset)
+    n = poset.n
+    bad = ("needs-one-entry-per-element", min(len(data["map"]), n)) \
+        if len(data["map"]) != n else matchings.involution_witness(matching)
+    if bad:
+        raise ValueError(f"{bad[0]} at index {bad[1]}")
+    return matching
+
+
 def cmd_export_dot(config: dict) -> int:
     inst = build_instance(config)
     matching = None
     path = config.get("matching_file")
     if path:
-        data = _load_json(
+        matching = _load_json(
             path, "an object with a 'map' list of indices or nulls",
-            lambda d: isinstance(d, dict) and _index_list(d.get("map")))
-        matching = matchings.PartialMatching.from_json(data, inst.poset)
-        n = inst.poset.n
-        bad = ("needs-one-entry-per-element", min(len(data["map"]), n)) \
-            if len(data["map"]) != n else matchings.involution_witness(matching)
-        if bad:
-            raise ConfigError(f"{path}: {bad[0]} at index {bad[1]}")
+            lambda d: isinstance(d, dict) and _index_list(d.get("map")),
+            functools.partial(_matching, inst.poset))
     _emit(config, "poset.dot", inst.poset.to_dot(matching))
     return 0
 
@@ -494,13 +492,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             config[key] = val
     if "instance" not in config:
         raise ConfigError("no instance given (flags or config file)")
-    _check_field_types(config)
+    _check_fields(config)
     return config
 
 
-def _check_field_types(config: dict) -> None:
-    """The list and path fields of a merged config hold what the commands
-    read from them: lists of strings, and strings."""
+def _check_fields(config: dict) -> None:
+    """The fields of a merged config hold what the commands read from
+    them: lists of strings, strings, and names that the command knows.
+    They are checked before any instance is built."""
     for key in ("outputs", "verify"):
         val = config.get(key)
         if val is not None and not (isinstance(val, list) and
@@ -515,6 +514,14 @@ def _check_field_types(config: dict) -> None:
             val = owner.get(key)
             if val is not None and not isinstance(val, str):
                 raise ConfigError(f"{key} must be a string, got {val!r}")
+    _x_list(config.get("x"))
+    for key, names, what in (("outputs", COMPUTE_OUTPUTS, "output"),
+                             ("verify", VERIFY_KINDS, "verification")):
+        for name in config.get(key) or ():
+            if name not in names:
+                raise ConfigError(f"unknown {what} {name!r}")
+    if config.get("format", "json") not in ("json", "csv"):
+        raise ConfigError("compute supports formats json and csv")
 
 
 def main(argv=None) -> int:
@@ -559,7 +566,7 @@ def main(argv=None) -> int:
         print(f"coxeter error: {exc}", file=sys.stderr)
         return EXIT_SIZE_BOUND if isinstance(exc, SizeBoundError) \
             else EXIT_UNSUPPORTED
-    except (PosetError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

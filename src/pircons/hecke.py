@@ -49,10 +49,10 @@ on everything the checks build.
 
 Only iota reads digits, to apply bar (a reflection of digit positions),
 and characterize, to test a shape; nothing else decodes.
-Vectors become ModuleVector objects with HalfLaurent coefficients only at
-the edges: klbasis JSON, printing and tests (``HeckeContext.decode``).
-The same algorithms on HalfLaurent and ModuleVector object arithmetic are
-the differential reference in ``tests/oracles.py``.
+Vectors become plain dicts {u: HalfLaurent} only at the edges: klbasis
+JSON, printing and tests (``HeckeContext.decode``).  The same algorithms
+on HalfLaurent and module-vector object arithmetic are the differential
+reference in ``tests/oracles.py``.
 
 The tables enter packed by ``klpoly._columns`` at q^(1/2) = 2^B: iota's
 basis images are the columns of R^x, signed, and P^z is kept as its
@@ -89,42 +89,6 @@ class WidthError(ArithmeticError):
     The context's width fits every built-in check, so a check raises it
     only on a context given a narrower width; a direct call of iota or
     characterize raises it on a vector too large for the width."""
-
-
-class ModuleVector:
-    """A decoded module vector: a finitely supported map from poset elements
-    to HalfLaurent scalars, for printing, JSON and tests."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, HalfLaurent] | None = None):
-        self.coeffs = {u: c for u, c in (coeffs or {}).items() if c}
-
-    def coeff(self, u: int) -> HalfLaurent:
-        return self.coeffs.get(u, HalfLaurent())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*m[{u}]"
-                          for u, c in sorted(self.coeffs.items()))
-
-    def to_json(self, poset: GradedPoset) -> dict:
-        return {"coeffs": [[poset.labels[u], c.to_json()]
-                           for u, c in sorted(self.coeffs.items())]}
-
-    @classmethod
-    def from_json(cls, data: dict, poset: GradedPoset) -> "ModuleVector":
-        return cls({poset.index(lab): HalfLaurent.from_json(c)
-                    for lab, c in data["coeffs"]})
 
 
 def _permutation_order(M: PartialMatching, N: PartialMatching, n: int) -> int:
@@ -228,13 +192,13 @@ class HeckeContext:
 
     # -- decoding at the edges ------------------------------------------
 
-    def decode(self, v: Vector) -> ModuleVector:
-        """The coefficients of a valid packed vector.  Validity is the
-        caller's to keep: a coefficient that has left (-2^(B-1), 2^(B-1))
-        decodes to other coefficients, with no error."""
-        return ModuleVector({u: HalfLaurent(_digits(c, self.width,
-                                                    -self.offset))
-                             for u, c in v.items()})
+    def decode(self, v: Vector) -> dict[int, HalfLaurent]:
+        """The coefficients of a valid packed vector, {u: HalfLaurent},
+        none of them zero.  Validity is the caller's to keep: a coefficient
+        that has left (-2^(B-1), 2^(B-1)) decodes to other coefficients,
+        with no error."""
+        return {u: HalfLaurent(_digits(c, self.width, -self.offset))
+                for u, c in v.items()}
 
     def packed_p(self, x: str) -> list[Vector]:
         """The ``_columns`` of P^x at q = 2^(2B), with no offset: for every

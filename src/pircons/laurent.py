@@ -5,8 +5,9 @@ Two scalar types:
 * :class:`HalfLaurent` -- elements of Z[q^(1/2), q^(-1/2)], stored sparsely
   by *half-exponent*: the integer number of q^(1/2) units, so q itself sits
   at half-exponent 2 and q^(-1/2) at half-exponent -1.  The Hecke layer
-  computes on packed ints (see ``hecke``); a HalfLaurent is a decoded
-  coefficient, for printing, JSON and equality, and has no arithmetic.
+  computes on packed ints (see ``hecke``); a HalfLaurent is a coefficient
+  that ``HeckeContext.decode`` reads off one, for printing, JSON and
+  equality, and has no arithmetic.
 * :class:`QPoly` -- ordinary polynomials in q with integer coefficients,
   stored densely in ascending powers.  The R and P recursions compute on
   packed ints (see ``klpoly``); a QPoly is a table entry, for printing,
@@ -95,10 +96,6 @@ class HalfLaurent:
     def to_json(self) -> list[list[int]]:
         """Sorted [half_exponent, coefficient] pairs."""
         return [[h, c] for h, c in self.items()]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "HalfLaurent":
-        return cls({int(h): int(c) for h, c in data})
 
 
 class QPoly:

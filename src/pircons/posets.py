@@ -67,36 +67,27 @@ class GradedPoset:
             raise PosetError(f"expected a unique bottom, found {len(bottoms)}")
         self.bottom = bottoms[0]
 
-        # Rank assignment doubles as the gradedness / acyclicity check:
-        # every cover must raise the already-assigned rank by exactly 1.
-        rank = [None] * n
-        rank[self.bottom] = 0
-        queue = [self.bottom]
-        seen = 1
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in up[x]:
-                    r = rank[x] + 1
-                    if rank[y] is None:
-                        if all(rank[z] is not None for z in down[y]):
-                            bad = {rank[z] for z in down[y]}
-                            if bad != {rank[x]}:
-                                raise PosetError(
-                                    f"covers into {labels[y]!r} skip a rank")
-                            rank[y] = r
-                            nxt.append(y)
-                            seen += 1
-                    elif rank[y] != r:
+        # Kahn's topological order doubles as the gradedness / acyclicity
+        # check: an element is placed once all its lower covers are, which
+        # must share one rank r, and gets rank r + 1.  An element never
+        # placed lies on a cycle, as only the bottom has no lower cover.
+        rank = [0] * n
+        waiting = [len(d) for d in down]
+        order = [self.bottom]
+        for x in order:   # grows as elements are placed
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    below = {rank[z] for z in down[y]}
+                    if len(below) != 1:
                         raise PosetError(
                             f"covers into {labels[y]!r} skip a rank")
-            queue = nxt
-        if seen != n:
-            # Either a cycle or an element unreachable from the bottom.
+                    rank[y] = below.pop() + 1
+                    order.append(y)
+        if len(order) != n:
             raise PosetError("cover relation is cyclic or disconnected")
         self.rank = tuple(rank)
 
-        order = sorted(range(n), key=lambda i: rank[i])
         down_sets = _down_sets
         if down_sets is None:
             down_sets = [0] * n

@@ -24,6 +24,16 @@ def all_subsets(n):
         yield from itertools.combinations(range(n), r)
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each case, this process has no child: none running, none
+    waiting to be reaped.  A CLI job that forks and leaves its child
+    behind fails the case that ran it."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def groups():
     return {name: CoxeterSystem(cfg) for name, cfg in GROUP_CONFIGS}

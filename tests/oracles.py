@@ -5,16 +5,19 @@ inversion code: polynomials are sympy expressions in q, and kernel inversion
 is done by undetermined coefficients plus a linear solve, so a bug in the
 production truncation recursion cannot hide.  Bruhat order comes from the
 descent-lift recursion on group elements, not from the lifting rule that
-builds the library's quotient and twisted-identity posets.
+builds the library's quotient and twisted-identity posets, and a graded
+poset's ranks and order ideals from the closure of its cover pairs and
+its longest chains, not from a topological order.
 
 The reference path at the end keeps the R recursion, the kernel check,
 kernel inversion, up-down check and the whole Hecke layer (module-vector
 arithmetic, the T actions, iota, j_P, the KL elements, the relation and
 duality suites and both recursions) as they were written on
 ``QPoly``/``HalfLaurent`` object arithmetic, before the library moved to
-packed evaluation and hoisted mu-corrections.  ``HalfLaurent`` and
-``ModuleVector`` here extend the library's decoded types with that
-arithmetic.  Differential tests hold the library to the same results,
+packed evaluation and hoisted mu-corrections.  ``HalfLaurent`` here
+extends the library's decoded scalar with that arithmetic, and
+``ModuleVector`` is the vector of such scalars that ``ctx.decode``'s dict
+lifts to.  Differential tests hold the library to the same results,
 witnesses and ``KernelError`` messages.  It also keeps the two refinement
 searches that ``klpoly.system_refinement`` replaced: the descent search
 over group generators for a parabolic quotient, and the per-generator
@@ -110,6 +113,36 @@ def bruhat_leq(system, u: int, w: int) -> bool:
     if system.d_right[u] >> s & 1:
         return bruhat_leq(system, system.right[u][s], ws)
     return bruhat_leq(system, u, ws)
+
+
+def graded_poset(n: int, covers) -> tuple | None:
+    """(ranks, down-set masks, up-set masks) of the order that the pairs
+    (lower, upper) in ``covers`` generate on n elements, by brute force:
+    the order is the reflexive-transitive closure, and a rank the longest
+    chain of pairs from the bottom.  None when the pairs are not the
+    covers of a graded poset: they form a cycle, more or less than one
+    element has no lower pair, or some pair does not raise the rank by
+    one."""
+    covers = set(covers)
+    leq = [[x == y or (x, y) in covers for y in range(n)] for x in range(n)]
+    for z in range(n):
+        for x in range(n):
+            for y in range(n):
+                leq[x][y] = leq[x][y] or leq[x][z] and leq[z][y]
+    if any(leq[x][y] and leq[y][x] for x in range(n) for y in range(x)):
+        return None
+    if sum(all((x, y) not in covers for x in range(n))
+           for y in range(n)) != 1:
+        return None
+    rank = [0] * n
+    for _ in range(n):
+        for x, y in covers:
+            rank[y] = max(rank[y], rank[x] + 1)
+    if any(rank[y] != rank[x] + 1 for x, y in covers):
+        return None
+    return (tuple(rank),
+            [sum(1 << x for x in range(n) if leq[x][y]) for y in range(n)],
+            [sum(1 << y for y in range(n) if leq[x][y]) for x in range(n)])
 
 
 def classical_r(system):
@@ -521,15 +554,30 @@ def check_updown(matchings, table: PolyTable):
 # Reference path: the Hecke layer on ModuleVector objects.
 # ---------------------------------------------------------------------------
 
-class ModuleVector(hecke.ModuleVector):
-    """The library's decoded ModuleVector with the object arithmetic of the
-    reference path; coefficients are the HalfLaurent above."""
+class ModuleVector:
+    """A decoded module vector, a finitely supported map from poset
+    elements to the HalfLaurent scalars above, with the object arithmetic
+    of the reference path; zero coefficients are dropped."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        super().__init__({u: HalfLaurent.lift(c)
-                          for u, c in (coeffs or {}).items()})
+        self.coeffs = {u: HalfLaurent.lift(c)
+                       for u, c in (coeffs or {}).items() if c}
+
+    def coeff(self, u: int) -> HalfLaurent:
+        return self.coeffs.get(u, HalfLaurent.zero())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"ModuleVector({self.coeffs!r})"
 
     @classmethod
     def zero(cls) -> "ModuleVector":
@@ -540,17 +588,19 @@ class ModuleVector(hecke.ModuleVector):
         return cls({u: HalfLaurent.one()})
 
     @classmethod
-    def lift(cls, v: hecke.ModuleVector) -> "ModuleVector":
-        return cls(v.coeffs)
+    def lift(cls, v: dict) -> "ModuleVector":
+        """The vector of a decoded dict {u: HalfLaurent}, as
+        ``HeckeContext.decode`` returns."""
+        return cls(v)
 
-    def __add__(self, other: hecke.ModuleVector) -> "ModuleVector":
+    def __add__(self, other: "ModuleVector") -> "ModuleVector":
         data = dict(self.coeffs)
         for u, c in other.coeffs.items():
             data[u] = data.get(u, HalfLaurent.zero()) + c
         return ModuleVector(data)
 
-    def __sub__(self, other: hecke.ModuleVector) -> "ModuleVector":
-        return self + ModuleVector.lift(other).scale(HalfLaurent.from_int(-1))
+    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
+        return self + other.scale(HalfLaurent.from_int(-1))
 
     def scale(self, a: laurent.HalfLaurent) -> "ModuleVector":
         return ModuleVector({u: c * a for u, c in self.coeffs.items()})
@@ -560,7 +610,7 @@ class ModuleVector(hecke.ModuleVector):
         return ModuleVector({u: c.shift(h) for u, c in self.coeffs.items()})
 
 
-def pack(ctx, v: hecke.ModuleVector) -> dict[int, int]:
+def pack(ctx, v: ModuleVector) -> dict[int, int]:
     """The packed form of a decoded vector at ctx's width and offset, the
     inverse of ``ctx.decode``; asserts that every coefficient fits the
     width and every term the offset."""

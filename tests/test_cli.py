@@ -272,6 +272,43 @@ def test_unknown_output_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+BAD_COMMAND_FIELDS = [
+    ("compute", {"outputs": ["r", "bogus"]}, ["--outputs", "r,bogus"],
+     "unknown output 'bogus'"),
+    ("compute", {"format": "dot"}, None,
+     "compute supports formats json and csv"),
+    ("compute", {"x": "z"}, None,
+     "x must be 'q', '-1' or 'both', got 'z'"),
+    ("verify", {"verify": ["bogus"]}, ["--checks", "bogus"],
+     "unknown verification 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("command,field,flags,line", BAD_COMMAND_FIELDS,
+                         ids=[next(iter(f)) for _, f, _, _ in
+                              BAD_COMMAND_FIELDS])
+def test_a_bad_command_field_is_refused_before_the_build(
+        tmp_path, capsys, monkeypatch, command, field, flags, line):
+    """An output or check name, a format or an x that the command does not
+    know, from a config file or a flag, exits 2 with its one line before
+    any instance is built."""
+    built = []
+    monkeypatch.setattr(cli, "build_instance",
+                        lambda config: built.append(config))
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({
+        "instance": {"kind": "coxeter", "matrix": {"type": "A", "rank": 2}},
+        **field}))
+    jobs = [["--config", str(cfg)]]
+    if flags:
+        jobs.append(["--type", "A", "--rank", "2", *flags])
+    out = tmp_path / "out"
+    for job in jobs:
+        assert run([command, *job, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {line}\n"
+    assert built == [] and not out.exists()
+
+
 def test_unknown_element_is_config_error(tmp_path, capsys):
     out = tmp_path / "spm"
     assert run(["enumerate-spm", "--type", "A", "--rank", "2",
@@ -374,6 +411,42 @@ def test_malformed_poset_file_is_config_error(tmp_path, capsys, case):
                 "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+NOT_GRADED_POSETS = {
+    "duplicate-label": ({"elements": ["a", "a"], "covers": [[0, 1]]},
+                        "element labels must be unique"),
+    "cover-out-of-range": ({"elements": ["a", "b"], "covers": [[0, 2]]},
+                           "cover (0,2) out of range"),
+    "self-cover": ({"elements": ["a", "b"], "covers": [[0, 1], [1, 1]]},
+                   "self-cover at 1"),
+    "no-unique-bottom": ({"elements": ["a", "b", "c"],
+                          "covers": [[0, 2], [1, 2]]},
+                         "expected a unique bottom, found 2"),
+    "skips-a-rank": ({"elements": ["a", "b", "c"],
+                      "covers": [[0, 1], [1, 2], [0, 2]]},
+                     "covers into 'c' skip a rank"),
+    "cycle": ({"elements": ["a", "b", "c", "d"],
+               "covers": [[0, 1], [1, 2], [2, 3], [3, 1]]},
+              "cover relation is cyclic or disconnected"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_GRADED_POSETS))
+def test_a_poset_file_that_is_not_graded_is_config_error(tmp_path, capsys,
+                                                         case):
+    """A poset file of the right shape that does not describe a graded
+    poset exits 2 with one line naming the file and the fault, and writes
+    nothing."""
+    data, fault = NOT_GRADED_POSETS[case]
+    poset_file = tmp_path / "p.json"
+    poset_file.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run(["export-dot", "--poset-file", str(poset_file),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: {poset_file}: {fault}\n"
+    assert not out.exists()
 
 
 def test_malformed_refinement_and_matching_files(tmp_path, capsys, groups):

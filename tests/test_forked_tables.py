@@ -25,15 +25,6 @@ from pircons.coxeter import CoxeterSystem
 from pircons.klpoly import X_MINUS_ONE, X_Q, KernelError
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    """After each case, this process has no child: none running, none
-    waiting to be reaped."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def run(argv):
     """(exit code, stdout, stderr) of one in-process CLI job."""
     out, err = io.StringIO(), io.StringIO()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 
@@ -363,6 +365,29 @@ def test_brenti_identity_scan(groups, suite_contexts):
                                {(P.index("1"), P.index("2.1")): QPoly((3,))})
         assert brenti_identity(quot, bad) == \
             (False, ("brenti", (0, P.index("e"), P.index("2.1"))))
+
+
+def test_every_brenti_failure_is_an_updown_failure(suite_quotients):
+    """brenti_identity checks R_{u,w} = (q-1-x) R_{su,w} where u < su and
+    s fixes w, for each lambda_s: clause (c') of check_updown on the
+    quotient's system matchings, the distinct lambda_s.  On sampled
+    single +-q^k nudges of an R-entry of every suite quotient, at both x,
+    each nudge that fails brenti_identity fails check_updown too."""
+    rng = random.Random(33)
+    failed = 0
+    for key, quot in sorted(suite_quotients.items()):
+        for x in X_PARAMS:
+            table = quot.system.r_table(x)
+            pairs = oracles.pairs(table)
+            for u, w in rng.sample(pairs, min(len(pairs), 40)):
+                delta = oracles.monomial(rng.randint(0, quot.poset.rank_gap(
+                    u, w)), rng.choice((1, -1)))
+                bad = oracles.nudged(table, (u, w), delta)
+                if not brenti_identity(quot, bad)[0]:
+                    failed += 1
+                    assert not check_updown(quot.system.matchings, bad)[0], \
+                        (key, x, u, w, delta)
+    assert failed >= 200
 
 
 # -- pircon systems and refinement independence --------------------------------

@@ -80,7 +80,7 @@ def test_iota_on_every_context(contexts, x):
                       kl_element_c(ctx, u, x),
                       kl_element_cprime(ctx, u, x)):
                 assert decoded(ctx, iota(ctx, v, x)) == \
-                    oracles.iota(ctx, ctx.decode(v), x), (key, u)
+                    oracles.iota(ctx, decoded(ctx, v), x), (key, u)
             image = oracles.iota(ctx, ModuleVector.basis(u), x)
             assert widened(ctx, lambda c, pv: iota(c, pv, x), image) == \
                 oracles.iota(ctx, image, x), (key, u)
@@ -197,7 +197,7 @@ def test_packed_ops_on_every_context(contexts, x):
         for u in range(poset.n):
             vectors = [{u: ctx.one}, iota(ctx, {u: ctx.one}, x)]
             for v in vectors:
-                ref = ModuleVector.lift(ctx.decode(v))
+                ref = decoded(ctx, v)
                 for M in ctx.system.matchings:
                     assert decoded(ctx, t_action(ctx, M, v, x)) == \
                         oracles.t_action(ctx, M, ref, x), (key, u)
@@ -570,7 +570,7 @@ def test_p_recursion_on_every_context(contexts, x):
                 for v in poset.ideal_elements(w):
                     got = column.get(v, 0)
                     want = oracles.p_recursion(ctx, v, w, M, x)
-                    assert ctx.decode({0: got << ctx.width * ctx.offset}) \
+                    assert decoded(ctx, {0: got << ctx.width * ctx.offset}) \
                         .coeff(0) == embed(want), (key, v, w)
 
 

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import oracles
 from pircons.matchings import PartialMatching
 from pircons.posets import GradedPoset, PosetError, from_comparability
 
@@ -44,6 +47,51 @@ def test_two_bottoms_rejected():
 def test_duplicate_labels_rejected():
     with pytest.raises(PosetError):
         GradedPoset(["x", "x"], [(0, 1)])
+
+
+def random_covers(rng):
+    """A random cover list on at most 7 elements: half of the time any
+    pairs, half of the time pairs between random ranks of a layered
+    order, with a random extra pair one time in two."""
+    n = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        return n, rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+    rank = sorted(rng.randint(0, 3) for _ in range(n))
+    place = rng.sample(range(n), n)
+    covers = [(place[x], place[y]) for x in range(n) for y in range(n)
+              if rank[y] == rank[x] + 1 and rng.random() < 0.6]
+    if n > 1 and rng.random() < 0.5:
+        covers.append(tuple(rng.sample(range(n), 2)))
+    return n, covers
+
+
+def test_ranks_and_ideals_match_the_brute_force_order():
+    """On seeded random cover lists, a poset is built exactly when the
+    brute-force reference finds the pairs acyclic, graded and with one
+    bottom, and then has its ranks, down-sets, up-sets, covers, bottom
+    and top."""
+    rng = random.Random(20261022)
+    built = 0
+    for _ in range(4000):
+        n, covers = random_covers(rng)
+        want = oracles.graded_poset(n, covers)
+        if want is None:
+            with pytest.raises(PosetError):
+                GradedPoset([str(i) for i in range(n)], covers)
+            continue
+        built += 1
+        P = GradedPoset([str(i) for i in range(n)], covers)
+        assert (P.rank, list(map(P.down_set, range(n))),
+                list(map(P.up_set, range(n)))) == want
+        assert P.up_covers == tuple(
+            tuple(sorted({y for x, y in covers if x == u})) for u in range(n))
+        assert P.down_covers == tuple(
+            tuple(sorted({x for x, y in covers if y == u})) for u in range(n))
+        assert P.bottom == want[0].index(0)
+        tops = [u for u in range(n) if not P.up_covers[u]]
+        assert P.top == (tops[0] if len(tops) == 1 else None)
+    assert 800 < built < 3200
 
 
 def test_leq_examples(diamond):
